@@ -54,6 +54,16 @@ def parse_rate(value, g: float | None, key: str) -> float:
     raise ValidationError(f"config key params.{key}: expected a rate, got {value!r}")
 
 
+def _as_int(value, where: str) -> int:
+    """An integral number or numeric string as an int; else rejected."""
+    try:
+        if float(value).is_integer():
+            return int(float(value))
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"{where}: expected an integer, got {value!r}")
+
+
 def _reject_unknown(mapping: dict, known: set, where: str):
     unknown = sorted(set(mapping) - known)
     if unknown:
@@ -91,7 +101,7 @@ def resolve_config(cfg: dict) -> dict:
     resolved = {}
     for key, value in params.items():
         if key == "n_atoms":
-            resolved[key] = int(value)
+            resolved[key] = _as_int(value, "config key params.n_atoms")
         else:
             resolved[key] = parse_rate(value, g, key)
     out["params"] = resolved
@@ -122,11 +132,15 @@ def base_params_for(cfg: dict):
 def _scenario_kwargs(cfg: dict, args) -> dict:
     grid = dict(cfg.get("grid", {}))
     kw = {}
-    points = args.grid_points or grid.get("points")
-    if points:
-        kw["grid_points"] = int(points)
-    if grid.get("n_max"):
-        kw["n_max"] = int(grid["n_max"])
+    points = (args.grid_points if args.grid_points is not None
+              else grid.get("points"))
+    if points is not None:
+        points = _as_int(points, "grid points")
+        if points < 2:
+            raise ValidationError(f"grid points must be >= 2, got {points}")
+        kw["grid_points"] = points
+    if grid.get("n_max") is not None:
+        kw["n_max"] = _as_int(grid["n_max"], "config key grid.n_max")
     return kw
 
 
@@ -215,10 +229,9 @@ def cmd_sweep(args) -> int:
     param = args.param or sweep_cfg.get("param")
     if not param:
         raise ValidationError("sweep needs --param or config sweep.param")
-    if args.values:
-        values = [float(v) for v in args.values.split(",")]
-    else:
-        values = [float(v) for v in sweep_cfg.get("values", [])]
+    raw = args.values.split(",") if args.values else sweep_cfg.get("values", [])
+    values = [_as_int(v, "sweep value for n_atoms") if param == "n_atoms"
+              else parse_rate(v, None, param) for v in raw]
     if not values:
         raise ValidationError("sweep needs --values or config sweep.values")
     scenario = args.scenario or cfg.get("scenario", "fig3b")
@@ -262,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--grid-points", type=int)
     run.add_argument("--frame-calibration",
                      choices=["per_branch", "n1_shared"])
-    run.add_argument("--jobs", type=int, default=0)
     run.add_argument("--strict", action="store_true",
                      help="fail (exit 3) if any regime ratio warns")
     run.set_defaults(func=cmd_run)

@@ -1,10 +1,11 @@
 """Propagators and multi-segment schedules under a global clock.
 
-Time-independent generators are exponentiated exactly through one Hermitian
-eigendecomposition per distinct segment type.  The oscillatory three-level
-model can be evolved two independent ways: through its exact static rotating
-frame (preferred) or with a second-order midpoint-exponential product
-integrator (the cross-check oracle); disagreements between the two expose
+Schedules compose exact propagators only: time-independent generators are
+exponentiated through one Hermitian eigendecomposition per distinct segment
+type, and the oscillatory three-level model through its exact static
+rotating frame.  ``propagate_timedep``, a second-order midpoint-exponential
+product integrator over the oscillatory Hamiltonian itself, stands apart as
+the independent oracle for that frame; disagreements between the two expose
 frame-bookkeeping bugs.
 """
 from __future__ import annotations
@@ -108,12 +109,12 @@ class ComposeResult:
     matrix: np.ndarray
     segment_matrices: list = field(default_factory=list)
     unitarity_defects: list = field(default_factory=list)
-    step_counts: list = field(default_factory=list)
 
     def diagnostics(self) -> dict:
+        # every segment is one exact exponential
         return {
             "segment_unitarity_defects": self.unitarity_defects,
-            "segment_step_counts": self.step_counts,
+            "segment_step_counts": [1] * len(self.unitarity_defects),
             "total_unitarity_defect": numerics.unitarity_defect(self.matrix),
         }
 
@@ -122,17 +123,12 @@ class SegmentPropagators:
     """Caches eigendecompositions per distinct segment spec.
 
     A schedule made of a handful of segment types evaluated at many
-    durations (the scenario grids) then costs one decomposition per type.
+    durations then costs one decomposition per type.
     """
 
-    def __init__(self, space: Space, params: SchemeParams,
-                 method: str = "exact", steps_per_segment: int | None = None):
-        if method not in ("exact", "midpoint"):
-            raise ValidationError(f"unknown composition method {method!r}")
+    def __init__(self, space: Space, params: SchemeParams):
         self.space = space
         self.params = models.derive_params(params)
-        self.method = method
-        self.steps_per_segment = steps_per_segment
         self._cache: dict = {}
 
     def _resolved(self, spec: HamiltonianSpec):
@@ -146,48 +142,32 @@ class SegmentPropagators:
                     "framed", numerics.HermitianEigensystem(op), frame)
         return self._cache[spec]
 
-    def propagator(self, segment: Segment) -> tuple[np.ndarray, int]:
-        """(unitary over the segment, step count used)."""
+    def propagator(self, segment: Segment) -> np.ndarray:
+        """Exact unitary over the segment, framed segments on the global clock."""
         spec, t0, dt = segment.spec, segment.start_time, segment.duration
         resolved = self._resolved(spec)
         if resolved[0] == "static":
-            return resolved[1].propagator(dt), 1
-        if self.method == "exact":
-            _, eig, frame = resolved
-            w0 = frame.unitary(self.space, t0)
-            w1 = frame.unitary(self.space, t0 + dt)
-            return w1.conj().T @ eig.propagator(dt) @ w0, 1
-        # midpoint integrator on the oscillatory Hamiltonian itself
-        h_of_t, rate = models.full_hamiltonian_func(
-            self.space, self.params, spec.raman_on, spec.pulse_on, spec.pulse_phase)
-        steps = self.steps_per_segment or required_steps(t0, t0 + dt, rate)
-        return propagate_timedep(h_of_t, t0, t0 + dt, steps, rate), steps
+            return resolved[1].propagator(dt)
+        _, eig, frame = resolved
+        w0 = frame.unitary(self.space, t0)
+        w1 = frame.unitary(self.space, t0 + dt)
+        return w1.conj().T @ eig.propagator(dt) @ w0
 
 
-def compose(
-    schedule: Schedule,
-    params: SchemeParams,
-    method: str = "exact",
-    steps_per_segment: int | None = None,
-    propagators: SegmentPropagators | None = None,
-) -> ComposeResult:
+def compose(schedule: Schedule, params: SchemeParams) -> ComposeResult:
     """Ordered product of segment propagators, later segments on the left.
 
     The global clock enters through each segment's start time, keeping
     rotating-frame phases continuous across boundaries.
     """
-    props = propagators or SegmentPropagators(
-        schedule.space, params, method, steps_per_segment)
-    if props.space is not schedule.space and props.space != schedule.space:
-        raise ValidationError("schedule and propagator cache use different spaces")
+    props = SegmentPropagators(schedule.space, params)
     total = np.eye(schedule.space.dim, dtype=complex)
     result = ComposeResult(total)
     for seg in schedule.segments:
-        u, steps = props.propagator(seg)
+        u = props.propagator(seg)
         total = u @ total
         result.segment_matrices.append(u)
         result.unitarity_defects.append(numerics.unitarity_defect(u))
-        result.step_counts.append(steps)
     result.matrix = total
     return result
 

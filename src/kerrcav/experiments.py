@@ -258,6 +258,15 @@ def _run_overlap_scenario(
     if frame_calibration not in ("per_branch", "n1_shared"):
         raise ValidationError(
             f"unknown frame_calibration {frame_calibration!r}")
+    if overrides and "n_atoms" in overrides:
+        # an atom number selects its branches, never re-labels the others
+        available = sorted({N for N, _ in branch_list})
+        branch_list = tuple(b for b in branch_list
+                            if b[0] == overrides["n_atoms"])
+        if not branch_list:
+            raise ValidationError(
+                f"n_atoms override {overrides['n_atoms']!r} matches no "
+                f"{name} branch; available N: {available}")
     branches: list[BranchResult] = []
     calibration_block: dict = {"frame_calibration": frame_calibration,
                                "r_lin": {}, "r_lin_shared": {}}

@@ -384,11 +384,6 @@ def basis_state(space: Space, photons, atoms) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def all_minus_state(space: Space, photons=0) -> np.ndarray:
-    """|photons> (x) |-)^N, the standard initial state of the scheme."""
-    return basis_state(space, photons, "-" * space.n_atoms)
-
-
 def plus_population(space: Space, state: np.ndarray) -> float:
     """Expectation of sum_k |+_k><+_k| (number of atoms found in |+>)."""
     val = collective(space, "+", "+").expectation(state)

@@ -13,7 +13,6 @@ from .errors import ValidationError
 
 HERMITICITY_TOL = 1e-12
 ANTIHERMITICITY_TOL = 1e-12
-UNITARITY_TOL = 1e-10
 
 
 def as_matrix(obj) -> np.ndarray:
@@ -98,14 +97,6 @@ def unitarity_defect(u) -> float:
     """Max entrywise |U^dag U - I|."""
     m = as_matrix(u)
     return float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
-
-
-def require_unitary(u, tol: float = UNITARITY_TOL) -> np.ndarray:
-    m = as_matrix(u)
-    defect = unitarity_defect(m)
-    if defect > tol:
-        raise ValidationError(f"matrix is not unitary: defect {defect:.3e} > {tol:.0e}")
-    return m
 
 
 def max_abs_diff(a, b) -> float:

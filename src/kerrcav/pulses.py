@@ -11,6 +11,11 @@ pulse phase selects the rotation orientation; rather than trusting any
 phase convention a priori, the phase is calibrated numerically against
 the ideal rotation.
 
+The phase is a diagonal conjugation, U_phys(phi) = R U_phys(0) R^dag with
+R = exp(i phi (S00 + S22)), so the calibration composes the sandwich once.
+V(t) = [sandwich] e^{-i H t} [sandwich] changes only through the Kerr time,
+so it is one closed form over the whole time grid (see VProtocol).
+
 For positive theta the calibrated forward phase is pi, which is also the
 phase whose ideal pulse reproduces the canonical map
 |0> -> (|0> + i|1>)/sqrt(2).
@@ -24,7 +29,7 @@ import numpy as np
 
 from . import models, numerics
 from .errors import CalibrationError, GuardError, ValidationError
-from .evolve import Schedule, SegmentPropagators, compose
+from .evolve import ComposeResult, Schedule, compose
 from .hilbert import Space, basis_state, collective
 from .models import HamiltonianSpec, SchemeParams, derive_params
 
@@ -122,18 +127,18 @@ def m_pulse(
     return compose(sched, p).matrix
 
 
-def rotation_angle(p: SchemeParams) -> float:
-    """Rotation angle per photon of the canonical transformation, mu/2."""
-    return derive_params(p).mu / 2
-
-
 def u_ideal(space: Space, p: SchemeParams) -> np.ndarray:
     """Exact exponential of the canonical rotation generator."""
     gen = models.rotation_generator(space, p)
     return numerics.expm_antihermitian(gen.matrix)
 
 
-def _u_schedule(space, p, tier, first_phase):
+def _sandwich(space, p, tier, first_phase):
+    """(matrix, per-segment unitarity defects) of the realization from clock 0.
+
+    Only these leave the function, so its segment matrices and propagator
+    cache are freed on return.
+    """
     p = derive_params(p)
     tau = 1.0 / abs(p.theta)
     tp = math.pi / (2 * p.omega)
@@ -142,8 +147,9 @@ def _u_schedule(space, p, tier, first_phase):
     free = HamiltonianSpec(tier=tier, raman_on=False, pulse_on=False)
     pulse2 = HamiltonianSpec(tier=tier, raman_on=False, pulse_on=True,
                              pulse_phase=first_phase + math.pi)
-    return Schedule.from_durations(
-        space, [(pulse1, tp), (free, tau), (pulse2, tp)])
+    result = compose(Schedule.from_durations(
+        space, [(pulse1, tp), (free, tau), (pulse2, tp)]), p)
+    return result.matrix, result.unitarity_defects
 
 
 def u_physical(
@@ -152,7 +158,6 @@ def u_physical(
     tier: str = "eliminated",
     direction: str = "forward",
     first_phase: float | None = None,
-    propagators: SegmentPropagators | None = None,
 ) -> np.ndarray:
     """Composed realization [pulse][cavity-only, 1/theta][conjugate pulse].
 
@@ -166,8 +171,7 @@ def u_physical(
         first_phase = default_forward_phase(p)
         if direction == "inverse":
             first_phase += math.pi
-    sched = _u_schedule(space, p, tier, first_phase)
-    return compose(sched, p, propagators=propagators).matrix
+    return _sandwich(space, p, tier, first_phase)[0]
 
 
 def sector_traces(space: Space, d: np.ndarray) -> np.ndarray:
@@ -207,9 +211,10 @@ def calibrate_pulse_phase(
     """Grid search plus golden-section refinement of the forward pulse phase.
 
     Maximizes the fidelity of the physical realization to the ideal rotation
-    modulo a photon-diagonal phase e^{-i beta n}.  Deterministic given the
-    grid.  A fidelity ceiling below 0.95 is reported as a failure together
-    with the best phase found.
+    modulo a photon-diagonal phase e^{-i beta n}, each trial phase by
+    conjugating U_phys(0).  Deterministic given the grid.  A fidelity
+    ceiling below 0.95 is reported as a failure together with the best
+    phase found.
     """
     if space.n_atoms != 1 or space.n_max < 2:
         raise ValidationError(
@@ -217,11 +222,14 @@ def calibrate_pulse_phase(
         )
     p = derive_params(p)
     target = u_ideal(space, p)
-    props = SegmentPropagators(space, p)
+    u0 = u_physical(space, p, tier, first_phase=0.0)
+    gen = np.diag(collective(space, 0, 0).matrix).real
+    if space.levels > 2:
+        gen = gen + np.diag(collective(space, 2, 2).matrix).real
 
     def quality(phi):
-        u = u_physical(space, p, tier, first_phase=phi, propagators=props)
-        return _beta_and_fidelity(space, target, u)
+        r = np.exp(1j * phi * gen)
+        return _beta_and_fidelity(space, target, r[:, None] * u0 * r.conj())
 
     grid = np.arange(0.0, 2 * math.pi, grid_step)
     fids = [quality(phi)[1] for phi in grid]
@@ -250,12 +258,21 @@ def calibrate_pulse_phase(
 class VProtocol:
     """Builder for V(t), the full sequence around a Kerr segment of length t.
 
-    Physical mode composes
+    Physical mode runs
     [pulse][free 1/theta][conj pulse] [Raman on, t] [pulse][free][conj pulse]
-    under one global clock; ideal mode conjugates exp(-i H1_int t) by the
-    exact rotation; ``rotated_reference`` exponentiates the photon-diagonal
-    part of the rotated Hamiltonian (the analytic pipeline check, for which
-    X(t) = 1 and Y(t) = cos(kappa n^2 t) exactly).
+    under one global clock; with the sandwiches U_pre, U_post composed from
+    clock 0, the Raman-on eigensystem (E, lam), s = 2 t_pulse + 1/theta and
+    T = s + t it is the closed form
+
+        V(t) = e^{-i g_off T} U_post e^{i (g_off - g_on) T}
+               E e^{-i lam t} E^dag e^{i g_on s} U_pre,
+
+    where g_on / g_off are the diagonal rotating-frame generators of the
+    Raman-on / Raman-off full tier (zero on every static tier).  Ideal mode
+    uses U_pre = U, U_post = U^dag around exp(-i H1_int t); the
+    ``rotated_reference`` exponentiates the photon-diagonal part of the
+    rotated Hamiltonian between identities (the analytic pipeline check,
+    for which X(t) = 1 and Y(t) = cos(kappa n^2 t) exactly).
     """
 
     MODES = ("physical", "ideal", "rotated_reference")
@@ -267,7 +284,6 @@ class VProtocol:
         mode: str = "physical",
         tier: str = "eliminated",
         calibration: PulseCalibration | None = None,
-        method: str = "exact",
     ):
         if mode not in self.MODES:
             raise ValidationError(f"unknown V mode {mode!r}")
@@ -278,6 +294,7 @@ class VProtocol:
         self.tier = tier
         self.tau = 1.0 / abs(p.theta)
         self.t_pulse = math.pi / (2 * p.omega) if p.omega else 0.0
+        self._frames = None
 
         if mode == "physical":
             check_pulse_guard(space, p)
@@ -287,37 +304,29 @@ class VProtocol:
                 phi_f = default_forward_phase(p)
                 phi_i = phi_f + math.pi
             self.phi_forward, self.phi_inverse = phi_f, phi_i
-            self._props = SegmentPropagators(space, p, method=method)
-            self._mid = HamiltonianSpec(tier=tier, raman_on=True)
+            self._pre, pre_defects = _sandwich(space, p, tier, phi_f)
+            self._post, post_defects = _sandwich(space, p, tier, phi_i)
+            self._edge_defects = (pre_defects, post_defects)
+            mid = models.build_for_spec(
+                space, p, HamiltonianSpec(tier=tier, raman_on=True))
+            if mid[0] == "framed":
+                off = models.build_for_spec(
+                    space, p, HamiltonianSpec(tier=tier, raman_on=False))
+                g_on = np.diag(mid[2].generator(space))
+                g_off = np.diag(off[2].generator(space))
+                s = 2 * self.t_pulse + self.tau
+                self._pre = np.exp(1j * g_on * s)[:, None] * self._pre
+                self._frames = (s, g_on, g_off)
+            h = mid[1]
         elif mode == "ideal":
-            self._u = u_ideal(space, p)
+            self._pre = u_ideal(space, p)
+            self._post = self._pre.conj().T
             h = models.effective_hamiltonian(space, p, "h1int")
-            self._eig = numerics.HermitianEigensystem(h.matrix)
         else:
+            self._pre = self._post = np.eye(space.dim, dtype=complex)
             h = models.effective_hamiltonian(space, p, "hrot",
                                              drop_rot_leakage=True)
-            self._eig = numerics.HermitianEigensystem(h.matrix)
-
-    # -- schedule bookkeeping ------------------------------------------------
-
-    def schedule(self, t: float) -> Schedule:
-        if self.mode != "physical":
-            raise ValidationError("only the physical mode runs on a schedule")
-        tier, tp, tau = self.tier, self.t_pulse, self.tau
-
-        def pulse(phi):
-            return HamiltonianSpec(tier=tier, raman_on=False, pulse_on=True,
-                                   pulse_phase=phi)
-
-        free = HamiltonianSpec(tier=tier, raman_on=False)
-        entries = [
-            (pulse(self.phi_forward), tp), (free, tau),
-            (pulse(self.phi_forward + math.pi), tp),
-            (self._mid, t),
-            (pulse(self.phi_inverse), tp), (free, tau),
-            (pulse(self.phi_inverse + math.pi), tp),
-        ]
-        return Schedule.from_durations(self.space, entries)
+        self._eig = numerics.HermitianEigensystem(h.matrix)
 
     def elapsed(self, t: float) -> float:
         """Total wall-clock duration of V(t) (frame phases accrue over it)."""
@@ -331,42 +340,42 @@ class VProtocol:
 
     # -- propagators and series ----------------------------------------------
 
+    def _apply(self, times, x: np.ndarray) -> np.ndarray:
+        """V(t) x for each t and each column of x: (len(times), k, dim)."""
+        t = np.asarray(times, dtype=float)
+        dim = self.space.dim
+        vecs = self._eig.eigenvectors
+        y = self._eig.phases(t)[:, None, :] * (vecs.conj().T @ (self._pre @ x)).T
+        y = (y.reshape(-1, dim) @ vecs.T).reshape(y.shape)
+        if self._frames is not None:
+            s, g_on, g_off = self._frames
+            y *= np.exp(1j * np.multiply.outer(s + t, g_off - g_on))[:, None]
+        y = (y.reshape(-1, dim) @ self._post.T).reshape(y.shape)
+        if self._frames is not None:
+            y *= np.exp(-1j * np.multiply.outer(s + t, g_off))[:, None]
+        return y
+
     def matrix(self, t: float) -> np.ndarray:
-        if self.mode == "physical":
-            return compose(self.schedule(t), self.params,
-                           propagators=self._props).matrix
-        if self.mode == "ideal":
-            return self._u.conj().T @ self._eig.propagator(t) @ self._u
-        return self._eig.propagator(t)
+        """V(t) as a dense matrix: the closed form applied to the identity."""
+        return self._apply([t], np.eye(self.space.dim))[0].T
 
     def compose_diagnostics(self, t: float) -> dict:
-        """Per-segment unitarity defects and step counts at Kerr time t."""
+        """Per-segment unitarity defects and step counts at Kerr time t.
+
+        The frame conjugation that moves a sandwich to its clock time leaves
+        its defects unchanged.
+        """
         if self.mode != "physical":
             return {"segment_unitarity_defects": [], "segment_step_counts": [],
                     "total_unitarity_defect": 0.0}
-        return compose(self.schedule(t), self.params,
-                       propagators=self._props).diagnostics()
+        pre, post = self._edge_defects
+        mid = numerics.unitarity_defect(self._eig.propagator(t))
+        return ComposeResult(self.matrix(t),
+                             unitarity_defects=pre + [mid] + post).diagnostics()
 
     def states(self, times, psi0: np.ndarray) -> np.ndarray:
         """V(t) psi0 for each t; shape (len(times), dim)."""
-        out = np.empty((len(times), self.space.dim), dtype=complex)
-        if self.mode == "physical":
-            sched0 = self.schedule(0.0)
-            u_pre = np.eye(self.space.dim, dtype=complex)
-            for seg in sched0.segments[:3]:
-                u_pre = self._props.propagator(seg)[0] @ u_pre
-            chi = u_pre @ psi0
-            for k, t in enumerate(np.asarray(times, dtype=float)):
-                segs = self.schedule(t).segments
-                u_mid = self._props.propagator(segs[3])[0]
-                post = np.eye(self.space.dim, dtype=complex)
-                for seg in segs[4:]:
-                    post = self._props.propagator(seg)[0] @ post
-                out[k] = post @ (u_mid @ chi)
-            return out
-        for k, t in enumerate(np.asarray(times, dtype=float)):
-            out[k] = self.matrix(t) @ psi0
-        return out
+        return self._apply(times, psi0[:, None])[:, 0]
 
     def amplitude_series(self, times, n_photons: int) -> np.ndarray:
         """<n, -...-| V(t) |n, -...-> over the time grid."""

@@ -130,7 +130,7 @@ def test_run_help_lists_flags(capsys):
     with pytest.raises(SystemExit):
         cli.main(["run", "--help"])
     out = capsys.readouterr().out
-    for flag in ("--config", "--out", "--mode", "--tier", "--jobs",
+    for flag in ("--config", "--out", "--mode", "--tier",
                  "--strict", "--frame-calibration"):
         assert flag in out
 
@@ -196,3 +196,42 @@ def test_sweep_missing_param(capsys):
     code, _, err = run_cli(capsys, "sweep", "--values", "1.0")
     assert code == 2
     assert "param" in err
+
+
+@pytest.mark.parametrize("points", ["0", "1", "-5"])
+def test_run_rejects_fewer_than_two_grid_points(capsys, tmp_path, points):
+    code, _, err = run_cli(capsys, "run", "fig3b", "--grid-points", points,
+                           "--out", str(tmp_path))
+    assert code == 2
+    assert "grid points" in err
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"points": 0}, "grid points"),
+    ({"n_max": 0}, "photon number 1 outside 0..0"),
+])
+def test_run_zero_grid_config_is_not_ignored(capsys, tmp_path, grid, message):
+    cfg = write_config(tmp_path, {"scenario": "fig3b", "grid": grid})
+    code, _, err = run_cli(capsys, "run", "--config", cfg,
+                           "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert message in err
+
+
+def test_sweep_over_n_atoms_reports_only_that_n(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "sweep", "--param", "n_atoms",
+                           "--values", "2", "--scenario", "fig3b",
+                           "--out", str(tmp_path))
+    assert code == 0
+    [entry] = json.loads(out)
+    assert entry["value"] == 2 and isinstance(entry["value"], int)
+    report = json.loads(open(entry["outputs"]["json"]).read())
+    assert {b["N"] for b in report["branches"]} == {2}
+
+
+def test_sweep_rejects_non_integral_n_atoms(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "sweep", "--param", "n_atoms",
+                           "--values", "1.5", "--scenario", "fig3b",
+                           "--out", str(tmp_path))
+    assert code == 2
+    assert "n_atoms" in err

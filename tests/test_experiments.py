@@ -159,6 +159,14 @@ def test_sweep_over_n_atoms_matches_direct_run(fig3b_result):
                                                     abs=1e-12)
 
 
+def test_n_atoms_override_selects_its_branches():
+    result = ex.run_fig3b({"n_atoms": 2}, grid_points=64)
+    assert [(b.n_atoms, b.n_photons) for b in result.branches] == [(2, 1), (2, 2)]
+    assert result.config["branches"] == [[2, 1], [2, 2]]
+    with pytest.raises(ValidationError, match=r"available N: \[1, 2\]"):
+        ex.run_fig3b({"n_atoms": 3}, grid_points=64)
+
+
 def test_sweep_parallel_matches_serial():
     serial = ex.sweep("theta", [G, 2 * G], "regime_check")
     parallel = ex.sweep("theta", [G, 2 * G], "regime_check", jobs=2)

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import kerrcav as kc
-from kerrcav import numerics, pulses
+from kerrcav import evolve, numerics, pulses
 from kerrcav.errors import GuardError, ValidationError
+from kerrcav.evolve import Schedule
+from kerrcav.models import HamiltonianSpec
 
 G = 1e8
 
@@ -195,6 +198,55 @@ def test_rotated_reference_mode(fig3b_p1):
         y = (amps * np.exp(-1j * proto.theta_phase_rate() * times)).real
         assert np.abs(np.abs(amps) - 1).max() < 1e-10
         assert np.abs(y - np.cos(p.kappa * n**2 * times)).max() < 1e-10
+
+
+def _tier_setup(tier, n_atoms, fig3b_p1):
+    if tier == "full":
+        return (kc.build_space(n_max=2, n_atoms=n_atoms, levels=3),
+                kc.synthesize_raman(fig3b_p1))
+    return (kc.build_space(n_max=3, n_atoms=n_atoms, levels=2),
+            kc.derive_params(dataclasses.replace(fig3b_p1, n_atoms=n_atoms)))
+
+
+@pytest.mark.parametrize("tier, n_atoms",
+                         [("eliminated", 1), ("eliminated", 2), ("full", 1)])
+def test_v_closed_form_matches_seven_segment_schedule(fig3b_p1, tier, n_atoms):
+    space, p = _tier_setup(tier, n_atoms, fig3b_p1)
+    proto = kc.VProtocol(space, p, mode="physical", tier=tier)
+    phi_f = pulses.default_forward_phase(p)
+    phi_i = phi_f + math.pi
+    tp, tau = math.pi / (2 * p.omega), 1 / abs(p.theta)
+
+    def pulse(phi):
+        return HamiltonianSpec(tier=tier, raman_on=False, pulse_on=True,
+                               pulse_phase=phi)
+
+    free = HamiltonianSpec(tier=tier, raman_on=False)
+    kerr = HamiltonianSpec(tier=tier, raman_on=True)
+    times = (0.0, 31.0 / G, 2511.0 / G)
+    psi0 = kc.basis_state(space, 1, "-" * n_atoms)
+    states = proto.states(times, psi0)
+    for k, t in enumerate(times):
+        entries = [(pulse(phi_f), tp), (free, tau), (pulse(phi_f + math.pi), tp),
+                   (kerr, t),
+                   (pulse(phi_i), tp), (free, tau), (pulse(phi_i + math.pi), tp)]
+        ref = evolve.compose(Schedule.from_durations(space, entries), p).matrix
+        assert numerics.max_abs_diff(proto.matrix(t), ref) < 1e-10
+        assert numerics.max_abs_diff(states[k], ref @ psi0) < 1e-10
+
+
+@pytest.mark.parametrize("tier", ["eliminated", "full"])
+def test_pulse_phase_is_a_diagonal_conjugation(fig3b_p1, tier):
+    # U_phys(phi) = R(phi) U_phys(0) R(phi)^dag, R = exp(i phi (S00 + S22))
+    space, p = _tier_setup(tier, 1, fig3b_p1)
+    gen = kc.collective(space, 0, 0).matrix
+    if tier == "full":
+        gen = gen + kc.collective(space, 2, 2).matrix
+    u0 = pulses.u_physical(space, p, tier, first_phase=0.0)
+    for phi in (0.4, math.pi, 4.9):
+        r = numerics.expm_hermitian(gen, -phi)
+        u = pulses.u_physical(space, p, tier, first_phase=phi)
+        assert numerics.max_abs_diff(u, r @ u0 @ r.conj().T) < 1e-12
 
 
 def test_unknown_v_mode_rejected(fig3b_p1):
