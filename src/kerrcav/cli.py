@@ -129,16 +129,16 @@ def base_params_for(cfg: dict):
     raise ValidationError(f"unknown scheme {scheme!r}")
 
 
-def _scenario_kwargs(cfg: dict, args) -> dict:
+def _scenario_kwargs(cfg: dict, grid_points=None) -> dict:
+    """The config's grid block as scenario keyword arguments.
+
+    A ``grid_points`` given on the command line wins over ``grid.points``.
+    """
     grid = dict(cfg.get("grid", {}))
     kw = {}
-    points = (args.grid_points if args.grid_points is not None
-              else grid.get("points"))
+    points = grid_points if grid_points is not None else grid.get("points")
     if points is not None:
-        points = _as_int(points, "grid points")
-        if points < 2:
-            raise ValidationError(f"grid points must be >= 2, got {points}")
-        kw["grid_points"] = points
+        kw["grid_points"] = _as_int(points, "grid points")
     if grid.get("n_max") is not None:
         kw["n_max"] = _as_int(grid["n_max"], "config key grid.n_max")
     return kw
@@ -172,7 +172,7 @@ def cmd_run(args) -> int:
     base = apply_overrides(base_params_for(cfg), overrides)
     _maybe_strict_regime(base, cfg, args)
 
-    kw = _scenario_kwargs(cfg, args)
+    kw = _scenario_kwargs(cfg, args.grid_points)
     if scenario in ("fig3a", "fig3b"):
         if args.mode or cfg.get("mode"):
             kw["mode"] = args.mode or cfg["mode"]
@@ -206,13 +206,12 @@ def cmd_calibrate(args) -> int:
 
     cfg = resolve_config(load_config(args.config))
     p = apply_overrides(base_params_for(cfg), cfg.get("params", {}))
-    space = build_space(n_max=max(2, int(cfg.get("grid", {}).get("n_max", 2))),
-                        n_atoms=1, levels=2)
+    kw = _scenario_kwargs(cfg)
+    space = build_space(n_max=max(2, kw.get("n_max", 2)), n_atoms=1, levels=2)
     pulse = calibrate_pulse_phase(space, p if p.n_atoms == 1
                                   else apply_overrides(p, {"n_atoms": 1}))
     frame = experiments.calibrate_frame(
-        p, calibration=pulse,
-        grid_points=int(cfg.get("grid", {}).get("points", 512)))
+        p, grid_points=kw.get("grid_points", experiments.DEFAULT_GRID_POINTS))
     print(json.dumps(experiments._jsonable({
         "pulse": {"phi_forward": pulse.phi_forward,
                   "phi_inverse": pulse.phi_inverse,
@@ -236,8 +235,8 @@ def cmd_sweep(args) -> int:
         raise ValidationError("sweep needs --values or config sweep.values")
     scenario = args.scenario or cfg.get("scenario", "fig3b")
     jobs = args.jobs or int(cfg.get("jobs", 1))
-    points = sweep(param, values, scenario,
-                   jobs=jobs, overrides=cfg.get("params", {}))
+    points = sweep(param, values, scenario, jobs=jobs,
+                   overrides=cfg.get("params", {}), **_scenario_kwargs(cfg))
     outdir = args.out or cfg.get("output", {}).get("dir", "out")
     summary = []
     for pt in points:

@@ -18,14 +18,9 @@ import numpy as np
 from . import models, numerics
 from .errors import GuardError, ValidationError
 from .hilbert import Space
-from .models import FrameSpec, HamiltonianSpec, SchemeParams
+from .models import HamiltonianSpec, SchemeParams
 
 STEP_GUARD = 0.05  # max physical rate * dt must stay below this
-
-
-def propagate_static(h, t: float) -> np.ndarray:
-    """exp(-i H t) for a time-independent Hermitian generator."""
-    return numerics.expm_hermitian(numerics.as_matrix(h), t)
 
 
 def required_steps(t0: float, t1: float, rate_scale: float) -> int:
@@ -171,21 +166,3 @@ def compose(schedule: Schedule, params: SchemeParams) -> ComposeResult:
     result.matrix = total
     return result
 
-
-def remove_linear_phase(obj, space: Space, frame: FrameSpec, t: float):
-    """Undo the photon-linear frame phase: sector n gains e^{+i r_lin n t}.
-
-    ``obj`` may be a state vector / propagator over ``space`` (phases applied
-    per basis photon number of mode a) or a scalar/array amplitude belonging
-    to one photon sector passed as (amplitude, n).
-    """
-    r_lin = frame.photon_rates[0]
-    if isinstance(obj, tuple):
-        amp, n = obj
-        return np.asarray(amp) * np.exp(1j * r_lin * n * np.asarray(t))
-    arr = np.asarray(obj, dtype=complex)
-    ns = np.array([space.photon_numbers(i)[0] for i in range(space.dim)])
-    phases = np.exp(1j * r_lin * ns * t)
-    if arr.ndim == 1:
-        return phases * arr
-    return phases[:, None] * arr

@@ -30,6 +30,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -40,7 +41,7 @@ from .errors import KerrcavError, ValidationError
 from .hilbert import basis_state, build_space, collective
 from .models import (SchemeParams, cross_kerr_hamiltonian, derive_params,
                      tier_b_hamiltonian)
-from .pulses import PulseCalibration, VProtocol, calibrate_pulse_phase
+from .pulses import VProtocol, calibrate_pulse_phase
 from .regimes import RegimeReport
 
 DEFAULT_GRID_POINTS = 512
@@ -78,6 +79,14 @@ def apply_overrides(p: SchemeParams, overrides: dict | None) -> SchemeParams:
     if unknown:
         raise ValidationError(f"unknown parameter override(s): {sorted(unknown)}")
     return derive_params(replace(p, **overrides))
+
+
+def _check_grid_points(points) -> None:
+    """A time grid needs an integral number of at least two points."""
+    if (isinstance(points, bool) or not isinstance(points, numbers.Integral)
+            or points < 2):
+        raise ValidationError(
+            f"grid points must be an integer >= 2, got {points!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +155,6 @@ def calibrate_frame(
     mode: str = "physical",
     tier: str = "eliminated",
     n_max: int = 4,
-    calibration: PulseCalibration | None = None,
 ) -> FrameCalibration:
     """Calibrate the photon-linear frame-removal rate on the n=1 series.
 
@@ -154,6 +162,7 @@ def calibrate_frame(
     protocol); its linear coefficient is analytically N g^2/(2 delta1) and
     the minimizer recovers it, which pins the procedure.
     """
+    _check_grid_points(grid_points)
     p = derive_params(p)
     space = build_space(n_max=n_max, n_atoms=p.n_atoms, levels=2)
     t_grid = np.linspace(0.0, 2 * math.pi / abs(p.kappa), grid_points)
@@ -165,8 +174,7 @@ def calibrate_frame(
         amps = eig.phases(t_grid) @ weights
         elapsed = t_grid
     else:
-        protocol = VProtocol(space, p, mode=mode, tier=tier,
-                             calibration=calibration)
+        protocol = VProtocol(space, p, mode=mode, tier=tier)
         amps, _ = _protocol_series(protocol, t_grid, n_probe)
         elapsed = protocol.elapsed(t_grid)
         theta_rate = protocol.theta_phase_rate()
@@ -258,6 +266,7 @@ def _run_overlap_scenario(
     if frame_calibration not in ("per_branch", "n1_shared"):
         raise ValidationError(
             f"unknown frame_calibration {frame_calibration!r}")
+    _check_grid_points(grid_points)
     if overrides and "n_atoms" in overrides:
         # an atom number selects its branches, never re-labels the others
         available = sorted({N for N, _ in branch_list})
@@ -273,22 +282,22 @@ def _run_overlap_scenario(
     diagnostics: dict = {"unitarity_defect": 0.0}
 
     atom_counts = sorted({N for N, _ in branch_list})
-    pulse_cal = None
+    p_echo = apply_overrides(params_for_n(atom_counts[0]), overrides)
+    if mode == "physical":
+        # gates the pulse fidelity; VProtocol takes the same closed-form phase
+        cal_space = build_space(n_max=max(2, n_max), n_atoms=1, levels=2)
+        pulse_cal = calibrate_pulse_phase(
+            cal_space, replace(p_echo, n_atoms=1), tier=tier)
+        calibration_block["pulse"] = {
+            "phi_forward": pulse_cal.phi_forward,
+            "phi_inverse": pulse_cal.phi_inverse,
+            "beta": pulse_cal.beta,
+            "fidelity": pulse_cal.fidelity,
+        }
     for N in atom_counts:
         p = apply_overrides(params_for_n(N), overrides)
-        if mode == "physical" and pulse_cal is None:
-            cal_space = build_space(n_max=max(2, n_max), n_atoms=1, levels=2)
-            pulse_cal = calibrate_pulse_phase(
-                cal_space, replace(p, n_atoms=1), tier=tier)
-            calibration_block["pulse"] = {
-                "phi_forward": pulse_cal.phi_forward,
-                "phi_inverse": pulse_cal.phi_inverse,
-                "beta": pulse_cal.beta,
-                "fidelity": pulse_cal.fidelity,
-            }
         space = build_space(n_max=n_max, n_atoms=N, levels=2)
-        protocol = VProtocol(space, p, mode=mode, tier=tier,
-                             calibration=pulse_cal)
+        protocol = VProtocol(space, p, mode=mode, tier=tier)
         ideal = VProtocol(space, p, mode="ideal") if with_ideal_oracle else None
         t_grid = np.linspace(0.0, 2 * math.pi / abs(p.kappa), grid_points)
         elapsed = protocol.elapsed(t_grid)
@@ -363,7 +372,6 @@ def _run_overlap_scenario(
         diagnostics["unitarity_defect"] = max(
             diagnostics["unitarity_defect"], defect)
 
-    p_echo = apply_overrides(params_for_n(atom_counts[0]), overrides)
     config = {
         "scenario": name, "mode": mode, "tier": tier,
         "grid_points": grid_points, "n_max": n_max,
@@ -447,6 +455,7 @@ def run_cross_kerr(
         raise ValidationError(f"unknown cross-Kerr variant {variant!r}")
     if n_max > 2:
         raise ValidationError("cross-Kerr scenarios run at n_max <= 2 per mode")
+    _check_grid_points(grid_points)
     p = apply_overrides(cross_params(variant), overrides)
     space = build_space(n_max=n_max, n_atoms=p.n_atoms, levels=2, n_modes=2)
 

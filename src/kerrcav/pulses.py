@@ -7,18 +7,18 @@ sandwich [pulse(phi)] [cavity-only evolution, duration 1/theta]
 turns it into a projector onto an equatorial superposition, whose
 traceless part is the wanted flip generator and whose identity part is a
 photon-diagonal by-product phase exp(-i beta n) with beta = mu N / 2.  The
-pulse phase selects the rotation orientation; rather than trusting any
-phase convention a priori, the phase is calibrated numerically against
-the ideal rotation.
+pulse phase selects the rotation orientation.
 
 The phase is a diagonal conjugation, U_phys(phi) = R U_phys(0) R^dag with
-R = exp(i phi (S00 + S22)), so the calibration composes the sandwich once.
+R = exp(i phi (S00 + S22)).  The fidelity to the ideal rotation, modulo the
+photon-diagonal phase, is symmetric about and maximal at the closed-form
+forward phase: pi for positive theta, 0 for negative theta.  The phase pi is
+also the one whose ideal pulse reproduces the canonical map
+|0> -> (|0> + i|1>)/sqrt(2).  The calibration therefore composes one
+realization at that phase and checks its fidelity.
+
 V(t) = [sandwich] e^{-i H t} [sandwich] changes only through the Kerr time,
 so it is one closed form over the whole time grid (see VProtocol).
-
-For positive theta the calibrated forward phase is pi, which is also the
-phase whose ideal pulse reproduces the canonical map
-|0> -> (|0> + i|1>)/sqrt(2).
 """
 from __future__ import annotations
 
@@ -35,30 +35,6 @@ from .models import HamiltonianSpec, SchemeParams, derive_params
 
 M_PULSE_PHASE = math.pi
 PULSE_SPEED_FACTOR = 20.0  # omega must beat both g sqrt(n_max) and theta by this
-
-
-@dataclass(frozen=True)
-class PulseSpec:
-    """A resonant 0<->1 pulse: Rabi frequency, phase, pi/2 duration."""
-
-    omega: float
-    phase: float = M_PULSE_PHASE
-    duration: float | None = None
-    direction: str = "forward"
-
-    def __post_init__(self):
-        if self.omega <= 0:
-            raise ValidationError(f"pulse omega must be positive, got {self.omega}")
-        if self.direction not in ("forward", "inverse"):
-            raise ValidationError(f"unknown pulse direction {self.direction!r}")
-        dur = self.duration
-        if dur is None:
-            dur = math.pi / (2 * self.omega)
-            object.__setattr__(self, "duration", dur)
-        if abs(dur * self.omega - math.pi / 2) > 1e-12 * (math.pi / 2):
-            raise ValidationError(
-                f"pulse duration*omega = {dur * self.omega:.15g} is not pi/2"
-            )
 
 
 @dataclass(frozen=True)
@@ -91,7 +67,7 @@ def default_forward_phase(p: SchemeParams) -> float:
 def m_pulse(
     space: Space,
     p: SchemeParams,
-    phase: float | PulseSpec = M_PULSE_PHASE,
+    phase: float = M_PULSE_PHASE,
     mode: str = "physical",
     tier: str = "eliminated",
 ) -> np.ndarray:
@@ -100,18 +76,8 @@ def m_pulse(
     Ideal mode: the bare collective rotation exp(-i (pi/4) X_phi) with
     X_phi = e^{i phi} S01 + h.c., photon factors untouched.  Physical mode:
     the tier Hamiltonian with the pulse term on for t = pi/(2 omega); the
-    cavity coupling stays on throughout.  ``phase`` may be a PulseSpec,
-    whose Rabi frequency must match the parameter set.
+    cavity coupling stays on throughout.
     """
-    if isinstance(phase, PulseSpec):
-        spec = phase
-        p = derive_params(p)
-        if abs(spec.omega - p.omega) > 1e-9 * abs(p.omega):
-            raise ValidationError(
-                f"pulse spec omega {spec.omega:g} != params omega {p.omega:g}")
-        phase = spec.phase
-        if spec.direction == "inverse":
-            phase += math.pi
     if mode == "ideal":
         s01 = collective(space, 0, 1).matrix
         x_phi = np.exp(1j * phase) * s01 + np.exp(-1j * phase) * s01.conj().T
@@ -205,53 +171,28 @@ def calibrate_pulse_phase(
     space: Space,
     p: SchemeParams,
     tier: str = "eliminated",
-    grid_step: float = math.pi / 180,
-    refine_tol: float = 1e-4,
 ) -> PulseCalibration:
-    """Grid search plus golden-section refinement of the forward pulse phase.
+    """Closed-form forward pulse phase, checked against the ideal rotation.
 
-    Maximizes the fidelity of the physical realization to the ideal rotation
-    modulo a photon-diagonal phase e^{-i beta n}, each trial phase by
-    conjugating U_phys(0).  Deterministic given the grid.  A fidelity
-    ceiling below 0.95 is reported as a failure together with the best
-    phase found.
+    Composes the physical realization once, at ``default_forward_phase(p)``,
+    and scores it against the ideal rotation modulo a photon-diagonal phase
+    e^{-i beta n}.  A fidelity below 0.95 is reported as a failure.
     """
     if space.n_atoms != 1 or space.n_max < 2:
         raise ValidationError(
             "pulse-phase calibration uses a single-atom space with n_max >= 2"
         )
     p = derive_params(p)
-    target = u_ideal(space, p)
-    u0 = u_physical(space, p, tier, first_phase=0.0)
-    gen = np.diag(collective(space, 0, 0).matrix).real
-    if space.levels > 2:
-        gen = gen + np.diag(collective(space, 2, 2).matrix).real
-
-    def quality(phi):
-        r = np.exp(1j * phi * gen)
-        return _beta_and_fidelity(space, target, r[:, None] * u0 * r.conj())
-
-    grid = np.arange(0.0, 2 * math.pi, grid_step)
-    fids = [quality(phi)[1] for phi in grid]
-    best = int(np.argmax(fids))
-    lo = grid[best] - grid_step
-    hi = grid[best] + grid_step
-    golden = (math.sqrt(5) - 1) / 2
-    while hi - lo > refine_tol:
-        m1 = hi - golden * (hi - lo)
-        m2 = lo + golden * (hi - lo)
-        if quality(m1)[1] >= quality(m2)[1]:
-            hi = m2
-        else:
-            lo = m1
-    phi_forward = float((lo + hi) / 2 % (2 * math.pi))
-    beta, fidelity = quality(phi_forward)
+    phi_forward = default_forward_phase(p)
+    beta, fidelity = _beta_and_fidelity(
+        space, u_ideal(space, p),
+        u_physical(space, p, tier, first_phase=phi_forward))
     if fidelity < 0.95:
         raise CalibrationError(
-            f"pulse-phase calibration failed: best fidelity {fidelity:.4f} "
+            f"pulse-phase calibration failed: fidelity {fidelity:.4f} "
             f"(< 0.95) at phi = {phi_forward:.4f}"
         )
-    phi_inverse = float((phi_forward + math.pi) % (2 * math.pi))
+    phi_inverse = (phi_forward + math.pi) % (2 * math.pi)
     return PulseCalibration(phi_forward, phi_inverse, beta, fidelity)
 
 
@@ -283,7 +224,6 @@ class VProtocol:
         params: SchemeParams,
         mode: str = "physical",
         tier: str = "eliminated",
-        calibration: PulseCalibration | None = None,
     ):
         if mode not in self.MODES:
             raise ValidationError(f"unknown V mode {mode!r}")
@@ -298,14 +238,10 @@ class VProtocol:
 
         if mode == "physical":
             check_pulse_guard(space, p)
-            if calibration is not None:
-                phi_f, phi_i = calibration.phi_forward, calibration.phi_inverse
-            else:
-                phi_f = default_forward_phase(p)
-                phi_i = phi_f + math.pi
-            self.phi_forward, self.phi_inverse = phi_f, phi_i
+            phi_f = default_forward_phase(p)
             self._pre, pre_defects = _sandwich(space, p, tier, phi_f)
-            self._post, post_defects = _sandwich(space, p, tier, phi_i)
+            self._post, post_defects = _sandwich(
+                space, p, tier, phi_f + math.pi)
             self._edge_defects = (pre_defects, post_defects)
             mid = models.build_for_spec(
                 space, p, HamiltonianSpec(tier=tier, raman_on=True))
@@ -391,7 +327,6 @@ def build_v(
     t: float,
     mode: str = "ideal",
     tier: str = "eliminated",
-    calibration: PulseCalibration | None = None,
 ) -> np.ndarray:
     """V(t) as a matrix; see VProtocol for the composition rules."""
-    return VProtocol(space, p, mode, tier, calibration).matrix(t)
+    return VProtocol(space, p, mode, tier).matrix(t)

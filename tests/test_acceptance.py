@@ -151,7 +151,7 @@ def test_criterion_6_hausdorff_residual_scaling():
                   f"{slope:.3f} (floor 3.5)")
 
 
-def test_criterion_7_integrator_cross_oracle(fig3b_p1, pulse_calibration):
+def test_criterion_7_integrator_cross_oracle(fig3b_p1):
     p = kc.synthesize_raman(fig3b_p1)
     space = kc.build_space(n_max=2, n_atoms=1, levels=3)
     hop, frame = models.static_frame_hamiltonian(space, p, raman=True)
@@ -164,8 +164,7 @@ def test_criterion_7_integrator_cross_oracle(fig3b_p1, pulse_calibration):
     diff = numerics.max_abs_diff(u_exact, u_step)
 
     space_b = kc.build_space(n_max=3, n_atoms=1, levels=2)
-    proto_b = kc.VProtocol(space_b, fig3b_p1, mode="physical",
-                           calibration=pulse_calibration)
+    proto_b = kc.VProtocol(space_b, fig3b_p1, mode="physical")
     proto_a = kc.VProtocol(space, p, mode="physical", tier="full")
     defect = 0.0
     for t in (0.0, 31.0 / G, 503.0 / G, 2511.0 / G):

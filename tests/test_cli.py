@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kerrcav import cli
+from kerrcav import cli, pulses
 
 G = 1e8
 
@@ -179,6 +179,36 @@ def test_calibrate_subcommand(capsys):
     data = json.loads(out)
     assert abs(data["pulse"]["phi_forward"] - 3.141592653589793) < 1e-3
     assert data["frame"]["flagged"] is False
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"points": "abc"}, "grid points"),
+    ({"points": 1}, "grid points"),
+    ({"n_max": 1.5}, "grid.n_max"),
+], ids=["points-abc", "points-1", "n_max-1.5"])
+def test_calibrate_rejects_bad_grid(capsys, tmp_path, grid, message):
+    cfg = write_config(tmp_path, {"grid": grid})
+    code, _, err = run_cli(capsys, "calibrate", "--config", cfg)
+    assert code == 2
+    assert message in err
+
+
+def test_calibrate_low_fidelity_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(pulses, "_beta_and_fidelity", lambda *_: (0.0, 0.9))
+    code, _, err = run_cli(capsys, "calibrate")
+    assert code == 3
+    assert "pulse-phase calibration failed" in err
+
+
+def test_sweep_config_grid_is_applied(capsys, tmp_path):
+    cfg = write_config(tmp_path, {"grid": {"points": 16}})
+    code, out, _ = run_cli(capsys, "sweep", "--config", cfg,
+                           "--param", "theta", "--values", str(G),
+                           "--scenario", "fig3b", "--out", str(tmp_path))
+    assert code == 0
+    [entry] = json.loads(out)
+    report = json.loads(open(entry["outputs"]["json"]).read())
+    assert report["config"]["grid_points"] == 16
 
 
 def test_sweep_subcommand(capsys, tmp_path):

@@ -19,7 +19,7 @@ def test_number_phase():
     w = 3e7
     h = w * kc.number_op(space).matrix
     t = 2.1e-8
-    u = evolve.propagate_static(h, t)
+    u = numerics.expm_hermitian(h, t)
     ket1 = kc.basis_state(space, 1, "0")
     amp = ket1.conj() @ (u @ ket1)
     assert abs(amp - np.exp(-1j * w * t)) < 1e-12
@@ -29,7 +29,7 @@ def test_zero_time_identity(fig3b_p1):
     space = kc.build_space(n_max=1, n_atoms=1, levels=2)
     h = models.tier_b_hamiltonian(space, fig3b_p1).matrix
     assert numerics.max_abs_diff(
-        evolve.propagate_static(h, 0.0), np.eye(space.dim)) < 1e-14
+        numerics.expm_hermitian(h, 0.0), np.eye(space.dim)) < 1e-14
 
 
 def test_tier_b_segment_matches_sector_rabi_formula(fig3b_p1):
@@ -39,7 +39,7 @@ def test_tier_b_segment_matches_sector_rabi_formula(fig3b_p1):
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
     h = models.tier_b_hamiltonian(space, p).matrix
     t = 17.3 / G
-    u = evolve.propagate_static(h, t)
+    u = numerics.expm_hermitian(h, t)
     x, th = p.stark, p.theta
     sx = np.array([[0, 1], [1, 0]], complex)
     sz = np.array([[1, 0], [0, -1]], complex)
@@ -61,7 +61,7 @@ def test_timedep_reduces_to_static(fig3b_p1):
     h = models.full_hamiltonian(space, fig3b_p1, 0.0).matrix
 
     u1 = evolve.propagate_timedep(lambda t: h, 0.0, 3.0 / G, steps=16)
-    u2 = evolve.propagate_static(h, 3.0 / G)
+    u2 = numerics.expm_hermitian(h, 3.0 / G)
     assert numerics.max_abs_diff(u1, u2) < 1e-10
 
 
@@ -106,7 +106,8 @@ def test_compose_merges_static_segments(fig3b_p1):
     sched = Schedule.from_durations(space, [(spec, t1), (spec, t2)])
     u = evolve.compose(sched, fig3b_p1).matrix
     h = models.tier_b_hamiltonian(space, fig3b_p1).matrix
-    assert numerics.max_abs_diff(u, evolve.propagate_static(h, t1 + t2)) < 1e-10
+    assert numerics.max_abs_diff(
+        u, numerics.expm_hermitian(h, t1 + t2)) < 1e-10
 
 
 def test_compose_associativity(fig3b_p1):
@@ -186,25 +187,6 @@ def test_compose_diagnostics(fig3b_p1):
     diag = out.diagnostics()
     assert diag["segment_step_counts"] == [1]
     assert diag["total_unitarity_defect"] < 1e-12
-
-
-def test_remove_linear_phase():
-    space = kc.build_space(n_max=2, n_atoms=1, levels=2)
-    frame = models.FrameSpec(photon_rates=(2e6,))
-    psi = kc.basis_state(space, 2, "0") + kc.basis_state(space, 0, "1")
-    psi = psi / np.linalg.norm(psi)
-    t = 1.3e-7
-    out = evolve.remove_linear_phase(psi, space, frame, t)
-    i2 = space.index(2, 0)
-    i0 = space.index(0, 1)
-    assert abs(out[i2] - psi[i2] * np.exp(1j * 2e6 * 2 * t)) < 1e-12
-    assert out[i0] == psi[i0]                      # n = 0 sector untouched
-    zero = models.FrameSpec(photon_rates=(0.0,))
-    assert numerics.max_abs_diff(
-        evolve.remove_linear_phase(psi, space, zero, t), psi) == 0
-    # amplitude-per-sector form
-    amp = evolve.remove_linear_phase((1.0 + 0j, 2), space, frame, t)
-    assert abs(amp - np.exp(1j * 2e6 * 2 * t)) < 1e-12
 
 
 def test_norm_preservation_full_benchmark_schedule(fig3b_result):

@@ -88,12 +88,24 @@ def test_ideal_mode_reference_is_exact_cosine(fig3b_p1):
         assert np.abs(b.x - 1).max() < 1e-10
 
 
-def test_calibrate_frame_physical(fig3b_p1, pulse_calibration):
-    cal = ex.calibrate_frame(fig3b_p1, calibration=pulse_calibration)
+def test_calibrate_frame_physical(fig3b_p1):
+    cal = ex.calibrate_frame(fig3b_p1)
     assert cal.expected == pytest.approx(5e6, rel=1e-12)
     assert abs(cal.r_lin - cal.expected) < 0.01 * cal.expected
     assert not cal.flagged
     assert cal.objective < 0.05
+
+
+@pytest.mark.parametrize("points", [1, 0, 2.5])
+@pytest.mark.parametrize("run", [
+    lambda k: ex.run_fig3b(grid_points=k),
+    lambda k: ex.run_fig3a(grid_points=k),
+    lambda k: ex.run_cross_kerr(grid_points=k),
+    lambda k: ex.calibrate_frame(ex.fig3b_params(1), grid_points=k),
+], ids=["fig3b", "fig3a", "cross_kerr", "calibrate_frame"])
+def test_python_api_rejects_fewer_than_two_grid_points(run, points):
+    with pytest.raises(ValidationError, match="grid points"):
+        run(points)
 
 
 def test_calibrate_frame_bare_recovers_analytic_rate(fig3b_p1):
@@ -101,9 +113,9 @@ def test_calibrate_frame_bare_recovers_analytic_rate(fig3b_p1):
     assert abs(cal.r_lin - 5e6) < 1e-3 * 5e6
 
 
-def test_calibrate_frame_doubles_with_n(fig3b_p1, fig3b_p2, pulse_calibration):
-    c1 = ex.calibrate_frame(fig3b_p1, calibration=pulse_calibration)
-    c2 = ex.calibrate_frame(fig3b_p2, calibration=pulse_calibration)
+def test_calibrate_frame_doubles_with_n(fig3b_p1, fig3b_p2):
+    c1 = ex.calibrate_frame(fig3b_p1)
+    c2 = ex.calibrate_frame(fig3b_p2)
     assert c2.r_lin == pytest.approx(2 * c1.r_lin, rel=0.1)
 
 
