@@ -11,9 +11,8 @@ from .errors import (CalibrationError, GuardError, KerrcavError,
                      ValidationError)
 from .hilbert import (Operator, Space, annihilation, basis_state, build_space,
                       collective, number_op, s3)
-from .models import (FrameSpec, HamiltonianSpec, SchemeParams, derive_params,
-                     synthesize_raman)
-from .pulses import PulseCalibration, VProtocol, build_v, calibrate_pulse_phase
+from .models import FrameSpec, SchemeParams, derive_params, synthesize_raman
+from .pulses import PulseCalibration, VProtocol, calibrate_pulse_phase
 from .regimes import RegimeReport, check, enhanced_strength, kerr_strength
 from .experiments import (run_cross_kerr, run_fig3a, run_fig3b,
                           calibrate_frame, sweep, write_outputs)
@@ -24,9 +23,8 @@ __all__ = [
     "CalibrationError", "GuardError", "KerrcavError", "ValidationError",
     "Operator", "Space", "annihilation", "basis_state", "build_space",
     "collective", "number_op", "s3",
-    "FrameSpec", "HamiltonianSpec", "SchemeParams", "derive_params",
-    "synthesize_raman",
-    "PulseCalibration", "VProtocol", "build_v", "calibrate_pulse_phase",
+    "FrameSpec", "SchemeParams", "derive_params", "synthesize_raman",
+    "PulseCalibration", "VProtocol", "calibrate_pulse_phase",
     "RegimeReport", "check", "enhanced_strength", "kerr_strength",
     "run_cross_kerr", "run_fig3a", "run_fig3b", "calibrate_frame", "sweep",
     "write_outputs",

@@ -115,6 +115,9 @@ def resolve_config(cfg: dict) -> dict:
     if fc not in ("per_branch", "n1_shared"):
         raise ValidationError(
             f"config key 'frame_calibration': unknown value {fc!r}")
+    tier = cfg.get("tier", "eliminated")
+    if tier not in ("eliminated", "full"):
+        raise ValidationError(f"config key 'tier': unknown value {tier!r}")
     return out
 
 
@@ -129,18 +132,27 @@ def base_params_for(cfg: dict):
     raise ValidationError(f"unknown scheme {scheme!r}")
 
 
-def _scenario_kwargs(cfg: dict, grid_points=None) -> dict:
-    """The config's grid block as scenario keyword arguments.
+def _scenario_kwargs(cfg: dict, scenario: str | None = None,
+                     args=None) -> dict:
+    """Scenario keyword arguments from the config; command-line flags win.
 
-    A ``grid_points`` given on the command line wins over ``grid.points``.
+    Every scenario takes the grid block; the overlap scenarios (fig3a,
+    fig3b) also take ``mode``, ``tier`` and ``frame_calibration``.
     """
     grid = dict(cfg.get("grid", {}))
     kw = {}
-    points = grid_points if grid_points is not None else grid.get("points")
+    points = getattr(args, "grid_points", None)
+    if points is None:
+        points = grid.get("points")
     if points is not None:
         kw["grid_points"] = _as_int(points, "grid points")
     if grid.get("n_max") is not None:
         kw["n_max"] = _as_int(grid["n_max"], "config key grid.n_max")
+    if scenario in ("fig3a", "fig3b"):
+        for key in ("mode", "tier", "frame_calibration"):
+            value = getattr(args, key, None) or cfg.get(key)
+            if value is not None:
+                kw[key] = value
     return kw
 
 
@@ -172,16 +184,8 @@ def cmd_run(args) -> int:
     base = apply_overrides(base_params_for(cfg), overrides)
     _maybe_strict_regime(base, cfg, args)
 
-    kw = _scenario_kwargs(cfg, args.grid_points)
-    if scenario in ("fig3a", "fig3b"):
-        if args.mode or cfg.get("mode"):
-            kw["mode"] = args.mode or cfg["mode"]
-        tier = args.tier or cfg.get("tier")
-        if tier:
-            kw["tier"] = {"full": "full", "eliminated": "eliminated"}[tier]
-        kw["frame_calibration"] = (args.frame_calibration
-                                   or cfg.get("frame_calibration", "per_branch"))
-    result = SCENARIOS[scenario](overrides, **kw)
+    result = SCENARIOS[scenario](overrides,
+                                 **_scenario_kwargs(cfg, scenario, args))
     outdir = args.out or cfg.get("output", {}).get("dir", "out")
     paths = write_outputs(result, outdir)
     print(json.dumps({"scenario": scenario, "outputs": paths},
@@ -234,9 +238,10 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ValidationError("sweep needs --values or config sweep.values")
     scenario = args.scenario or cfg.get("scenario", "fig3b")
-    jobs = args.jobs or int(cfg.get("jobs", 1))
+    jobs = args.jobs or _as_int(cfg.get("jobs", 1), "config key jobs")
     points = sweep(param, values, scenario, jobs=jobs,
-                   overrides=cfg.get("params", {}), **_scenario_kwargs(cfg))
+                   overrides=cfg.get("params", {}),
+                   **_scenario_kwargs(cfg, scenario))
     outdir = args.out or cfg.get("output", {}).get("dir", "out")
     summary = []
     for pt in points:

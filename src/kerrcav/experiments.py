@@ -266,6 +266,8 @@ def _run_overlap_scenario(
     if frame_calibration not in ("per_branch", "n1_shared"):
         raise ValidationError(
             f"unknown frame_calibration {frame_calibration!r}")
+    if tier not in ("eliminated", "full"):
+        raise ValidationError(f"unknown tier {tier!r}")
     _check_grid_points(grid_points)
     if overrides and "n_atoms" in overrides:
         # an atom number selects its branches, never re-labels the others
@@ -313,11 +315,9 @@ def _run_overlap_scenario(
         # shared rate from this N's n=1 series (or the smallest nonzero n)
         probe = 1 if 1 in ns else min([n for n in ns if n > 0], default=0)
         if probe and mode == "physical":
-            amps_p, _ = (series[probe] if probe in ns
-                         else _protocol_series(protocol, t_grid, probe))
             ref_p = np.cos(p.kappa * probe**2 * t_grid)
             r_shared, _, flagged = _best_rate(
-                amps_p, t_grid, elapsed, probe, theta_rate, ref_p, r0)
+                series[probe][0], t_grid, elapsed, probe, theta_rate, ref_p, r0)
         else:
             r_shared, flagged = r0, False
         calibration_block["r_lin_shared"][str(N)] = r_shared
@@ -330,7 +330,8 @@ def _run_overlap_scenario(
             reference = np.cos(p.kappa * n**2 * t_grid)
             if mode != "physical":
                 r_lin = 0.0
-            elif frame_calibration == "per_branch" and n > 0:
+            elif frame_calibration == "per_branch" and n not in (0, probe):
+                # the probe branch's own calibration is the shared one
                 r_lin, _, _ = _best_rate(
                     amps, t_grid, elapsed, n, theta_rate, reference, r0)
             else:

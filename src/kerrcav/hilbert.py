@@ -176,9 +176,6 @@ class Operator:
             )
         object.__setattr__(self, "matrix", m)
 
-    def dag(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.space, self.label + "^dag")
-
     def __matmul__(self, other):
         if isinstance(other, Operator):
             return Operator(self.matrix @ other.matrix, self.space,
@@ -208,10 +205,6 @@ class Operator:
             self.space,
             f"[{self.label},{other.label}]",
         )
-
-
-def identity(space: Space) -> Operator:
-    return Operator(np.eye(space.dim), space, "I")
 
 
 def _photon_only(space: Space, mat_1mode: np.ndarray, mode: int) -> np.ndarray:

@@ -16,6 +16,11 @@ The model chain, from exact to effective:
 plus the two warm-up models (``dispersive_two_level``, ``resonant_driven``)
 and the two-mode cross-Kerr configurations.
 
+A pulse-protocol segment runs on the ``eliminated`` or the ``full`` tier;
+``segment_hamiltonian`` gives it as a static generator plus the diagonal of
+its rotating frame, so the static tier is the full tier's form with a zero
+frame.
+
 Sign conventions: propagators are exp(-i H t) everywhere.  The rotation
 generator used for ``hrot`` and by the pulse protocol is
 exp(-(mu/2) n (S+- - S-+)) with mu = g^2/(D1 Theta); with that orientation
@@ -37,8 +42,6 @@ from .hilbert import Operator, Space, collective, number_op, s3
 THETA_CONSISTENCY_RTOL = 1e-9
 
 EFFECTIVE_KINDS = ("h1int", "hrot", "kerr", "dispersive_two_level", "resonant_driven")
-TIERS = ("full", "eliminated") + EFFECTIVE_KINDS
-CROSS_VARIANTS = ("polarization", "toroidal")
 
 
 @dataclass(frozen=True)
@@ -129,25 +132,6 @@ def synthesize_raman(p: SchemeParams, ratio: float = 9.0) -> SchemeParams:
     lam = float(np.sqrt(abs(p.theta * delta2) / 2))
     theta_realized = 2 * lam**2 / delta2
     return derive_params(replace(p, lam=lam, delta2=delta2, theta=theta_realized))
-
-
-@dataclass(frozen=True)
-class HamiltonianSpec:
-    """A tier plus segment flags; the unit of scheduling in ``evolve``."""
-
-    tier: str = "eliminated"
-    raman_on: bool = True
-    pulse_on: bool = False
-    pulse_phase: float = 0.0
-    variant: str | None = None  # cross-Kerr configurations only
-
-    def __post_init__(self):
-        if self.tier not in TIERS:
-            raise ValidationError(f"unknown tier {self.tier!r}")
-        if self.pulse_on and self.tier in EFFECTIVE_KINDS:
-            raise ValidationError(f"tier {self.tier!r} admits no pulse segment")
-        if self.variant is not None and self.variant not in CROSS_VARIANTS:
-            raise ValidationError(f"unknown cross-Kerr variant {self.variant!r}")
 
 
 @dataclass(frozen=True)
@@ -464,27 +448,30 @@ def cross_kerr_hamiltonian(
 
 
 # ---------------------------------------------------------------------------
-# dispatch used by evolve.compose
+# protocol segments
 # ---------------------------------------------------------------------------
 
-def build_for_spec(space: Space, p: SchemeParams, spec: HamiltonianSpec):
-    """Resolve a HamiltonianSpec to something the propagators can evolve.
+def segment_hamiltonian(
+    space: Space,
+    p: SchemeParams,
+    tier: str,
+    raman: bool,
+    pulse_phase: float | None = None,
+):
+    """(H', g) of one protocol segment; ``pulse_phase=None`` is pulse-free.
 
-    Returns ("static", Operator), ("framed", Operator, FrameSpec) or
-    ("timedep", callable, rate_scale).
+    H' is time independent and g is the diagonal of the rotating-frame
+    generator, so the segment's propagator over [t0, t0 + dt] is
+    e^{-i g (t0 + dt)} exp(-i H' dt) e^{i g t0}.  The ``full`` tier takes
+    its exact static frame; the ``eliminated`` tier is already static, g = 0.
     """
-    if spec.variant is not None:
-        op = cross_kerr_hamiltonian(
-            space, p, spec.variant,
-            form="eliminated" if spec.tier == "eliminated" else spec.tier,
-            raman=spec.raman_on, pulse=spec.pulse_on, pulse_phase=spec.pulse_phase,
-        )
-        return ("static", op)
-    if spec.tier == "eliminated":
-        return ("static", tier_b_hamiltonian(
-            space, p, spec.raman_on, spec.pulse_on, spec.pulse_phase))
-    if spec.tier == "full":
-        op, frame = static_frame_hamiltonian(
-            space, p, spec.raman_on, spec.pulse_on, spec.pulse_phase)
-        return ("framed", op, frame)
-    return ("static", effective_hamiltonian(space, p, spec.tier))
+    pulse = pulse_phase is not None
+    phase = pulse_phase if pulse else 0.0
+    if tier == "eliminated":
+        h = tier_b_hamiltonian(space, p, raman, pulse, phase)
+        return h.matrix, np.zeros(space.dim)
+    if tier == "full":
+        h, frame = static_frame_hamiltonian(space, p, raman, pulse, phase)
+        return h.matrix, np.diag(frame.generator(space)).real
+    raise ValidationError(
+        f"unknown tier {tier!r}; protocol segments run on 'eliminated' or 'full'")

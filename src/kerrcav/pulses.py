@@ -29,9 +29,9 @@ import numpy as np
 
 from . import models, numerics
 from .errors import CalibrationError, GuardError, ValidationError
-from .evolve import ComposeResult, Schedule, compose
+from .evolve import SegmentPropagators
 from .hilbert import Space, basis_state, collective
-from .models import HamiltonianSpec, SchemeParams, derive_params
+from .models import SchemeParams, derive_params
 
 M_PULSE_PHASE = math.pi
 PULSE_SPEED_FACTOR = 20.0  # omega must beat both g sqrt(n_max) and theta by this
@@ -86,11 +86,8 @@ def m_pulse(
         raise ValidationError(f"unknown pulse mode {mode!r}")
     check_pulse_guard(space, p)
     p = derive_params(p)
-    spec = HamiltonianSpec(tier=tier, raman_on=False, pulse_on=True,
-                           pulse_phase=phase)
-    sched = Schedule.from_durations(
-        space, [(spec, math.pi / (2 * p.omega))])
-    return compose(sched, p).matrix
+    return SegmentPropagators(space, p, tier).propagator(
+        False, phase, 0.0, math.pi / (2 * p.omega))
 
 
 def u_ideal(space: Space, p: SchemeParams) -> np.ndarray:
@@ -99,45 +96,34 @@ def u_ideal(space: Space, p: SchemeParams) -> np.ndarray:
     return numerics.expm_antihermitian(gen.matrix)
 
 
-def _sandwich(space, p, tier, first_phase):
-    """(matrix, per-segment unitarity defects) of the realization from clock 0.
-
-    Only these leave the function, so its segment matrices and propagator
-    cache are freed on return.
-    """
-    p = derive_params(p)
+def _sandwich(props: SegmentPropagators, first_phase: float):
+    """(matrix, per-segment unitarity defects) of the realization from clock 0."""
+    p = props.params
     tau = 1.0 / abs(p.theta)
     tp = math.pi / (2 * p.omega)
-    pulse1 = HamiltonianSpec(tier=tier, raman_on=False, pulse_on=True,
-                             pulse_phase=first_phase)
-    free = HamiltonianSpec(tier=tier, raman_on=False, pulse_on=False)
-    pulse2 = HamiltonianSpec(tier=tier, raman_on=False, pulse_on=True,
-                             pulse_phase=first_phase + math.pi)
-    result = compose(Schedule.from_durations(
-        space, [(pulse1, tp), (free, tau), (pulse2, tp)]), p)
-    return result.matrix, result.unitarity_defects
+    u1 = props.propagator(False, first_phase, 0.0, tp)
+    u2 = props.propagator(False, None, tp, tau)
+    u3 = props.propagator(False, first_phase + math.pi, tp + tau, tp)
+    return u3 @ (u2 @ u1), [numerics.unitarity_defect(u) for u in (u1, u2, u3)]
 
 
 def u_physical(
     space: Space,
     p: SchemeParams,
     tier: str = "eliminated",
-    direction: str = "forward",
     first_phase: float | None = None,
 ) -> np.ndarray:
     """Composed realization [pulse][cavity-only, 1/theta][conjugate pulse].
 
-    ``direction="inverse"`` swaps which rotation axis comes first (phase
-    shifted by pi), flipping the sign of the effective generator; up to the
-    shared photon-diagonal phase it realizes the inverse rotation.
+    The first pulse phase defaults to ``default_forward_phase``; shifting it
+    by pi flips the sign of the effective generator, which up to the shared
+    photon-diagonal phase realizes the inverse rotation.
     """
     check_pulse_guard(space, p)
     p = derive_params(p)
     if first_phase is None:
         first_phase = default_forward_phase(p)
-        if direction == "inverse":
-            first_phase += math.pi
-    return _sandwich(space, p, tier, first_phase)[0]
+    return _sandwich(SegmentPropagators(space, p, tier), first_phase)[0]
 
 
 def sector_traces(space: Space, d: np.ndarray) -> np.ndarray:
@@ -209,7 +195,8 @@ class VProtocol:
                E e^{-i lam t} E^dag e^{i g_on s} U_pre,
 
     where g_on / g_off are the diagonal rotating-frame generators of the
-    Raman-on / Raman-off full tier (zero on every static tier).  Ideal mode
+    Raman-on / Raman-off segments (``models.segment_hamiltonian``; zero on
+    the eliminated tier and in the reference modes).  Ideal mode
     uses U_pre = U, U_post = U^dag around exp(-i H1_int t); the
     ``rotated_reference`` exponentiates the photon-diagonal part of the
     rotated Hamiltonian between identities (the analytic pipeline check,
@@ -234,35 +221,29 @@ class VProtocol:
         self.tier = tier
         self.tau = 1.0 / abs(p.theta)
         self.t_pulse = math.pi / (2 * p.omega) if p.omega else 0.0
-        self._frames = None
+        self._s = 2 * self.t_pulse + self.tau
+        g_on = g_off = np.zeros(space.dim)
 
         if mode == "physical":
             check_pulse_guard(space, p)
             phi_f = default_forward_phase(p)
-            self._pre, pre_defects = _sandwich(space, p, tier, phi_f)
-            self._post, post_defects = _sandwich(
-                space, p, tier, phi_f + math.pi)
+            props = SegmentPropagators(space, p, tier)
+            self._pre, pre_defects = _sandwich(props, phi_f)
+            self._post, post_defects = _sandwich(props, phi_f + math.pi)
             self._edge_defects = (pre_defects, post_defects)
-            mid = models.build_for_spec(
-                space, p, HamiltonianSpec(tier=tier, raman_on=True))
-            if mid[0] == "framed":
-                off = models.build_for_spec(
-                    space, p, HamiltonianSpec(tier=tier, raman_on=False))
-                g_on = np.diag(mid[2].generator(space))
-                g_off = np.diag(off[2].generator(space))
-                s = 2 * self.t_pulse + self.tau
-                self._pre = np.exp(1j * g_on * s)[:, None] * self._pre
-                self._frames = (s, g_on, g_off)
-            h = mid[1]
+            self._eig, g_on = props.eigensystem(True)
+            g_off = props.eigensystem(False)[1]
+            self._pre = np.exp(1j * g_on * self._s)[:, None] * self._pre
         elif mode == "ideal":
             self._pre = u_ideal(space, p)
             self._post = self._pre.conj().T
-            h = models.effective_hamiltonian(space, p, "h1int")
+            self._eig = numerics.HermitianEigensystem(
+                models.effective_hamiltonian(space, p, "h1int"))
         else:
             self._pre = self._post = np.eye(space.dim, dtype=complex)
-            h = models.effective_hamiltonian(space, p, "hrot",
-                                             drop_rot_leakage=True)
-        self._eig = numerics.HermitianEigensystem(h.matrix)
+            self._eig = numerics.HermitianEigensystem(models.effective_hamiltonian(
+                space, p, "hrot", drop_rot_leakage=True))
+        self._g = (g_on, g_off)
 
     def elapsed(self, t: float) -> float:
         """Total wall-clock duration of V(t) (frame phases accrue over it)."""
@@ -283,12 +264,10 @@ class VProtocol:
         vecs = self._eig.eigenvectors
         y = self._eig.phases(t)[:, None, :] * (vecs.conj().T @ (self._pre @ x)).T
         y = (y.reshape(-1, dim) @ vecs.T).reshape(y.shape)
-        if self._frames is not None:
-            s, g_on, g_off = self._frames
-            y *= np.exp(1j * np.multiply.outer(s + t, g_off - g_on))[:, None]
+        g_on, g_off = self._g
+        y *= np.exp(1j * np.multiply.outer(self._s + t, g_off - g_on))[:, None]
         y = (y.reshape(-1, dim) @ self._post.T).reshape(y.shape)
-        if self._frames is not None:
-            y *= np.exp(-1j * np.multiply.outer(s + t, g_off))[:, None]
+        y *= np.exp(-1j * np.multiply.outer(self._s + t, g_off))[:, None]
         return y
 
     def matrix(self, t: float) -> np.ndarray:
@@ -305,9 +284,10 @@ class VProtocol:
             return {"segment_unitarity_defects": [], "segment_step_counts": [],
                     "total_unitarity_defect": 0.0}
         pre, post = self._edge_defects
-        mid = numerics.unitarity_defect(self._eig.propagator(t))
-        return ComposeResult(self.matrix(t),
-                             unitarity_defects=pre + [mid] + post).diagnostics()
+        defects = pre + [numerics.unitarity_defect(self._eig.propagator(t))] + post
+        return {"segment_unitarity_defects": defects,
+                "segment_step_counts": [1] * len(defects),
+                "total_unitarity_defect": numerics.unitarity_defect(self.matrix(t))}
 
     def states(self, times, psi0: np.ndarray) -> np.ndarray:
         """V(t) psi0 for each t; shape (len(times), dim)."""
@@ -320,13 +300,3 @@ class VProtocol:
         states = self.states(times, psi0)
         return states @ psi0.conj()
 
-
-def build_v(
-    space: Space,
-    p: SchemeParams,
-    t: float,
-    mode: str = "ideal",
-    tier: str = "eliminated",
-) -> np.ndarray:
-    """V(t) as a matrix; see VProtocol for the composition rules."""
-    return VProtocol(space, p, mode, tier).matrix(t)

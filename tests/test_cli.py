@@ -265,3 +265,37 @@ def test_sweep_rejects_non_integral_n_atoms(capsys, tmp_path):
                            "--out", str(tmp_path))
     assert code == 2
     assert "n_atoms" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "fig3b"],
+    ["sweep", "--param", "theta", "--values", str(G), "--scenario", "fig3b"],
+])
+def test_config_unknown_tier_exits_2(capsys, tmp_path, command):
+    cfg = write_config(tmp_path, {"tier": "bogus"})
+    code, _, err = run_cli(capsys, *command, "--config", cfg,
+                           "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "tier" in err and "'bogus'" in err
+
+
+def test_sweep_config_applies_overlap_keys(capsys, tmp_path):
+    cfg = write_config(tmp_path, {"grid": {"points": 16}, "mode": "ideal",
+                                  "frame_calibration": "n1_shared"})
+    code, out, _ = run_cli(capsys, "sweep", "--config", cfg,
+                           "--param", "theta", "--values", str(G),
+                           "--scenario", "fig3b", "--out", str(tmp_path))
+    assert code == 0
+    [entry] = json.loads(out)
+    config = json.loads(open(entry["outputs"]["json"]).read())["config"]
+    assert (config["mode"], config["frame_calibration"]) == ("ideal", "n1_shared")
+
+
+@pytest.mark.parametrize("jobs", ["abc", 2.5])
+def test_sweep_rejects_non_integral_jobs(capsys, tmp_path, jobs):
+    cfg = write_config(tmp_path, {"jobs": jobs})
+    code, _, err = run_cli(capsys, "sweep", "--config", cfg,
+                           "--param", "theta", "--values", str(G),
+                           "--scenario", "regime_check", "--out", str(tmp_path))
+    assert code == 2
+    assert "jobs" in err

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,8 +7,7 @@ import pytest
 import kerrcav as kc
 from kerrcav import evolve, models, numerics
 from kerrcav.errors import GuardError
-from kerrcav.evolve import Schedule
-from kerrcav.models import HamiltonianSpec
+from kerrcav.evolve import SegmentPropagators
 
 from conftest import random_hermitian
 
@@ -92,40 +92,20 @@ def test_midpoint_second_order_convergence(rng):
     assert 3.5 <= ratio <= 4.5
 
 
-def test_compose_empty_schedule(fig3b_p1):
-    space = kc.build_space(n_max=1, n_atoms=1, levels=2)
-    sched = Schedule.from_durations(space, [])
-    out = evolve.compose(sched, fig3b_p1)
-    assert numerics.max_abs_diff(out.matrix, np.eye(space.dim)) == 0
+def _tier_setup(tier, p):
+    if tier == "full":
+        return kc.build_space(n_max=1, n_atoms=1, levels=3), kc.synthesize_raman(p)
+    return kc.build_space(n_max=2, n_atoms=1, levels=2), p
 
 
 def test_compose_merges_static_segments(fig3b_p1):
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
-    spec = HamiltonianSpec(tier="eliminated", raman_on=True)
+    props = SegmentPropagators(space, fig3b_p1, "eliminated")
     t1, t2 = 3.0 / G, 7.0 / G
-    sched = Schedule.from_durations(space, [(spec, t1), (spec, t2)])
-    u = evolve.compose(sched, fig3b_p1).matrix
+    u = props.propagator(True, None, t1, t2) @ props.propagator(True, None, 0.0, t1)
     h = models.tier_b_hamiltonian(space, fig3b_p1).matrix
     assert numerics.max_abs_diff(
         u, numerics.expm_hermitian(h, t1 + t2)) < 1e-10
-
-
-def test_compose_associativity(fig3b_p1):
-    space = kc.build_space(n_max=2, n_atoms=1, levels=2)
-    free = HamiltonianSpec(tier="eliminated", raman_on=False)
-    mid = HamiltonianSpec(tier="eliminated", raman_on=True)
-    pulse = HamiltonianSpec(tier="eliminated", raman_on=False, pulse_on=True,
-                            pulse_phase=0.3)
-    entries = [(pulse, 2.0 / G), (free, 5.0 / G), (mid, 11.0 / G),
-               (free, 1.0 / G)]
-    sched = Schedule.from_durations(space, entries)
-    out = evolve.compose(sched, fig3b_p1)
-    # regroup: multiply segment matrices in two different association orders
-    mats = out.segment_matrices
-    left = ((mats[3] @ mats[2]) @ mats[1]) @ mats[0]
-    right = mats[3] @ (mats[2] @ (mats[1] @ mats[0]))
-    assert numerics.max_abs_diff(left, right) < 1e-9
-    assert numerics.max_abs_diff(left, out.matrix) < 1e-9
 
 
 def test_adjacent_pulse_pair_composes_to_identity():
@@ -134,58 +114,56 @@ def test_adjacent_pulse_pair_composes_to_identity():
     p = kc.derive_params(kc.SchemeParams(
         g=G, delta1=10 * G, theta=G, omega=2.5e7 * G))
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
+    props = SegmentPropagators(space, p, "eliminated")
     tp = math.pi / (2 * p.omega)
     phi = 0.7
-    entries = [
-        (HamiltonianSpec(tier="eliminated", raman_on=False, pulse_on=True,
-                         pulse_phase=phi), tp),
-        (HamiltonianSpec(tier="eliminated", raman_on=False, pulse_on=True,
-                         pulse_phase=phi + math.pi), tp),
-    ]
-    out = evolve.compose(Schedule.from_durations(space, entries), p)
-    assert numerics.max_abs_diff(out.matrix, np.eye(space.dim)) < 1e-6
+    u = props.propagator(False, phi + math.pi, tp, tp) \
+        @ props.propagator(False, phi, 0.0, tp)
+    assert numerics.max_abs_diff(u, np.eye(space.dim)) < 1e-6
 
 
 def test_time_reversal(fig3b_p1):
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
-    free = HamiltonianSpec(tier="eliminated", raman_on=False)
-    mid = HamiltonianSpec(tier="eliminated", raman_on=True)
-    sched = Schedule.from_durations(space, [(free, 4.0 / G), (mid, 9.0 / G)])
-    out = evolve.compose(sched, fig3b_p1)
-    inverse = np.eye(space.dim, dtype=complex)
-    for m in out.segment_matrices:          # inverse propagators, reversed order
-        inverse = inverse @ m.conj().T
-    assert numerics.max_abs_diff(out.matrix @ inverse, np.eye(space.dim)) < 1e-8
+    props = SegmentPropagators(space, fig3b_p1, "eliminated")
+    mats = [props.propagator(False, None, 0.0, 4.0 / G),
+            props.propagator(True, None, 4.0 / G, 9.0 / G)]
+    forward = mats[1] @ mats[0]
+    inverse = mats[0].conj().T @ mats[1].conj().T
+    assert numerics.max_abs_diff(forward @ inverse, np.eye(space.dim)) < 1e-8
 
 
-def test_schedule_global_clock():
-    space = kc.build_space(n_max=1, n_atoms=1, levels=2)
-    spec = HamiltonianSpec(tier="eliminated")
-    sched = Schedule.from_durations(space, [(spec, 1.0), (spec, 2.5), (spec, 0.5)])
-    starts = [s.start_time for s in sched.segments]
-    assert starts == [0.0, 1.0, 3.5]
-    assert sched.total_duration == 4.0
+def test_schedule_global_clock(fig3b_p1):
+    # a full-tier segment that starts at t0 > 0 matches the time-stepped
+    # oscillatory Hamiltonian over [t0, t0 + dt]: the frame runs on the
+    # global clock, not on the segment's own
+    p = kc.synthesize_raman(fig3b_p1)
+    space = kc.build_space(n_max=1, n_atoms=1, levels=3)
+    t0, dt = 0.37 / G, 0.05 / G
+    u = SegmentPropagators(space, p, "full").propagator(True, None, t0, dt)
+    h_func, rate = models.full_hamiltonian_func(space, p, raman=True)
+    ref = evolve.propagate_timedep(h_func, t0, t0 + dt, 2000, rate)
+    assert numerics.max_abs_diff(u, ref) < 1e-6
 
 
 def test_framed_segments_respect_global_clock(fig3b_p1):
-    # splitting a full-model segment at an interior time changes nothing
-    p = kc.synthesize_raman(fig3b_p1)
-    space = kc.build_space(n_max=1, n_atoms=1, levels=3)
-    spec = HamiltonianSpec(tier="full", raman_on=True)
-    t_tot = 0.11 / G
-    one = evolve.compose(Schedule.from_durations(space, [(spec, t_tot)]), p)
-    two = evolve.compose(Schedule.from_durations(
-        space, [(spec, 0.3 * t_tot), (spec, 0.7 * t_tot)]), p)
-    assert numerics.max_abs_diff(one.matrix, two.matrix) < 1e-10
+    # splitting a segment at an interior time changes nothing, on both tiers
+    for tier, (raman, phase) in itertools.product(
+            ("eliminated", "full"), ((True, None), (False, 0.4))):
+        space, p = _tier_setup(tier, fig3b_p1)
+        props = SegmentPropagators(space, p, tier)
+        t_tot = 0.11 / G
+        one = props.propagator(raman, phase, 0.0, t_tot)
+        two = props.propagator(raman, phase, 0.3 * t_tot, 0.7 * t_tot) \
+            @ props.propagator(raman, phase, 0.0, 0.3 * t_tot)
+        assert numerics.max_abs_diff(one, two) < 1e-10
 
 
 def test_compose_diagnostics(fig3b_p1):
-    space = kc.build_space(n_max=1, n_atoms=1, levels=2)
-    spec = HamiltonianSpec(tier="eliminated")
-    out = evolve.compose(
-        Schedule.from_durations(space, [(spec, 1.0 / G)]), fig3b_p1)
-    diag = out.diagnostics()
-    assert diag["segment_step_counts"] == [1]
+    space = kc.build_space(n_max=2, n_atoms=1, levels=2)
+    diag = kc.VProtocol(space, fig3b_p1).compose_diagnostics(31.0 / G)
+    assert len(diag["segment_unitarity_defects"]) == 7
+    assert max(diag["segment_unitarity_defects"]) < 1e-12
+    assert diag["segment_step_counts"] == [1] * 7
     assert diag["total_unitarity_defect"] < 1e-12
 
 

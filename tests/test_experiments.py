@@ -61,6 +61,22 @@ def test_fig3b_calibrated_rates_near_expected(fig3b_result):
         assert abs(b.r_lin - b.r_lin_expected) <= 0.01 * b.r_lin_expected
 
 
+def test_probe_branch_rate_is_the_shared_rate(fig3b_result, monkeypatch):
+    # per_branch calibration takes the probe branch's rate from the shared
+    # scan instead of repeating it: one rate scan fewer per atom number
+    cal = fig3b_result.calibration
+    for N in (1, 2):
+        assert cal["r_lin"][f"N={N},n=1"] == cal["r_lin_shared"][str(N)]
+    best_rate, calls = ex._best_rate, []
+    monkeypatch.setattr(
+        ex, "_best_rate", lambda *a: calls.append(a[3]) or best_rate(*a))
+    ex.run_fig3b(grid_points=64)
+    assert sorted(calls) == [1, 1, 2, 2]
+    calls.clear()
+    ex.run_fig3a(grid_points=64)
+    assert calls == [2, 2]
+
+
 def test_fig3a_overlap_floor(fig3a_result):
     for b in fig3a_result.branches:
         if b.n_photons == 0:

@@ -331,8 +331,21 @@ def test_every_builder_is_hermitian(fig3b_p1):
         assert numerics.hermiticity_defect(m) <= 1e-12 * max(np.abs(m).max(), 1)
 
 
-def test_spec_flag_validation():
-    with pytest.raises(ValidationError):
-        models.HamiltonianSpec(tier="kerr", pulse_on=True)
-    with pytest.raises(ValidationError):
-        models.HamiltonianSpec(tier="nonsense")
+def test_spec_flag_validation(fig3b_p1):
+    # protocol segments exist on the eliminated and full tiers only; the
+    # eliminated tier is static, so its frame is zero
+    space = kc.build_space(n_max=1, n_atoms=1, levels=2)
+    for tier in ("kerr", "nonsense"):
+        with pytest.raises(ValidationError, match="unknown tier"):
+            models.segment_hamiltonian(space, fig3b_p1, tier, False, 0.0)
+    h, g = models.segment_hamiltonian(space, fig3b_p1, "eliminated", True)
+    assert numerics.max_abs_diff(
+        h, models.tier_b_hamiltonian(space, fig3b_p1).matrix) == 0
+    assert not g.any()
+    p = kc.synthesize_raman(fig3b_p1)
+    space3 = kc.build_space(n_max=1, n_atoms=1, levels=3)
+    h, g = models.segment_hamiltonian(space3, p, "full", False, 0.4)
+    hop, frame = models.static_frame_hamiltonian(
+        space3, p, pulse=True, pulse_phase=0.4)
+    assert numerics.max_abs_diff(h, hop.matrix) == 0
+    assert numerics.max_abs_diff(g, np.diag(frame.generator(space3))) == 0

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kerrcav as kc
-from kerrcav import evolve, numerics, pulses
+from kerrcav import numerics, pulses
 from kerrcav.errors import CalibrationError, GuardError, ValidationError
-from kerrcav.evolve import Schedule
-from kerrcav.models import HamiltonianSpec
+from kerrcav.evolve import SegmentPropagators
 
 G = 1e8
 
@@ -167,7 +166,7 @@ def test_inverse_realization_conjugacy(fig3b_p1, pulse_calibration):
 
 def test_v_at_zero_is_identity(fig3b_p1):
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
-    v = kc.build_v(space, fig3b_p1, 0.0, mode="ideal")
+    v = kc.VProtocol(space, fig3b_p1, mode="ideal").matrix(0.0)
     assert numerics.max_abs_diff(v, np.eye(space.dim)) < 1e-12
 
 
@@ -246,21 +245,20 @@ def test_v_closed_form_matches_seven_segment_schedule(fig3b_p1, tier, n_atoms):
     phi_f = pulses.default_forward_phase(p)
     phi_i = phi_f + math.pi
     tp, tau = math.pi / (2 * p.omega), 1 / abs(p.theta)
-
-    def pulse(phi):
-        return HamiltonianSpec(tier=tier, raman_on=False, pulse_on=True,
-                               pulse_phase=phi)
-
-    free = HamiltonianSpec(tier=tier, raman_on=False)
-    kerr = HamiltonianSpec(tier=tier, raman_on=True)
+    props = SegmentPropagators(space, p, tier)
     times = (0.0, 31.0 / G, 2511.0 / G)
     psi0 = kc.basis_state(space, 1, "-" * n_atoms)
     states = proto.states(times, psi0)
     for k, t in enumerate(times):
-        entries = [(pulse(phi_f), tp), (free, tau), (pulse(phi_f + math.pi), tp),
-                   (kerr, t),
-                   (pulse(phi_i), tp), (free, tau), (pulse(phi_i + math.pi), tp)]
-        ref = evolve.compose(Schedule.from_durations(space, entries), p).matrix
+        # (raman, pulse phase, duration), each factor on the global clock
+        segments = [(False, phi_f, tp), (False, None, tau),
+                    (False, phi_f + math.pi, tp), (True, None, t),
+                    (False, phi_i, tp), (False, None, tau),
+                    (False, phi_i + math.pi, tp)]
+        ref, clock = np.eye(space.dim), 0.0
+        for raman, phase, dt in segments:
+            ref = props.propagator(raman, phase, clock, dt) @ ref
+            clock += dt
         assert numerics.max_abs_diff(proto.matrix(t), ref) < 1e-10
         assert numerics.max_abs_diff(states[k], ref @ psi0) < 1e-10
 
