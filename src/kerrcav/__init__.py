@@ -9,9 +9,9 @@ with CSV/JSON emission.
 """
 from .errors import (CalibrationError, GuardError, KerrcavError,
                      ValidationError)
-from .hilbert import (Operator, Space, annihilation, basis_state, build_space,
+from .hilbert import (Space, annihilation, basis_state, build_space,
                       collective, number_op, s3)
-from .models import FrameSpec, SchemeParams, derive_params, synthesize_raman
+from .models import SchemeParams, derive_params, synthesize_raman
 from .pulses import PulseCalibration, VProtocol, calibrate_pulse_phase
 from .regimes import RegimeReport, check, enhanced_strength, kerr_strength
 from .experiments import (run_cross_kerr, run_fig3a, run_fig3b,
@@ -21,9 +21,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationError", "GuardError", "KerrcavError", "ValidationError",
-    "Operator", "Space", "annihilation", "basis_state", "build_space",
+    "Space", "annihilation", "basis_state", "build_space",
     "collective", "number_op", "s3",
-    "FrameSpec", "SchemeParams", "derive_params", "synthesize_raman",
+    "SchemeParams", "derive_params", "synthesize_raman",
     "PulseCalibration", "VProtocol", "calibrate_pulse_phase",
     "RegimeReport", "check", "enhanced_strength", "kerr_strength",
     "run_cross_kerr", "run_fig3a", "run_fig3b", "calibrate_frame", "sweep",

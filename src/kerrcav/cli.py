@@ -15,6 +15,7 @@ from .errors import CalibrationError, GuardError, KerrcavError, ValidationError
 from . import experiments, regimes
 from .experiments import (SCENARIOS, apply_overrides, cross_params,
                           fig3b_params, sweep, write_outputs)
+from .pulses import VProtocol
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -118,6 +119,9 @@ def resolve_config(cfg: dict) -> dict:
     tier = cfg.get("tier", "eliminated")
     if tier not in ("eliminated", "full"):
         raise ValidationError(f"config key 'tier': unknown value {tier!r}")
+    mode = cfg.get("mode", "physical")
+    if mode not in VProtocol.MODES:
+        raise ValidationError(f"config key 'mode': unknown value {mode!r}")
     return out
 
 

@@ -153,7 +153,6 @@ def calibrate_frame(
     n_probe: int = 1,
     grid_points: int = DEFAULT_GRID_POINTS,
     mode: str = "physical",
-    tier: str = "eliminated",
     n_max: int = 4,
 ) -> FrameCalibration:
     """Calibrate the photon-linear frame-removal rate on the n=1 series.
@@ -168,13 +167,13 @@ def calibrate_frame(
     t_grid = np.linspace(0.0, 2 * math.pi / abs(p.kappa), grid_points)
     theta_rate = p.n_atoms * p.theta / 2
     if mode == "bare":
-        eig = numerics.HermitianEigensystem(tier_b_hamiltonian(space, p).matrix)
+        eig = numerics.HermitianEigensystem(tier_b_hamiltonian(space, p))
         psi0 = basis_state(space, n_probe, "-" * p.n_atoms)
         weights = (psi0.conj() @ eig.eigenvectors) * (eig.eigenvectors.conj().T @ psi0)
         amps = eig.phases(t_grid) @ weights
         elapsed = t_grid
     else:
-        protocol = VProtocol(space, p, mode=mode, tier=tier)
+        protocol = VProtocol(space, p, mode=mode)
         amps, _ = _protocol_series(protocol, t_grid, n_probe)
         elapsed = protocol.elapsed(t_grid)
         theta_rate = protocol.theta_phase_rate()
@@ -266,8 +265,10 @@ def _run_overlap_scenario(
     if frame_calibration not in ("per_branch", "n1_shared"):
         raise ValidationError(
             f"unknown frame_calibration {frame_calibration!r}")
-    if tier not in ("eliminated", "full"):
-        raise ValidationError(f"unknown tier {tier!r}")
+    if tier != "eliminated":
+        raise ValidationError(
+            f"tier {tier!r} is not available here: the {name} scenario builds "
+            "a two-level space, which only the 'eliminated' tier runs on")
     _check_grid_points(grid_points)
     if overrides and "n_atoms" in overrides:
         # an atom number selects its branches, never re-labels the others
@@ -304,7 +305,7 @@ def _run_overlap_scenario(
         t_grid = np.linspace(0.0, 2 * math.pi / abs(p.kappa), grid_points)
         elapsed = protocol.elapsed(t_grid)
         theta_rate = protocol.theta_phase_rate()
-        spp = collective(space, "+", "+").matrix
+        spp = collective(space, "+", "+")
         r0 = p.n_atoms * p.stark if mode == "physical" else 0.0
 
         ns = [n for (NN, n) in branch_list if NN == N]
@@ -471,7 +472,7 @@ def run_cross_kerr(
                 + values[(0, 0)])
 
     nu_eff = float(second_difference(
-        {occ: h_eff.expectation(kets[occ]).real for occ in occupations}))
+        {occ: (ket.conj() @ (h_eff @ ket)).real for occ, ket in kets.items()}))
 
     # time window set by the self-Kerr scale so phases stay unwrap-safe
     ga, da = abs(p.g), abs(p.delta1)
@@ -480,7 +481,7 @@ def run_cross_kerr(
     scale = 2 * p.n_atoms * max(ga**2 / (2 * da), gb**2 / (2 * db)) ** 2 / abs(p.theta)
     t_grid = np.linspace(0.0, 0.5 / scale, grid_points)
 
-    eig = numerics.HermitianEigensystem(h_sim.matrix)
+    eig = numerics.HermitianEigensystem(h_sim)
     amps = {}
     for occ, ket in kets.items():
         coeff = eig.eigenvectors.conj().T @ ket

@@ -86,9 +86,6 @@ class Space:
             return f"n={n_txt};atoms=" + "".join(str(l) for l in conf)
         return f"n={n_txt};occ=(" + ",".join(map(str, conf)) + ")"
 
-    def basis_labels(self) -> list:
-        return [self.basis_label(i) for i in range(self.dim)]
-
 
 def _photon_tuple(space: Space, photons) -> tuple:
     if np.isscalar(photons):
@@ -159,54 +156,6 @@ def build_space(
     return Space(n_max, n_modes, n_atoms, levels, representation, atomic)
 
 
-@dataclass(frozen=True)
-class Operator:
-    """A dense operator tagged with its space and a human-readable label."""
-
-    matrix: np.ndarray
-    space: Space
-    label: str = ""
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.space.dim, self.space.dim):
-            raise ValidationError(
-                f"operator {self.label!r}: matrix shape {m.shape} does not match "
-                f"space dimension {self.space.dim}"
-            )
-        object.__setattr__(self, "matrix", m)
-
-    def __matmul__(self, other):
-        if isinstance(other, Operator):
-            return Operator(self.matrix @ other.matrix, self.space,
-                            f"{self.label}@{other.label}")
-        return self.matrix @ other
-
-    def __add__(self, other):
-        m = other.matrix if isinstance(other, Operator) else other
-        return Operator(self.matrix + m, self.space, self.label)
-
-    def __sub__(self, other):
-        m = other.matrix if isinstance(other, Operator) else other
-        return Operator(self.matrix - m, self.space, self.label)
-
-    def __mul__(self, scalar):
-        return Operator(self.matrix * scalar, self.space, self.label)
-
-    __rmul__ = __mul__
-
-    def expectation(self, state: np.ndarray) -> complex:
-        v = np.asarray(state, dtype=complex)
-        return complex(v.conj() @ (self.matrix @ v))
-
-    def commutator(self, other: "Operator") -> "Operator":
-        return Operator(
-            self.matrix @ other.matrix - other.matrix @ self.matrix,
-            self.space,
-            f"[{self.label},{other.label}]",
-        )
-
-
 def _photon_only(space: Space, mat_1mode: np.ndarray, mode: int) -> np.ndarray:
     """Lift a single-mode photon matrix to the full space."""
     ops = []
@@ -218,21 +167,19 @@ def _photon_only(space: Space, mat_1mode: np.ndarray, mode: int) -> np.ndarray:
     return np.kron(out, np.eye(space.atomic_dim))
 
 
-def annihilation(space: Space, mode: int = 0) -> Operator:
+def annihilation(space: Space, mode: int = 0) -> np.ndarray:
     """Truncated lowering operator for the given photon mode."""
     if not 0 <= mode < space.n_modes:
         raise ValidationError(f"mode index {mode} invalid for {space.n_modes} mode(s)")
     a1 = np.diag(np.sqrt(np.arange(1, space.n_max + 1)), 1).astype(complex)
-    label = "a" if space.n_modes == 1 else ("a", "b")[mode]
-    return Operator(_photon_only(space, a1, mode), space, label)
+    return _photon_only(space, a1, mode)
 
 
-def number_op(space: Space, mode: int = 0) -> Operator:
+def number_op(space: Space, mode: int = 0) -> np.ndarray:
     if not 0 <= mode < space.n_modes:
         raise ValidationError(f"mode index {mode} invalid for {space.n_modes} mode(s)")
     n1 = np.diag(np.arange(space.n_max + 1)).astype(complex)
-    label = "n_a" if mode == 0 else "n_b"
-    return Operator(_photon_only(space, n1, mode), space, label)
+    return _photon_only(space, n1, mode)
 
 
 def _atomic_collective_plain(space: Space, bra: int, ket: int) -> np.ndarray:
@@ -263,7 +210,7 @@ def _atomic_collective_plain(space: Space, bra: int, ket: int) -> np.ndarray:
     return out
 
 
-def collective(space: Space, bra, ket) -> Operator:
+def collective(space: Space, bra, ket) -> np.ndarray:
     """Collective transition operator S_{bra,ket} = sum_k |bra_k><ket_k|.
 
     Levels may be 0, 1, 2 or the metastable superpositions '+', '-' with
@@ -290,14 +237,12 @@ def collective(space: Space, bra, ket) -> Operator:
     for b, cb in expand(bra):
         for k, ck in expand(ket):
             at += cb * np.conj(ck) * _atomic_collective_plain(space, b, k)
-    mat = np.kron(np.eye(space.photon_dim), at)
-    return Operator(mat, space, f"S_{bra}{ket}")
+    return np.kron(np.eye(space.photon_dim), at)
 
 
-def s3(space: Space) -> Operator:
+def s3(space: Space) -> np.ndarray:
     """S_3 = sum_k (|+_k><+_k| - |-_k><-_k|)."""
-    op = collective(space, "+", "+") - collective(space, "-", "-")
-    return Operator(op.matrix, space, "S_3")
+    return collective(space, "+", "+") - collective(space, "-", "-")
 
 
 def _atomic_state(space: Space, atoms) -> np.ndarray:
@@ -379,5 +324,5 @@ def basis_state(space: Space, photons, atoms) -> np.ndarray:
 
 def plus_population(space: Space, state: np.ndarray) -> float:
     """Expectation of sum_k |+_k><+_k| (number of atoms found in |+>)."""
-    val = collective(space, "+", "+").expectation(state)
-    return float(val.real)
+    v = np.asarray(state, dtype=complex)
+    return float((v.conj() @ (collective(space, "+", "+") @ v)).real)

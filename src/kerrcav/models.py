@@ -16,10 +16,11 @@ The model chain, from exact to effective:
 plus the two warm-up models (``dispersive_two_level``, ``resonant_driven``)
 and the two-mode cross-Kerr configurations.
 
-A pulse-protocol segment runs on the ``eliminated`` or the ``full`` tier;
-``segment_hamiltonian`` gives it as a static generator plus the diagonal of
-its rotating frame, so the static tier is the full tier's form with a zero
-frame.
+Every builder returns a plain complex (dim, dim) ndarray.  The rotating
+frame is diagonal, so it is carried as the real vector g of its generator's
+diagonal: ``static_frame_hamiltonian`` returns (H', g), and a
+pulse-protocol segment on the ``eliminated`` or the ``full`` tier is the
+same pair from ``segment_hamiltonian``, the static tier with g = 0.
 
 Sign conventions: propagators are exp(-i H t) everywhere.  The rotation
 generator used for ``hrot`` and by the pulse protocol is
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import hilbert
 from .errors import ValidationError
-from .hilbert import Operator, Space, collective, number_op, s3
+from .hilbert import Space, collective, number_op, s3
 
 THETA_CONSISTENCY_RTOL = 1e-9
 
@@ -134,34 +135,6 @@ def synthesize_raman(p: SchemeParams, ratio: float = 9.0) -> SchemeParams:
     return derive_params(replace(p, lam=lam, delta2=delta2, theta=theta_realized))
 
 
-@dataclass(frozen=True)
-class FrameSpec:
-    """Diagonal frame data: photon rates per mode, atomic rates per level.
-
-    The frame unitary is W(t) = exp(+i G t) with
-    G = sum_m photon_rates[m] * n_m + sum_l level_rates[l] * S_ll; the
-    interaction-picture propagator over [t0, t1] of a framed Hamiltonian H'
-    is W(t1)^dag exp(-i H' (t1-t0)) W(t0).
-    """
-
-    photon_rates: tuple = (0.0,)
-    level_rates: tuple = (0.0, 0.0, 0.0)
-
-    def generator(self, space: Space) -> np.ndarray:
-        g = np.zeros((space.dim, space.dim), dtype=complex)
-        for m, rate in enumerate(self.photon_rates[: space.n_modes]):
-            if rate:
-                g += rate * number_op(space, m).matrix
-        for l, rate in enumerate(self.level_rates[: space.levels]):
-            if rate:
-                g += rate * collective(space, l, l).matrix
-        return g
-
-    def unitary(self, space: Space, t: float) -> np.ndarray:
-        # G is diagonal in every supported space, multiply phases directly
-        return np.diag(np.exp(1j * np.diag(self.generator(space)) * t))
-
-
 def _require_levels(space: Space, levels: int, what: str):
     if space.levels != levels:
         raise ValidationError(
@@ -175,7 +148,7 @@ def _pulse_term(space: Space, omega: float, phase: float) -> np.ndarray:
     A resonant drive of Rabi frequency omega: the pi/2 rotation takes
     t = pi/(2 omega), so the stated pulse durations come out right.
     """
-    s01 = collective(space, 0, 1).matrix
+    s01 = collective(space, 0, 1)
     return (omega / 2) * (np.exp(1j * phase) * s01 + np.exp(-1j * phase) * s01.conj().T)
 
 
@@ -186,7 +159,7 @@ def full_hamiltonian(
     raman: bool = False,
     pulse: bool = False,
     pulse_phase: float = 0.0,
-) -> Operator:
+) -> np.ndarray:
     """Three-level interaction-picture Hamiltonian at time ``t``.
 
     H(t) = g (e^{-i D1 t} a S20 + h.c.) + sqrt(2) lam (e^{-i D2 t} S2+ + h.c.)
@@ -195,8 +168,8 @@ def full_hamiltonian(
     """
     _require_levels(space, 3, "the full model")
     p = derive_params(p)
-    annih = hilbert.annihilation(space, 0).matrix
-    s20 = collective(space, 2, 0).matrix
+    annih = hilbert.annihilation(space, 0)
+    s20 = collective(space, 2, 0)
     term = p.g * np.exp(-1j * p.delta1 * t) * (annih @ s20)
     h = term + term.conj().T
     if raman:
@@ -204,12 +177,12 @@ def full_hamiltonian(
             raise ValidationError(
                 "raman_on requires lam and delta2 (use synthesize_raman)"
             )
-        s2p = collective(space, 2, "+").matrix
+        s2p = collective(space, 2, "+")
         term = np.sqrt(2) * p.lam * np.exp(-1j * p.delta2 * t) * s2p
         h = h + term + term.conj().T
     if pulse:
         h = h + _pulse_term(space, p.omega, pulse_phase)
-    return Operator(h, space, "H_full(t)")
+    return h
 
 
 def full_hamiltonian_func(space, p, raman=False, pulse=False, pulse_phase=0.0):
@@ -223,7 +196,7 @@ def full_hamiltonian_func(space, p, raman=False, pulse=False, pulse_phase=0.0):
         rates += [abs(p.delta2), abs(p.lam)]
 
     def h_of_t(t):
-        return full_hamiltonian(space, p, t, raman, pulse, pulse_phase).matrix
+        return full_hamiltonian(space, p, t, raman, pulse, pulse_phase)
 
     return h_of_t, max(rates)
 
@@ -234,24 +207,24 @@ def static_frame_hamiltonian(
     raman: bool = False,
     pulse: bool = False,
     pulse_phase: float = 0.0,
-) -> tuple[Operator, FrameSpec]:
-    """Time-independent rotating-frame equivalent of the full Hamiltonian.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(H', g): time-independent rotating-frame equivalent of the full
+    Hamiltonian and the real diagonal g of its frame generator.
 
-    Frame generator G = (D2 - D1) n + D2 S22 cancels every oscillating phase
-    (with Raman off the convention D2 := D1 is used, i.e. G = D1 S22); the
-    framed Hamiltonian is H' = H(0) - G.  Exactness against the time-stepped
-    integrator is validated in the tests rather than assumed.
+    The generator g = (D2 - D1) n + D2 S22 cancels every oscillating phase
+    (with Raman off the convention D2 := D1 is used, i.e. g = D1 S22); the
+    framed Hamiltonian is H' = H(0) - diag(g), and the interaction-picture
+    propagator over [t0, t1] is e^{-i g t1} exp(-i H' (t1 - t0)) e^{i g t0}.
+    Exactness against the time-stepped integrator is validated in the tests
+    rather than assumed.
     """
     _require_levels(space, 3, "the full model")
     p = derive_params(p)
     delta2 = p.delta2 if (raman and p.delta2 is not None) else p.delta1
-    frame = FrameSpec(
-        photon_rates=(delta2 - p.delta1,) * space.n_modes,
-        level_rates=(0.0, 0.0, delta2),
-    )
-    h0 = full_hamiltonian(space, p, 0.0, raman, pulse, pulse_phase).matrix
-    h = h0 - frame.generator(space)
-    return Operator(h, space, "H_framed"), frame
+    g = ((delta2 - p.delta1) * np.diag(number_op(space)).real
+         + delta2 * np.diag(collective(space, 2, 2)).real)
+    h0 = full_hamiltonian(space, p, 0.0, raman, pulse, pulse_phase)
+    return h0 - np.diag(g), g
 
 
 def tier_b_hamiltonian(
@@ -260,7 +233,7 @@ def tier_b_hamiltonian(
     raman: bool = True,
     pulse: bool = False,
     pulse_phase: float = 0.0,
-) -> Operator:
+) -> np.ndarray:
     """Two-level model after eliminating the excited level.
 
     H1 = (g^2/delta1) n S00 + (theta/2)(S10 + S01), the theta term gated by
@@ -268,18 +241,18 @@ def tier_b_hamiltonian(
     """
     _require_levels(space, 2, "the eliminated model")
     p = derive_params(p)
-    n = number_op(space).matrix
-    s00 = collective(space, 0, 0).matrix
+    n = number_op(space)
+    s00 = collective(space, 0, 0)
     h = (p.g**2 / p.delta1) * (n @ s00)
     if raman:
-        s01 = collective(space, 0, 1).matrix
+        s01 = collective(space, 0, 1)
         h = h + (p.theta / 2) * (s01 + s01.conj().T)
     if pulse:
         h = h + _pulse_term(space, p.omega, pulse_phase)
-    return Operator(h, space, "H_eliminated")
+    return h
 
 
-def rotation_generator(space: Space, p: SchemeParams) -> Operator:
+def rotation_generator(space: Space, p: SchemeParams) -> np.ndarray:
     """Anti-Hermitian generator -(mu/2) n (S+- - S-+) of the canonical rotation.
 
     exp of this generator removes the photon-linear atom-flip term of
@@ -287,10 +260,9 @@ def rotation_generator(space: Space, p: SchemeParams) -> Operator:
     photon.
     """
     p = derive_params(p)
-    n = number_op(space).matrix
-    spm = collective(space, "+", "-").matrix
-    gen = -(p.mu / 2) * (n @ (spm - spm.conj().T))
-    return Operator(gen, space, "log U")
+    n = number_op(space)
+    spm = collective(space, "+", "-")
+    return -(p.mu / 2) * (n @ (spm - spm.conj().T))
 
 
 def effective_hamiltonian(
@@ -298,7 +270,7 @@ def effective_hamiltonian(
     p: SchemeParams,
     kind: str,
     drop_rot_leakage: bool = False,
-) -> Operator:
+) -> np.ndarray:
     """Literal effective Hamiltonians of the derivation chain; see module doc.
 
     ``drop_rot_leakage`` removes the third-order n^3 (S+- + S-+) remainder
@@ -307,39 +279,36 @@ def effective_hamiltonian(
     if kind not in EFFECTIVE_KINDS:
         raise ValidationError(f"unknown effective Hamiltonian kind {kind!r}")
     p = derive_params(p)
-    n = number_op(space).matrix
+    n = number_op(space)
     x = p.stark
 
     if kind == "h1int":
         _require_levels(space, 2, "h1int")
-        sx = collective(space, "+", "-").matrix
+        sx = collective(space, "+", "-")
         sx = sx + sx.conj().T
-        h = x * (n @ sx) + (p.theta / 2) * s3(space).matrix
-        return Operator(h, space, "H1_int")
+        return x * (n @ sx) + (p.theta / 2) * s3(space)
 
     if kind == "hrot":
         _require_levels(space, 2, "hrot")
         n2 = n @ n
-        h = (p.theta / 2) * s3(space).matrix + (x**2 / p.theta) * (n2 @ s3(space).matrix)
+        h = (p.theta / 2) * s3(space) + (x**2 / p.theta) * (n2 @ s3(space))
         if not drop_rot_leakage:
-            sx = collective(space, "+", "-").matrix
+            sx = collective(space, "+", "-")
             sx = sx + sx.conj().T
             h = h - (4 / 3) * (x**3 / p.theta**2) * (n2 @ n @ sx)
-        return Operator(h, space, "H_rot")
+        return h
 
     if kind == "kerr":
         _require_levels(space, 2, "the Kerr limit")
         coeff = p.g**4 / (4 * p.delta1**2 * p.theta)  # kappa / N
-        h = coeff * (n @ n @ s3(space).matrix)
-        return Operator(h, space, "H_kerr")
+        return coeff * (n @ n @ s3(space))
 
     if kind == "dispersive_two_level":
         _require_levels(space, 2, "the dispersive two-level model")
-        pop = collective(space, 0, 0).matrix - collective(space, 1, 1).matrix
+        pop = collective(space, 0, 0) - collective(space, 1, 1)
         nn = p.n_atoms
-        h = (nn * p.g**2 / p.delta1) * (n @ pop) \
-            + (nn * p.g**4 / p.delta1**3) * (n @ n @ pop)
-        return Operator(h, space, "H_dispersive")
+        return ((nn * p.g**2 / p.delta1) * (n @ pop)
+                + (nn * p.g**4 / p.delta1**3) * (n @ n @ pop))
 
     # resonant_driven: dispersive JC plus a resonant 0<->1 drive of Rabi
     # frequency omega; quartic coefficient N g^4/(D1^2 omega), the
@@ -348,9 +317,8 @@ def effective_hamiltonian(
     if p.omega == 0:
         raise ValidationError("resonant_driven needs a nonzero omega")
     nn = p.n_atoms
-    h = (nn * p.g**2 / p.delta1) * (n @ s3(space).matrix) \
-        + (nn * p.g**4 / (p.delta1**2 * p.omega)) * (n @ n @ s3(space).matrix)
-    return Operator(h, space, "H_resonant_driven")
+    return ((nn * p.g**2 / p.delta1) * (n @ s3(space))
+            + (nn * p.g**4 / (p.delta1**2 * p.omega)) * (n @ n @ s3(space)))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +348,7 @@ def cross_kerr_hamiltonian(
     raman: bool = True,
     pulse: bool = False,
     pulse_phase: float = 0.0,
-) -> Operator:
+) -> np.ndarray:
     """Two-mode Hamiltonians for the cross-Kerr configurations.
 
     ``form="effective"``: the fully eliminated photon-diagonal operator,
@@ -397,8 +365,8 @@ def cross_kerr_hamiltonian(
         raise ValidationError("cross-Kerr models need a two-mode space")
     p = derive_params(p)
     ga, da, gb, db = _cross_couplings(p, variant)
-    n_a = number_op(space, 0).matrix
-    n_b = number_op(space, 1).matrix
+    n_a = number_op(space, 0)
+    n_b = number_op(space, 1)
     A = ga**2 / (2 * da)
     B = gb**2 / (2 * db)
     sign = -1.0 if variant == "polarization" else +1.0
@@ -406,43 +374,42 @@ def cross_kerr_hamiltonian(
     if form == "effective":
         _require_levels(space, 2, "the effective cross-Kerr model")
         quad = A * n_a + sign * B * n_b
-        h = (1 / p.theta) * (quad @ quad @ s3(space).matrix)
-        return Operator(h, space, f"H_cross_{variant}")
+        return (1 / p.theta) * (quad @ quad @ s3(space))
 
     if form == "eliminated":
         _require_levels(space, 2, "the eliminated cross-Kerr model")
-        s00 = collective(space, 0, 0).matrix
+        s00 = collective(space, 0, 0)
         if variant == "polarization":
-            s11 = collective(space, 1, 1).matrix
+            s11 = collective(space, 1, 1)
             h = 2 * A * (n_a @ s00) + 2 * B * (n_b @ s11)
         else:
             h = 2 * (A * n_a + B * n_b) @ s00
         if raman:
-            s01 = collective(space, 0, 1).matrix
+            s01 = collective(space, 0, 1)
             h = h + (p.theta / 2) * (s01 + s01.conj().T)
         if pulse:
             h = h + _pulse_term(space, p.omega, pulse_phase)
-        return Operator(h, space, f"H_cross_{variant}_eliminated")
+        return h
 
     if form == "full":
         _require_levels(space, 3, "the full cross-Kerr model")
-        a = hilbert.annihilation(space, 0).matrix
-        b = hilbert.annihilation(space, 1).matrix
-        s20 = collective(space, 2, 0).matrix
+        a = hilbert.annihilation(space, 0)
+        b = hilbert.annihilation(space, 1)
+        s20 = collective(space, 2, 0)
         term = ga * np.exp(-1j * da * t) * (a @ s20)
         h = term + term.conj().T
-        target_b = s20 if variant == "toroidal" else collective(space, 2, 1).matrix
+        target_b = s20 if variant == "toroidal" else collective(space, 2, 1)
         term = gb * np.exp(-1j * db * t) * (b @ target_b)
         h = h + term + term.conj().T
         if raman:
             if p.lam is None:
                 raise ValidationError("full cross-Kerr with raman needs lam, delta2")
-            s2p = collective(space, 2, "+").matrix
+            s2p = collective(space, 2, "+")
             term = np.sqrt(2) * p.lam * np.exp(-1j * p.delta2 * t) * s2p
             h = h + term + term.conj().T
         if pulse:
             h = h + _pulse_term(space, p.omega, pulse_phase)
-        return Operator(h, space, f"H_cross_{variant}_full")
+        return h
 
     raise ValidationError(f"unknown cross-Kerr form {form!r}")
 
@@ -469,9 +436,8 @@ def segment_hamiltonian(
     phase = pulse_phase if pulse else 0.0
     if tier == "eliminated":
         h = tier_b_hamiltonian(space, p, raman, pulse, phase)
-        return h.matrix, np.zeros(space.dim)
+        return h, np.zeros(space.dim)
     if tier == "full":
-        h, frame = static_frame_hamiltonian(space, p, raman, pulse, phase)
-        return h.matrix, np.diag(frame.generator(space)).real
+        return static_frame_hamiltonian(space, p, raman, pulse, phase)
     raise ValidationError(
         f"unknown tier {tier!r}; protocol segments run on 'eliminated' or 'full'")

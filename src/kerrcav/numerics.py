@@ -16,9 +16,8 @@ ANTIHERMITICITY_TOL = 1e-12
 
 
 def as_matrix(obj) -> np.ndarray:
-    """Return the underlying square complex ndarray of ``obj``."""
-    m = getattr(obj, "matrix", obj)
-    m = np.asarray(m, dtype=complex)
+    """Return ``obj`` as a square complex ndarray."""
+    m = np.asarray(obj, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     return m

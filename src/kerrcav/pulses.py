@@ -79,7 +79,7 @@ def m_pulse(
     cavity coupling stays on throughout.
     """
     if mode == "ideal":
-        s01 = collective(space, 0, 1).matrix
+        s01 = collective(space, 0, 1)
         x_phi = np.exp(1j * phase) * s01 + np.exp(-1j * phase) * s01.conj().T
         return numerics.expm_hermitian(x_phi, math.pi / 4)
     if mode != "physical":
@@ -92,8 +92,7 @@ def m_pulse(
 
 def u_ideal(space: Space, p: SchemeParams) -> np.ndarray:
     """Exact exponential of the canonical rotation generator."""
-    gen = models.rotation_generator(space, p)
-    return numerics.expm_antihermitian(gen.matrix)
+    return numerics.expm_antihermitian(models.rotation_generator(space, p))
 
 
 def _sandwich(props: SegmentPropagators, first_phase: float):

@@ -100,10 +100,10 @@ def test_criterion_5_operator_algebra():
             smp = kc.collective(space, "-", "+")
             s3 = kc.s3(space)
             su2_defect = max(su2_defect, numerics.max_abs_diff(
-                spm.commutator(smp).matrix, s3.matrix))
-            adjoint_exact &= np.array_equal(spm.matrix.conj().T, smp.matrix)
+                spm @ smp - smp @ spm, s3))
+            adjoint_exact &= np.array_equal(spm.conj().T, smp)
     space = kc.build_space(n_max=5, n_atoms=1, levels=2)
-    a = kc.annihilation(space).matrix
+    a = kc.annihilation(space)
     comm = a @ a.conj().T - a.conj().T @ a
     trunc_defect = max(
         abs(comm[space.index(n, 0), space.index(n, 0)] - 1)
@@ -117,7 +117,7 @@ def test_criterion_5_operator_algebra():
         for rep in ("product", "symmetric"):
             space = kc.build_space(n_max=2, n_atoms=n_atoms, levels=2,
                                    representation=rep)
-            h = models.effective_hamiltonian(space, pn, "h1int").matrix
+            h = models.effective_hamiltonian(space, pn, "h1int")
             psi = kc.basis_state(space, 1, "-" * n_atoms)
             eig = numerics.HermitianEigensystem(h)
             series[rep] = np.array(
@@ -142,8 +142,8 @@ def test_criterion_6_hausdorff_residual_scaling():
         p = kc.derive_params(kc.SchemeParams(g=g, delta1=delta1, theta=theta,
                                              omega=1e12))
         u = pulses.u_ideal(space, p)
-        h = models.effective_hamiltonian(space, p, "h1int").matrix
-        hrot = models.effective_hamiltonian(space, p, "hrot").matrix
+        h = models.effective_hamiltonian(space, p, "h1int")
+        hrot = models.effective_hamiltonian(space, p, "hrot")
         resid.append(np.abs(u.conj().T @ h @ u - hrot).max())
     slope = float(np.polyfit(np.log(rs), np.log(resid), 1)[0])
     ok = slope >= 3.5
@@ -154,12 +154,11 @@ def test_criterion_6_hausdorff_residual_scaling():
 def test_criterion_7_integrator_cross_oracle(fig3b_p1):
     p = kc.synthesize_raman(fig3b_p1)
     space = kc.build_space(n_max=2, n_atoms=1, levels=3)
-    hop, frame = models.static_frame_hamiltonian(space, p, raman=True)
+    hop, g = models.static_frame_hamiltonian(space, p, raman=True)
     h_func, rate = models.full_hamiltonian_func(space, p, raman=True)
     t1 = 0.1 / G
-    eig = numerics.HermitianEigensystem(hop.matrix)
-    u_exact = frame.unitary(space, t1).conj().T @ eig.propagator(t1) \
-        @ frame.unitary(space, 0.0)
+    eig = numerics.HermitianEigensystem(hop)
+    u_exact = np.exp(-1j * g * t1)[:, None] * eig.propagator(t1)
     u_step = evolve.propagate_timedep(h_func, 0.0, t1, 4000, rate)
     diff = numerics.max_abs_diff(u_exact, u_step)
 

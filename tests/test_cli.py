@@ -272,11 +272,26 @@ def test_sweep_rejects_non_integral_n_atoms(capsys, tmp_path):
     ["sweep", "--param", "theta", "--values", str(G), "--scenario", "fig3b"],
 ])
 def test_config_unknown_tier_exits_2(capsys, tmp_path, command):
-    cfg = write_config(tmp_path, {"tier": "bogus"})
-    code, _, err = run_cli(capsys, *command, "--config", cfg,
-                           "--out", str(tmp_path / "out"))
+    # the sweep must refuse the config before it runs any point
+    for key in ("tier", "mode"):
+        cfg = write_config(tmp_path, {key: "bogus"})
+        code, _, err = run_cli(capsys, *command, "--config", cfg,
+                               "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert f"'{key}'" in err and "'bogus'" in err
+
+
+@pytest.mark.parametrize("mode", ["ideal", "physical"])
+def test_run_full_tier_is_rejected_not_mislabelled(capsys, tmp_path, mode):
+    # the overlap scenarios build a two-level space: only the eliminated
+    # tier runs there, so a full-tier request must not be echoed over
+    # eliminated-tier data
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run", "fig3b", "--mode", mode,
+                           "--tier", "full", "--out", str(out))
     assert code == 2
-    assert "tier" in err and "'bogus'" in err
+    assert "tier 'full'" in err and "two-level" in err
+    assert not out.exists()
 
 
 def test_sweep_config_applies_overlap_keys(capsys, tmp_path):

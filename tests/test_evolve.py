@@ -17,7 +17,7 @@ G = 1e8
 def test_number_phase():
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
     w = 3e7
-    h = w * kc.number_op(space).matrix
+    h = w * kc.number_op(space)
     t = 2.1e-8
     u = numerics.expm_hermitian(h, t)
     ket1 = kc.basis_state(space, 1, "0")
@@ -27,7 +27,7 @@ def test_number_phase():
 
 def test_zero_time_identity(fig3b_p1):
     space = kc.build_space(n_max=1, n_atoms=1, levels=2)
-    h = models.tier_b_hamiltonian(space, fig3b_p1).matrix
+    h = models.tier_b_hamiltonian(space, fig3b_p1)
     assert numerics.max_abs_diff(
         numerics.expm_hermitian(h, 0.0), np.eye(space.dim)) < 1e-14
 
@@ -37,7 +37,7 @@ def test_tier_b_segment_matches_sector_rabi_formula(fig3b_p1):
     # = e^{-iat}(cos(wt) I - i sin(wt)(b sx + c sz)/w), w = sqrt(b^2+c^2)
     p = fig3b_p1
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
-    h = models.tier_b_hamiltonian(space, p).matrix
+    h = models.tier_b_hamiltonian(space, p)
     t = 17.3 / G
     u = numerics.expm_hermitian(h, t)
     x, th = p.stark, p.theta
@@ -58,7 +58,7 @@ def test_tier_b_segment_matches_sector_rabi_formula(fig3b_p1):
 
 def test_timedep_reduces_to_static(fig3b_p1):
     space = kc.build_space(n_max=1, n_atoms=1, levels=3)
-    h = models.full_hamiltonian(space, fig3b_p1, 0.0).matrix
+    h = models.full_hamiltonian(space, fig3b_p1, 0.0)
 
     u1 = evolve.propagate_timedep(lambda t: h, 0.0, 3.0 / G, steps=16)
     u2 = numerics.expm_hermitian(h, 3.0 / G)
@@ -103,7 +103,7 @@ def test_compose_merges_static_segments(fig3b_p1):
     props = SegmentPropagators(space, fig3b_p1, "eliminated")
     t1, t2 = 3.0 / G, 7.0 / G
     u = props.propagator(True, None, t1, t2) @ props.propagator(True, None, 0.0, t1)
-    h = models.tier_b_hamiltonian(space, fig3b_p1).matrix
+    h = models.tier_b_hamiltonian(space, fig3b_p1)
     assert numerics.max_abs_diff(
         u, numerics.expm_hermitian(h, t1 + t2)) < 1e-10
 

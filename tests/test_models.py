@@ -54,9 +54,9 @@ def test_synthesize_raman(fig3b_p1):
 
 def test_full_hamiltonian_phases_off_at_t0(fig3b_p1):
     space = kc.build_space(n_max=2, n_atoms=1, levels=3)
-    h = models.full_hamiltonian(space, fig3b_p1, 0.0).matrix
-    a = kc.annihilation(space).matrix
-    s20 = kc.collective(space, 2, 0).matrix
+    h = models.full_hamiltonian(space, fig3b_p1, 0.0)
+    a = kc.annihilation(space)
+    s20 = kc.collective(space, 2, 0)
     expected = fig3b_p1.g * (a @ s20 + (a @ s20).conj().T)
     assert numerics.max_abs_diff(h, expected) < 1e-9
 
@@ -65,7 +65,7 @@ def test_full_hamiltonian_matrix_element(fig3b_p1):
     space = kc.build_space(n_max=1, n_atoms=1, levels=3)
     p = kc.synthesize_raman(fig3b_p1)
     for t in (0.0, 1.3e-8, 4.1e-8):
-        h = models.full_hamiltonian(space, p, t, raman=True).matrix
+        h = models.full_hamiltonian(space, p, t, raman=True)
         i = space.index(0, space.atomic_basis.index((2,)))
         j = space.index(1, space.atomic_basis.index((0,)))
         assert abs(h[i, j] - p.g * np.exp(-1j * p.delta1 * t)) < 1e-6
@@ -74,28 +74,27 @@ def test_full_hamiltonian_matrix_element(fig3b_p1):
 
 def test_static_frame_eigenvalues_real_and_raman_off_form(fig3b_p1):
     space = kc.build_space(n_max=2, n_atoms=1, levels=3)
-    hop, frame = models.static_frame_hamiltonian(space, fig3b_p1, raman=False)
-    w = np.linalg.eigvalsh(hop.matrix)
+    hop, _ = models.static_frame_hamiltonian(space, fig3b_p1, raman=False)
+    w = np.linalg.eigvalsh(hop)
     assert np.all(np.isfinite(w))
     # raman-off convention: G = delta1 * S22, H' = g(a S20 + h.c.) - delta1 S22
-    a = kc.annihilation(space).matrix
-    s20 = kc.collective(space, 2, 0).matrix
-    s22 = kc.collective(space, 2, 2).matrix
+    a = kc.annihilation(space)
+    s20 = kc.collective(space, 2, 0)
+    s22 = kc.collective(space, 2, 2)
     expected = fig3b_p1.g * (a @ s20 + (a @ s20).conj().T) \
         - fig3b_p1.delta1 * s22
-    assert numerics.max_abs_diff(hop.matrix, expected) < 1e-6
+    assert numerics.max_abs_diff(hop, expected) < 1e-6
 
 
 def test_static_frame_matches_time_stepped_oracle(fig3b_p1):
     # the frame construction is validated against direct integration
     p = kc.synthesize_raman(fig3b_p1)
     space = kc.build_space(n_max=2, n_atoms=1, levels=3)
-    hop, frame = models.static_frame_hamiltonian(space, p, raman=True)
+    hop, g = models.static_frame_hamiltonian(space, p, raman=True)
     h_func, rate = models.full_hamiltonian_func(space, p, raman=True)
     t1 = 0.05 / G
-    eig = numerics.HermitianEigensystem(hop.matrix)
-    u_exact = frame.unitary(space, t1).conj().T @ eig.propagator(t1) \
-        @ frame.unitary(space, 0.0)
+    eig = numerics.HermitianEigensystem(hop)
+    u_exact = np.exp(-1j * g * t1)[:, None] * eig.propagator(t1)
     u_step = evolve.propagate_timedep(h_func, 0.0, t1, 2000, rate)
     assert numerics.max_abs_diff(u_exact, u_step) < 1e-6
 
@@ -104,7 +103,7 @@ def test_static_frame_stark_sign_matches_eliminated_tier(fig3b_p1):
     # second-order shift of |0, n=1> in the framed model is +g^2/delta1
     space = kc.build_space(n_max=1, n_atoms=1, levels=3)
     hop, _ = models.static_frame_hamiltonian(space, fig3b_p1, raman=False)
-    w, v = np.linalg.eigh(hop.matrix)
+    w, v = np.linalg.eigh(hop)
     i = space.index(1, space.atomic_basis.index((0,)))
     overlaps = np.abs(v[i, :]) ** 2
     shift = w[np.argmax(overlaps)]
@@ -114,9 +113,9 @@ def test_static_frame_stark_sign_matches_eliminated_tier(fig3b_p1):
 
 def test_tier_b_raman_off_form(fig3b_p1):
     space = kc.build_space(n_max=3, n_atoms=2, levels=2)
-    h = models.tier_b_hamiltonian(space, fig3b_p1, raman=False).matrix
-    n = kc.number_op(space).matrix
-    s00 = kc.collective(space, 0, 0).matrix
+    h = models.tier_b_hamiltonian(space, fig3b_p1, raman=False)
+    n = kc.number_op(space)
+    s00 = kc.collective(space, 0, 0)
     expected = (fig3b_p1.g**2 / fig3b_p1.delta1) * (n @ s00)
     assert numerics.max_abs_diff(h, expected) < 1e-6
     assert numerics.hermiticity_defect(h) < 1e-12 * np.abs(h).max()
@@ -126,7 +125,7 @@ def test_tier_b_sector_eigenvalues(fig3b_p1):
     # per photon sector (N=1): eigenvalues of [[2xn, Th/2], [Th/2, 0]]
     p = fig3b_p1
     space = kc.build_space(n_max=1, n_atoms=1, levels=2)
-    h = models.tier_b_hamiltonian(space, p).matrix
+    h = models.tier_b_hamiltonian(space, p)
     x, th = p.stark, p.theta
     got = np.sort(np.linalg.eigvalsh(h))
     expected = []
@@ -144,8 +143,8 @@ def test_tier_b_rejects_three_level_space(fig3b_p1):
 
 def test_h1int_vacuum_sector(fig3b_p1):
     space = kc.build_space(n_max=2, n_atoms=2, levels=2)
-    h = models.effective_hamiltonian(space, fig3b_p1, "h1int").matrix
-    s3 = kc.s3(space).matrix
+    h = models.effective_hamiltonian(space, fig3b_p1, "h1int")
+    s3 = kc.s3(space)
     d = space.atomic_dim
     assert numerics.max_abs_diff(
         h[:d, :d], (fig3b_p1.theta / 2) * s3[:d, :d]) < 1e-9
@@ -154,7 +153,7 @@ def test_h1int_vacuum_sector(fig3b_p1):
 def test_hrot_second_term_magnitude(fig3b_p1):
     # |<1,-|H_rot|1,-> + theta/2| = kappa = 2.5e5 at the benchmark rates
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
-    h = models.effective_hamiltonian(space, fig3b_p1, "hrot").matrix
+    h = models.effective_hamiltonian(space, fig3b_p1, "hrot")
     minus = kc.basis_state(space, 1, "-")
     diag = (minus.conj() @ h @ minus).real
     assert abs(abs(diag + fig3b_p1.theta / 2) - 2.5e5) < 1e-3
@@ -162,7 +161,7 @@ def test_hrot_second_term_magnitude(fig3b_p1):
 
 def test_kerr_diagonal(fig3b_p1):
     space = kc.build_space(n_max=3, n_atoms=1, levels=2)
-    h = models.effective_hamiltonian(space, fig3b_p1, "kerr").matrix
+    h = models.effective_hamiltonian(space, fig3b_p1, "kerr")
     coeff = fig3b_p1.g**4 / (4 * fig3b_p1.delta1**2 * fig3b_p1.theta)
     for n in range(4):
         minus = kc.basis_state(space, n, "-")
@@ -181,8 +180,8 @@ def test_hausdorff_residual_scaling():
         p = kc.derive_params(kc.SchemeParams(g=g, delta1=delta1, theta=theta,
                                              omega=1e12))
         u = pulses.u_ideal(space, p)
-        h = models.effective_hamiltonian(space, p, "h1int").matrix
-        hrot = models.effective_hamiltonian(space, p, "hrot").matrix
+        h = models.effective_hamiltonian(space, p, "h1int")
+        hrot = models.effective_hamiltonian(space, p, "hrot")
         resid.append(np.abs(u.conj().T @ h @ u - hrot).max())
     slope = np.polyfit(np.log(rs), np.log(resid), 1)[0]
     assert slope >= 3.5
@@ -192,7 +191,7 @@ def test_rotation_cancels_linear_flip_term(fig3b_p1):
     # the defining property of the canonical rotation
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
     u = pulses.u_ideal(space, fig3b_p1)
-    h = models.effective_hamiltonian(space, fig3b_p1, "h1int").matrix
+    h = models.effective_hamiltonian(space, fig3b_p1, "h1int")
     hr = u.conj().T @ h @ u
     plus1 = kc.basis_state(space, 1, "+")
     minus1 = kc.basis_state(space, 1, "-")
@@ -207,7 +206,7 @@ def test_dispersive_two_level_form(fig3b_p1):
     h = models.effective_hamiltonian(space, fig3b_p1, "dispersive_two_level")
     p = fig3b_p1
     ket = kc.basis_state(space, 2, "00")
-    val = (ket.conj() @ h.matrix @ ket).real
+    val = (ket.conj() @ h @ ket).real
     nn = p.n_atoms
     expected = (nn * p.g**2 / p.delta1) * 2 * 2 \
         + (nn * p.g**4 / p.delta1**3) * 4 * 2
@@ -219,12 +218,12 @@ def test_resonant_driven_form(fig3b_p1):
     h = models.effective_hamiltonian(space, fig3b_p1, "resonant_driven")
     p = fig3b_p1
     minus = kc.basis_state(space, 1, "-")
-    val = (minus.conj() @ h.matrix @ minus).real
+    val = (minus.conj() @ h @ minus).real
     expected = -(p.n_atoms * p.g**2 / p.delta1) \
         - (p.n_atoms * p.g**4 / (p.delta1**2 * p.omega))
     assert abs(val - expected) < 1e-6
-    n = kc.number_op(space).matrix
-    assert numerics.max_abs_diff(h.matrix @ n, n @ h.matrix) < 1e-9
+    n = kc.number_op(space)
+    assert numerics.max_abs_diff(h @ n, n @ h) < 1e-9
 
 
 def test_tier_consistency_eigenphases(fig3b_p1):
@@ -233,7 +232,7 @@ def test_tier_consistency_eigenphases(fig3b_p1):
     # parameter; at n photons the flip coupling is x n)
     p = fig3b_p1
     space = kc.build_space(n_max=3, n_atoms=1, levels=2)
-    h = models.tier_b_hamiltonian(space, p).matrix
+    h = models.tier_b_hamiltonian(space, p)
     x, th = p.stark, p.theta
     for n in range(1, 4):
         idx = [space.index(n, k) for k in range(space.atomic_dim)]
@@ -272,7 +271,7 @@ def test_cross_effective_polarization_coefficient():
     vals = {}
     for occ in ((0, 0), (0, 1), (1, 0), (1, 1)):
         ket = kc.basis_state(space, occ, "-")
-        vals[occ] = (ket.conj() @ h.matrix @ ket).real
+        vals[occ] = (ket.conj() @ h @ ket).real
     cross = vals[(1, 1)] - vals[(1, 0)] - vals[(0, 1)] + vals[(0, 0)]
     assert abs(cross - 5e5) < 1e-3
 
@@ -280,20 +279,20 @@ def test_cross_effective_polarization_coefficient():
 def test_cross_toroidal_degenerate_limit():
     p = ex.cross_params("toroidal")  # mode_split = 0
     space = kc.build_space(n_max=1, n_atoms=1, levels=2, n_modes=2)
-    h = models.cross_kerr_hamiltonian(space, p, "toroidal").matrix
+    h = models.cross_kerr_hamiltonian(space, p, "toroidal")
     a_coeff = p.g**2 / (2 * p.delta1)
-    quad = a_coeff * (kc.number_op(space, 0).matrix
-                      + kc.number_op(space, 1).matrix)
-    expected = (quad @ quad @ kc.s3(space).matrix) / p.theta
+    quad = a_coeff * (kc.number_op(space, 0)
+                      + kc.number_op(space, 1))
+    expected = (quad @ quad @ kc.s3(space)) / p.theta
     assert numerics.max_abs_diff(h, expected) < 1e-6
 
 
 def test_cross_effective_commutes_with_photon_numbers():
     p = ex.cross_params("polarization")
     space = kc.build_space(n_max=1, n_atoms=1, levels=2, n_modes=2)
-    h = models.cross_kerr_hamiltonian(space, p, "polarization").matrix
+    h = models.cross_kerr_hamiltonian(space, p, "polarization")
     for mode in (0, 1):
-        n = kc.number_op(space, mode).matrix
+        n = kc.number_op(space, mode)
         assert numerics.max_abs_diff(h @ n, n @ h) < 1e-9
 
 
@@ -301,7 +300,7 @@ def test_cross_full_hermitian_and_couplings():
     p = kc.synthesize_raman(ex.cross_params("polarization"))
     space = kc.build_space(n_max=1, n_atoms=1, levels=3, n_modes=2)
     h = models.cross_kerr_hamiltonian(space, p, "polarization", form="full",
-                                      t=2.0e-9, raman=True).matrix
+                                      t=2.0e-9, raman=True)
     assert numerics.hermiticity_defect(h) < 1e-12 * np.abs(h).max()
     # mode b couples 1 <-> 2: <(0,0), 2| H |(0,1), 1> = g_b e^{-i delta1_b t}
     i = space.index((0, 0), space.atomic_basis.index((2,)))
@@ -320,15 +319,51 @@ def test_every_builder_is_hermitian(fig3b_p1):
     space3 = kc.build_space(n_max=2, n_atoms=2, levels=3)
     space2 = kc.build_space(n_max=2, n_atoms=2, levels=2)
     mats = [
-        models.full_hamiltonian(space3, p, 0.7e-8, raman=True, pulse=True).matrix,
-        models.static_frame_hamiltonian(space3, p, raman=True)[0].matrix,
-        models.tier_b_hamiltonian(space2, p, pulse=True).matrix,
-        models.effective_hamiltonian(space2, p, "h1int").matrix,
-        models.effective_hamiltonian(space2, p, "hrot").matrix,
-        models.effective_hamiltonian(space2, p, "kerr").matrix,
+        models.full_hamiltonian(space3, p, 0.7e-8, raman=True, pulse=True),
+        models.static_frame_hamiltonian(space3, p, raman=True)[0],
+        models.tier_b_hamiltonian(space2, p, pulse=True),
+        models.effective_hamiltonian(space2, p, "h1int"),
+        models.effective_hamiltonian(space2, p, "hrot"),
+        models.effective_hamiltonian(space2, p, "kerr"),
     ]
     for m in mats:
         assert numerics.hermiticity_defect(m) <= 1e-12 * max(np.abs(m).max(), 1)
+
+
+def test_every_builder_returns_a_complex128_square_ndarray(fig3b_p1):
+    # operators are plain ndarrays; complex128 throughout keeps every
+    # downstream product, and so the emitted numbers, bit-for-bit stable
+    p = kc.synthesize_raman(fig3b_p1)
+    space2 = kc.build_space(n_max=2, n_atoms=2, levels=2)
+    space3 = kc.build_space(n_max=1, n_atoms=2, levels=3)
+    built = [
+        (space2, kc.annihilation(space2)), (space2, kc.number_op(space2)),
+        (space3, kc.collective(space3, 2, "+")), (space2, kc.s3(space2)),
+        (space3, models.full_hamiltonian(space3, p, 0.3e-8, raman=True,
+                                         pulse=True)),
+        (space3, models.static_frame_hamiltonian(space3, p, raman=True)[0]),
+        (space3, models.segment_hamiltonian(space3, p, "full", True)[0]),
+        (space2, models.segment_hamiltonian(space2, p, "eliminated", False,
+                                            0.4)[0]),
+        (space2, models.tier_b_hamiltonian(space2, p, pulse=True)),
+        (space2, models.rotation_generator(space2, p)),
+    ]
+    built += [(space2, models.effective_hamiltonian(space2, p, kind))
+              for kind in models.EFFECTIVE_KINDS]
+    for variant in ("polarization", "toroidal"):
+        pc = kc.synthesize_raman(ex.cross_params(variant))
+        two = {"effective": kc.build_space(n_max=1, n_atoms=1, levels=2,
+                                           n_modes=2),
+               "full": kc.build_space(n_max=1, n_atoms=1, levels=3,
+                                      n_modes=2)}
+        two["eliminated"] = two["effective"]
+        built += [(sp, models.cross_kerr_hamiltonian(sp, pc, variant, form,
+                                                     pulse=True))
+                  for form, sp in two.items()]
+    for space, m in built:
+        assert type(m) is np.ndarray
+        assert m.dtype == np.complex128
+        assert m.shape == (space.dim, space.dim)
 
 
 def test_spec_flag_validation(fig3b_p1):
@@ -340,12 +375,21 @@ def test_spec_flag_validation(fig3b_p1):
             models.segment_hamiltonian(space, fig3b_p1, tier, False, 0.0)
     h, g = models.segment_hamiltonian(space, fig3b_p1, "eliminated", True)
     assert numerics.max_abs_diff(
-        h, models.tier_b_hamiltonian(space, fig3b_p1).matrix) == 0
+        h, models.tier_b_hamiltonian(space, fig3b_p1)) == 0
     assert not g.any()
+    # on the full tier g = (D2 - D1) n + D2 S22, with D2 := D1 when the
+    # Raman pair is off, and H' = H(0) - diag(g)
     p = kc.synthesize_raman(fig3b_p1)
-    space3 = kc.build_space(n_max=1, n_atoms=1, levels=3)
-    h, g = models.segment_hamiltonian(space3, p, "full", False, 0.4)
-    hop, frame = models.static_frame_hamiltonian(
-        space3, p, pulse=True, pulse_phase=0.4)
-    assert numerics.max_abs_diff(h, hop.matrix) == 0
-    assert numerics.max_abs_diff(g, np.diag(frame.generator(space3))) == 0
+    space3 = kc.build_space(n_max=1, n_atoms=2, levels=3)
+    n = np.diag(kc.number_op(space3))
+    s22 = np.diag(kc.collective(space3, 2, 2))
+    for raman, d2 in ((False, p.delta1), (True, p.delta2)):
+        h, g = models.segment_hamiltonian(space3, p, "full", raman, 0.4)
+        hop, g_frame = models.static_frame_hamiltonian(
+            space3, p, raman, pulse=True, pulse_phase=0.4)
+        assert numerics.max_abs_diff(h, hop) == 0
+        assert numerics.max_abs_diff(g, g_frame) == 0
+        assert g.dtype == np.float64 and g.shape == (space3.dim,)
+        assert numerics.max_abs_diff(g, (d2 - p.delta1) * n + d2 * s22) == 0
+        h0 = models.full_hamiltonian(space3, p, 0.0, raman, True, 0.4)
+        assert numerics.max_abs_diff(hop, h0 - np.diag(g)) == 0

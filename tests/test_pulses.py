@@ -129,9 +129,9 @@ def test_closed_form_phase_maximizes_fidelity(tier, theta, theta_sign,
     space = kc.build_space(n_max=2, n_atoms=1, levels=levels)
     target = pulses.u_ideal(space, p)
     u0 = pulses.u_physical(space, p, tier, first_phase=0.0)
-    gen = np.diag(kc.collective(space, 0, 0).matrix).real
+    gen = np.diag(kc.collective(space, 0, 0)).real
     if levels == 3:
-        gen = gen + np.diag(kc.collective(space, 2, 2).matrix).real
+        gen = gen + np.diag(kc.collective(space, 2, 2)).real
 
     def fidelity(phi):
         r = np.exp(1j * phi * gen)
@@ -267,9 +267,9 @@ def test_v_closed_form_matches_seven_segment_schedule(fig3b_p1, tier, n_atoms):
 def test_pulse_phase_is_a_diagonal_conjugation(fig3b_p1, tier):
     # U_phys(phi) = R(phi) U_phys(0) R(phi)^dag, R = exp(i phi (S00 + S22))
     space, p = _tier_setup(tier, 1, fig3b_p1)
-    gen = kc.collective(space, 0, 0).matrix
+    gen = kc.collective(space, 0, 0)
     if tier == "full":
-        gen = gen + kc.collective(space, 2, 2).matrix
+        gen = gen + kc.collective(space, 2, 2)
     u0 = pulses.u_physical(space, p, tier, first_phase=0.0)
     for phi in (0.4, math.pi, 4.9):
         r = numerics.expm_hermitian(gen, -phi)
