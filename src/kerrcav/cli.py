@@ -141,7 +141,8 @@ def _scenario_kwargs(cfg: dict, scenario: str | None = None,
     """Scenario keyword arguments from the config; command-line flags win.
 
     Every scenario takes the grid block; the overlap scenarios (fig3a,
-    fig3b) also take ``mode``, ``tier`` and ``frame_calibration``.
+    fig3b) also take ``mode``, ``tier`` and ``frame_calibration``, and a tier
+    they cannot run is rejected here, before a sweep runs any point.
     """
     grid = dict(cfg.get("grid", {}))
     kw = {}
@@ -157,6 +158,7 @@ def _scenario_kwargs(cfg: dict, scenario: str | None = None,
             value = getattr(args, key, None) or cfg.get(key)
             if value is not None:
                 kw[key] = value
+        experiments.check_overlap_tier(scenario, kw.get("tier", "eliminated"))
     return kw
 
 

@@ -81,6 +81,15 @@ def apply_overrides(p: SchemeParams, overrides: dict | None) -> SchemeParams:
     return derive_params(replace(p, **overrides))
 
 
+def check_overlap_tier(name: str, tier: str) -> None:
+    """fig3a/fig3b build a two-level space, which only the eliminated tier
+    runs on."""
+    if tier != "eliminated":
+        raise ValidationError(
+            f"tier {tier!r} is not available here: the {name} scenario builds "
+            "a two-level space, which only the 'eliminated' tier runs on")
+
+
 def _check_grid_points(points) -> None:
     """A time grid needs an integral number of at least two points."""
     if (isinstance(points, bool) or not isinstance(points, numbers.Integral)
@@ -265,10 +274,7 @@ def _run_overlap_scenario(
     if frame_calibration not in ("per_branch", "n1_shared"):
         raise ValidationError(
             f"unknown frame_calibration {frame_calibration!r}")
-    if tier != "eliminated":
-        raise ValidationError(
-            f"tier {tier!r} is not available here: the {name} scenario builds "
-            "a two-level space, which only the 'eliminated' tier runs on")
+    check_overlap_tier(name, tier)
     _check_grid_points(grid_points)
     if overrides and "n_atoms" in overrides:
         # an atom number selects its branches, never re-labels the others
@@ -305,7 +311,9 @@ def _run_overlap_scenario(
         t_grid = np.linspace(0.0, 2 * math.pi / abs(p.kappa), grid_points)
         elapsed = protocol.elapsed(t_grid)
         theta_rate = protocol.theta_phase_rate()
-        spp = collective(space, "+", "+")
+        # S++ acts within a photon-number sector, the same in every one
+        d = space.atomic_dim
+        spp = collective(space, "+", "+")[:d, :d]
         r0 = p.n_atoms * p.stark if mode == "physical" else 0.0
 
         ns = [n for (NN, n) in branch_list if NN == N]
@@ -339,8 +347,9 @@ def _run_overlap_scenario(
                 r_lin = r_shared
             y = _y_series(amps, t_grid, elapsed, n, theta_rate, r_lin)
             err = np.abs(y - reference)
+            sector = states[:, space.index(n, 0):space.index(n, 0) + d]
             plus_pop = np.einsum(
-                "ij,ij->i", states.conj(), states @ spp.T).real
+                "ij,ij->i", sector.conj(), sector @ spp.T).real
             z_shared = amps * np.exp(
                 1j * (r_shared * n * elapsed - theta_rate * t_grid))
             freq = fitted_frequency(t_grid, z_shared) if n > 0 else 0.0

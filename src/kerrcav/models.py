@@ -241,9 +241,9 @@ def tier_b_hamiltonian(
     """
     _require_levels(space, 2, "the eliminated model")
     p = derive_params(p)
-    n = number_op(space)
+    n = np.diag(number_op(space))
     s00 = collective(space, 0, 0)
-    h = (p.g**2 / p.delta1) * (n @ s00)
+    h = (p.g**2 / p.delta1) * (n[:, None] * s00)  # n @ S00, n diagonal
     if raman:
         s01 = collective(space, 0, 1)
         h = h + (p.theta / 2) * (s01 + s01.conj().T)
@@ -260,9 +260,9 @@ def rotation_generator(space: Space, p: SchemeParams) -> np.ndarray:
     photon.
     """
     p = derive_params(p)
-    n = number_op(space)
+    n = np.diag(number_op(space))
     spm = collective(space, "+", "-")
-    return -(p.mu / 2) * (n @ (spm - spm.conj().T))
+    return -(p.mu / 2) * (n[:, None] * (spm - spm.conj().T))
 
 
 def effective_hamiltonian(

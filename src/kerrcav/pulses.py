@@ -29,7 +29,7 @@ import numpy as np
 
 from . import models, numerics
 from .errors import CalibrationError, GuardError, ValidationError
-from .evolve import SegmentPropagators
+from .evolve import SegmentPropagators, sector_blocks
 from .hilbert import Space, basis_state, collective
 from .models import SchemeParams, derive_params
 
@@ -86,17 +86,29 @@ def m_pulse(
         raise ValidationError(f"unknown pulse mode {mode!r}")
     check_pulse_guard(space, p)
     p = derive_params(p)
-    return SegmentPropagators(space, p, tier).propagator(
-        False, phase, 0.0, math.pi / (2 * p.omega))
+    return numerics.block_diagonal(SegmentPropagators(space, p, tier).propagator(
+        False, phase, 0.0, math.pi / (2 * p.omega)))
+
+
+def _photon_sectors(space: Space, h: np.ndarray):
+    """(S, d, d) photon-number blocks of a photon-diagonal operator, and the
+    zero frame in the matching (S, d) shape."""
+    return sector_blocks(space, "eliminated", h, np.zeros(space.dim))
+
+
+def _ideal_rotation(space: Space, p: SchemeParams) -> np.ndarray:
+    """The canonical rotation, exponentiated per photon-number block."""
+    gen, _ = _photon_sectors(space, models.rotation_generator(space, p))
+    return numerics.expm_antihermitian(gen)
 
 
 def u_ideal(space: Space, p: SchemeParams) -> np.ndarray:
     """Exact exponential of the canonical rotation generator."""
-    return numerics.expm_antihermitian(models.rotation_generator(space, p))
+    return numerics.block_diagonal(_ideal_rotation(space, p))
 
 
 def _sandwich(props: SegmentPropagators, first_phase: float):
-    """(matrix, per-segment unitarity defects) of the realization from clock 0."""
+    """(stack, per-segment unitarity defects) of the realization from clock 0."""
     p = props.params
     tau = 1.0 / abs(p.theta)
     tp = math.pi / (2 * p.omega)
@@ -122,16 +134,15 @@ def u_physical(
     p = derive_params(p)
     if first_phase is None:
         first_phase = default_forward_phase(p)
-    return _sandwich(SegmentPropagators(space, p, tier), first_phase)[0]
+    return numerics.block_diagonal(
+        _sandwich(SegmentPropagators(space, p, tier), first_phase)[0])
 
 
 def sector_traces(space: Space, d: np.ndarray) -> np.ndarray:
-    """Per-photon-sector diagonal traces of a matrix (mode-a sectors)."""
-    ns = np.array([space.photon_numbers(i)[0] for i in range(space.dim)])
-    diag = np.diag(d)
-    return np.array([
-        diag[ns == n].sum() for n in range(space.n_max + 1)
-    ])
+    """Traces of a matrix's diagonal blocks, one per mode-a photon number
+    (mode a's photon index varies slowest)."""
+    s = space.n_max + 1
+    return np.einsum("iaia->i", np.reshape(d, (s, space.dim // s) * 2))
 
 
 def _beta_and_fidelity(space: Space, target: np.ndarray, u: np.ndarray):
@@ -200,6 +211,10 @@ class VProtocol:
     ``rotated_reference`` exponentiates the photon-diagonal part of the
     rotated Hamiltonian between identities (the analytic pipeline check,
     for which X(t) = 1 and Y(t) = cos(kappa n^2 t) exactly).
+
+    Every factor is kept as a stack of photon-number blocks
+    (``evolve.sector_blocks``; one block on the full tier), and V(t) x is
+    evaluated only in the sectors where x is nonzero.
     """
 
     MODES = ("physical", "ideal", "rotated_reference")
@@ -221,7 +236,6 @@ class VProtocol:
         self.tau = 1.0 / abs(p.theta)
         self.t_pulse = math.pi / (2 * p.omega) if p.omega else 0.0
         self._s = 2 * self.t_pulse + self.tau
-        g_on = g_off = np.zeros(space.dim)
 
         if mode == "physical":
             check_pulse_guard(space, p)
@@ -232,16 +246,21 @@ class VProtocol:
             self._edge_defects = (pre_defects, post_defects)
             self._eig, g_on = props.eigensystem(True)
             g_off = props.eigensystem(False)[1]
-            self._pre = np.exp(1j * g_on * self._s)[:, None] * self._pre
+            self._pre = np.exp(1j * g_on * self._s)[..., None] * self._pre
         elif mode == "ideal":
-            self._pre = u_ideal(space, p)
-            self._post = self._pre.conj().T
-            self._eig = numerics.HermitianEigensystem(
-                models.effective_hamiltonian(space, p, "h1int"))
+            self._pre = _ideal_rotation(space, p)
+            self._post = numerics.dagger(self._pre)
+            h, g_on = _photon_sectors(
+                space, models.effective_hamiltonian(space, p, "h1int"))
+            self._eig = numerics.HermitianEigensystem(h)
+            g_off = g_on
         else:
-            self._pre = self._post = np.eye(space.dim, dtype=complex)
-            self._eig = numerics.HermitianEigensystem(models.effective_hamiltonian(
+            h, g_on = _photon_sectors(space, models.effective_hamiltonian(
                 space, p, "hrot", drop_rot_leakage=True))
+            self._eig = numerics.HermitianEigensystem(h)
+            self._pre = self._post = np.broadcast_to(
+                np.eye(self._eig.dim, dtype=complex), h.shape)
+            g_off = g_on
         self._g = (g_on, g_off)
 
     def elapsed(self, t: float) -> float:
@@ -256,22 +275,43 @@ class VProtocol:
 
     # -- propagators and series ----------------------------------------------
 
-    def _apply(self, times, x: np.ndarray) -> np.ndarray:
-        """V(t) x for each t and each column of x: (len(times), k, dim)."""
+    def _sectors(self, times, x: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """V(t) x in the sector blocks ``live`` for x of shape (L, d, k):
+        (L, d, len(times), k)."""
         t = np.asarray(times, dtype=float)
-        dim = self.space.dim
-        vecs = self._eig.eigenvectors
-        y = self._eig.phases(t)[:, None, :] * (vecs.conj().T @ (self._pre @ x)).T
-        y = (y.reshape(-1, dim) @ vecs.T).reshape(y.shape)
-        g_on, g_off = self._g
-        y *= np.exp(1j * np.multiply.outer(self._s + t, g_off - g_on))[:, None]
-        y = (y.reshape(-1, dim) @ self._post.T).reshape(y.shape)
-        y *= np.exp(-1j * np.multiply.outer(self._s + t, g_off))[:, None]
+        n_live, d, k = x.shape
+        vecs = self._eig.eigenvectors[live]
+        y = numerics.dagger(vecs) @ (self._pre[live] @ x)
+        y = np.exp(-1j * np.multiply.outer(self._eig.eigenvalues[live], t))[
+            ..., None] * y[:, :, None, :]
+        shape = y.shape
+        y = (vecs @ y.reshape(n_live, d, -1)).reshape(shape)
+        clock = self._s + t
+        g_on, g_off = self._g[0][live], self._g[1][live]
+        y *= np.exp(1j * np.multiply.outer(g_off - g_on, clock))[..., None]
+        y = (self._post[live] @ y.reshape(n_live, d, -1)).reshape(shape)
+        y *= np.exp(-1j * np.multiply.outer(g_off, clock))[..., None]
         return y
 
+    def _apply(self, times, x: np.ndarray) -> np.ndarray:
+        """V(t) x for each t and each column of x: (len(times), k, dim)."""
+        n_sectors, d = self._g[0].shape
+        xs = x.reshape(n_sectors, d, -1)
+        live = np.flatnonzero(xs.any(axis=(1, 2)))
+        y = self._sectors(times, xs[live], live)
+        out = np.zeros((y.shape[2], xs.shape[2], n_sectors, d), dtype=complex)
+        out[:, :, live] = y.transpose(2, 3, 0, 1)
+        return out.reshape(len(out), -1, self.space.dim)
+
+    def _blocks(self, t: float) -> np.ndarray:
+        """V(t) as its stack of sector blocks."""
+        n_sectors, d = self._g[0].shape
+        eye = np.broadcast_to(np.eye(d, dtype=complex), (n_sectors, d, d))
+        return self._sectors([t], eye, np.arange(n_sectors))[:, :, 0]
+
     def matrix(self, t: float) -> np.ndarray:
-        """V(t) as a dense matrix: the closed form applied to the identity."""
-        return self._apply([t], np.eye(self.space.dim))[0].T
+        """V(t) as a dense matrix."""
+        return numerics.block_diagonal(self._blocks(t))
 
     def compose_diagnostics(self, t: float) -> dict:
         """Per-segment unitarity defects and step counts at Kerr time t.
@@ -286,7 +326,7 @@ class VProtocol:
         defects = pre + [numerics.unitarity_defect(self._eig.propagator(t))] + post
         return {"segment_unitarity_defects": defects,
                 "segment_step_counts": [1] * len(defects),
-                "total_unitarity_defect": numerics.unitarity_defect(self.matrix(t))}
+                "total_unitarity_defect": numerics.unitarity_defect(self._blocks(t))}
 
     def states(self, times, psi0: np.ndarray) -> np.ndarray:
         """V(t) psi0 for each t; shape (len(times), dim)."""
@@ -298,4 +338,3 @@ class VProtocol:
                            "-" * self.space.n_atoms)
         states = self.states(times, psi0)
         return states @ psi0.conj()
-

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -279,6 +283,13 @@ def test_config_unknown_tier_exits_2(capsys, tmp_path, command):
                                "--out", str(tmp_path / "out"))
         assert code == 2
         assert f"'{key}'" in err and "'bogus'" in err
+    # fig3b builds a two-level space, which the full tier cannot run on
+    cfg = write_config(tmp_path, {"tier": "full"})
+    code, _, err = run_cli(capsys, *command, "--config", cfg,
+                           "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "tier 'full'" in err and "two-level" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("mode", ["ideal", "physical"])
@@ -314,3 +325,14 @@ def test_sweep_rejects_non_integral_jobs(capsys, tmp_path, jobs):
                            "--scenario", "regime_check", "--out", str(tmp_path))
     assert code == 2
     assert "jobs" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    proc = subprocess.run(
+        [sys.executable, "-m", "kerrcav", "list-scenarios"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "fig3b" in proc.stdout.split()

@@ -6,7 +6,7 @@ import pytest
 
 import kerrcav as kc
 from kerrcav import evolve, models, numerics
-from kerrcav.errors import GuardError
+from kerrcav.errors import GuardError, ValidationError
 from kerrcav.evolve import SegmentPropagators
 
 from conftest import random_hermitian
@@ -102,7 +102,8 @@ def test_compose_merges_static_segments(fig3b_p1):
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
     props = SegmentPropagators(space, fig3b_p1, "eliminated")
     t1, t2 = 3.0 / G, 7.0 / G
-    u = props.propagator(True, None, t1, t2) @ props.propagator(True, None, 0.0, t1)
+    u = numerics.block_diagonal(
+        props.propagator(True, None, t1, t2) @ props.propagator(True, None, 0.0, t1))
     h = models.tier_b_hamiltonian(space, fig3b_p1)
     assert numerics.max_abs_diff(
         u, numerics.expm_hermitian(h, t1 + t2)) < 1e-10
@@ -117,16 +118,16 @@ def test_adjacent_pulse_pair_composes_to_identity():
     props = SegmentPropagators(space, p, "eliminated")
     tp = math.pi / (2 * p.omega)
     phi = 0.7
-    u = props.propagator(False, phi + math.pi, tp, tp) \
-        @ props.propagator(False, phi, 0.0, tp)
+    u = numerics.block_diagonal(props.propagator(False, phi + math.pi, tp, tp)
+                                @ props.propagator(False, phi, 0.0, tp))
     assert numerics.max_abs_diff(u, np.eye(space.dim)) < 1e-6
 
 
 def test_time_reversal(fig3b_p1):
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
     props = SegmentPropagators(space, fig3b_p1, "eliminated")
-    mats = [props.propagator(False, None, 0.0, 4.0 / G),
-            props.propagator(True, None, 4.0 / G, 9.0 / G)]
+    mats = [numerics.block_diagonal(props.propagator(False, None, 0.0, 4.0 / G)),
+            numerics.block_diagonal(props.propagator(True, None, 4.0 / G, 9.0 / G))]
     forward = mats[1] @ mats[0]
     inverse = mats[0].conj().T @ mats[1].conj().T
     assert numerics.max_abs_diff(forward @ inverse, np.eye(space.dim)) < 1e-8
@@ -172,3 +173,19 @@ def test_norm_preservation_full_benchmark_schedule(fig3b_result):
         norms = np.abs(b.amplitudes)
         assert norms.max() <= 1 + 1e-8
     assert fig3b_result.diagnostics["unitarity_defect"] < 1e-8
+
+
+def test_sector_blocks_rejects_photon_changing_operator():
+    space = kc.build_space(n_max=2, n_atoms=1, levels=2)
+    a = kc.annihilation(space)
+    with pytest.raises(ValidationError, match="photon-number sectors"):
+        evolve.sector_blocks(space, "eliminated", a + a.conj().T,
+                             np.zeros(space.dim))
+
+
+def test_sector_blocks_are_the_diagonal_blocks(fig3b_p1):
+    space = kc.build_space(n_max=2, n_atoms=2, levels=2)
+    h = models.tier_b_hamiltonian(space, fig3b_p1)
+    blocks, g = evolve.sector_blocks(space, "eliminated", h, np.zeros(space.dim))
+    assert blocks.shape == (3, 4, 4) and g.shape == (3, 4)
+    assert np.array_equal(numerics.block_diagonal(blocks), h)

@@ -98,3 +98,21 @@ def test_eigensystem_reuse_matches_direct(rng):
 def test_as_matrix_rejects_non_square():
     with pytest.raises(ValidationError):
         numerics.as_matrix(np.zeros((2, 3)))
+
+
+def test_stack_matches_its_blocks(rng):
+    blocks = np.array([random_hermitian(rng, 4) for _ in range(3)])
+    eig = numerics.HermitianEigensystem(blocks)
+    assert eig.dim == 4
+    assert eig.phases([0.1, 0.2, 0.3]).shape == (3, 3, 4)
+    u = eig.propagator(0.7)
+    for h, block in zip(blocks, u):
+        assert numerics.max_abs_diff(block, numerics.expm_hermitian(h, 0.7)) < 1e-12
+    dense = numerics.block_diagonal(blocks)
+    assert numerics.max_abs_diff(
+        numerics.block_diagonal(u), numerics.expm_hermitian(dense, 0.7)) < 1e-12
+    # a stack's defect is the worst of its blocks
+    u[1] *= 1.01
+    assert abs(numerics.unitarity_defect(u) - (1.01**2 - 1)) < 1e-12
+    with pytest.raises(ValidationError):
+        numerics.as_matrix(np.zeros((2, 3, 4)))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kerrcav as kc
-from kerrcav import numerics, pulses
+from kerrcav import models, numerics, pulses
 from kerrcav.errors import CalibrationError, GuardError, ValidationError
 from kerrcav.evolve import SegmentPropagators
 
@@ -257,7 +257,8 @@ def test_v_closed_form_matches_seven_segment_schedule(fig3b_p1, tier, n_atoms):
                     (False, phi_i + math.pi, tp)]
         ref, clock = np.eye(space.dim), 0.0
         for raman, phase, dt in segments:
-            ref = props.propagator(raman, phase, clock, dt) @ ref
+            ref = numerics.block_diagonal(
+                props.propagator(raman, phase, clock, dt)) @ ref
             clock += dt
         assert numerics.max_abs_diff(proto.matrix(t), ref) < 1e-10
         assert numerics.max_abs_diff(states[k], ref @ psi0) < 1e-10
@@ -281,3 +282,81 @@ def test_unknown_v_mode_rejected(fig3b_p1):
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
     with pytest.raises(ValidationError):
         kc.VProtocol(space, fig3b_p1, mode="nonsense")
+
+
+def _dense_seven_segment_oracle(space, p, t):
+    """V(t) as the product of the seven full-space segment exponentials."""
+    phi_f = pulses.default_forward_phase(p)
+    phi_i = phi_f + math.pi
+    tp, tau = math.pi / (2 * p.omega), 1 / abs(p.theta)
+    segments = [(False, phi_f, tp), (False, None, tau),
+                (False, phi_f + math.pi, tp), (True, None, t),
+                (False, phi_i, tp), (False, None, tau),
+                (False, phi_i + math.pi, tp)]
+    u = np.eye(space.dim)
+    for raman, phase, dt in segments:
+        h, _ = models.segment_hamiltonian(space, p, "eliminated", raman, phase)
+        u = numerics.expm_hermitian(h, dt) @ u
+    return u
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n_atoms=st.integers(1, 5),
+       representation=st.sampled_from(("product", "symmetric")),
+       n=st.integers(0, 2), theta=st.floats(0.5, 4.0),
+       theta_sign=st.sampled_from((-1, 1)), t_frac=st.floats(0.0, 1.0))
+def test_sector_states_match_dense_oracle(n_atoms, representation, n, theta,
+                                          theta_sign, t_frac):
+    # V(t) evaluated in one photon-number block, or in the two blocks of a
+    # superposition of n = 0 and 2, equals the dense product
+    p = kc.derive_params(kc.SchemeParams(
+        g=G, delta1=10 * G, theta=theta_sign * theta * G, omega=100 * G,
+        n_atoms=n_atoms))
+    space = kc.build_space(n_max=2, n_atoms=n_atoms, levels=2,
+                           representation=representation)
+    minus = "-" * n_atoms
+    mixed = (kc.basis_state(space, 0, minus)
+             + kc.basis_state(space, 2, minus)) / math.sqrt(2)
+    times = (0.0, t_frac * 2 * math.pi / abs(p.kappa))
+    proto = kc.VProtocol(space, p)
+    for psi0 in (kc.basis_state(space, n, minus), mixed):
+        states = proto.states(times, psi0)
+        for k, t in enumerate(times):
+            ref = _dense_seven_segment_oracle(space, p, t) @ psi0
+            assert numerics.max_abs_diff(states[k], ref) < 1e-10
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n_atoms=st.sampled_from((2, 3)), n=st.integers(0, 2),
+       theta=st.floats(0.5, 4.0), theta_sign=st.sampled_from((-1, 1)))
+def test_product_and_symmetric_protocols_agree(n_atoms, n, theta, theta_sign):
+    # the two representations give the protocol blocks of size 2^N and N+1
+    p = kc.derive_params(kc.SchemeParams(
+        g=G, delta1=10 * G, theta=theta_sign * theta * G, omega=100 * G,
+        n_atoms=n_atoms))
+    times = np.linspace(0, 2 * math.pi / abs(p.kappa), 17)
+    amps = {}
+    for rep in ("product", "symmetric"):
+        space = kc.build_space(n_max=2, n_atoms=n_atoms, levels=2,
+                               representation=rep)
+        amps[rep] = kc.VProtocol(space, p).amplitude_series(times, n)
+    assert np.abs(amps["product"] - amps["symmetric"]).max() < 1e-10
+
+
+@pytest.mark.parametrize("tier", ["eliminated", "full"])
+def test_physical_protocol_makes_three_eigendecompositions(
+        fig3b_p1, tier, monkeypatch):
+    # pulse (every phase from phase 0), free and Raman-on, each one stack
+    space, p = _tier_setup(tier, 2, fig3b_p1)
+    shapes = []
+    init = numerics.HermitianEigensystem.__init__
+
+    def counting(self, h, *args, **kwargs):
+        shapes.append(np.shape(h))
+        init(self, h, *args, **kwargs)
+
+    monkeypatch.setattr(numerics.HermitianEigensystem, "__init__", counting)
+    kc.VProtocol(space, p, tier=tier)
+    sectors = space.photon_dim if tier == "eliminated" else 1
+    block = space.dim // sectors
+    assert shapes == [(sectors, block, block)] * 3
