@@ -14,9 +14,12 @@ Frame removal multiplies the raw amplitude by exp(+i r_lin n T_elapsed(t))
 rotation windows included) and by exp(-i N theta t / 2) (the global atomic
 reference phase of the Raman segment).  The removal rate r_lin is calibrated
 by scanning a bracket around its analytic value N g^2/(2 delta1) and
-minimizing the maximum deviation from the reference; by default each branch
-is calibrated against its own reference curve (``per_branch``), which
-absorbs the branch's intrinsic dressed-frequency shift; ``n1_shared``
+minimizing the maximum deviation from the reference.  The scan rotates one
+phasor per time point from rate to rate and the ternary refinement scores
+only the time points that can still hold the maximum; both give the same
+rate, bit for bit, as evaluating the whole grid at every rate.  By default
+each branch is calibrated against its own reference curve (``per_branch``),
+which absorbs the branch's intrinsic dressed-frequency shift; ``n1_shared``
 calibrates once on the n = 1 branch and reuses that rate everywhere.  The
 fitted dominant frequencies reported per branch always use the shared n = 1
 rate so the n^2 scaling law is measured in one common frame.
@@ -122,32 +125,66 @@ def _best_rate(amps, times, elapsed, n, theta_rate, reference, r0):
     mirror minimum at the frequency-reflected rate (total phase slope
     flipped in sign); when minima are nearly degenerate the one closest to
     the analytic rate r0 is chosen.
+
+    The objective max_k |Y_k(r) - reference_k| is evaluated cheaply but to
+    the same bits as on the whole grid.  The coarse scan rotates the
+    phasor z_k = a_k exp(i(r s_k - theta_rate t_k)), s_k = n T_elapsed,k,
+    from one scan rate to the next; the few scan values that rounding could
+    move across the minimum or the slack cut are evaluated directly.  Each
+    refinement step scores its two probes on the live points only: point k
+    stays live while |Y_k - reference_k| can still reach the maximum
+    somewhere in the bracket, which bounds its change by |a_k s_k| per unit
+    rate plus a rounding margin that grows with the phase.
     """
 
-    def objective(r):
-        return float(np.abs(
-            _y_series(amps, times, elapsed, n, theta_rate, r) - reference).max())
+    def deviations(r, live=slice(None)):
+        return np.abs(_y_series(amps[live], times[live], elapsed[live], n,
+                                theta_rate, r) - reference[live])
 
     if n == 0 or r0 == 0:
-        return r0, objective(r0), False
+        return r0, float(deviations(r0).max()), False
     half = RATE_BRACKET * abs(r0)
     grid = np.linspace(r0 - half, r0 + half, RATE_COARSE_POINTS)
-    devs = np.array([objective(r) for r in grid])
+    s = n * elapsed
+    lip = np.abs(amps) * np.abs(s)
+    ulps = 16 * np.finfo(float).eps * np.abs(amps)
+    # rounding bound on one |Y_k - reference_k|, scaled with the phase
+    fuzz = 1e-12 + ulps * (
+        (abs(r0) + half) * np.abs(s) + abs(theta_rate) * np.abs(times) + 1)
+    z = amps * np.exp(1j * (grid[0] * n * elapsed - theta_rate * times))
+    step = np.exp(1j * (grid[1] - grid[0]) * s)
+    devs = np.empty(RATE_COARSE_POINTS)
+    for j in range(RATE_COARSE_POINTS):
+        devs[j] = np.abs(z.real - reference).max()
+        z *= step
+    # every rotation step adds a few ulps of |a_k|
+    tol = (fuzz + RATE_COARSE_POINTS * ulps).max()
+
+    def settle(mask):
+        idx = np.flatnonzero(mask)
+        devs[idx] = [deviations(r).max() for r in grid[idx]]
+
+    settle(devs <= devs.min() + 2 * tol)
     slack = devs.min() + max(0.01, 0.5 * devs.min())
+    settle(np.abs(devs - slack) <= tol)
     candidates = np.flatnonzero(devs <= slack)
     i = int(candidates[np.argmin(np.abs(grid[candidates] - r0))])
     flagged = i in (0, len(grid) - 1)
     lo = grid[max(0, i - 1)]
     hi = grid[min(len(grid) - 1, i + 1)]
+    live = np.arange(len(amps))
     for _ in range(RATE_REFINE_ITERS):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
-        if objective(m1) <= objective(m2):
-            hi = m2
+        d1, d2 = deviations(np.array([[m1], [m2]]), live)
+        if d1.max() <= d2.max():
+            hi, ref, dev = m2, m1, d1
         else:
-            lo = m1
+            lo, ref, dev = m1, m2, d2
+        reach = lip[live] * max(ref - lo, hi - ref) + fuzz[live]
+        live = live[dev + reach >= (dev - reach).max()]
     r = 0.5 * (lo + hi)
-    return float(r), objective(r), flagged
+    return float(r), float(deviations(r, live).max()), flagged
 
 
 def _protocol_series(protocol: VProtocol, times, n):
@@ -611,29 +648,33 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def csv_text(result) -> str:
-    """CSV body for a scenario result (stable row order)."""
+    """CSV body for a scenario result (stable row order).
+
+    Floats are written as ``repr`` of the Python float, column by column;
+    a cross-Kerr modulus is Python's ``abs`` of each complex amplitude.
+    Each block of rows is joined on its own, so its row strings are freed
+    before the next block is formatted.
+    """
     if isinstance(result, CrossKerrResult):
-        lines = ["t_seconds,n_a,n_b,modulus,phase"]
-        for occ in sorted(result.amplitudes):
-            amp = result.amplitudes[occ]
+        blocks = ["t_seconds,n_a,n_b,modulus,phase\n"]
+        times = result.times.tolist()
+        for n_a, n_b in sorted(result.amplitudes):
+            amp = result.amplitudes[n_a, n_b]
             phase = np.unwrap(np.angle(amp))
-            for t, a, ph in zip(result.times, amp, phase):
-                lines.append(
-                    f"{_fmt(t)},{occ[0]},{occ[1]},{_fmt(abs(a))},{_fmt(ph)}")
-        return "\n".join(lines) + "\n"
-    lines = ["t_seconds,N,n,X,Y,reference,abs_error"]
+            blocks.append("".join([
+                f"{t!r},{n_a},{n_b},{abs(a)!r},{ph!r}\n"
+                for t, a, ph in zip(times, amp.tolist(), phase.tolist())]))
+        return "".join(blocks)
+    blocks = ["t_seconds,N,n,X,Y,reference,abs_error\n"]
     for b in sorted(result.branches,
                     key=lambda b: (b.n_atoms, b.n_photons)):
-        for k, t in enumerate(b.times):
-            lines.append(
-                f"{_fmt(t)},{b.n_atoms},{b.n_photons},{_fmt(b.x[k])},"
-                f"{_fmt(b.y[k])},{_fmt(b.reference[k])},{_fmt(b.abs_error[k])}")
-    return "\n".join(lines) + "\n"
+        blocks.append("".join([
+            f"{t!r},{b.n_atoms},{b.n_photons},{x!r},{y!r},{ref!r},{err!r}\n"
+            for t, x, y, ref, err in zip(
+                b.times.tolist(), b.x.tolist(), b.y.tolist(),
+                b.reference.tolist(), b.abs_error.tolist())]))
+    return "".join(blocks)
 
 
 def json_report(result) -> dict:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kerrcav as kc
 from kerrcav import experiments as ex
@@ -75,6 +76,74 @@ def test_probe_branch_rate_is_the_shared_rate(fig3b_result, monkeypatch):
     calls.clear()
     ex.run_fig3a(grid_points=64)
     assert calls == [2, 2]
+
+
+def _unpruned_best_rate(amps, times, elapsed, n, theta_rate, reference, r0):
+    """The rate fit with every objective value taken on the whole grid."""
+
+    def objective(r):
+        return float(np.abs(ex._y_series(
+            amps, times, elapsed, n, theta_rate, r) - reference).max())
+
+    if n == 0 or r0 == 0:
+        return r0, objective(r0), False
+    half = ex.RATE_BRACKET * abs(r0)
+    grid = np.linspace(r0 - half, r0 + half, ex.RATE_COARSE_POINTS)
+    devs = np.array([objective(r) for r in grid])
+    slack = devs.min() + max(0.01, 0.5 * devs.min())
+    candidates = np.flatnonzero(devs <= slack)
+    i = int(candidates[np.argmin(np.abs(grid[candidates] - r0))])
+    flagged = i in (0, len(grid) - 1)
+    lo = grid[max(0, i - 1)]
+    hi = grid[min(len(grid) - 1, i + 1)]
+    for _ in range(ex.RATE_REFINE_ITERS):
+        m1 = lo + (hi - lo) / 3
+        m2 = hi - (hi - lo) / 3
+        if objective(m1) <= objective(m2):
+            hi = m2
+        else:
+            lo = m1
+    r = 0.5 * (lo + hi)
+    return float(r), objective(r), flagged
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(points=st.sampled_from((2, 3, 64, 512)), n=st.integers(1, 3),
+       log_phase=st.floats(0.0, 5.0), sign=st.sampled_from((-1, 1)),
+       rate_ratio=st.floats(0.05, 1.0), offset=st.floats(-0.15, 0.15),
+       kerr=st.floats(0.0, 20.0), noise=st.floats(0.0, 0.3),
+       seed=st.integers(0, 2**32 - 1))
+def test_best_rate_matches_unpruned_scan(points, n, log_phase, sign,
+                                         rate_ratio, offset, kerr, noise,
+                                         seed):
+    # theta_rate T spans 1 to 1e5 rad; the amplitudes carry a photon-linear
+    # phase near (sometimes outside) the bracket, a Kerr phase and noise
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 1.0, points)
+    elapsed = times + rng.uniform(0.0, 0.1)
+    theta_rate = sign * 10**log_phase
+    r0 = rate_ratio * theta_rate
+    r_true = r0 * (1 + offset)
+    amps = (1 + noise * rng.uniform(-1, 1, points)) * np.exp(1j * (
+        theta_rate * times - r_true * n * elapsed + kerr * n**2 * times
+        + noise * rng.uniform(-1, 1, points)))
+    reference = np.cos(kerr * n**2 * times)
+    args = (amps, times, elapsed, n, theta_rate, reference, r0)
+    assert ex._best_rate(*args) == _unpruned_best_rate(*args)
+
+
+def test_best_rate_matches_unpruned_scan_on_branch_series(monkeypatch):
+    # every fit of fig3b, fig3a and fig3a at theta = 4e8, where the phases
+    # reach ~4e4 rad, gives the same rate, objective and flag bit for bit
+    best_rate, calls = ex._best_rate, []
+    monkeypatch.setattr(
+        ex, "_best_rate", lambda *a: calls.append(a) or best_rate(*a))
+    ex.run_fig3b()
+    ex.run_fig3a()
+    ex.run_fig3a({"theta": 4e8})
+    assert len(calls) == 8
+    for args in calls:
+        assert best_rate(*args) == _unpruned_best_rate(*args)
 
 
 def test_fig3a_overlap_floor(fig3a_result):
@@ -234,6 +303,30 @@ def test_csv_format(fig3b_result):
     first = lines[1].split(",")
     assert first[0] == "0.0" and first[1] == "1" and first[2] == "1"
     assert float(first[3]) == pytest.approx(1.0, abs=1e-4)
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def test_csv_text_matches_per_element_repr(fig3b_result, cross_result):
+    rows = ["t_seconds,N,n,X,Y,reference,abs_error"]
+    for b in sorted(fig3b_result.branches,
+                    key=lambda b: (b.n_atoms, b.n_photons)):
+        for k, t in enumerate(b.times):
+            rows.append(
+                f"{_fmt(t)},{b.n_atoms},{b.n_photons},{_fmt(b.x[k])},"
+                f"{_fmt(b.y[k])},{_fmt(b.reference[k])},"
+                f"{_fmt(b.abs_error[k])}")
+    assert ex.csv_text(fig3b_result) == "\n".join(rows) + "\n"
+    rows = ["t_seconds,n_a,n_b,modulus,phase"]
+    for occ in sorted(cross_result.amplitudes):
+        amp = cross_result.amplitudes[occ]
+        phase = np.unwrap(np.angle(amp))
+        for t, a, ph in zip(cross_result.times, amp, phase):
+            rows.append(
+                f"{_fmt(t)},{occ[0]},{occ[1]},{_fmt(abs(a))},{_fmt(ph)}")
+    assert ex.csv_text(cross_result) == "\n".join(rows) + "\n"
 
 
 def test_write_outputs_hash_stable(tmp_path, cross_result):

@@ -343,6 +343,22 @@ def test_product_and_symmetric_protocols_agree(n_atoms, n, theta, theta_sign):
     assert np.abs(amps["product"] - amps["symmetric"]).max() < 1e-10
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(g=st.floats(1e7, 1e9), delta1=st.floats(5.0, 30.0),
+       delta1_sign=st.sampled_from((-1, 1)), theta=st.floats(0.3, 4.0),
+       theta_sign=st.sampled_from((-1, 1)), n_atoms=st.integers(1, 5),
+       t_frac=st.floats(0.0, 1.0))
+def test_v_is_unitary_over_the_kerr_period(g, delta1, delta1_sign, theta,
+                                           theta_sign, n_atoms, t_frac):
+    p = kc.derive_params(kc.SchemeParams(
+        g=g, delta1=delta1_sign * delta1 * g, theta=theta_sign * theta * g,
+        omega=100 * g, n_atoms=n_atoms))
+    space = kc.build_space(n_max=2, n_atoms=n_atoms, levels=2)
+    t = t_frac * 2 * math.pi / abs(p.kappa)
+    diag = kc.VProtocol(space, p).compose_diagnostics(t)
+    assert diag["total_unitarity_defect"] < 1e-12
+
+
 @pytest.mark.parametrize("tier", ["eliminated", "full"])
 def test_physical_protocol_makes_three_eigendecompositions(
         fig3b_p1, tier, monkeypatch):
