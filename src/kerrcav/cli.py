@@ -8,6 +8,7 @@ codes: 0 success, 2 validation error, 3 guard/physics failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -23,7 +24,7 @@ EXIT_GUARD = 3
 
 RATE_KEYS = {"g", "delta1", "theta", "lam", "delta2", "omega",
              "g_b", "delta1_b", "mode_split"}
-KNOWN_TOP_KEYS = {"scheme", "tier", "mode", "scenario", "params", "grid",
+KNOWN_TOP_KEYS = {"scheme", "mode", "scenario", "params", "grid",
                   "frame_calibration", "sweep", "output", "jobs", "strict",
                   "thresholds"}
 KNOWN_GRID_KEYS = {"points", "n_max"}
@@ -116,9 +117,6 @@ def resolve_config(cfg: dict) -> dict:
     if fc not in ("per_branch", "n1_shared"):
         raise ValidationError(
             f"config key 'frame_calibration': unknown value {fc!r}")
-    tier = cfg.get("tier", "eliminated")
-    if tier not in ("eliminated", "full"):
-        raise ValidationError(f"config key 'tier': unknown value {tier!r}")
     mode = cfg.get("mode", "physical")
     if mode not in VProtocol.MODES:
         raise ValidationError(f"config key 'mode': unknown value {mode!r}")
@@ -141,8 +139,8 @@ def _scenario_kwargs(cfg: dict, scenario: str | None = None,
     """Scenario keyword arguments from the config; command-line flags win.
 
     Every scenario takes the grid block; the overlap scenarios (fig3a,
-    fig3b) also take ``mode``, ``tier`` and ``frame_calibration``, and a tier
-    they cannot run is rejected here, before a sweep runs any point.
+    fig3b) also take ``mode`` and ``frame_calibration``.  Without a scenario
+    this is the grid block alone, which ``calibrate`` passes to its frame fit.
     """
     grid = dict(cfg.get("grid", {}))
     kw = {}
@@ -154,21 +152,17 @@ def _scenario_kwargs(cfg: dict, scenario: str | None = None,
     if grid.get("n_max") is not None:
         kw["n_max"] = _as_int(grid["n_max"], "config key grid.n_max")
     if scenario in ("fig3a", "fig3b"):
-        for key in ("mode", "tier", "frame_calibration"):
+        for key in ("mode", "frame_calibration"):
             value = getattr(args, key, None) or cfg.get(key)
             if value is not None:
                 kw[key] = value
-        experiments.check_overlap_tier(scenario, kw.get("tier", "eliminated"))
     return kw
 
 
-def _maybe_strict_regime(p, cfg, args) -> None:
-    if not (args.strict or cfg.get("strict")):
-        return
+def _regime_warnings(p, cfg: dict) -> list:
+    """Regime ratios of p that warn under the config's thresholds."""
     report = regimes.check(p, cfg.get("thresholds"))
-    if report.worst_status != "pass":
-        bad = [name for name, r in report.ratios.items() if r.status == "warn"]
-        raise GuardError(f"regime check failed under --strict: {bad}")
+    return [name for name, r in report.ratios.items() if r.status == "warn"]
 
 
 def cmd_run(args) -> int:
@@ -187,8 +181,10 @@ def cmd_run(args) -> int:
         raise ValidationError(
             f"unknown scenario {scenario!r}; try list-scenarios")
     overrides = cfg.get("params", {})
-    base = apply_overrides(base_params_for(cfg), overrides)
-    _maybe_strict_regime(base, cfg, args)
+    bad = _regime_warnings(
+        apply_overrides(base_params_for(cfg), overrides), cfg)
+    if bad and (args.strict or cfg.get("strict")):
+        raise GuardError(f"regime check failed under --strict: {bad}")
 
     result = SCENARIOS[scenario](overrides,
                                  **_scenario_kwargs(cfg, scenario, args))
@@ -220,14 +216,9 @@ def cmd_calibrate(args) -> int:
     space = build_space(n_max=max(2, kw.get("n_max", 2)), n_atoms=1, levels=2)
     pulse = calibrate_pulse_phase(space, p if p.n_atoms == 1
                                   else apply_overrides(p, {"n_atoms": 1}))
-    frame = experiments.calibrate_frame(
-        p, grid_points=kw.get("grid_points", experiments.DEFAULT_GRID_POINTS))
+    frame = experiments.calibrate_frame(p, **kw)
     print(json.dumps(experiments._jsonable({
-        "pulse": {"phi_forward": pulse.phi_forward,
-                  "phi_inverse": pulse.phi_inverse,
-                  "beta": pulse.beta, "fidelity": pulse.fidelity},
-        "frame": {"r_lin": frame.r_lin, "expected": frame.expected,
-                  "objective": frame.objective, "flagged": frame.flagged},
+        "pulse": dataclasses.asdict(pulse), "frame": dataclasses.asdict(frame),
     }), sort_keys=True, indent=2))
     return EXIT_OK
 
@@ -245,14 +236,30 @@ def cmd_sweep(args) -> int:
         raise ValidationError("sweep needs --values or config sweep.values")
     scenario = args.scenario or cfg.get("scenario", "fig3b")
     jobs = args.jobs or _as_int(cfg.get("jobs", 1), "config key jobs")
-    points = sweep(param, values, scenario, jobs=jobs,
-                   overrides=cfg.get("params", {}),
-                   **_scenario_kwargs(cfg, scenario))
+    kw = _scenario_kwargs(cfg, scenario)
+    overrides = cfg.get("params", {})
+    if cfg.get("strict"):
+        # every point's regime is checked before any runs; a point with
+        # invalid parameters is left to fail in the sweep
+        base, bad = base_params_for(cfg), []
+        for value in values:
+            try:
+                p = apply_overrides(base, {**overrides, param: value})
+            except KerrcavError:
+                continue
+            warns = _regime_warnings(p, cfg)
+            if warns:
+                bad.append(f"{param}={value!r}: {warns}")
+        if bad:
+            raise GuardError(
+                f"regime check failed under strict: {'; '.join(bad)}")
+    points = sweep(param, values, scenario, jobs=jobs, overrides=overrides,
+                   **kw)
     outdir = args.out or cfg.get("output", {}).get("dir", "out")
     summary = []
     for pt in points:
         entry = {"param": pt.param, "value": pt.value, "ok": pt.ok}
-        if pt.ok and hasattr(pt.result, "config"):
+        if pt.ok:
             entry["outputs"] = write_outputs(pt.result, outdir)
         if pt.error:
             entry["error"] = pt.error
@@ -281,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="JSON config file")
     run.add_argument("--out", help="output directory (default: out)")
     run.add_argument("--mode", choices=["ideal", "physical"])
-    run.add_argument("--tier", choices=["full", "eliminated"])
     run.add_argument("--grid-points", type=int)
     run.add_argument("--frame-calibration",
                      choices=["per_branch", "n1_shared"])

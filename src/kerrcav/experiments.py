@@ -42,8 +42,7 @@ import numpy as np
 from . import numerics, regimes
 from .errors import KerrcavError, ValidationError
 from .hilbert import basis_state, build_space, collective
-from .models import (SchemeParams, cross_kerr_hamiltonian, derive_params,
-                     tier_b_hamiltonian)
+from .models import SchemeParams, cross_kerr_hamiltonian, derive_params
 from .pulses import VProtocol, calibrate_pulse_phase
 from .regimes import RegimeReport
 
@@ -84,15 +83,6 @@ def apply_overrides(p: SchemeParams, overrides: dict | None) -> SchemeParams:
     return derive_params(replace(p, **overrides))
 
 
-def check_overlap_tier(name: str, tier: str) -> None:
-    """fig3a/fig3b build a two-level space, which only the eliminated tier
-    runs on."""
-    if tier != "eliminated":
-        raise ValidationError(
-            f"tier {tier!r} is not available here: the {name} scenario builds "
-            "a two-level space, which only the 'eliminated' tier runs on")
-
-
 def _check_grid_points(points) -> None:
     """A time grid needs an integral number of at least two points."""
     if (isinstance(points, bool) or not isinstance(points, numbers.Integral)
@@ -111,7 +101,6 @@ class FrameCalibration:
     expected: float          # N g^2 / (2 delta1)
     objective: float         # max |Y - reference| at the minimizer
     flagged: bool            # no interior minimum inside the bracket
-    n_probe: int
 
 
 def _y_series(amps, times, elapsed, n, theta_rate, r_lin):
@@ -194,40 +183,33 @@ def _protocol_series(protocol: VProtocol, times, n):
     return states @ psi0.conj(), states
 
 
+def _fit_rate(protocol: VProtocol, times, n, amps):
+    """(r_lin, objective, flagged) of branch n's series against
+    cos(kappa n^2 t), fitted around the analytic rate N g^2/(2 delta1)."""
+    p = protocol.params
+    return _best_rate(amps, times, protocol.elapsed(times), n,
+                      protocol.theta_phase_rate(),
+                      np.cos(p.kappa * n**2 * times), p.n_atoms * p.stark)
+
+
 def calibrate_frame(
     p: SchemeParams,
-    n_probe: int = 1,
     grid_points: int = DEFAULT_GRID_POINTS,
-    mode: str = "physical",
     n_max: int = 4,
 ) -> FrameCalibration:
-    """Calibrate the photon-linear frame-removal rate on the n=1 series.
+    """The physical protocol's frame-removal rate, fitted on the n=1 series.
 
-    ``mode="bare"`` evolves the eliminated-model Hamiltonian alone (no pulse
-    protocol); its linear coefficient is analytically N g^2/(2 delta1) and
-    the minimizer recovers it, which pins the procedure.
+    This is the overlap scenarios' shared n = 1 rate (``r_lin_shared``) for
+    the same parameters, grid and truncation.
     """
     _check_grid_points(grid_points)
     p = derive_params(p)
-    space = build_space(n_max=n_max, n_atoms=p.n_atoms, levels=2)
+    protocol = VProtocol(
+        build_space(n_max=n_max, n_atoms=p.n_atoms, levels=2), p)
     t_grid = np.linspace(0.0, 2 * math.pi / abs(p.kappa), grid_points)
-    theta_rate = p.n_atoms * p.theta / 2
-    if mode == "bare":
-        eig = numerics.HermitianEigensystem(tier_b_hamiltonian(space, p))
-        psi0 = basis_state(space, n_probe, "-" * p.n_atoms)
-        weights = (psi0.conj() @ eig.eigenvectors) * (eig.eigenvectors.conj().T @ psi0)
-        amps = eig.phases(t_grid) @ weights
-        elapsed = t_grid
-    else:
-        protocol = VProtocol(space, p, mode=mode)
-        amps, _ = _protocol_series(protocol, t_grid, n_probe)
-        elapsed = protocol.elapsed(t_grid)
-        theta_rate = protocol.theta_phase_rate()
-    reference = np.cos(p.kappa * n_probe**2 * t_grid)
-    r0 = p.n_atoms * p.stark
-    r, dev, flagged = _best_rate(
-        amps, t_grid, elapsed, n_probe, theta_rate, reference, r0)
-    return FrameCalibration(r, r0, dev, flagged, n_probe)
+    r, dev, flagged = _fit_rate(
+        protocol, t_grid, 1, protocol.amplitude_series(t_grid, 1))
+    return FrameCalibration(r, p.n_atoms * p.stark, dev, flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +284,6 @@ def _run_overlap_scenario(
     overrides: dict | None,
     grid_points: int,
     mode: str,
-    tier: str,
     frame_calibration: str,
     n_max: int,
     with_ideal_oracle: bool,
@@ -311,7 +292,6 @@ def _run_overlap_scenario(
     if frame_calibration not in ("per_branch", "n1_shared"):
         raise ValidationError(
             f"unknown frame_calibration {frame_calibration!r}")
-    check_overlap_tier(name, tier)
     _check_grid_points(grid_points)
     if overrides and "n_atoms" in overrides:
         # an atom number selects its branches, never re-labels the others
@@ -333,17 +313,12 @@ def _run_overlap_scenario(
         # gates the pulse fidelity; VProtocol takes the same closed-form phase
         cal_space = build_space(n_max=max(2, n_max), n_atoms=1, levels=2)
         pulse_cal = calibrate_pulse_phase(
-            cal_space, replace(p_echo, n_atoms=1), tier=tier)
-        calibration_block["pulse"] = {
-            "phi_forward": pulse_cal.phi_forward,
-            "phi_inverse": pulse_cal.phi_inverse,
-            "beta": pulse_cal.beta,
-            "fidelity": pulse_cal.fidelity,
-        }
+            cal_space, replace(p_echo, n_atoms=1))
+        calibration_block["pulse"] = dataclasses.asdict(pulse_cal)
     for N in atom_counts:
         p = apply_overrides(params_for_n(N), overrides)
         space = build_space(n_max=n_max, n_atoms=N, levels=2)
-        protocol = VProtocol(space, p, mode=mode, tier=tier)
+        protocol = VProtocol(space, p, mode=mode)
         ideal = VProtocol(space, p, mode="ideal") if with_ideal_oracle else None
         t_grid = np.linspace(0.0, 2 * math.pi / abs(p.kappa), grid_points)
         elapsed = protocol.elapsed(t_grid)
@@ -361,9 +336,8 @@ def _run_overlap_scenario(
         # shared rate from this N's n=1 series (or the smallest nonzero n)
         probe = 1 if 1 in ns else min([n for n in ns if n > 0], default=0)
         if probe and mode == "physical":
-            ref_p = np.cos(p.kappa * probe**2 * t_grid)
-            r_shared, _, flagged = _best_rate(
-                series[probe][0], t_grid, elapsed, probe, theta_rate, ref_p, r0)
+            r_shared, _, flagged = _fit_rate(
+                protocol, t_grid, probe, series[probe][0])
         else:
             r_shared, flagged = r0, False
         calibration_block["r_lin_shared"][str(N)] = r_shared
@@ -374,12 +348,10 @@ def _run_overlap_scenario(
         for n in ns:
             amps, states = series[n]
             reference = np.cos(p.kappa * n**2 * t_grid)
-            if mode != "physical":
-                r_lin = 0.0
-            elif frame_calibration == "per_branch" and n not in (0, probe):
+            if (mode == "physical" and frame_calibration == "per_branch"
+                    and n not in (0, probe)):
                 # the probe branch's own calibration is the shared one
-                r_lin, _, _ = _best_rate(
-                    amps, t_grid, elapsed, n, theta_rate, reference, r0)
+                r_lin, _, _ = _fit_rate(protocol, t_grid, n, amps)
             else:
                 r_lin = r_shared
             y = _y_series(amps, t_grid, elapsed, n, theta_rate, r_lin)
@@ -399,13 +371,11 @@ def _run_overlap_scenario(
                 rms_error=float(np.sqrt((err**2).mean())),
                 min_x=float(x.min()), max_x=float(x.max()),
                 max_plus_population=float(plus_pop.max()),
-                basis_label=space.basis_label(
-                    space.index(n, 0)).split(";")[0] + f";atoms={'-' * N}",
+                basis_label=f"n={n};atoms={'-' * N}",
             )
             calibration_block["r_lin"][f"N={N},n={n}"] = r_lin
             if ideal is not None:
-                amps_i, _ = _protocol_series(ideal, t_grid, n)
-                branch.ideal_x = np.abs(amps_i)
+                branch.ideal_x = np.abs(ideal.amplitude_series(t_grid, n))
                 branch.ideal_deviation = float(
                     np.abs(branch.x - branch.ideal_x).max())
             branches.append(branch)
@@ -421,7 +391,7 @@ def _run_overlap_scenario(
             diagnostics["unitarity_defect"], defect)
 
     config = {
-        "scenario": name, "mode": mode, "tier": tier,
+        "scenario": name, "mode": mode, "tier": "eliminated",
         "grid_points": grid_points, "n_max": n_max,
         "frame_calibration": frame_calibration,
         "params": params_dict(p_echo),
@@ -439,7 +409,6 @@ def run_fig3b(
     overrides: dict | None = None,
     grid_points: int = DEFAULT_GRID_POINTS,
     mode: str = "physical",
-    tier: str = "eliminated",
     frame_calibration: str = "per_branch",
     n_max: int = 4,
     branches=FIG3B_BRANCHES,
@@ -447,7 +416,7 @@ def run_fig3b(
     """Y(t) vs cos(kappa n^2 t) for the four (N, n) benchmark branches."""
     return _run_overlap_scenario(
         "fig3b", fig3b_params, tuple(branches), overrides, grid_points,
-        mode, tier, frame_calibration, n_max,
+        mode, frame_calibration, n_max,
         with_ideal_oracle=False, include_controls=False)
 
 
@@ -455,15 +424,13 @@ def run_fig3a(
     overrides: dict | None = None,
     grid_points: int = DEFAULT_GRID_POINTS,
     mode: str = "physical",
-    tier: str = "eliminated",
     frame_calibration: str = "per_branch",
     n_max: int = 4,
-    branches=FIG3A_BRANCHES,
 ) -> ScenarioResult:
     """X(t) for the N-scaled parameter family, with the ideal-mode oracle."""
     return _run_overlap_scenario(
-        "fig3a", fig3a_params, tuple(branches), overrides, grid_points,
-        mode, tier, frame_calibration, n_max,
+        "fig3a", fig3a_params, FIG3A_BRANCHES, overrides, grid_points,
+        mode, frame_calibration, n_max,
         with_ideal_oracle=True, include_controls=True)
 
 
@@ -593,17 +560,15 @@ SCENARIOS = {
 }
 
 
-def sweep(param: str, values, scenario, jobs: int = 1, overrides=None, **kw):
+def sweep(param: str, values, scenario: str, jobs: int = 1, overrides=None,
+          **kw):
     """Run a scenario once per parameter value; failures are recorded.
 
     Results keep the input order regardless of ``jobs``.
     """
-    if isinstance(scenario, str):
-        if scenario not in SCENARIOS:
-            raise ValidationError(f"unknown scenario {scenario!r}")
-        runner = SCENARIOS[scenario]
-    else:
-        runner = scenario
+    if scenario not in SCENARIOS:
+        raise ValidationError(f"unknown scenario {scenario!r}")
+    runner = SCENARIOS[scenario]
 
     def run_one(value):
         merged = dict(overrides or {})

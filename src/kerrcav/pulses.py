@@ -69,14 +69,13 @@ def m_pulse(
     p: SchemeParams,
     phase: float = M_PULSE_PHASE,
     mode: str = "physical",
-    tier: str = "eliminated",
 ) -> np.ndarray:
     """One pi/2 pulse propagator.
 
     Ideal mode: the bare collective rotation exp(-i (pi/4) X_phi) with
     X_phi = e^{i phi} S01 + h.c., photon factors untouched.  Physical mode:
-    the tier Hamiltonian with the pulse term on for t = pi/(2 omega); the
-    cavity coupling stays on throughout.
+    the eliminated-tier Hamiltonian with the pulse term on for
+    t = pi/(2 omega); the cavity coupling stays on throughout.
     """
     if mode == "ideal":
         s01 = collective(space, 0, 1)
@@ -86,8 +85,9 @@ def m_pulse(
         raise ValidationError(f"unknown pulse mode {mode!r}")
     check_pulse_guard(space, p)
     p = derive_params(p)
-    return numerics.block_diagonal(SegmentPropagators(space, p, tier).propagator(
-        False, phase, 0.0, math.pi / (2 * p.omega)))
+    props = SegmentPropagators(space, p, "eliminated")
+    return numerics.block_diagonal(
+        props.propagator(False, phase, 0.0, math.pi / (2 * p.omega)))
 
 
 def _photon_sectors(space: Space, h: np.ndarray):
@@ -163,16 +163,13 @@ def _beta_and_fidelity(space: Space, target: np.ndarray, u: np.ndarray):
     return beta, float(fidelity)
 
 
-def calibrate_pulse_phase(
-    space: Space,
-    p: SchemeParams,
-    tier: str = "eliminated",
-) -> PulseCalibration:
+def calibrate_pulse_phase(space: Space, p: SchemeParams) -> PulseCalibration:
     """Closed-form forward pulse phase, checked against the ideal rotation.
 
-    Composes the physical realization once, at ``default_forward_phase(p)``,
-    and scores it against the ideal rotation modulo a photon-diagonal phase
-    e^{-i beta n}.  A fidelity below 0.95 is reported as a failure.
+    Composes the eliminated-tier realization once, at
+    ``default_forward_phase(p)``, and scores it against the ideal rotation
+    modulo a photon-diagonal phase e^{-i beta n}.  A fidelity below 0.95 is
+    reported as a failure.
     """
     if space.n_atoms != 1 or space.n_max < 2:
         raise ValidationError(
@@ -182,7 +179,7 @@ def calibrate_pulse_phase(
     phi_forward = default_forward_phase(p)
     beta, fidelity = _beta_and_fidelity(
         space, u_ideal(space, p),
-        u_physical(space, p, tier, first_phase=phi_forward))
+        u_physical(space, p, first_phase=phi_forward))
     if fidelity < 0.95:
         raise CalibrationError(
             f"pulse-phase calibration failed: fidelity {fidelity:.4f} "

@@ -134,7 +134,7 @@ def test_run_help_lists_flags(capsys):
     with pytest.raises(SystemExit):
         cli.main(["run", "--help"])
     out = capsys.readouterr().out
-    for flag in ("--config", "--out", "--mode", "--tier",
+    for flag in ("--config", "--out", "--mode",
                  "--strict", "--frame-calibration"):
         assert flag in out
 
@@ -197,6 +197,15 @@ def test_calibrate_rejects_bad_grid(capsys, tmp_path, grid, message):
     assert message in err
 
 
+def test_calibrate_applies_grid_n_max(capsys, tmp_path):
+    # the frame fit runs on the n = 1 series, as in run fig3b
+    cfg = write_config(tmp_path, {"grid": {"n_max": 0}})
+    code, out, err = run_cli(capsys, "calibrate", "--config", cfg)
+    assert code == 2
+    assert "photon number 1 outside 0..0" in err
+    assert out == ""
+
+
 def test_calibrate_low_fidelity_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(pulses, "_beta_and_fidelity", lambda *_: (0.0, 0.9))
     code, _, err = run_cli(capsys, "calibrate")
@@ -224,6 +233,31 @@ def test_sweep_subcommand(capsys, tmp_path):
     entries = json.loads(out)
     assert [e["value"] for e in entries] == [G, 2 * G]
     assert all(e["ok"] for e in entries)
+
+
+def test_sweep_config_strict_checks_every_point_first(capsys, tmp_path):
+    cfg = write_config(tmp_path, {"strict": True})
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "sweep", "--config", cfg, "--param",
+                           "theta", "--values", f"{G},2e7,1e7",
+                           "--scenario", "fig3b", "--out", str(out))
+    assert code == 3
+    assert "theta=20000000.0" in err and "theta=10000000.0" in err
+    assert "theta=100000000.0" not in err
+    assert not out.exists()
+    # every point in the regime: the sweep runs as without strict
+    code, stdout, _ = run_cli(capsys, "sweep", "--config", cfg, "--param",
+                              "theta", "--values", str(G), "--scenario",
+                              "regime_check", "--out", str(out))
+    assert code == 0 and json.loads(stdout)[0]["ok"]
+    # a point with invalid parameters is left to fail in the sweep
+    code, stdout, _ = run_cli(capsys, "sweep", "--config", cfg, "--param",
+                              "delta1", "--values", f"{10 * G},0",
+                              "--scenario", "regime_check", "--out", str(out))
+    assert code == 3
+    ok, failed = json.loads(stdout)
+    assert ok["ok"] and "outputs" in ok
+    assert not failed["ok"] and "delta1" in failed["error"]
 
 
 def test_sweep_missing_param(capsys):
@@ -277,31 +311,31 @@ def test_sweep_rejects_non_integral_n_atoms(capsys, tmp_path):
 ])
 def test_config_unknown_tier_exits_2(capsys, tmp_path, command):
     # the sweep must refuse the config before it runs any point
-    for key in ("tier", "mode"):
-        cfg = write_config(tmp_path, {key: "bogus"})
-        code, _, err = run_cli(capsys, *command, "--config", cfg,
-                               "--out", str(tmp_path / "out"))
-        assert code == 2
-        assert f"'{key}'" in err and "'bogus'" in err
-    # fig3b builds a two-level space, which the full tier cannot run on
-    cfg = write_config(tmp_path, {"tier": "full"})
+    cfg = write_config(tmp_path, {"mode": "bogus"})
     code, _, err = run_cli(capsys, *command, "--config", cfg,
                            "--out", str(tmp_path / "out"))
     assert code == 2
-    assert "tier 'full'" in err and "two-level" in err
+    assert "'mode'" in err and "'bogus'" in err
+    # the scenarios run on the eliminated tier only; "tier" is no config key
+    for tier in ("full", "eliminated"):
+        cfg = write_config(tmp_path, {"tier": tier})
+        code, _, err = run_cli(capsys, *command, "--config", cfg,
+                               "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "unknown config key 'tier'" in err
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("mode", ["ideal", "physical"])
 def test_run_full_tier_is_rejected_not_mislabelled(capsys, tmp_path, mode):
-    # the overlap scenarios build a two-level space: only the eliminated
-    # tier runs there, so a full-tier request must not be echoed over
-    # eliminated-tier data
+    # the overlap scenarios run on the eliminated tier only, so there is no
+    # --tier flag that could echo a full-tier request over their data
     out = tmp_path / "out"
-    code, _, err = run_cli(capsys, "run", "fig3b", "--mode", mode,
-                           "--tier", "full", "--out", str(out))
-    assert code == 2
-    assert "tier 'full'" in err and "two-level" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "fig3b", "--mode", mode, "--tier", "full",
+                  "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--tier" in capsys.readouterr().err
     assert not out.exists()
 
 

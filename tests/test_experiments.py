@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kerrcav as kc
-from kerrcav import experiments as ex
+from kerrcav import experiments as ex, models, numerics
 from kerrcav.errors import ValidationError
 
 G = 1e8
@@ -194,8 +194,23 @@ def test_python_api_rejects_fewer_than_two_grid_points(run, points):
 
 
 def test_calibrate_frame_bare_recovers_analytic_rate(fig3b_p1):
-    cal = ex.calibrate_frame(fig3b_p1, mode="bare")
-    assert abs(cal.r_lin - 5e6) < 1e-3 * 5e6
+    # the eliminated-model Hamiltonian alone, no pulse protocol: its
+    # photon-linear rate is analytically N g^2/(2 delta1)
+    p = fig3b_p1
+    space = kc.build_space(n_max=4, n_atoms=1, levels=2)
+    eig = numerics.HermitianEigensystem(models.tier_b_hamiltonian(space, p))
+    psi0 = kc.basis_state(space, 1, "-")
+    weights = ((psi0.conj() @ eig.eigenvectors)
+               * (eig.eigenvectors.conj().T @ psi0))
+    t = np.linspace(0.0, 2 * math.pi / abs(p.kappa), ex.DEFAULT_GRID_POINTS)
+    r_lin, _, _ = ex._best_rate(eig.phases(t) @ weights, t, t, 1, p.theta / 2,
+                                np.cos(p.kappa * t), p.stark)
+    assert abs(r_lin - 5e6) < 1e-3 * 5e6
+
+
+def test_calibrate_frame_is_the_shared_scenario_rate(fig3b_result):
+    cal = ex.calibrate_frame(ex.fig3b_params(1))
+    assert cal.r_lin == fig3b_result.calibration["r_lin_shared"]["1"]
 
 
 def test_calibrate_frame_doubles_with_n(fig3b_p1, fig3b_p2):
