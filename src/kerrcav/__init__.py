@@ -8,7 +8,7 @@ rotation, regime-validity diagnostics, and reproducible benchmark scenarios
 with CSV/JSON emission.
 """
 from .errors import (CalibrationError, GuardError, KerrcavError,
-                     ValidationError)
+                     ValidationError, WorkerError)
 from .hilbert import (Space, annihilation, basis_state, build_space,
                       collective, number_op, s3)
 from .models import SchemeParams, derive_params, synthesize_raman
@@ -21,6 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationError", "GuardError", "KerrcavError", "ValidationError",
+    "WorkerError",
     "Space", "annihilation", "basis_state", "build_space",
     "collective", "number_op", "s3",
     "SchemeParams", "derive_params", "synthesize_raman",

@@ -15,7 +15,7 @@ import sys
 from .errors import CalibrationError, GuardError, KerrcavError, ValidationError
 from . import experiments, regimes
 from .experiments import (SCENARIOS, apply_overrides, cross_params,
-                          fig3b_params, sweep, write_outputs)
+                          fig3b_params, scenario_params, sweep, write_outputs)
 from .pulses import VProtocol
 
 EXIT_OK = 0
@@ -30,6 +30,7 @@ KNOWN_TOP_KEYS = {"scheme", "mode", "scenario", "params", "grid",
 KNOWN_GRID_KEYS = {"points", "n_max"}
 KNOWN_SWEEP_KEYS = {"param", "values"}
 KNOWN_OUTPUT_KEYS = {"dir"}
+SCHEMES = ("self_kerr", "cross_polarization", "cross_toroidal")
 
 
 def parse_rate(value, g: float | None, key: str) -> float:
@@ -113,6 +114,9 @@ def resolve_config(cfg: dict) -> dict:
         _reject_unknown(dict(cfg["sweep"]), KNOWN_SWEEP_KEYS, "sweep.")
     if "output" in cfg:
         _reject_unknown(dict(cfg["output"]), KNOWN_OUTPUT_KEYS, "output.")
+    scheme = cfg.get("scheme", "self_kerr")
+    if scheme not in SCHEMES:
+        raise ValidationError(f"unknown scheme {scheme!r}")
     fc = cfg.get("frame_calibration", "per_branch")
     if fc not in ("per_branch", "n1_shared"):
         raise ValidationError(
@@ -124,14 +128,11 @@ def resolve_config(cfg: dict) -> dict:
 
 
 def base_params_for(cfg: dict):
+    """The reference parameters of the config's scheme (fig3b for self-Kerr)."""
     scheme = cfg.get("scheme", "self_kerr")
     if scheme == "self_kerr":
         return fig3b_params()
-    if scheme == "cross_polarization":
-        return cross_params("polarization")
-    if scheme == "cross_toroidal":
-        return cross_params("toroidal")
-    raise ValidationError(f"unknown scheme {scheme!r}")
+    return cross_params(scheme.removeprefix("cross_"))
 
 
 def _scenario_kwargs(cfg: dict, scenario: str | None = None,
@@ -159,10 +160,17 @@ def _scenario_kwargs(cfg: dict, scenario: str | None = None,
     return kw
 
 
-def _regime_warnings(p, cfg: dict) -> list:
-    """Regime ratios of p that warn under the config's thresholds."""
-    report = regimes.check(p, cfg.get("thresholds"))
-    return [name for name, r in report.ratios.items() if r.status == "warn"]
+def _regime_warnings(scenario: str, overrides: dict, cfg: dict) -> str:
+    """The regime ratios that warn under the config's thresholds, for every
+    atom count the scenario runs ('' if none does)."""
+    bad = []
+    for p in scenario_params(scenario, overrides):
+        report = regimes.check(p, cfg.get("thresholds"))
+        warns = [name for name, r in report.ratios.items()
+                 if r.status == "warn"]
+        if warns:
+            bad.append(f"N={p.n_atoms}: {warns}")
+    return ", ".join(bad)
 
 
 def cmd_run(args) -> int:
@@ -181,10 +189,10 @@ def cmd_run(args) -> int:
         raise ValidationError(
             f"unknown scenario {scenario!r}; try list-scenarios")
     overrides = cfg.get("params", {})
-    bad = _regime_warnings(
-        apply_overrides(base_params_for(cfg), overrides), cfg)
-    if bad and (args.strict or cfg.get("strict")):
-        raise GuardError(f"regime check failed under --strict: {bad}")
+    if args.strict or cfg.get("strict"):
+        bad = _regime_warnings(scenario, overrides, cfg)
+        if bad:
+            raise GuardError(f"regime check failed under --strict: {bad}")
 
     result = SCENARIOS[scenario](overrides,
                                  **_scenario_kwargs(cfg, scenario, args))
@@ -207,15 +215,12 @@ def cmd_check_regime(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    from .hilbert import build_space
-    from .pulses import calibrate_pulse_phase
-
     cfg = resolve_config(load_config(args.config))
     p = apply_overrides(base_params_for(cfg), cfg.get("params", {}))
     kw = _scenario_kwargs(cfg)
-    space = build_space(n_max=max(2, kw.get("n_max", 2)), n_atoms=1, levels=2)
-    pulse = calibrate_pulse_phase(space, p if p.n_atoms == 1
-                                  else apply_overrides(p, {"n_atoms": 1}))
+    # the scenarios' pulse check, on their photon truncation
+    pulse = experiments.pulse_calibration(
+        p, kw.get("n_max", experiments.DEFAULT_N_MAX))
     frame = experiments.calibrate_frame(p, **kw)
     print(json.dumps(experiments._jsonable({
         "pulse": dataclasses.asdict(pulse), "frame": dataclasses.asdict(frame),
@@ -235,32 +240,36 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ValidationError("sweep needs --values or config sweep.values")
     scenario = args.scenario or cfg.get("scenario", "fig3b")
-    jobs = args.jobs or _as_int(cfg.get("jobs", 1), "config key jobs")
+    where = "--jobs" if args.jobs is not None else "config key jobs"
+    jobs = _as_int(cfg.get("jobs", 1) if args.jobs is None else args.jobs,
+                   where)
+    if jobs < 1:
+        raise ValidationError(f"{where}: expected an integer >= 1, got {jobs}")
     kw = _scenario_kwargs(cfg, scenario)
     overrides = cfg.get("params", {})
     if cfg.get("strict"):
         # every point's regime is checked before any runs; a point with
         # invalid parameters is left to fail in the sweep
-        base, bad = base_params_for(cfg), []
+        bad = []
         for value in values:
             try:
-                p = apply_overrides(base, {**overrides, param: value})
+                warns = _regime_warnings(scenario, {**overrides, param: value},
+                                         cfg)
             except KerrcavError:
                 continue
-            warns = _regime_warnings(p, cfg)
             if warns:
-                bad.append(f"{param}={value!r}: {warns}")
+                bad.append(f"{param}={value!r} at {warns}")
         if bad:
             raise GuardError(
                 f"regime check failed under strict: {'; '.join(bad)}")
-    points = sweep(param, values, scenario, jobs=jobs, overrides=overrides,
-                   **kw)
     outdir = args.out or cfg.get("output", {}).get("dir", "out")
+    points = sweep(param, values, scenario, jobs=jobs, overrides=overrides,
+                   outdir=outdir, **kw)
     summary = []
     for pt in points:
         entry = {"param": pt.param, "value": pt.value, "ok": pt.ok}
         if pt.ok:
-            entry["outputs"] = write_outputs(pt.result, outdir)
+            entry["outputs"] = pt.outputs
         if pt.error:
             entry["error"] = pt.error
         summary.append(entry)
@@ -311,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--scenario", help="scenario name (default fig3b)")
     sw.add_argument("--config", help="JSON config file")
     sw.add_argument("--out", help="output directory")
-    sw.add_argument("--jobs", type=int, default=0)
+    sw.add_argument("--jobs", type=int,
+                    help="worker processes, one point each (default 1)")
     sw.set_defaults(func=cmd_sweep)
 
     ls = sub.add_parser("list-scenarios", help="list runnable scenarios")

@@ -15,3 +15,7 @@ class GuardError(KerrcavError):
 
 class CalibrationError(KerrcavError):
     """A calibration search failed to reach its required quality."""
+
+
+class WorkerError(KerrcavError):
+    """A worker process ended before it returned its result."""

@@ -24,29 +24,37 @@ calibrates once on the n = 1 branch and reuses that rate everywhere.  The
 fitted dominant frequencies reported per branch always use the shared n = 1
 rate so the n^2 scaling law is measured in one common frame.
 
+A sweep runs a scenario once per parameter value.  With ``jobs > 1`` each
+point is computed in a forked worker process, and with an output directory
+the worker also writes that point's CSV/JSON, so computation and emission
+both run in parallel and only file paths or error text come back.
+
 Everything here is deterministic: fixed grids, fixed iteration counts, no
-timestamps in emitted files; identical configs give byte-identical output.
+timestamps in emitted files; identical configs give byte-identical output,
+whichever process writes them.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import numerics, regimes
-from .errors import KerrcavError, ValidationError
+from .errors import KerrcavError, ValidationError, WorkerError
 from .hilbert import basis_state, build_space, collective
 from .models import SchemeParams, cross_kerr_hamiltonian, derive_params
-from .pulses import VProtocol, calibrate_pulse_phase
+from .pulses import PulseCalibration, VProtocol, calibrate_pulse_phase
 from .regimes import RegimeReport
 
 DEFAULT_GRID_POINTS = 512
+DEFAULT_N_MAX = 4           # photon truncation of the overlap scenarios
 RATE_BRACKET = 0.1          # calibration bracket, relative to N g^2/(2 delta1)
 RATE_COARSE_POINTS = 161
 RATE_REFINE_ITERS = 80
@@ -176,13 +184,6 @@ def _best_rate(amps, times, elapsed, n, theta_rate, reference, r0):
     return float(r), float(deviations(r, live).max()), flagged
 
 
-def _protocol_series(protocol: VProtocol, times, n):
-    """(amplitudes, states) of <n,-|V(t)|n,-> over the grid."""
-    psi0 = basis_state(protocol.space, n, "-" * protocol.space.n_atoms)
-    states = protocol.states(times, psi0)
-    return states @ psi0.conj(), states
-
-
 def _fit_rate(protocol: VProtocol, times, n, amps):
     """(r_lin, objective, flagged) of branch n's series against
     cos(kappa n^2 t), fitted around the analytic rate N g^2/(2 delta1)."""
@@ -195,7 +196,7 @@ def _fit_rate(protocol: VProtocol, times, n, amps):
 def calibrate_frame(
     p: SchemeParams,
     grid_points: int = DEFAULT_GRID_POINTS,
-    n_max: int = 4,
+    n_max: int = DEFAULT_N_MAX,
 ) -> FrameCalibration:
     """The physical protocol's frame-removal rate, fitted on the n=1 series.
 
@@ -210,6 +211,13 @@ def calibrate_frame(
     r, dev, flagged = _fit_rate(
         protocol, t_grid, 1, protocol.amplitude_series(t_grid, 1))
     return FrameCalibration(r, p.n_atoms * p.stark, dev, flagged)
+
+
+def pulse_calibration(p: SchemeParams,
+                      n_max: int = DEFAULT_N_MAX) -> PulseCalibration:
+    """The overlap scenarios' pulse check: one atom at ``max(2, n_max)``."""
+    space = build_space(n_max=max(2, n_max), n_atoms=1, levels=2)
+    return calibrate_pulse_phase(space, replace(p, n_atoms=1))
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +285,21 @@ def fitted_frequency(times, z) -> float:
     return abs(float(slope))
 
 
+def _select_branches(name: str, branch_list, overrides: dict | None) -> tuple:
+    """The branches an ``n_atoms`` override selects; all of them without one.
+
+    An atom number selects its branches, never re-labels the others.
+    """
+    if not overrides or "n_atoms" not in overrides:
+        return tuple(branch_list)
+    selected = tuple(b for b in branch_list if b[0] == overrides["n_atoms"])
+    if not selected:
+        raise ValidationError(
+            f"n_atoms override {overrides['n_atoms']!r} matches no {name} "
+            f"branch; available N: {sorted({N for N, _ in branch_list})}")
+    return selected
+
+
 def _run_overlap_scenario(
     name: str,
     params_for_n,
@@ -293,15 +316,7 @@ def _run_overlap_scenario(
         raise ValidationError(
             f"unknown frame_calibration {frame_calibration!r}")
     _check_grid_points(grid_points)
-    if overrides and "n_atoms" in overrides:
-        # an atom number selects its branches, never re-labels the others
-        available = sorted({N for N, _ in branch_list})
-        branch_list = tuple(b for b in branch_list
-                            if b[0] == overrides["n_atoms"])
-        if not branch_list:
-            raise ValidationError(
-                f"n_atoms override {overrides['n_atoms']!r} matches no "
-                f"{name} branch; available N: {available}")
+    branch_list = _select_branches(name, branch_list, overrides)
     branches: list[BranchResult] = []
     calibration_block: dict = {"frame_calibration": frame_calibration,
                                "r_lin": {}, "r_lin_shared": {}}
@@ -311,10 +326,8 @@ def _run_overlap_scenario(
     p_echo = apply_overrides(params_for_n(atom_counts[0]), overrides)
     if mode == "physical":
         # gates the pulse fidelity; VProtocol takes the same closed-form phase
-        cal_space = build_space(n_max=max(2, n_max), n_atoms=1, levels=2)
-        pulse_cal = calibrate_pulse_phase(
-            cal_space, replace(p_echo, n_atoms=1))
-        calibration_block["pulse"] = dataclasses.asdict(pulse_cal)
+        calibration_block["pulse"] = dataclasses.asdict(
+            pulse_calibration(p_echo, n_max))
     for N in atom_counts:
         p = apply_overrides(params_for_n(N), overrides)
         space = build_space(n_max=n_max, n_atoms=N, levels=2)
@@ -331,7 +344,7 @@ def _run_overlap_scenario(
         ns = [n for (NN, n) in branch_list if NN == N]
         if include_controls and 0 not in ns:
             ns = [0] + ns
-        series = {n: _protocol_series(protocol, t_grid, n) for n in ns}
+        series = {n: protocol.branch_series(t_grid, n) for n in ns}
 
         # shared rate from this N's n=1 series (or the smallest nonzero n)
         probe = 1 if 1 in ns else min([n for n in ns if n > 0], default=0)
@@ -410,7 +423,7 @@ def run_fig3b(
     grid_points: int = DEFAULT_GRID_POINTS,
     mode: str = "physical",
     frame_calibration: str = "per_branch",
-    n_max: int = 4,
+    n_max: int = DEFAULT_N_MAX,
     branches=FIG3B_BRANCHES,
 ) -> ScenarioResult:
     """Y(t) vs cos(kappa n^2 t) for the four (N, n) benchmark branches."""
@@ -425,7 +438,7 @@ def run_fig3a(
     grid_points: int = DEFAULT_GRID_POINTS,
     mode: str = "physical",
     frame_calibration: str = "per_branch",
-    n_max: int = 4,
+    n_max: int = DEFAULT_N_MAX,
 ) -> ScenarioResult:
     """X(t) for the N-scaled parameter family, with the ideal-mode oracle."""
     return _run_overlap_scenario(
@@ -532,6 +545,7 @@ class SweepPoint:
     ok: bool
     result: object = None
     error: str | None = None
+    outputs: dict | None = None         # written paths, for a sweep to a dir
 
 
 @dataclass
@@ -549,6 +563,25 @@ def run_regime_check(overrides: dict | None = None) -> RegimeCheckResult:
     )
 
 
+def scenario_params(scenario: str, overrides: dict | None = None) -> list:
+    """The parameter sets ``scenario`` runs, one per atom count, with the
+    overrides applied (what a strict regime check must judge)."""
+    if scenario in ("fig3a", "fig3b"):
+        params_for_n, branch_list = {
+            "fig3a": (fig3a_params, FIG3A_BRANCHES),
+            "fig3b": (fig3b_params, FIG3B_BRANCHES)}[scenario]
+        counts = {N for N, _ in _select_branches(scenario, branch_list,
+                                                 overrides)}
+        return [apply_overrides(params_for_n(N), overrides)
+                for N in sorted(counts)]
+    if scenario in ("cross_polarization", "cross_toroidal"):
+        return [apply_overrides(
+            cross_params(scenario.removeprefix("cross_")), overrides)]
+    if scenario == "regime_check":
+        return [apply_overrides(fig3b_params(), overrides)]
+    raise ValidationError(f"unknown scenario {scenario!r}")
+
+
 SCENARIOS = {
     "fig3a": run_fig3a,
     "fig3b": run_fig3b,
@@ -560,29 +593,73 @@ SCENARIOS = {
 }
 
 
+def _run_point(param: str, value, scenario: str, overrides, kw: dict,
+               outdir) -> SweepPoint:
+    """One sweep point, in this process or in a worker.
+
+    With ``outdir`` the point's files are written here and only their paths
+    are kept; a failure keeps only its error text.
+    """
+    try:
+        result = SCENARIOS[scenario]({**(overrides or {}), param: value}, **kw)
+    except KerrcavError as exc:
+        return SweepPoint(param, value, False, error=str(exc))
+    if outdir is None:
+        return SweepPoint(param, value, True, result)
+    return SweepPoint(param, value, True,
+                      outputs=write_outputs(result, outdir))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # not every POSIX system has it
+        return os.cpu_count() or 1
+
+
 def sweep(param: str, values, scenario: str, jobs: int = 1, overrides=None,
-          **kw):
+          outdir=None, **kw) -> list:
     """Run a scenario once per parameter value; failures are recorded.
 
-    Results keep the input order regardless of ``jobs``.
+    With ``outdir`` every point writes its CSV/JSON where it is computed
+    and its ``SweepPoint`` carries the paths (``outputs``) instead of the
+    result.  ``jobs > 1`` runs the points in up to
+    ``min(jobs, len(values), usable CPUs)`` forked worker processes (POSIX
+    only: it needs the ``fork`` start method); without ``outdir`` their
+    results come back pickled.  A worker that dies raises ``WorkerError``.
+    Points keep the input order whatever ``jobs`` is.
     """
     if scenario not in SCENARIOS:
         raise ValidationError(f"unknown scenario {scenario!r}")
-    runner = SCENARIOS[scenario]
-
-    def run_one(value):
-        merged = dict(overrides or {})
-        merged[param] = value
-        try:
-            return SweepPoint(param, value, True, runner(merged, **kw))
-        except KerrcavError as exc:
-            return SweepPoint(param, value, False, None, str(exc))
-
+    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) \
+            or jobs < 1:
+        raise ValidationError(f"jobs must be an integer >= 1, got {jobs!r}")
     values = list(values)
-    if jobs > 1 and len(values) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_one, values))
-    return [run_one(v) for v in values]
+    run = functools.partial(_run_point, param, scenario=scenario,
+                            overrides=overrides, kw=kw, outdir=outdir)
+    if jobs > 1:
+        # imported here: the pool modules add ~30 ms to a cold import
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        # fork, not spawn: a spawned worker re-imports numpy and kerrcav
+        # (~0.2 s cold), longer than a whole sweep point
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:
+            raise ValidationError(
+                f"jobs = {jobs} needs the 'fork' start method, which this "
+                "platform does not have; use jobs = 1")
+        workers = min(jobs, len(values), _usable_cpus())
+        if workers > 1:
+            try:
+                with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                    return list(pool.map(run, values))
+            except BrokenProcessPool as exc:
+                raise WorkerError(
+                    f"a sweep worker process ended abruptly: {exc}")
+    return [run(v) for v in values]
 
 
 # ---------------------------------------------------------------------------

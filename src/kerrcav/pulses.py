@@ -329,9 +329,13 @@ class VProtocol:
         """V(t) psi0 for each t; shape (len(times), dim)."""
         return self._apply(times, psi0[:, None])[:, 0]
 
-    def amplitude_series(self, times, n_photons: int) -> np.ndarray:
-        """<n, -...-| V(t) |n, -...-> over the time grid."""
+    def branch_series(self, times, n_photons: int):
+        """(<n, -...-| V(t) |n, -...->, V(t) |n, -...->) over the time grid."""
         psi0 = basis_state(self.space, n_photons,
                            "-" * self.space.n_atoms)
         states = self.states(times, psi0)
-        return states @ psi0.conj()
+        return states @ psi0.conj(), states
+
+    def amplitude_series(self, times, n_photons: int) -> np.ndarray:
+        """<n, -...-| V(t) |n, -...-> over the time grid."""
+        return self.branch_series(times, n_photons)[0]

@@ -361,6 +361,90 @@ def test_sweep_rejects_non_integral_jobs(capsys, tmp_path, jobs):
     assert "jobs" in err
 
 
+def _tree(root):
+    return {str(f.relative_to(root)): f.read_bytes()
+            for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+def test_sweep_jobs_2_matches_jobs_1(capsys, tmp_path, monkeypatch):
+    # 1.6e9 fails the pulse guard; 4e8 is repeated, so two workers may write
+    # the same files
+    values = "5e7,1.6369e8,4e8,1.6e9,4e8"
+    runs = {}
+    for jobs in ("1", "2"):
+        # a relative --out keeps the printed paths comparable
+        (tmp_path / jobs).mkdir()
+        monkeypatch.chdir(tmp_path / jobs)
+        code, out, _ = run_cli(capsys, "sweep", "--scenario", "fig3a",
+                               "--param", "theta", "--values", values,
+                               "--jobs", jobs, "--out", "out")
+        runs[jobs] = (code, out, _tree(tmp_path / jobs))
+    assert runs["1"] == runs["2"]
+    code, out, files = runs["2"]
+    assert code == 3 and len(files) == 6
+    entries = json.loads(out)
+    assert [e["ok"] for e in entries] == [True, True, True, False, True]
+    assert "pulse too slow" in entries[3]["error"]
+    assert entries[2]["outputs"] == entries[4]["outputs"]
+
+
+@pytest.mark.parametrize("flag, cfg", [
+    (["--jobs", "-5"], None), (["--jobs", "0"], None),
+    ([], {"jobs": 0}), ([], {"jobs": -2}),
+], ids=["flag-5", "flag0", "key0", "key-2"])
+def test_sweep_rejects_jobs_below_one(capsys, tmp_path, flag, cfg):
+    config = ["--config", write_config(tmp_path, cfg)] if cfg else []
+    code, out, err = run_cli(capsys, "sweep", "--param", "theta",
+                             "--values", str(G), "--scenario", "regime_check",
+                             "--out", str(tmp_path / "out"), *flag, *config)
+    assert code == 2 and out == ""
+    assert ("--jobs" if flag else "config key jobs") in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_strict_judges_the_parameters_the_scenario_runs(capsys, tmp_path):
+    # fig3a runs theta = g N^(1/3)/5, whose second_dispersive ratio warns at
+    # N = 1 and 2; fig3b's parameters (which strict used to judge) pass
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run", "fig3a", "--strict",
+                           "--out", str(out))
+    assert code == 3
+    assert "N=1: ['second_dispersive'], N=2: ['second_dispersive']" in err
+    assert not out.exists()
+    code, _, _ = run_cli(capsys, "run", "fig3b", "--strict",
+                         "--grid-points", "16", "--out", str(out))
+    assert code == 0
+    cfg = write_config(tmp_path, {"strict": True, "params": {"n_atoms": 2}})
+    code, _, err = run_cli(capsys, "sweep", "--config", cfg, "--param",
+                           "delta1", "--values", f"{10 * G}",
+                           "--scenario", "fig3a", "--out", str(out / "sw"))
+    assert code == 3
+    assert "delta1=1000000000.0 at N=2: ['second_dispersive']" in err
+    assert "N=1" not in err
+    assert not (out / "sw").exists()
+
+
+@pytest.mark.parametrize("grid", [{}, {"n_max": 2}], ids=["default", "n_max2"])
+def test_calibrate_pulse_matches_fig3b_report(capsys, tmp_path, grid):
+    cfg = write_config(tmp_path, {"grid": {"points": 16, **grid}})
+    code, out, _ = run_cli(capsys, "calibrate", "--config", cfg)
+    assert code == 0
+    pulse = json.loads(out)["pulse"]
+    code, out, _ = run_cli(capsys, "run", "fig3b", "--config", cfg,
+                           "--out", str(tmp_path / "out"))
+    assert code == 0
+    report = json.loads(
+        pathlib.Path(json.loads(out)["outputs"]["json"]).read_text())
+    assert report["calibration"]["pulse"] == pulse
+
+
+def test_unknown_scheme_exits_2(capsys, tmp_path):
+    cfg = write_config(tmp_path, {"scheme": "cross_bogus"})
+    for command in (["run", "fig3b"], ["check-regime"], ["calibrate"]):
+        code, _, err = run_cli(capsys, *command, "--config", cfg)
+        assert code == 2 and "unknown scheme 'cross_bogus'" in err
+
+
 def test_python_dash_m_runs_the_cli():
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]

@@ -1,5 +1,10 @@
+import concurrent.futures
+import faulthandler
 import json
 import math
+import multiprocessing
+import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import kerrcav as kc
 from kerrcav import experiments as ex, models, numerics
-from kerrcav.errors import ValidationError
+from kerrcav.errors import ValidationError, WorkerError
 
 G = 1e8
 
@@ -285,6 +290,97 @@ def test_sweep_parallel_matches_serial():
     for a, b in zip(serial, parallel):
         assert a.value == b.value and a.ok == b.ok
         assert a.result.regime.to_dict() == b.result.regime.to_dict()
+
+
+def test_sweep_processes_match_serial_on_fig3a(tmp_path):
+    # the worker results come back pickled, and a worker writes the same bytes
+    values, kw = [5e7, 1.6369e8, 4e8], dict(grid_points=48)
+    serial = ex.sweep("theta", values, "fig3a", **kw)
+    parallel = ex.sweep("theta", values, "fig3a", jobs=2, **kw)
+    written = ex.sweep("theta", values, "fig3a", jobs=2, outdir=tmp_path, **kw)
+    for a, b, w in zip(serial, parallel, written):
+        assert a.ok and b.ok and w.ok and w.result is None
+        assert ex.csv_text(a.result) == ex.csv_text(b.result)
+        assert ex.json_report(a.result) == ex.json_report(b.result)
+        expected = ex.write_outputs(a.result, tmp_path / "serial")
+        for kind, path in w.outputs.items():
+            assert pathlib.Path(path).read_bytes() == \
+                pathlib.Path(expected[kind]).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [0, -2, 1.5, True])
+def test_sweep_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValidationError, match="jobs must be an integer >= 1"):
+        ex.sweep("theta", [G], "regime_check", jobs=jobs)
+
+
+class _RecordingExecutor:
+    """In-process stand-in for ProcessPoolExecutor that records its size."""
+    sizes: list = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, values):
+        return map(fn, values)
+
+
+@pytest.mark.parametrize("jobs, n_values, cpus, size", [
+    (8, 3, 16, 3), (8, 5, 2, 2), (3, 5, 16, 3), (2, 5, 1, None),
+    (4, 1, 16, None),
+])
+def test_sweep_caps_workers(monkeypatch, jobs, n_values, cpus, size):
+    # never spawns: the executor is a recording stub
+    monkeypatch.setattr(_RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingExecutor)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)))
+    values = [G * (1 + k) for k in range(n_values)]
+    points = ex.sweep("theta", values, "regime_check", jobs=jobs)
+    assert [pt.value for pt in points] == values and all(pt.ok for pt in points)
+    assert _RecordingExecutor.sizes == ([] if size is None else [size])
+
+
+def test_sweep_without_fork_is_a_validation_error(monkeypatch):
+    def no_fork(method):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    with pytest.raises(ValidationError, match="'fork' start method"):
+        ex.sweep("theta", [G, 2 * G], "regime_check", jobs=2)
+    assert ex.sweep("theta", [G], "regime_check", jobs=1)[0].ok
+
+
+def test_sweep_worker_death_raises_worker_error(monkeypatch):
+    # forked workers inherit the patched registry and die without a result
+    monkeypatch.setitem(ex.SCENARIOS, "regime_check",
+                        lambda overrides=None, **kw: os._exit(1))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1})
+    faulthandler.dump_traceback_later(60, exit=True)    # a hang ends the run
+    try:
+        with pytest.raises(WorkerError, match="worker process ended abruptly"):
+            ex.sweep("theta", [G, 2 * G], "regime_check", jobs=2)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+def test_scenario_params_cover_every_atom_count():
+    assert [p.n_atoms for p in ex.scenario_params("fig3a")] == [1, 2]
+    [p] = ex.scenario_params("fig3a", {"n_atoms": 2, "theta": G})
+    assert (p.n_atoms, p.theta, p.delta1) == (2, G, ex.fig3a_params(2).delta1)
+    assert ex.scenario_params("regime_check") == [ex.fig3b_params()]
+    [p] = ex.scenario_params("cross_toroidal")
+    assert p == ex.cross_params("toroidal")
+    with pytest.raises(ValidationError, match="available N"):
+        ex.scenario_params("fig3b", {"n_atoms": 3})
+    with pytest.raises(ValidationError, match="unknown scenario"):
+        ex.scenario_params("fig9")
 
 
 def test_unknown_override_rejected():
