@@ -33,28 +33,22 @@ KNOWN_OUTPUT_KEYS = {"dir"}
 SCHEMES = ("self_kerr", "cross_polarization", "cross_toroidal")
 
 
-def parse_rate(value, g: float | None, key: str) -> float:
-    """A rate: a number, or a string like '10g' scaled by the absolute g."""
+def parse_rate(value, g: float | None, where: str) -> float:
+    """A rate: a number, or a string like '10g' scaled by the absolute g;
+    ``where`` names the input in error messages."""
     if isinstance(value, (int, float)):
         return float(value)
-    if isinstance(value, str):
-        txt = value.strip()
-        if txt.endswith("g"):
-            if g is None:
-                raise ValidationError(
-                    f"config key params.{key}: '{value}' needs an absolute g")
-            try:
-                factor = float(txt[:-1]) if txt[:-1] else 1.0
-            except ValueError:
-                raise ValidationError(
-                    f"config key params.{key}: cannot parse rate {value!r}")
-            return factor * g
-        try:
-            return float(txt)
-        except ValueError:
-            raise ValidationError(
-                f"config key params.{key}: cannot parse rate {value!r}")
-    raise ValidationError(f"config key params.{key}: expected a rate, got {value!r}")
+    if not isinstance(value, str):
+        raise ValidationError(f"{where}: expected a rate, got {value!r}")
+    txt, scale = value.strip(), 1.0
+    if txt.endswith("g"):
+        if g is None:
+            raise ValidationError(f"{where}: '{value}' needs an absolute g")
+        txt, scale = txt[:-1] or "1", g
+    try:
+        return float(txt) * scale
+    except ValueError:
+        raise ValidationError(f"{where}: cannot parse rate {value!r}")
 
 
 def _as_int(value, where: str) -> int:
@@ -106,7 +100,7 @@ def resolve_config(cfg: dict) -> dict:
         if key == "n_atoms":
             resolved[key] = _as_int(value, "config key params.n_atoms")
         else:
-            resolved[key] = parse_rate(value, g, key)
+            resolved[key] = parse_rate(value, g, f"config key params.{key}")
     out["params"] = resolved
     if "grid" in cfg:
         _reject_unknown(dict(cfg["grid"]), KNOWN_GRID_KEYS, "grid.")
@@ -235,8 +229,9 @@ def cmd_sweep(args) -> int:
     if not param:
         raise ValidationError("sweep needs --param or config sweep.param")
     raw = args.values.split(",") if args.values else sweep_cfg.get("values", [])
+    source = "--values" if args.values else "config key sweep.values"
     values = [_as_int(v, "sweep value for n_atoms") if param == "n_atoms"
-              else parse_rate(v, None, param) for v in raw]
+              else parse_rate(v, cfg["params"].get("g"), source) for v in raw]
     if not values:
         raise ValidationError("sweep needs --values or config sweep.values")
     scenario = args.scenario or cfg.get("scenario", "fig3b")

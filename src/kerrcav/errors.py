@@ -1,4 +1,5 @@
 """Exception types shared across the package."""
+import numbers
 
 
 class KerrcavError(Exception):
@@ -19,3 +20,11 @@ class CalibrationError(KerrcavError):
 
 class WorkerError(KerrcavError):
     """A worker process ended before it returned its result."""
+
+
+def require_integer(value, minimum: int, what: str) -> None:
+    """Reject anything but an integer >= ``minimum`` (a bool too), by name."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ValidationError(
+            f"{what} must be an integer >= {minimum}, got {value!r}")

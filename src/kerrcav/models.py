@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import hilbert
-from .errors import ValidationError
+from .errors import ValidationError, require_integer
 from .hilbert import Space, collective, number_op, s3
 
 THETA_CONSISTENCY_RTOL = 1e-9
@@ -86,8 +86,7 @@ def derive_params(p: SchemeParams) -> SchemeParams:
         raise ValidationError(f"g must be finite and nonzero, got {p.g}")
     if not np.isfinite(p.delta1) or p.delta1 == 0:
         raise ValidationError(f"delta1 must be finite and nonzero, got {p.delta1}")
-    if p.n_atoms < 1:
-        raise ValidationError(f"n_atoms must be >= 1, got {p.n_atoms}")
+    require_integer(p.n_atoms, 1, "n_atoms")
 
     raman_given = p.lam is not None or p.delta2 is not None
     if raman_given and (p.lam is None or p.delta2 is None):

@@ -266,10 +266,6 @@ class VProtocol:
             return t + 2 * self.tau + 4 * self.t_pulse
         return t
 
-    def theta_phase_rate(self) -> float:
-        """Rate of the global atomic reference phase, N theta / 2."""
-        return self.params.n_atoms * self.params.theta / 2
-
     # -- propagators and series ----------------------------------------------
 
     def _sectors(self, times, x: np.ndarray, live: np.ndarray) -> np.ndarray:
@@ -289,16 +285,6 @@ class VProtocol:
         y = (self._post[live] @ y.reshape(n_live, d, -1)).reshape(shape)
         y *= np.exp(-1j * np.multiply.outer(g_off, clock))[..., None]
         return y
-
-    def _apply(self, times, x: np.ndarray) -> np.ndarray:
-        """V(t) x for each t and each column of x: (len(times), k, dim)."""
-        n_sectors, d = self._g[0].shape
-        xs = x.reshape(n_sectors, d, -1)
-        live = np.flatnonzero(xs.any(axis=(1, 2)))
-        y = self._sectors(times, xs[live], live)
-        out = np.zeros((y.shape[2], xs.shape[2], n_sectors, d), dtype=complex)
-        out[:, :, live] = y.transpose(2, 3, 0, 1)
-        return out.reshape(len(out), -1, self.space.dim)
 
     def _blocks(self, t: float) -> np.ndarray:
         """V(t) as its stack of sector blocks."""
@@ -327,15 +313,14 @@ class VProtocol:
 
     def states(self, times, psi0: np.ndarray) -> np.ndarray:
         """V(t) psi0 for each t; shape (len(times), dim)."""
-        return self._apply(times, psi0[:, None])[:, 0]
-
-    def branch_series(self, times, n_photons: int):
-        """(<n, -...-| V(t) |n, -...->, V(t) |n, -...->) over the time grid."""
-        psi0 = basis_state(self.space, n_photons,
-                           "-" * self.space.n_atoms)
-        states = self.states(times, psi0)
-        return states @ psi0.conj(), states
+        x = psi0.reshape(*self._g[0].shape, 1)
+        live = np.flatnonzero(x.any(axis=(1, 2)))
+        y = self._sectors(times, x[live], live)[..., 0]
+        out = np.zeros((y.shape[2], *x.shape[:2]), dtype=complex)
+        out[:, live] = y.transpose(2, 0, 1)
+        return out.reshape(len(out), -1)
 
     def amplitude_series(self, times, n_photons: int) -> np.ndarray:
         """<n, -...-| V(t) |n, -...-> over the time grid."""
-        return self.branch_series(times, n_photons)[0]
+        psi0 = basis_state(self.space, n_photons, "-" * self.space.n_atoms)
+        return self.states(times, psi0) @ psi0.conj()

@@ -305,6 +305,59 @@ def test_sweep_rejects_non_integral_n_atoms(capsys, tmp_path):
     assert "n_atoms" in err
 
 
+def test_sweep_resolves_g_relative_values_against_config_g(capsys,
+                                                           tmp_path):
+    cfg = write_config(tmp_path, {"params": {"g": G}})
+    code, out, _ = run_cli(capsys, "sweep", "--config", cfg, "--param",
+                           "theta", "--values", "2g", "--scenario",
+                           "regime_check", "--out", str(tmp_path / "out"))
+    assert code == 0
+    [entry] = json.loads(out)
+    assert entry["value"] == 2 * G
+    report = json.loads(pathlib.Path(entry["outputs"]["json"]).read_text())
+    assert report["config"]["params"]["theta"] == 2 * G
+
+
+@pytest.mark.parametrize("cfg, flags, where", [
+    ({}, ["--param", "theta", "--values", "2g"], "--values"),
+    ({"sweep": {"param": "theta", "values": ["2g"]}}, [],
+     "config key sweep.values"),
+])
+def test_sweep_g_relative_value_without_g_names_its_source(
+        capsys, tmp_path, cfg, flags, where):
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "sweep", "--config",
+                           write_config(tmp_path, cfg), *flags, "--scenario",
+                           "regime_check", "--out", str(out))
+    assert code == 2
+    assert f"{where}: '2g' needs an absolute g" in err
+    assert "params.theta" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_unknown_param_exits_2_before_any_point(capsys, tmp_path, jobs):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "sweep", "--param", "bogus",
+                                "--values", "1,2", "--scenario",
+                                "regime_check", "--jobs", jobs,
+                                "--out", str(out))
+    assert code == 2
+    assert "unknown sweep parameter 'bogus'" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_run_rejects_non_integral_n_atoms_config(capsys, tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"params": {"n_atoms": 2.5}})
+    code, _, err = run_cli(capsys, "run", "fig3b", "--config", cfg,
+                           "--out", str(out))
+    assert code == 2
+    assert "n_atoms" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["run", "fig3b"],
     ["sweep", "--param", "theta", "--values", str(G), "--scenario", "fig3b"],

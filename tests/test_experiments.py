@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import faulthandler
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kerrcav as kc
-from kerrcav import experiments as ex, models, numerics
+from kerrcav import experiments as ex, models, numerics, pulses
 from kerrcav.errors import ValidationError, WorkerError
 
 G = 1e8
@@ -149,6 +150,66 @@ def test_best_rate_matches_unpruned_scan_on_branch_series(monkeypatch):
     assert len(calls) == 8
     for args in calls:
         assert best_rate(*args) == _unpruned_best_rate(*args)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(g=st.floats(1e7, 1e9), delta1=st.floats(5.0, 20.0),
+       delta1_sign=st.sampled_from((-1, 1)), theta=st.floats(0.3, 2.0),
+       theta_sign=st.sampled_from((-1, 1)), speed=st.floats(1.0, 5.0),
+       n_atoms=st.integers(1, 6), n_max=st.integers(0, 4),
+       mode=st.sampled_from(kc.VProtocol.MODES),
+       representation=st.sampled_from(("product", "symmetric")),
+       t_fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       data=st.data())
+def test_lift_matches_dense_protocol(g, delta1, delta1_sign, theta,
+                                     theta_sign, speed, n_atoms, n_max, mode,
+                                     representation, t_fracs, data):
+    # A_N = a_1^N and <S++> = N |<n,+|u_n|n,->|^2 against the dense N-atom
+    # protocol; the worst of 2000 random draws was 9e-12
+    n = data.draw(st.integers(0, n_max), label="n")
+    floor = pulses.PULSE_SPEED_FACTOR * max(g * math.sqrt(max(n_max, 1)),
+                                        theta * g)
+    p = kc.derive_params(kc.SchemeParams(
+        g=g, delta1=delta1_sign * delta1 * g, theta=theta_sign * theta * g,
+        omega=speed * floor, n_atoms=n_atoms))
+    times = np.array(t_fracs) * 2 * math.pi / abs(p.kappa)
+    space = kc.build_space(n_max=n_max, n_atoms=n_atoms, levels=2,
+                           representation=representation)
+    psi0 = kc.basis_state(space, n, "-" * n_atoms)
+    states = kc.VProtocol(space, p, mode=mode).states(times, psi0)
+    spp = kc.collective(space, "+", "+")
+    plus = np.einsum("ij,ij->i", states.conj(), states @ spp.T).real
+    one = kc.VProtocol(kc.build_space(n_max=n_max, n_atoms=1, levels=2),
+                       dataclasses.replace(p, n_atoms=1), mode=mode)
+    amps, plus_lift = ex.lifted_series(one, times, n, n_atoms)
+    assert np.abs(amps - states @ psi0.conj()).max() < 1e-10
+    assert np.abs(plus_lift - plus).max() < 1e-10
+
+
+def test_overlap_scenarios_build_only_one_atom_spaces(monkeypatch):
+    build, sizes = kc.hilbert.build_space, []
+
+    def recording(*args, **kwargs):
+        space = build(*args, **kwargs)
+        sizes.append(space.n_atoms)
+        return space
+
+    monkeypatch.setattr(ex, "build_space", recording)
+    monkeypatch.setattr(kc.hilbert, "build_space", recording)
+    ex.run_fig3b(grid_points=16, branches=((1, 1), (2, 2), (48, 1)))
+    ex.run_fig3b(grid_points=16, mode="ideal")
+    ex.run_fig3a(grid_points=16)
+    ex.calibrate_frame(ex.fig3b_params(5), grid_points=16)
+    assert sizes and set(sizes) == {1}
+
+
+@pytest.mark.parametrize("n_atoms", [2.5, 2.0, True, "2"])
+def test_non_integral_atom_count_is_rejected_by_name(n_atoms):
+    with pytest.raises(ValidationError, match="n_atoms must be an integer"):
+        kc.derive_params(kc.SchemeParams(g=G, delta1=10 * G, theta=G,
+                                         n_atoms=n_atoms))
+    with pytest.raises(ValidationError, match="n_atoms must be an integer"):
+        ex.run_fig3b(branches=((n_atoms, 1),))
 
 
 def test_fig3a_overlap_floor(fig3a_result):

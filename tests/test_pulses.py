@@ -195,7 +195,7 @@ def test_v_kerr_phase_n2(fig3b_p1):
     amps = proto.amplitude_series(times, 2)
     assert np.abs(amps).min() > 0.999
     z = amps * np.exp(1j * (p.stark * 2 * proto.elapsed(times)
-                            - proto.theta_phase_rate() * times))
+                            - p.theta / 2 * times))
     slope = np.polyfit(times, np.unwrap(np.angle(z)), 1)[0]
     assert abs(slope) == pytest.approx(4 * p.kappa, rel=0.02)
 
@@ -224,7 +224,7 @@ def test_rotated_reference_mode(fig3b_p1):
     times = np.linspace(0, 2 * math.pi / p.kappa, 65)
     for n in (1, 2):
         amps = proto.amplitude_series(times, n)
-        y = (amps * np.exp(-1j * proto.theta_phase_rate() * times)).real
+        y = (amps * np.exp(-1j * p.theta / 2 * times)).real
         assert np.abs(np.abs(amps) - 1).max() < 1e-10
         assert np.abs(y - np.cos(p.kappa * n**2 * times)).max() < 1e-10
 
