@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--config", help="JSON config file")
     sw.add_argument("--out", help="output directory")
     sw.add_argument("--jobs", type=int,
-                    help="worker processes, one point each (default 1)")
+                    help="workers, each taking every k-th point (default 1)")
     sw.set_defaults(func=cmd_sweep)
 
     ls = sub.add_parser("list-scenarios", help="list runnable scenarios")

@@ -29,9 +29,9 @@ always use the shared n = 1 rate so the n^2 scaling law is measured in one
 common frame.
 
 A sweep runs a scenario once per parameter value.  With ``jobs > 1`` each
-point is computed in a forked worker process, and with an output directory
-the worker also writes that point's CSV/JSON, so computation and emission
-both run in parallel and only file paths or error text come back.
+of k processes forked from this one takes every k-th point and, with an
+output directory, also writes those points' CSV/JSON, so computation and
+emission both run in parallel and only file paths or error text come back.
 
 Everything here is deterministic: fixed grids, fixed iteration counts, no
 timestamps in emitted files; identical configs give byte-identical output,
@@ -45,6 +45,9 @@ import hashlib
 import json
 import math
 import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -394,7 +397,7 @@ def _run_overlap_scenario(
                 rms_error=float(np.sqrt((err**2).mean())),
                 min_x=float(x.min()), max_x=float(x.max()),
                 max_plus_population=float(plus_pop.max()),
-                basis_label=f"n={n};atoms={'-' * N}",
+                basis_label=f"n={n};atoms=-^{N}",
             )
             calibration_block["r_lin"][f"N={N},n={n}"] = r_lin
             if ideal is not None:
@@ -628,17 +631,58 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _forked_map(run, values: list, workers: int) -> list:
+    """``[run(v) for v in values]``, child k of ``workers`` forked children
+    running ``values[k::workers]``; the parent computes no point."""
+    pipes = {}                          # pid -> read end, until reaped
+    try:
+        for k in range(workers):
+            read_fd, write_fd = os.pipe()
+            sys.stdout.flush()
+            sys.stderr.flush()
+            if (pid := os.fork()) == 0:
+                try:                    # send the points or the exception
+                    try:
+                        out = [run(v) for v in values[k::workers]]
+                    except Exception as exc:
+                        out = exc
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(out, pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_fd)
+            pipes[pid] = open(read_fd, "rb")
+        points = [None] * len(values)
+        for k, pid in enumerate(list(pipes)):
+            data = pipes[pid].read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pipes.pop(pid).close()
+            if status or not data:
+                raise WorkerError("a sweep worker process ended abruptly "
+                                  f"(exit code {status})")
+            if isinstance(out := pickle.loads(data), Exception):
+                raise out
+            points[k::workers] = out
+        return points
+    finally:                            # after an error: kill and reap the rest
+        for pid, pipe in pipes.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+
+
 def sweep(param: str, values, scenario: str, jobs: int = 1, overrides=None,
           outdir=None, **kw) -> list:
     """Run a scenario once per parameter value; failures are recorded.
 
     With ``outdir`` every point writes its CSV/JSON where it is computed
     and its ``SweepPoint`` carries the paths (``outputs``) instead of the
-    result.  ``jobs > 1`` runs the points in up to
-    ``min(jobs, len(values), usable CPUs)`` forked worker processes (POSIX
-    only: it needs the ``fork`` start method); without ``outdir`` their
-    results come back pickled.  A worker that dies raises ``WorkerError``.
-    Points keep the input order whatever ``jobs`` is.
+    result.  ``jobs > 1`` deals the points out in turn to
+    ``min(jobs, len(values), usable CPUs)`` processes forked from this one
+    (POSIX only); without ``outdir`` their results come back pickled.  A
+    worker's exception is re-raised here and a dead worker raises
+    ``WorkerError``, after every worker has been killed and reaped.
     """
     if scenario not in SCENARIOS:
         raise ValidationError(f"unknown scenario {scenario!r}")
@@ -649,27 +693,13 @@ def sweep(param: str, values, scenario: str, jobs: int = 1, overrides=None,
     run = functools.partial(_run_point, param, scenario=scenario,
                             overrides=overrides, kw=kw, outdir=outdir)
     if jobs > 1:
-        # imported here: the pool modules add ~30 ms to a cold import
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
         # fork, not spawn: a spawned worker re-imports numpy and kerrcav
         # (~0.2 s cold), longer than a whole sweep point
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            raise ValidationError(
-                f"jobs = {jobs} needs the 'fork' start method, which this "
-                "platform does not have; use jobs = 1")
+        if not hasattr(os, "fork"):
+            raise ValidationError(f"jobs = {jobs} needs os.fork; use jobs = 1")
         workers = min(jobs, len(values), _usable_cpus())
         if workers > 1:
-            try:
-                with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                    return list(pool.map(run, values))
-            except BrokenProcessPool as exc:
-                raise WorkerError(
-                    f"a sweep worker process ended abruptly: {exc}")
+            return _forked_map(run, values, workers)
     return [run(v) for v in values]
 
 

@@ -507,3 +507,24 @@ def test_python_dash_m_runs_the_cli():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "fig3b" in proc.stdout.split()
+
+
+def test_sweep_jobs_imports_no_process_pool(tmp_path):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    argv = ["sweep", "--param", "theta", "--values", "1e8,2e8", "--scenario",
+            "fig3a", "--jobs", "2", "--out", str(tmp_path)]
+    script = (
+        "import sys\n"
+        "from kerrcav import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "pools = sorted(m for m in sys.modules\n"
+        "               if m.split('.')[0] in ('multiprocessing', 'concurrent'))\n"
+        "print(code, pools)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert len(list(tmp_path.glob("fig3a_*.json"))) == 2

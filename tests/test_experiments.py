@@ -1,11 +1,11 @@
-import concurrent.futures
 import dataclasses
 import faulthandler
 import json
 import math
-import multiprocessing
 import os
 import pathlib
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -375,21 +375,9 @@ def test_sweep_rejects_jobs_below_one(jobs):
         ex.sweep("theta", [G], "regime_check", jobs=jobs)
 
 
-class _RecordingExecutor:
-    """In-process stand-in for ProcessPoolExecutor that records its size."""
-    sizes: list = []
-
-    def __init__(self, max_workers, mp_context=None):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, values):
-        return map(fn, values)
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("jobs, n_values, cpus, size", [
@@ -397,38 +385,76 @@ class _RecordingExecutor:
     (4, 1, 16, None),
 ])
 def test_sweep_caps_workers(monkeypatch, jobs, n_values, cpus, size):
-    # never spawns: the executor is a recording stub
-    monkeypatch.setattr(_RecordingExecutor, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        _RecordingExecutor)
+    # every fork is recorded, then made for real: one per worker
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)))
     values = [G * (1 + k) for k in range(n_values)]
     points = ex.sweep("theta", values, "regime_check", jobs=jobs)
     assert [pt.value for pt in points] == values and all(pt.ok for pt in points)
-    assert _RecordingExecutor.sizes == ([] if size is None else [size])
+    assert [pt.result.regime.to_dict() for pt in points] == [
+        ex.run_regime_check({"theta": v}).regime.to_dict() for v in values]
+    assert len(forks) == (size or 0)
+    _no_child_left()
 
 
 def test_sweep_without_fork_is_a_validation_error(monkeypatch):
-    def no_fork(method):
-        raise ValueError(f"cannot find context for {method!r}")
-
-    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-    with pytest.raises(ValidationError, match="'fork' start method"):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValidationError, match="needs os.fork"):
         ex.sweep("theta", [G, 2 * G], "regime_check", jobs=2)
     assert ex.sweep("theta", [G], "regime_check", jobs=1)[0].ok
 
 
-def test_sweep_worker_death_raises_worker_error(monkeypatch):
-    # forked workers inherit the patched registry and die without a result
-    monkeypatch.setitem(ex.SCENARIOS, "regime_check",
-                        lambda overrides=None, **kw: os._exit(1))
+def test_sweep_flushes_before_forking(monkeypatch, tmp_path):
+    # a worker that prints would otherwise repeat the parent's unflushed text
+    def scenario(overrides=None, **kw):
+        print("worker", flush=True)
+        return ex.run_regime_check(overrides)
+
+    monkeypatch.setitem(ex.SCENARIOS, "regime_check", scenario)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1})
+    with open(tmp_path / "stdout.txt", "w") as stdout:     # a buffered stream
+        monkeypatch.setattr(sys, "stdout", stdout)
+        stdout.write("pending;")
+        points = ex.sweep("theta", [G, 2 * G], "regime_check", jobs=2)
+    assert all(pt.ok for pt in points)
+    out = (tmp_path / "stdout.txt").read_text()
+    assert out.count("pending;") == 1 and out.count("worker") == 2
+
+
+def _sweep_with_failing_first_worker(monkeypatch, fail):
+    """Sweep two points at jobs = 2: the first worker's point runs ``fail``,
+    the second worker's would sleep twice as long as the test allows."""
+    def scenario(overrides=None, **kw):
+        if overrides["theta"] == G:
+            fail()
+        time.sleep(40)
+
+    monkeypatch.setitem(ex.SCENARIOS, "regime_check", scenario)
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1})
     faulthandler.dump_traceback_later(60, exit=True)    # a hang ends the run
+    start = time.monotonic()
     try:
-        with pytest.raises(WorkerError, match="worker process ended abruptly"):
-            ex.sweep("theta", [G, 2 * G], "regime_check", jobs=2)
+        ex.sweep("theta", [G, 2 * G], "regime_check", jobs=2)
     finally:
         faulthandler.cancel_dump_traceback_later()
+        # the sleeping worker was killed, not waited for, and then reaped
+        assert time.monotonic() - start < 20
+        _no_child_left()
+
+
+def test_sweep_worker_death_raises_worker_error(monkeypatch):
+    with pytest.raises(WorkerError, match="worker process ended abruptly"):
+        _sweep_with_failing_first_worker(monkeypatch, lambda: os._exit(1))
+
+
+def test_sweep_worker_exception_is_reraised(monkeypatch):
+    def boom():
+        raise RuntimeError("boom")
+
+    with pytest.raises(RuntimeError, match="^boom$") as info:
+        _sweep_with_failing_first_worker(monkeypatch, boom)
+    assert type(info.value) is RuntimeError
 
 
 def test_scenario_params_cover_every_atom_count():
