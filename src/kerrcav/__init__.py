@@ -14,8 +14,8 @@ from .hilbert import (Space, annihilation, basis_state, build_space,
 from .models import SchemeParams, derive_params, synthesize_raman
 from .pulses import PulseCalibration, VProtocol, calibrate_pulse_phase
 from .regimes import RegimeReport, check, enhanced_strength, kerr_strength
-from .experiments import (run_cross_kerr, run_fig3a, run_fig3b,
-                          calibrate_frame, sweep, write_outputs)
+from .experiments import (run_cross_kerr, run_fig3a, run_fig3b, sweep,
+                          write_outputs)
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,6 @@ __all__ = [
     "SchemeParams", "derive_params", "synthesize_raman",
     "PulseCalibration", "VProtocol", "calibrate_pulse_phase",
     "RegimeReport", "check", "enhanced_strength", "kerr_strength",
-    "run_cross_kerr", "run_fig3a", "run_fig3b", "calibrate_frame", "sweep",
-    "write_outputs",
+    "run_cross_kerr", "run_fig3a", "run_fig3b", "sweep", "write_outputs",
     "__version__",
 ]

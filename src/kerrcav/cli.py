@@ -2,20 +2,23 @@
 
 Configs are JSON documents; any physical rate may be given either as an
 absolute number in s^-1 or as a multiple of g with a suffix, e.g. "10g"
-(g itself must be absolute).  Unknown keys are rejected by name.  Exit
+(g itself must be absolute).  Unknown keys are rejected by name.  Scenario
+names and the options each takes come from ``experiments``: one config
+serves every subcommand, so its grid block, ``mode`` and
+``frame_calibration`` reach a scenario only where it takes them, but a
+command-line flag the scenario does not take is rejected by name.  Exit
 codes: 0 success, 2 validation error, 3 guard/physics failure.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 from .errors import CalibrationError, GuardError, KerrcavError, ValidationError
 from . import experiments, regimes
-from .experiments import (SCENARIOS, apply_overrides, cross_params,
-                          fig3b_params, scenario_params, sweep, write_outputs)
+from .experiments import (SCENARIOS, apply_overrides, fig3b_params,
+                          scenario_params, sweep, write_outputs)
 from .pulses import VProtocol
 
 EXIT_OK = 0
@@ -24,13 +27,12 @@ EXIT_GUARD = 3
 
 RATE_KEYS = {"g", "delta1", "theta", "lam", "delta2", "omega",
              "g_b", "delta1_b", "mode_split"}
-KNOWN_TOP_KEYS = {"scheme", "mode", "scenario", "params", "grid",
+KNOWN_TOP_KEYS = {"mode", "scenario", "params", "grid",
                   "frame_calibration", "sweep", "output", "jobs", "strict",
                   "thresholds"}
 KNOWN_GRID_KEYS = {"points", "n_max"}
 KNOWN_SWEEP_KEYS = {"param", "values"}
 KNOWN_OUTPUT_KEYS = {"dir"}
-SCHEMES = ("self_kerr", "cross_polarization", "cross_toroidal")
 
 
 def parse_rate(value, g: float | None, where: str) -> float:
@@ -108,11 +110,8 @@ def resolve_config(cfg: dict) -> dict:
         _reject_unknown(dict(cfg["sweep"]), KNOWN_SWEEP_KEYS, "sweep.")
     if "output" in cfg:
         _reject_unknown(dict(cfg["output"]), KNOWN_OUTPUT_KEYS, "output.")
-    scheme = cfg.get("scheme", "self_kerr")
-    if scheme not in SCHEMES:
-        raise ValidationError(f"unknown scheme {scheme!r}")
     fc = cfg.get("frame_calibration", "per_branch")
-    if fc not in ("per_branch", "n1_shared"):
+    if fc not in experiments.FRAME_CALIBRATIONS:
         raise ValidationError(
             f"config key 'frame_calibration': unknown value {fc!r}")
     mode = cfg.get("mode", "physical")
@@ -121,37 +120,30 @@ def resolve_config(cfg: dict) -> dict:
     return out
 
 
-def base_params_for(cfg: dict):
-    """The reference parameters of the config's scheme (fig3b for self-Kerr)."""
-    scheme = cfg.get("scheme", "self_kerr")
-    if scheme == "self_kerr":
-        return fig3b_params()
-    return cross_params(scheme.removeprefix("cross_"))
-
-
-def _scenario_kwargs(cfg: dict, scenario: str | None = None,
-                     args=None) -> dict:
-    """Scenario keyword arguments from the config; command-line flags win.
-
-    Every scenario takes the grid block; the overlap scenarios (fig3a,
-    fig3b) also take ``mode`` and ``frame_calibration``.  Without a scenario
-    this is the grid block alone, which ``calibrate`` passes to its frame fit.
-    """
+def _grid_kwargs(cfg: dict) -> dict:
+    """The config's grid block as scenario keywords, validated."""
     grid = dict(cfg.get("grid", {}))
     kw = {}
-    points = getattr(args, "grid_points", None)
-    if points is None:
-        points = grid.get("points")
-    if points is not None:
-        kw["grid_points"] = _as_int(points, "grid points")
+    if grid.get("points") is not None:
+        kw["grid_points"] = _as_int(grid["points"], "grid points")
     if grid.get("n_max") is not None:
         kw["n_max"] = _as_int(grid["n_max"], "config key grid.n_max")
-    if scenario in ("fig3a", "fig3b"):
-        for key in ("mode", "frame_calibration"):
-            value = getattr(args, key, None) or cfg.get(key)
-            if value is not None:
-                kw[key] = value
     return kw
+
+
+def _scenario_kwargs(cfg: dict, scenario: str, args=None) -> dict:
+    """Scenario keyword arguments: the config's grid block, ``mode`` and
+    ``frame_calibration`` where the scenario takes them, then the
+    command-line flags given, which win and which the scenario must take."""
+    kw = _grid_kwargs(cfg)
+    kw.update({key: cfg[key] for key in ("mode", "frame_calibration")
+               if cfg.get(key) is not None})
+    takes = experiments.scenario_options(scenario)
+    flags = {key: getattr(args, key) for key in
+             ("grid_points", "mode", "frame_calibration")
+             if getattr(args, key, None) is not None}
+    experiments.check_options(scenario, flags)
+    return {**{k: v for k, v in kw.items() if k in takes}, **flags}
 
 
 def _regime_warnings(scenario: str, overrides: dict, cfg: dict) -> str:
@@ -172,24 +164,17 @@ def cmd_run(args) -> int:
     scenario = args.scenario or cfg.get("scenario")
     if scenario is None:
         raise ValidationError("no scenario given (argument or config)")
-    if scenario == "cross":
-        scheme = cfg.get("scheme", "cross_polarization")
-        scenario = {"cross_polarization": "cross_polarization",
-                    "cross_toroidal": "cross_toroidal"}.get(scheme)
-        if scenario is None:
-            raise ValidationError(
-                f"scenario 'cross' needs a cross_* scheme, got {scheme!r}")
     if scenario not in SCENARIOS:
         raise ValidationError(
             f"unknown scenario {scenario!r}; try list-scenarios")
+    kw = _scenario_kwargs(cfg, scenario, args)
     overrides = cfg.get("params", {})
     if args.strict or cfg.get("strict"):
         bad = _regime_warnings(scenario, overrides, cfg)
         if bad:
             raise GuardError(f"regime check failed under --strict: {bad}")
 
-    result = SCENARIOS[scenario](overrides,
-                                 **_scenario_kwargs(cfg, scenario, args))
+    result = SCENARIOS[scenario](overrides, **kw)
     outdir = args.out or cfg.get("output", {}).get("dir", "out")
     paths = write_outputs(result, outdir)
     print(json.dumps({"scenario": scenario, "outputs": paths},
@@ -199,7 +184,7 @@ def cmd_run(args) -> int:
 
 def cmd_check_regime(args) -> int:
     cfg = resolve_config(load_config(args.config))
-    p = apply_overrides(base_params_for(cfg), cfg.get("params", {}))
+    p = apply_overrides(fig3b_params(), cfg.get("params", {}))
     report = regimes.check(p, cfg.get("thresholds"))
     print(json.dumps(experiments._jsonable(report.to_dict()),
                      sort_keys=True, indent=2))
@@ -209,15 +194,20 @@ def cmd_check_regime(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    """Print the pulse check and the shared n = 1 frame rate of fig3b's
+    (N, 1) branch for the config's parameters and grid."""
     cfg = resolve_config(load_config(args.config))
-    p = apply_overrides(base_params_for(cfg), cfg.get("params", {}))
-    kw = _scenario_kwargs(cfg)
-    # the scenarios' pulse check, on their photon truncation
-    pulse = experiments.pulse_calibration(
-        p, kw.get("n_max", experiments.DEFAULT_N_MAX))
-    frame = experiments.calibrate_frame(p, **kw)
+    overrides = cfg.get("params", {})
+    n_atoms = overrides.get("n_atoms", 1)
+    result = experiments.run_fig3b(overrides, branches=((n_atoms, 1),),
+                                   **_grid_kwargs(cfg))
+    cal, branch = result.calibration, result.branch(n_atoms, 1)
     print(json.dumps(experiments._jsonable({
-        "pulse": dataclasses.asdict(pulse), "frame": dataclasses.asdict(frame),
+        "pulse": cal["pulse"],
+        "frame": {"r_lin": cal["r_lin_shared"][str(n_atoms)],
+                  "expected": branch.r_lin_expected,
+                  "objective": branch.max_abs_error,
+                  "flagged": "flags" in cal},
     }), sort_keys=True, indent=2))
     return EXIT_OK
 
@@ -234,7 +224,8 @@ def cmd_sweep(args) -> int:
               else parse_rate(v, cfg["params"].get("g"), source) for v in raw]
     if not values:
         raise ValidationError("sweep needs --values or config sweep.values")
-    scenario = args.scenario or cfg.get("scenario", "fig3b")
+    scenario = args.scenario or cfg.get(
+        "scenario", experiments.SWEEP_DEFAULT_SCENARIO)
     where = "--jobs" if args.jobs is not None else "config key jobs"
     jobs = _as_int(cfg.get("jobs", 1) if args.jobs is None else args.jobs,
                    where)
@@ -286,15 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a scenario and write CSV/JSON")
-    run.add_argument("scenario", nargs="?",
-                     help="fig3a | fig3b | cross | cross_polarization | "
-                          "cross_toroidal | regime_check")
+    run.add_argument("scenario", nargs="?", help=" | ".join(SCENARIOS))
     run.add_argument("--config", help="JSON config file")
     run.add_argument("--out", help="output directory (default: out)")
-    run.add_argument("--mode", choices=["ideal", "physical"])
+    run.add_argument("--mode", choices=VProtocol.MODES)
     run.add_argument("--grid-points", type=int)
     run.add_argument("--frame-calibration",
-                     choices=["per_branch", "n1_shared"])
+                     choices=experiments.FRAME_CALIBRATIONS)
     run.add_argument("--strict", action="store_true",
                      help="fail (exit 3) if any regime ratio warns")
     run.set_defaults(func=cmd_run)
@@ -304,15 +293,17 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--strict", action="store_true")
     chk.set_defaults(func=cmd_check_regime)
 
-    cal = sub.add_parser("calibrate",
-                         help="pulse-phase and frame-rate calibration")
+    cal = sub.add_parser(
+        "calibrate", help="pulse phase and n = 1 frame rate of fig3b's (N, 1) "
+                          "branch")
     cal.add_argument("--config", help="JSON config file")
     cal.set_defaults(func=cmd_calibrate)
 
     sw = sub.add_parser("sweep", help="run a scenario over parameter values")
     sw.add_argument("--param", help="SchemeParams field to sweep")
     sw.add_argument("--values", help="comma-separated values (absolute s^-1)")
-    sw.add_argument("--scenario", help="scenario name (default fig3b)")
+    sw.add_argument("--scenario", help="scenario name (default "
+                    f"{experiments.SWEEP_DEFAULT_SCENARIO})")
     sw.add_argument("--config", help="JSON config file")
     sw.add_argument("--out", help="output directory")
     sw.add_argument("--jobs", type=int,

@@ -1,5 +1,10 @@
 """Benchmark scenarios, frame calibration and reproducible data emission.
 
+This module is the one that knows the scenarios: ``SCENARIOS`` maps each
+name to its runner, and a runner's parameters after ``overrides`` are the
+options the scenario takes (``scenario_options``).  ``sweep`` and the
+command line reject by name an option a scenario does not take.
+
 The two overlap scenarios probe X = |<n,-|V(t)|-,n>| and
 Y = Re of the frame-removed amplitude against the pure-Kerr reference
 cos(kappa n^2 t), kappa = N g^4/(4 delta1^2 theta):
@@ -26,7 +31,8 @@ By default each branch is calibrated against its own reference curve
 shift; ``n1_shared`` calibrates once on the n = 1 branch and reuses that
 rate everywhere.  The fitted dominant frequencies reported per branch
 always use the shared n = 1 rate so the n^2 scaling law is measured in one
-common frame.
+common frame.  ``kerrcav calibrate`` prints fig3b's pulse check and shared
+rate for a single (N, 1) branch.
 
 A sweep runs a scenario once per parameter value.  With ``jobs > 1`` each
 of k processes forked from this one takes every k-th point and, with an
@@ -42,6 +48,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -57,7 +64,7 @@ from .errors import (KerrcavError, ValidationError, WorkerError,
                      require_integer)
 from .hilbert import basis_state, build_space
 from .models import SchemeParams, cross_kerr_hamiltonian, derive_params
-from .pulses import PulseCalibration, VProtocol, calibrate_pulse_phase
+from .pulses import VProtocol, calibrate_pulse_phase
 from .regimes import RegimeReport
 
 DEFAULT_GRID_POINTS = 512
@@ -66,6 +73,7 @@ RATE_BRACKET = 0.1          # calibration bracket, relative to N g^2/(2 delta1)
 RATE_COARSE_POINTS = 161
 RATE_REFINE_ITERS = 80
 
+FRAME_CALIBRATIONS = ("per_branch", "n1_shared")
 FIG3B_BRANCHES = ((1, 1), (1, 2), (2, 1), (2, 2))
 FIG3A_BRANCHES = ((1, 2), (2, 2))
 
@@ -103,14 +111,6 @@ def apply_overrides(p: SchemeParams, overrides: dict | None) -> SchemeParams:
 # ---------------------------------------------------------------------------
 # frame-rate calibration
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FrameCalibration:
-    r_lin: float
-    expected: float          # N g^2 / (2 delta1)
-    objective: float         # max |Y - reference| at the minimizer
-    flagged: bool            # no interior minimum inside the bracket
-
 
 def _y_series(amps, times, elapsed, n, theta_rate, r_lin):
     return (amps * np.exp(1j * (r_lin * n * elapsed - theta_rate * times))).real
@@ -209,33 +209,6 @@ def lifted_series(protocol: VProtocol, times, n: int, n_atoms: int):
     return (states @ minus.conj()) ** n_atoms, n_atoms * np.abs(plus) ** 2
 
 
-def calibrate_frame(
-    p: SchemeParams,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    n_max: int = DEFAULT_N_MAX,
-) -> FrameCalibration:
-    """The physical protocol's frame-removal rate, fitted on the n=1 series.
-
-    This is the overlap scenarios' shared n = 1 rate (``r_lin_shared``) for
-    the same parameters, grid and truncation.
-    """
-    require_integer(grid_points, 2, "grid points")
-    p = derive_params(p)
-    protocol = VProtocol(build_space(n_max=n_max, n_atoms=1, levels=2),
-                         replace(p, n_atoms=1))
-    t_grid = np.linspace(0.0, 2 * math.pi / abs(p.kappa), grid_points)
-    amps, _ = lifted_series(protocol, t_grid, 1, p.n_atoms)
-    r, dev, flagged = _fit_rate(p, protocol.elapsed(t_grid), t_grid, 1, amps)
-    return FrameCalibration(r, p.n_atoms * p.stark, dev, flagged)
-
-
-def pulse_calibration(p: SchemeParams,
-                      n_max: int = DEFAULT_N_MAX) -> PulseCalibration:
-    """The overlap scenarios' pulse check: one atom at ``max(2, n_max)``."""
-    space = build_space(n_max=max(2, n_max), n_atoms=1, levels=2)
-    return calibrate_pulse_phase(space, replace(p, n_atoms=1))
-
-
 # ---------------------------------------------------------------------------
 # scenario results
 # ---------------------------------------------------------------------------
@@ -328,7 +301,7 @@ def _run_overlap_scenario(
     with_ideal_oracle: bool,
     include_controls: bool,
 ) -> ScenarioResult:
-    if frame_calibration not in ("per_branch", "n1_shared"):
+    if frame_calibration not in FRAME_CALIBRATIONS:
         raise ValidationError(
             f"unknown frame_calibration {frame_calibration!r}")
     require_integer(grid_points, 2, "grid points")
@@ -341,9 +314,11 @@ def _run_overlap_scenario(
     atom_counts = sorted({N for N, _ in branch_list})
     p_echo = apply_overrides(params_for_n(atom_counts[0]), overrides)
     if mode == "physical":
-        # gates the pulse fidelity; VProtocol takes the same closed-form phase
-        calibration_block["pulse"] = dataclasses.asdict(
-            pulse_calibration(p_echo, n_max))
+        # gates the pulse fidelity on one atom at n_max >= 2; VProtocol
+        # takes the same closed-form phase
+        pulse_space = build_space(n_max=max(2, n_max), n_atoms=1, levels=2)
+        calibration_block["pulse"] = dataclasses.asdict(calibrate_pulse_phase(
+            pulse_space, replace(p_echo, n_atoms=1)))
     for N in atom_counts:
         p = apply_overrides(params_for_n(N), overrides)
         # one atom with the N-atom parameters: no eliminated-tier generator
@@ -596,15 +571,36 @@ def scenario_params(scenario: str, overrides: dict | None = None) -> list:
     raise ValidationError(f"unknown scenario {scenario!r}")
 
 
+# each runner takes the overrides first; its other parameters are the
+# options the scenario takes (``scenario_options``)
 SCENARIOS = {
     "fig3a": run_fig3a,
     "fig3b": run_fig3b,
-    "cross_polarization": lambda overrides=None, **kw: run_cross_kerr(
-        "polarization", overrides, **kw),
-    "cross_toroidal": lambda overrides=None, **kw: run_cross_kerr(
-        "toroidal", overrides, **kw),
-    "regime_check": lambda overrides=None, **kw: run_regime_check(overrides),
+    "cross_polarization": functools.partial(run_cross_kerr, "polarization"),
+    "cross_toroidal": functools.partial(run_cross_kerr, "toroidal"),
+    "regime_check": run_regime_check,
 }
+SWEEP_DEFAULT_SCENARIO = "fig3b"
+
+
+def scenario_options(scenario: str) -> frozenset:
+    """The keyword options ``scenario`` takes besides its overrides: its
+    runner's parameters (read through ``functools.wraps`` wrappers)."""
+    if scenario not in SCENARIOS:
+        raise ValidationError(f"unknown scenario {scenario!r}")
+    return frozenset(
+        inspect.signature(SCENARIOS[scenario]).parameters) - {"overrides"}
+
+
+def check_options(scenario: str, kw) -> None:
+    """Reject by name the first keyword in ``kw`` that ``scenario`` does not
+    take (a ``ValidationError``), so no option is silently ignored."""
+    takes = scenario_options(scenario)
+    unknown = sorted(set(kw) - takes)
+    if unknown:
+        raise ValidationError(
+            f"scenario {scenario!r} takes no option {unknown[0]!r} "
+            f"(it takes: {', '.join(sorted(takes)) or 'none'})")
 
 
 def _run_point(param: str, value, scenario: str, overrides, kw: dict,
@@ -682,10 +678,11 @@ def sweep(param: str, values, scenario: str, jobs: int = 1, overrides=None,
     ``min(jobs, len(values), usable CPUs)`` processes forked from this one
     (POSIX only); without ``outdir`` their results come back pickled.  A
     worker's exception is re-raised here and a dead worker raises
-    ``WorkerError``, after every worker has been killed and reaped.
+    ``WorkerError``, after every worker has been killed and reaped.  A
+    keyword in ``kw`` that the scenario does not take is a
+    ``ValidationError`` before any point runs.
     """
-    if scenario not in SCENARIOS:
-        raise ValidationError(f"unknown scenario {scenario!r}")
+    check_options(scenario, kw)
     if param not in PARAM_NAMES:
         raise ValidationError(f"unknown sweep parameter {param!r}")
     require_integer(jobs, 1, "jobs")

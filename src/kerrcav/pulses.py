@@ -297,18 +297,17 @@ class VProtocol:
         return numerics.block_diagonal(self._blocks(t))
 
     def compose_diagnostics(self, t: float) -> dict:
-        """Per-segment unitarity defects and step counts at Kerr time t.
+        """Per-segment unitarity defects at Kerr time t.
 
         The frame conjugation that moves a sandwich to its clock time leaves
         its defects unchanged.
         """
         if self.mode != "physical":
-            return {"segment_unitarity_defects": [], "segment_step_counts": [],
+            return {"segment_unitarity_defects": [],
                     "total_unitarity_defect": 0.0}
         pre, post = self._edge_defects
         defects = pre + [numerics.unitarity_defect(self._eig.propagator(t))] + post
         return {"segment_unitarity_defects": defects,
-                "segment_step_counts": [1] * len(defects),
                 "total_unitarity_defect": numerics.unitarity_defect(self._blocks(t))}
 
     def states(self, times, psi0: np.ndarray) -> np.ndarray:

@@ -13,11 +13,6 @@ def fig3b_p1():
 
 
 @pytest.fixture(scope="session")
-def fig3b_p2():
-    return ex.fig3b_params(2)
-
-
-@pytest.fixture(scope="session")
 def fig3b_result():
     return ex.run_fig3b()
 

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
 """
 import dataclasses
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -206,8 +207,10 @@ def test_criterion_10_determinism(tmp_path):
     r2 = ex.run_fig3b(**kw)
     p1 = ex.write_outputs(r1, tmp_path / "run1")
     p2 = ex.write_outputs(r2, tmp_path / "run2")
-    csv_same = open(p1["csv"], "rb").read() == open(p2["csv"], "rb").read()
-    json_same = open(p1["json"], "rb").read() == open(p2["json"], "rb").read()
+    csv_same = (pathlib.Path(p1["csv"]).read_bytes()
+                == pathlib.Path(p2["csv"]).read_bytes())
+    json_same = (pathlib.Path(p1["json"]).read_bytes()
+                 == pathlib.Path(p2["json"]).read_bytes())
     names_same = (p1["csv"].split("/")[-1] == p2["csv"].split("/")[-1])
     ok = csv_same and json_same and names_same
     report(10, ok, f"byte-identical outputs across two runs: CSV {csv_same}, "

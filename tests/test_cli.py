@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from kerrcav import cli, pulses
+from kerrcav import cli, experiments, pulses
 
 G = 1e8
 
@@ -42,10 +42,10 @@ def test_run_fig3b_default_csv(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", "fig3b", "--out", str(tmp_path))
     assert code == 0
     paths = json.loads(out)["outputs"]
-    lines = open(paths["csv"]).read().strip().split("\n")
+    lines = pathlib.Path(paths["csv"]).read_text().strip().split("\n")
     assert lines[0] == "t_seconds,N,n,X,Y,reference,abs_error"
     assert len(lines) == 1 + 4 * 512
-    report = json.loads(open(paths["json"]).read())
+    report = json.loads(pathlib.Path(paths["json"]).read_text())
     assert report["config"]["scenario"] == "fig3b"
 
 
@@ -58,8 +58,10 @@ def test_run_outputs_hash_stable(capsys, tmp_path):
     p1 = json.loads(out1)["outputs"]
     p2 = json.loads(out2)["outputs"]
     assert p1["csv"].split("/")[-1] == p2["csv"].split("/")[-1]
-    assert open(p1["csv"]).read() == open(p2["csv"]).read()
-    assert open(p1["json"]).read() == open(p2["json"]).read()
+    assert (pathlib.Path(p1["csv"]).read_text()
+            == pathlib.Path(p2["csv"]).read_text())
+    assert (pathlib.Path(p1["json"]).read_text()
+            == pathlib.Path(p2["json"]).read_text())
 
 
 def test_unknown_config_key(capsys, tmp_path):
@@ -150,7 +152,7 @@ def test_config_echo_round_trip(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", "--config", cfg)
     assert code == 0
     paths = json.loads(out)["outputs"]
-    report = json.loads(open(paths["json"]).read())
+    report = json.loads(pathlib.Path(paths["json"]).read_text())
     echoed = report["config"]
     assert echoed["grid_points"] == 24
     assert echoed["frame_calibration"] == "n1_shared"
@@ -158,15 +160,14 @@ def test_config_echo_round_trip(capsys, tmp_path):
     assert echoed["params"]["omega"] == 100 * G
 
 
-def test_run_cross_via_scheme(capsys, tmp_path):
-    cfg = write_config(tmp_path, {
-        "scheme": "cross_polarization", "scenario": "cross",
-        "output": {"dir": str(tmp_path / "out")},
-    })
-    code, out, _ = run_cli(capsys, "run", "--config", cfg)
-    assert code == 0
-    report = json.loads(open(json.loads(out)["outputs"]["json"]).read())
-    assert report["relative_error"] <= 0.15
+def test_run_cross_is_an_unknown_scenario(capsys, tmp_path):
+    # the cross-Kerr scenarios are named in full; there is no 'cross' alias
+    cfg = write_config(tmp_path, {"scenario": "cross"})
+    for argv in (["run", "cross"], ["run", "--config", cfg]):
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 2 and out == ""
+        assert "unknown scenario 'cross'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_strict_regime_failure(capsys, tmp_path):
@@ -220,7 +221,7 @@ def test_sweep_config_grid_is_applied(capsys, tmp_path):
                            "--scenario", "fig3b", "--out", str(tmp_path))
     assert code == 0
     [entry] = json.loads(out)
-    report = json.loads(open(entry["outputs"]["json"]).read())
+    report = json.loads(pathlib.Path(entry["outputs"]["json"]).read_text())
     assert report["config"]["grid_points"] == 16
 
 
@@ -293,7 +294,7 @@ def test_sweep_over_n_atoms_reports_only_that_n(capsys, tmp_path):
     assert code == 0
     [entry] = json.loads(out)
     assert entry["value"] == 2 and isinstance(entry["value"], int)
-    report = json.loads(open(entry["outputs"]["json"]).read())
+    report = json.loads(pathlib.Path(entry["outputs"]["json"]).read_text())
     assert {b["N"] for b in report["branches"]} == {2}
 
 
@@ -400,7 +401,8 @@ def test_sweep_config_applies_overlap_keys(capsys, tmp_path):
                            "--scenario", "fig3b", "--out", str(tmp_path))
     assert code == 0
     [entry] = json.loads(out)
-    config = json.loads(open(entry["outputs"]["json"]).read())["config"]
+    config = json.loads(
+        pathlib.Path(entry["outputs"]["json"]).read_text())["config"]
     assert (config["mode"], config["frame_calibration"]) == ("ideal", "n1_shared")
 
 
@@ -492,10 +494,67 @@ def test_calibrate_pulse_matches_fig3b_report(capsys, tmp_path, grid):
 
 
 def test_unknown_scheme_exits_2(capsys, tmp_path):
-    cfg = write_config(tmp_path, {"scheme": "cross_bogus"})
-    for command in (["run", "fig3b"], ["check-regime"], ["calibrate"]):
-        code, _, err = run_cli(capsys, *command, "--config", cfg)
-        assert code == 2 and "unknown scheme 'cross_bogus'" in err
+    # no output read the scheme, so 'scheme' is no config key
+    for scheme in ("self_kerr", "cross_polarization", "cross_bogus"):
+        cfg = write_config(tmp_path, {"scheme": scheme})
+        for command in (["run", "fig3b", "--out", str(tmp_path / "out")],
+                        ["check-regime"], ["calibrate"]):
+            code, out, err = run_cli(capsys, *command, "--config", cfg)
+            assert code == 2 and out == ""
+            assert "unknown config key 'scheme'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["run", "cross_polarization", "--mode", "ideal"], "mode"),
+    (["run", "cross_toroidal", "--frame-calibration", "n1_shared"],
+     "frame_calibration"),
+    (["run", "regime_check", "--grid-points", "1"], "grid_points"),
+    (["run", "regime_check", "--mode", "physical"], "mode"),
+], ids=["cross-mode", "cross-frame", "regime-grid", "regime-mode"])
+def test_run_flag_the_scenario_does_not_take_exits_2(capsys, tmp_path, argv,
+                                                     option):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert f"takes no option '{option}'" in err
+    assert not out.exists()
+
+
+def test_config_keys_apply_only_where_the_scenario_takes_them(capsys,
+                                                              tmp_path):
+    # one config serves every subcommand: fig3b's keys do not stop a
+    # cross-Kerr or regime run, and do reach fig3b
+    cfg = write_config(tmp_path, {"mode": "ideal",
+                                  "frame_calibration": "n1_shared",
+                                  "grid": {"points": 16}})
+    for scenario in ("cross_polarization", "regime_check", "fig3b"):
+        code, out, _ = run_cli(capsys, "run", scenario, "--config", cfg,
+                               "--out", str(tmp_path / scenario))
+        assert code == 0
+        report = json.loads(pathlib.Path(
+            json.loads(out)["outputs"]["json"]).read_text())
+        assert report["config"].get("grid_points") == (
+            None if scenario == "regime_check" else 16)
+    assert (report["config"]["mode"],
+            report["config"]["frame_calibration"]) == ("ideal", "n1_shared")
+
+
+def test_run_mode_flag_takes_every_protocol_mode(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "run", "fig3b", "--mode",
+                           "rotated_reference", "--grid-points", "16",
+                           "--out", str(tmp_path))
+    assert code == 0
+    report = json.loads(pathlib.Path(
+        json.loads(out)["outputs"]["json"]).read_text())
+    assert report["config"]["mode"] == "rotated_reference"
+
+
+def test_run_help_lists_every_scenario(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["run", "--help"])
+    out = capsys.readouterr().out
+    assert " | ".join(experiments.SCENARIOS) in " ".join(out.split())
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,5 +1,6 @@
 import dataclasses
 import faulthandler
+import functools
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kerrcav as kc
-from kerrcav import experiments as ex, models, numerics, pulses
+from kerrcav import cli, experiments as ex, models, numerics, pulses
 from kerrcav.errors import ValidationError, WorkerError
 
 G = 1e8
@@ -199,7 +200,8 @@ def test_overlap_scenarios_build_only_one_atom_spaces(monkeypatch):
     ex.run_fig3b(grid_points=16, branches=((1, 1), (2, 2), (48, 1)))
     ex.run_fig3b(grid_points=16, mode="ideal")
     ex.run_fig3a(grid_points=16)
-    ex.calibrate_frame(ex.fig3b_params(5), grid_points=16)
+    # what `kerrcav calibrate` runs for a config with N = 5
+    ex.run_fig3b({"n_atoms": 5}, grid_points=16, branches=((5, 1),))
     assert sizes and set(sizes) == {1}
 
 
@@ -239,12 +241,15 @@ def test_ideal_mode_reference_is_exact_cosine(fig3b_p1):
         assert np.abs(b.x - 1).max() < 1e-10
 
 
-def test_calibrate_frame_physical(fig3b_p1):
-    cal = ex.calibrate_frame(fig3b_p1)
-    assert cal.expected == pytest.approx(5e6, rel=1e-12)
-    assert abs(cal.r_lin - cal.expected) < 0.01 * cal.expected
-    assert not cal.flagged
-    assert cal.objective < 0.05
+def test_calibrate_frame_physical():
+    # the frame fit `kerrcav calibrate` reports: fig3b's (1, 1) branch
+    res = ex.run_fig3b(branches=((1, 1),))
+    branch = res.branch(1, 1)
+    r_lin = res.calibration["r_lin_shared"]["1"]
+    assert branch.r_lin_expected == pytest.approx(5e6, rel=1e-12)
+    assert abs(r_lin - branch.r_lin_expected) < 0.01 * branch.r_lin_expected
+    assert "flags" not in res.calibration
+    assert branch.max_abs_error < 0.05
 
 
 @pytest.mark.parametrize("points", [1, 0, 2.5])
@@ -252,8 +257,7 @@ def test_calibrate_frame_physical(fig3b_p1):
     lambda k: ex.run_fig3b(grid_points=k),
     lambda k: ex.run_fig3a(grid_points=k),
     lambda k: ex.run_cross_kerr(grid_points=k),
-    lambda k: ex.calibrate_frame(ex.fig3b_params(1), grid_points=k),
-], ids=["fig3b", "fig3a", "cross_kerr", "calibrate_frame"])
+], ids=["fig3b", "fig3a", "cross_kerr"])
 def test_python_api_rejects_fewer_than_two_grid_points(run, points):
     with pytest.raises(ValidationError, match="grid points"):
         run(points)
@@ -274,15 +278,18 @@ def test_calibrate_frame_bare_recovers_analytic_rate(fig3b_p1):
     assert abs(r_lin - 5e6) < 1e-3 * 5e6
 
 
-def test_calibrate_frame_is_the_shared_scenario_rate(fig3b_result):
-    cal = ex.calibrate_frame(ex.fig3b_params(1))
-    assert cal.r_lin == fig3b_result.calibration["r_lin_shared"]["1"]
+def test_calibrate_frame_is_the_shared_scenario_rate(fig3b_result, capsys):
+    assert cli.main(["calibrate"]) == 0
+    frame = json.loads(capsys.readouterr().out)["frame"]
+    b11 = fig3b_result.branch(1, 1)
+    assert frame == {"r_lin": fig3b_result.calibration["r_lin_shared"]["1"],
+                     "expected": b11.r_lin_expected,
+                     "objective": b11.max_abs_error, "flagged": False}
 
 
-def test_calibrate_frame_doubles_with_n(fig3b_p1, fig3b_p2):
-    c1 = ex.calibrate_frame(fig3b_p1)
-    c2 = ex.calibrate_frame(fig3b_p2)
-    assert c2.r_lin == pytest.approx(2 * c1.r_lin, rel=0.1)
+def test_calibrate_frame_doubles_with_n(fig3b_result):
+    shared = fig3b_result.calibration["r_lin_shared"]
+    assert shared["2"] == pytest.approx(2 * shared["1"], rel=0.1)
 
 
 def test_cross_kerr_polarization(cross_result):
@@ -324,6 +331,46 @@ def test_sweep_records_failures():
     points = ex.sweep("delta1", [10 * G, 0.0], "regime_check")
     assert points[0].ok
     assert not points[1].ok and "delta1" in points[1].error
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("scenario, option", [
+    ("regime_check", "grid_points"),
+    ("cross_polarization", "mode"),
+    ("cross_toroidal", "frame_calibration"),
+    ("fig3a", "branches"),
+    ("fig3b", "tier"),
+])
+def test_sweep_option_the_scenario_does_not_take_is_rejected(
+        monkeypatch, scenario, option, jobs):
+    calls = []
+    monkeypatch.setattr(ex, "_run_point", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValidationError,
+                       match=f"{scenario}' takes no option '{option}'"):
+        ex.sweep("theta", [G, 2 * G], scenario, jobs=jobs, **{option: None})
+    assert calls == []
+
+
+def test_scenario_options_read_through_functools_wraps(monkeypatch):
+    assert ex.scenario_options("fig3a") == {
+        "grid_points", "mode", "frame_calibration", "n_max"}
+    assert ex.scenario_options("cross_toroidal") == {"grid_points", "n_max"}
+    assert ex.scenario_options("regime_check") == frozenset()
+    # bench/tracer.py swaps scenario runners for functools.wraps wrappers
+    original = ex.SCENARIOS["fig3b"]
+
+    @functools.wraps(original)
+    def traced(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setitem(ex.SCENARIOS, "fig3b", traced)
+    assert ex.scenario_options("fig3b") == {
+        "grid_points", "mode", "frame_calibration", "n_max", "branches"}
+    [point] = ex.sweep("theta", [G], "fig3b", grid_points=16,
+                       branches=((1, 1),))
+    assert point.ok
+    with pytest.raises(ValidationError, match="takes no option 'tier'"):
+        ex.sweep("theta", [G], "fig3b", tier="full")
 
 
 def test_sweep_over_n_atoms_matches_direct_run(fig3b_result):
@@ -534,8 +581,8 @@ def test_write_outputs_hash_stable(tmp_path, cross_result):
     name2 = paths2["json"].split("/")[-1]
     assert name1 == name2
     assert name1.startswith("cross_polarization_")
-    body1 = open(paths1["json"]).read()
-    body2 = open(paths2["json"]).read()
+    body1 = pathlib.Path(paths1["json"]).read_text()
+    body2 = pathlib.Path(paths2["json"]).read_text()
     assert body1 == body2
 
 
