@@ -6,7 +6,9 @@ absolute number in s^-1 or as a multiple of g with a suffix, e.g. "10g"
 names and the options each takes come from ``experiments``: one config
 serves every subcommand, so its grid block, ``mode`` and
 ``frame_calibration`` reach a scenario only where it takes them, but a
-command-line flag the scenario does not take is rejected by name.  Exit
+command-line flag the scenario does not take is rejected by name.  The
+config's ``thresholds`` reach every regime report: ``check-regime``,
+``--strict`` and the JSON of every scenario.  Exit
 codes: 0 success, 2 validation error, 3 guard/physics failure.
 """
 from __future__ import annotations
@@ -117,6 +119,7 @@ def resolve_config(cfg: dict) -> dict:
     mode = cfg.get("mode", "physical")
     if mode not in VProtocol.MODES:
         raise ValidationError(f"config key 'mode': unknown value {mode!r}")
+    regimes.check_thresholds(cfg.get("thresholds"), "config key thresholds")
     return out
 
 
@@ -174,7 +177,8 @@ def cmd_run(args) -> int:
         if bad:
             raise GuardError(f"regime check failed under --strict: {bad}")
 
-    result = SCENARIOS[scenario](overrides, **kw)
+    result = SCENARIOS[scenario](overrides, thresholds=cfg.get("thresholds"),
+                                 **kw)
     outdir = args.out or cfg.get("output", {}).get("dir", "out")
     paths = write_outputs(result, outdir)
     print(json.dumps({"scenario": scenario, "outputs": paths},
@@ -250,7 +254,7 @@ def cmd_sweep(args) -> int:
                 f"regime check failed under strict: {'; '.join(bad)}")
     outdir = args.out or cfg.get("output", {}).get("dir", "out")
     points = sweep(param, values, scenario, jobs=jobs, overrides=overrides,
-                   outdir=outdir, **kw)
+                   outdir=outdir, thresholds=cfg.get("thresholds"), **kw)
     summary = []
     for pt in points:
         entry = {"param": pt.param, "value": pt.value, "ok": pt.ok}

@@ -1,9 +1,10 @@
 """Benchmark scenarios, frame calibration and reproducible data emission.
 
 This module is the one that knows the scenarios: ``SCENARIOS`` maps each
-name to its runner, and a runner's parameters after ``overrides`` are the
-options the scenario takes (``scenario_options``).  ``sweep`` and the
-command line reject by name an option a scenario does not take.
+name to its runner, and a runner's parameters besides ``overrides`` and
+the regime ``thresholds`` are the options the scenario takes
+(``scenario_options``).  ``sweep`` and the command line reject by name an
+option a scenario does not take.
 
 The two overlap scenarios probe X = |<n,-|V(t)|-,n>| and
 Y = Re of the frame-removed amplitude against the pure-Kerr reference
@@ -18,7 +19,11 @@ Both simulate one atom whatever N is.  In photon sector n every
 eliminated-tier generator is a sum of N copies of one single-atom 2x2
 operator, so V_N(t) = u_n(t)^(x)N: ``lifted_series`` raises the one-atom
 amplitude to the N-th power (its docstring bounds the precision), while
-kappa, the time grid and the frame rates keep their N-atom values.
+kappa, the time grid and the frame rates keep their N-atom values.  A run
+builds one protocol (and, for fig3a, one ideal oracle) per distinct
+one-atom parameter set ``derive_params(replace(p, n_atoms=1))``: every
+atom count of fig3b shares one, while fig3a's delta1 and theta change with
+N, so it builds one per N.
 
 Frame removal multiplies the raw amplitude by exp(+i r_lin n T_elapsed(t))
 (killing the photon-linear phase accrued over the whole protocol, pulse and
@@ -129,15 +134,18 @@ def _best_rate(amps, times, elapsed, n, theta_rate, reference, r0):
     phasor z_k = a_k exp(i(r s_k - theta_rate t_k)), s_k = n T_elapsed,k,
     from one scan rate to the next; the few scan values that rounding could
     move across the minimum or the slack cut are evaluated directly.  Each
-    refinement step scores its two probes on the live points only: point k
-    stays live while |Y_k - reference_k| can still reach the maximum
-    somewhere in the bracket, which bounds its change by |a_k s_k| per unit
-    rate plus a rounding margin that grows with the phase.
+    refinement step scores its two probes on the live points only, kept as
+    compacted arrays: point k stays live while |Y_k - reference_k| can
+    still reach the maximum somewhere in the bracket, which bounds its
+    change by |a_k s_k| per unit rate plus a rounding margin that grows
+    with the phase.  Pruning stops at two live points, which cost what one
+    does.  Once a step leaves lo and hi where they were, every later step
+    would repeat it, so the refinement ends there.
     """
 
-    def deviations(r, live=slice(None)):
-        return np.abs(_y_series(amps[live], times[live], elapsed[live], n,
-                                theta_rate, r) - reference[live])
+    def deviations(r):
+        return np.abs(_y_series(amps, times, elapsed, n, theta_rate, r)
+                      - reference)
 
     if n == 0 or r0 == 0:
         return r0, float(deviations(r0).max()), False
@@ -170,19 +178,34 @@ def _best_rate(amps, times, elapsed, n, theta_rate, reference, r0):
     flagged = i in (0, len(grid) - 1)
     lo = grid[max(0, i - 1)]
     hi = grid[min(len(grid) - 1, i + 1)]
-    live = np.arange(len(amps))
+    # the live points, compacted; theta_rate * times is the same product
+    # whether taken once or per probe
+    live = (amps, elapsed, theta_rate * times, reference, lip, fuzz)
+
+    def live_deviations(r):
+        a, el, phase, ref, _, _ = live
+        return np.abs((a * np.exp(1j * (r * n * el - phase))).real - ref)
+
     for _ in range(RATE_REFINE_ITERS):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
-        d1, d2 = deviations(np.array([[m1], [m2]]), live)
+        d1, d2 = live_deviations(np.array([[m1], [m2]]))
         if d1.max() <= d2.max():
-            hi, ref, dev = m2, m1, d1
+            if hi == m2:            # the bracket is fixed from here on
+                break
+            hi, probe, dev = m2, m1, d1
         else:
-            lo, ref, dev = m1, m2, d2
-        reach = lip[live] * max(ref - lo, hi - ref) + fuzz[live]
-        live = live[dev + reach >= (dev - reach).max()]
+            if lo == m1:
+                break
+            lo, probe, dev = m1, m2, d2
+        if len(dev) > 2:            # two points cost what one does
+            *_, live_lip, live_fuzz = live
+            reach = live_lip * max(probe - lo, hi - probe) + live_fuzz
+            keep = dev + reach >= (dev - reach).max()
+            if not keep.all():
+                live = tuple(v[keep] for v in live)
     r = 0.5 * (lo + hi)
-    return float(r), float(deviations(r, live).max()), flagged
+    return float(r), float(live_deviations(r).max()), flagged
 
 
 def _fit_rate(p: SchemeParams, elapsed, times, n, amps):
@@ -274,6 +297,14 @@ def fitted_frequency(times, z) -> float:
     return abs(float(slope))
 
 
+def _thresholds_entry(thresholds: dict | None) -> dict:
+    """The config entry for valid regime thresholds (a ``ValidationError``
+    names a bad one): none when none are set, so such a run's report and
+    file name do not change."""
+    regimes.check_thresholds(thresholds)
+    return {"thresholds": dict(thresholds)} if thresholds else {}
+
+
 def _select_branches(name: str, branch_list, overrides: dict | None) -> tuple:
     """The branches an ``n_atoms`` override selects; all of them without one.
 
@@ -300,11 +331,13 @@ def _run_overlap_scenario(
     n_max: int,
     with_ideal_oracle: bool,
     include_controls: bool,
+    thresholds: dict | None,
 ) -> ScenarioResult:
     if frame_calibration not in FRAME_CALIBRATIONS:
         raise ValidationError(
             f"unknown frame_calibration {frame_calibration!r}")
     require_integer(grid_points, 2, "grid points")
+    thresholds_entry = _thresholds_entry(thresholds)
     branch_list = _select_branches(name, branch_list, overrides)
     branches: list[BranchResult] = []
     calibration_block: dict = {"frame_calibration": frame_calibration,
@@ -319,14 +352,20 @@ def _run_overlap_scenario(
         pulse_space = build_space(n_max=max(2, n_max), n_atoms=1, levels=2)
         calibration_block["pulse"] = dataclasses.asdict(calibrate_pulse_phase(
             pulse_space, replace(p_echo, n_atoms=1)))
+    space = build_space(n_max=n_max, n_atoms=1, levels=2)
+    protocols: dict = {}    # one-atom parameters -> (protocol, ideal oracle)
     for N in atom_counts:
         p = apply_overrides(params_for_n(N), overrides)
         # one atom with the N-atom parameters: no eliminated-tier generator
-        # reads N, and lifted_series raises the result to N atoms
-        space = build_space(n_max=n_max, n_atoms=1, levels=2)
-        one = replace(p, n_atoms=1)
-        protocol = VProtocol(space, one, mode=mode)
-        ideal = VProtocol(space, one, mode="ideal") if with_ideal_oracle else None
+        # reads N, and lifted_series raises the result to N atoms.  Atom
+        # counts whose one-atom parameters agree share one protocol.
+        one = derive_params(replace(p, n_atoms=1))
+        if one not in protocols:
+            protocols[one] = (
+                VProtocol(space, one, mode=mode),
+                VProtocol(space, one, mode="ideal") if with_ideal_oracle
+                else None)
+        protocol, ideal = protocols[one]
         t_grid = np.linspace(0.0, 2 * math.pi / abs(p.kappa), grid_points)
         elapsed = protocol.elapsed(t_grid)
         theta_rate = p.n_atoms * p.theta / 2
@@ -399,11 +438,12 @@ def _run_overlap_scenario(
         "params": params_dict(p_echo),
         "overrides": dict(overrides or {}),
         "branches": [list(b) for b in branch_list],
+        **thresholds_entry,
     }
     return ScenarioResult(
         name=name, config=config, branches=branches,
-        regime=regimes.check(p_echo), calibration=calibration_block,
-        diagnostics=diagnostics,
+        regime=regimes.check(p_echo, thresholds),
+        calibration=calibration_block, diagnostics=diagnostics,
     )
 
 
@@ -414,12 +454,14 @@ def run_fig3b(
     frame_calibration: str = "per_branch",
     n_max: int = DEFAULT_N_MAX,
     branches=FIG3B_BRANCHES,
+    thresholds: dict | None = None,
 ) -> ScenarioResult:
     """Y(t) vs cos(kappa n^2 t) for the four (N, n) benchmark branches."""
     return _run_overlap_scenario(
         "fig3b", fig3b_params, tuple(branches), overrides, grid_points,
         mode, frame_calibration, n_max,
-        with_ideal_oracle=False, include_controls=False)
+        with_ideal_oracle=False, include_controls=False,
+        thresholds=thresholds)
 
 
 def run_fig3a(
@@ -428,12 +470,14 @@ def run_fig3a(
     mode: str = "physical",
     frame_calibration: str = "per_branch",
     n_max: int = DEFAULT_N_MAX,
+    thresholds: dict | None = None,
 ) -> ScenarioResult:
     """X(t) for the N-scaled parameter family, with the ideal-mode oracle."""
     return _run_overlap_scenario(
         "fig3a", fig3a_params, FIG3A_BRANCHES, overrides, grid_points,
         mode, frame_calibration, n_max,
-        with_ideal_oracle=True, include_controls=True)
+        with_ideal_oracle=True, include_controls=True,
+        thresholds=thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +502,7 @@ def run_cross_kerr(
     overrides: dict | None = None,
     grid_points: int = 65,
     n_max: int = 1,
+    thresholds: dict | None = None,
 ) -> CrossKerrResult:
     """Conditional-phase estimate from the two-mode eliminated model.
 
@@ -473,6 +518,7 @@ def run_cross_kerr(
     if n_max > 2:
         raise ValidationError("cross-Kerr scenarios run at n_max <= 2 per mode")
     require_integer(grid_points, 2, "grid points")
+    thresholds_entry = _thresholds_entry(thresholds)
     p = apply_overrides(cross_params(variant), overrides)
     space = build_space(n_max=n_max, n_atoms=p.n_atoms, levels=2, n_modes=2)
 
@@ -513,11 +559,12 @@ def run_cross_kerr(
         "scenario": f"cross_{variant}", "variant": variant,
         "grid_points": grid_points, "n_max": n_max,
         "params": params_dict(p), "overrides": dict(overrides or {}),
+        **thresholds_entry,
     }
     return CrossKerrResult(
         variant=variant, config=config, times=t_grid, amplitudes=amps,
         nu_hat=nu_hat, nu_effective=nu_eff, relative_error=rel,
-        regime=regimes.check(p),
+        regime=regimes.check(p, thresholds),
         notes=("nu_hat fitted as minus the slope of the phase second "
                "difference; exp(-i H t) convention.",),
     )
@@ -543,12 +590,14 @@ class RegimeCheckResult:
     regime: RegimeReport
 
 
-def run_regime_check(overrides: dict | None = None) -> RegimeCheckResult:
+def run_regime_check(overrides: dict | None = None,
+                     thresholds: dict | None = None) -> RegimeCheckResult:
     p = apply_overrides(fig3b_params(), overrides)
     return RegimeCheckResult(
         config={"scenario": "regime_check", "params": params_dict(p),
-                "overrides": dict(overrides or {})},
-        regime=regimes.check(p),
+                "overrides": dict(overrides or {}),
+                **_thresholds_entry(thresholds)},
+        regime=regimes.check(p, thresholds),
     )
 
 
@@ -571,8 +620,9 @@ def scenario_params(scenario: str, overrides: dict | None = None) -> list:
     raise ValidationError(f"unknown scenario {scenario!r}")
 
 
-# each runner takes the overrides first; its other parameters are the
-# options the scenario takes (``scenario_options``)
+# each runner takes the overrides first and the regime thresholds by name;
+# its other parameters are the options the scenario takes
+# (``scenario_options``)
 SCENARIOS = {
     "fig3a": run_fig3a,
     "fig3b": run_fig3b,
@@ -584,12 +634,13 @@ SWEEP_DEFAULT_SCENARIO = "fig3b"
 
 
 def scenario_options(scenario: str) -> frozenset:
-    """The keyword options ``scenario`` takes besides its overrides: its
-    runner's parameters (read through ``functools.wraps`` wrappers)."""
+    """The keyword options ``scenario`` takes besides its overrides and
+    thresholds: its runner's parameters (read through ``functools.wraps``
+    wrappers)."""
     if scenario not in SCENARIOS:
         raise ValidationError(f"unknown scenario {scenario!r}")
-    return frozenset(
-        inspect.signature(SCENARIOS[scenario]).parameters) - {"overrides"}
+    return frozenset(inspect.signature(SCENARIOS[scenario]).parameters) - {
+        "overrides", "thresholds"}
 
 
 def check_options(scenario: str, kw) -> None:
@@ -669,7 +720,7 @@ def _forked_map(run, values: list, workers: int) -> list:
 
 
 def sweep(param: str, values, scenario: str, jobs: int = 1, overrides=None,
-          outdir=None, **kw) -> list:
+          outdir=None, thresholds=None, **kw) -> list:
     """Run a scenario once per parameter value; failures are recorded.
 
     With ``outdir`` every point writes its CSV/JSON where it is computed
@@ -680,7 +731,8 @@ def sweep(param: str, values, scenario: str, jobs: int = 1, overrides=None,
     worker's exception is re-raised here and a dead worker raises
     ``WorkerError``, after every worker has been killed and reaped.  A
     keyword in ``kw`` that the scenario does not take is a
-    ``ValidationError`` before any point runs.
+    ``ValidationError`` before any point runs; every point's regime report
+    applies ``thresholds``.
     """
     check_options(scenario, kw)
     if param not in PARAM_NAMES:
@@ -688,7 +740,8 @@ def sweep(param: str, values, scenario: str, jobs: int = 1, overrides=None,
     require_integer(jobs, 1, "jobs")
     values = list(values)
     run = functools.partial(_run_point, param, scenario=scenario,
-                            overrides=overrides, kw=kw, outdir=outdir)
+                            overrides=overrides,
+                            kw={**kw, "thresholds": thresholds}, outdir=outdir)
     if jobs > 1:
         # fork, not spawn: a spawned worker re-imports numpy and kerrcav
         # (~0.2 s cold), longer than a whole sweep point

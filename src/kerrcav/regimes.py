@@ -10,12 +10,16 @@ never use them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
+from .errors import ValidationError
 from .models import SchemeParams, derive_params
 
 DEFAULT_THRESHOLD = 0.15
 SEPARATION_THRESHOLD = 0.1
+RATIO_NAMES = ("dispersive_cavity", "dispersive_laser", "separation",
+               "second_dispersive", "rot_condition", "footnote_ratio")
 
 
 @dataclass(frozen=True)
@@ -79,8 +83,32 @@ def enhanced_strength(p: SchemeParams) -> EnhancedStrength:
     return EnhancedStrength(theta_choice, strength, estimate)
 
 
+def check_thresholds(thresholds, where: str = "thresholds") -> None:
+    """Reject by name a threshold map that ``check`` cannot apply: a name
+    that is neither a ratio nor ``default``, or a value that is not a
+    finite non-negative real number (``where`` prefixes the message)."""
+    if thresholds is None:
+        return
+    if not isinstance(thresholds, dict):
+        raise ValidationError(
+            f"{where}: expected an object of ratio thresholds, "
+            f"got {thresholds!r}")
+    for name, value in thresholds.items():
+        if name not in RATIO_NAMES and name != "default":
+            raise ValidationError(
+                f"{where}: unknown ratio {name!r} (known: default, "
+                f"{', '.join(RATIO_NAMES)})")
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value) or value < 0):
+            raise ValidationError(
+                f"{where}.{name}: expected a finite number >= 0, "
+                f"got {value!r}")
+
+
 def check(p: SchemeParams, thresholds: dict | None = None) -> RegimeReport:
-    """Evaluate every validity ratio and strength for a parameter set."""
+    """Evaluate every validity ratio and strength for a parameter set,
+    under the default thresholds updated by ``thresholds``."""
+    check_thresholds(thresholds)
     p = derive_params(p)
     th = {"default": DEFAULT_THRESHOLD, "separation": SEPARATION_THRESHOLD}
     th.update(thresholds or {})
@@ -108,9 +136,7 @@ def check(p: SchemeParams, thresholds: dict | None = None) -> RegimeReport:
         values["footnote_ratio"] = None
 
     ratios = {}
-    order = ("dispersive_cavity", "dispersive_laser", "separation",
-             "second_dispersive", "rot_condition", "footnote_ratio")
-    for name in order:
+    for name in RATIO_NAMES:
         v = values[name]
         tol = threshold(name)
         if v is None:

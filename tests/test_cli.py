@@ -587,3 +587,78 @@ def test_sweep_jobs_imports_no_process_pool(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
     assert len(list(tmp_path.glob("fig3a_*.json"))) == 2
+
+
+@pytest.mark.parametrize("scenario", [
+    "regime_check", "fig3b", "fig3a", "cross_polarization", "cross_toroidal"])
+def test_config_thresholds_reach_the_written_report(capsys, tmp_path,
+                                                    scenario):
+    # the JSON regime block applies the thresholds check-regime applies
+    thresholds = {"second_dispersive": 0.01, "default": 0.2}
+    cfg = write_config(tmp_path, {"thresholds": thresholds,
+                                  "grid": {"points": 16}})
+    code, out, _ = run_cli(capsys, "run", scenario, "--config", cfg,
+                           "--out", str(tmp_path / "run"))
+    assert code == 0
+    report = json.loads(
+        pathlib.Path(json.loads(out)["outputs"]["json"]).read_text())
+    assert report["config"]["thresholds"] == thresholds
+    ratios = report["regime"]["ratios"]
+    assert ratios["second_dispersive"]["threshold"] == 0.01
+    assert ratios["second_dispersive"]["status"] == "warn"
+    assert ratios["dispersive_cavity"]["threshold"] == 0.2
+    if scenario == "regime_check":
+        code, out, _ = run_cli(capsys, "check-regime", "--config", cfg)
+        assert code == 0 and report["regime"] == json.loads(out)
+
+
+def test_config_thresholds_reach_every_sweep_point(capsys, tmp_path):
+    cfg = write_config(tmp_path, {"thresholds": {"second_dispersive": 0.01}})
+    code, out, _ = run_cli(capsys, "sweep", "--scenario", "regime_check",
+                           "--param", "theta", "--values", "1e8,2e8",
+                           "--jobs", "2", "--config", cfg,
+                           "--out", str(tmp_path / "sweep"))
+    assert code == 0
+    for point in json.loads(out):
+        ratio = json.loads(pathlib.Path(point["outputs"]["json"]).read_text())[
+            "regime"]["ratios"]["second_dispersive"]
+        assert (ratio["threshold"], ratio["status"]) == (0.01, "warn")
+
+
+def test_empty_thresholds_leave_report_and_file_name_unchanged(capsys,
+                                                               tmp_path):
+    written = []
+    for name, cfg in (("none", {}), ("empty", {"thresholds": {}})):
+        path = write_config(tmp_path, cfg, f"{name}.json")
+        code, out, _ = run_cli(capsys, "run", "regime_check", "--config", path,
+                               "--out", str(tmp_path / name))
+        assert code == 0
+        written.append(pathlib.Path(json.loads(out)["outputs"]["json"]))
+    assert written[0].name == written[1].name
+    assert written[0].read_bytes() == written[1].read_bytes()
+    assert "thresholds" not in json.loads(written[0].read_text())["config"]
+
+
+@pytest.mark.parametrize("thresholds, message", [
+    ({"second_dispersive": [0.01, 0.02]}, "thresholds.second_dispersive"),
+    ({"default": "0.1"}, "thresholds.default"),
+    ({"rot_condition": True}, "thresholds.rot_condition"),
+    ({"separation": -0.1}, "thresholds.separation"),
+    ({"default": float("nan")}, "thresholds.default"),
+    ({"second_dispersive": float("inf")}, "thresholds.second_dispersive"),
+    ({"second_dispersiv": 0.01}, "unknown ratio 'second_dispersiv'"),
+    ({"kappa": 0.01}, "unknown ratio 'kappa'"),
+    ([0.1], "config key thresholds: expected an object"),
+])
+def test_bad_thresholds_exit_2_by_name(capsys, tmp_path, thresholds,
+                                       message):
+    # every subcommand resolves the config before it runs or writes anything
+    cfg = write_config(tmp_path, {"thresholds": thresholds})
+    out_dir = ["--out", str(tmp_path / "out")]
+    for argv in (["check-regime"], ["run", "regime_check", *out_dir],
+                 ["sweep", "--param", "theta", "--values", "1e8", *out_dir],
+                 ["calibrate"]):
+        code, out, err = run_cli(capsys, *argv, "--config", cfg)
+        assert code == 2 and out == ""
+        assert message in err
+    assert not (tmp_path / "out").exists()

@@ -153,6 +153,26 @@ def test_best_rate_matches_unpruned_scan_on_branch_series(monkeypatch):
         assert best_rate(*args) == _unpruned_best_rate(*args)
 
 
+def test_rate_fit_exits_once_its_bracket_is_fixed(monkeypatch):
+    # with no cap on the refinement, each of fig3b's fits still returns
+    # what it returns at the default cap: the loop ends once lo and hi stop
+    # moving, and the fit still equals the whole-grid oracle
+    best_rate, calls = ex._best_rate, []
+    monkeypatch.setattr(
+        ex, "_best_rate", lambda *a: calls.append(a) or best_rate(*a))
+    ex.run_fig3b()
+    assert len(calls) == 4 and ex.RATE_REFINE_ITERS == 80
+    capped = [best_rate(*args) for args in calls]
+    for args, fit in zip(calls, capped):
+        assert fit == _unpruned_best_rate(*args)
+    monkeypatch.setattr(ex, "RATE_REFINE_ITERS", 10**6)
+    faulthandler.dump_traceback_later(60, exit=True)    # a hang ends the run
+    try:
+        assert [best_rate(*args) for args in calls] == capped
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(g=st.floats(1e7, 1e9), delta1=st.floats(5.0, 20.0),
        delta1_sign=st.sampled_from((-1, 1)), theta=st.floats(0.3, 2.0),
@@ -203,6 +223,50 @@ def test_overlap_scenarios_build_only_one_atom_spaces(monkeypatch):
     # what `kerrcav calibrate` runs for a config with N = 5
     ex.run_fig3b({"n_atoms": 5}, grid_points=16, branches=((5, 1),))
     assert sizes and set(sizes) == {1}
+
+
+@pytest.fixture
+def protocol_builds(monkeypatch):
+    """The mode of every VProtocol the scenarios build, in order."""
+    modes = []
+
+    class Counting(pulses.VProtocol):
+        def __init__(self, space, params, mode="physical", **kwargs):
+            modes.append(mode)
+            super().__init__(space, params, mode=mode, **kwargs)
+
+    monkeypatch.setattr(ex, "VProtocol", Counting)
+    return modes
+
+
+@pytest.mark.parametrize("run, built", [
+    (lambda: ex.run_fig3b(), ["physical"]),
+    (lambda: ex.run_fig3b(branches=((8, 1), (16, 1), (32, 1), (48, 1))),
+     ["physical"]),
+    (lambda: ex.run_fig3a(), ["physical", "ideal"] * 2),
+    (lambda: ex.run_fig3b({"n_atoms": 5}, branches=((5, 1),)), ["physical"]),
+], ids=["fig3b", "scaling", "fig3a", "calibrate_n5"])
+def test_one_protocol_per_distinct_one_atom_parameter_set(protocol_builds,
+                                                          run, built):
+    # fig3b's one-atom parameters do not depend on N; fig3a's delta1 and
+    # theta do, so it builds a protocol and an ideal oracle per N
+    run()
+    assert protocol_builds == built
+
+
+def test_shared_protocol_matches_one_protocol_per_atom_count(fig3b_result):
+    # one run per atom count builds one protocol for each
+    for N in (1, 2):
+        alone = ex.run_fig3b(branches=((N, 1), (N, 2)))
+        for n in (1, 2):
+            a, b = alone.branch(N, n), fig3b_result.branch(N, n)
+            assert np.array_equal(a.amplitudes, b.amplitudes)
+            assert np.array_equal(a.y, b.y)
+            assert a.summary() == b.summary()
+        assert alone.calibration["r_lin_shared"][str(N)] == \
+            fig3b_result.calibration["r_lin_shared"][str(N)]
+        assert alone.diagnostics[f"segments_N={N}"] == \
+            fig3b_result.diagnostics[f"segments_N={N}"]
 
 
 @pytest.mark.parametrize("n_atoms", [2.5, 2.0, True, "2"])

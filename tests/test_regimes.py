@@ -1,10 +1,12 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import kerrcav as kc
-from kerrcav import experiments as ex
+from kerrcav import experiments as ex, regimes
+from kerrcav.errors import ValidationError
 
 G = 1e8
 
@@ -143,3 +145,24 @@ def test_report_schema(fig3b_p1):
 def test_worst_status(fig3b_p1):
     assert kc.check(fig3b_p1).worst_status == "pass"
     assert kc.check(ex.fig3a_params(1)).worst_status == "warn"
+
+
+@pytest.mark.parametrize("thresholds, message", [
+    ({"second_dispersive": [0.01, 0.02]}, "thresholds.second_dispersive"),
+    ({"default": -1.0}, "thresholds.default"),
+    ({"footnote": 0.1}, "unknown ratio 'footnote'"),
+    ("0.1", "expected an object"),
+])
+def test_bad_thresholds_are_rejected_by_name(fig3b_p1, thresholds, message):
+    with pytest.raises(ValidationError, match=message):
+        kc.check(fig3b_p1, thresholds)
+    with pytest.raises(ValidationError, match=message):
+        ex.run_regime_check(thresholds=thresholds)
+
+
+def test_every_ratio_and_default_take_a_threshold(fig3b_p1):
+    thresholds = {name: 0.5 for name in (*regimes.RATIO_NAMES, "default")}
+    report = kc.check(fig3b_p1, thresholds)
+    assert [r.threshold for r in report.ratios.values()] == [0.5] * 6
+    assert kc.check(fig3b_p1, {"separation": np.float64(0.0)}).ratios[
+        "separation"].threshold == 0.0
