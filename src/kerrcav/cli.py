@@ -187,12 +187,19 @@ def cmd_run(args) -> int:
 
 
 def cmd_check_regime(args) -> int:
+    """Print the regime report of fig3b's parameters; with a config
+    ``scenario``, one report per atom count it runs, keyed ``N=<N>`` (the
+    sets ``--strict`` judges for ``run``)."""
     cfg = resolve_config(load_config(args.config))
-    p = apply_overrides(fig3b_params(), cfg.get("params", {}))
-    report = regimes.check(p, cfg.get("thresholds"))
-    print(json.dumps(experiments._jsonable(report.to_dict()),
-                     sort_keys=True, indent=2))
-    if (args.strict or cfg.get("strict")) and report.worst_status != "pass":
+    overrides, scenario = cfg.get("params", {}), cfg.get("scenario")
+    params = ([apply_overrides(fig3b_params(), overrides)] if scenario is None
+              else scenario_params(scenario, overrides))
+    reports = [regimes.check(p, cfg.get("thresholds")) for p in params]
+    shown = (reports[0].to_dict() if scenario is None else
+             {f"N={p.n_atoms}": r.to_dict() for p, r in zip(params, reports)})
+    print(json.dumps(experiments._jsonable(shown), sort_keys=True, indent=2))
+    if (args.strict or cfg.get("strict")) and any(
+            r.worst_status != "pass" for r in reports):
         return EXIT_GUARD
     return EXIT_OK
 

@@ -77,6 +77,9 @@ DEFAULT_N_MAX = 4           # photon truncation of the overlap scenarios
 RATE_BRACKET = 0.1          # calibration bracket, relative to N g^2/(2 delta1)
 RATE_COARSE_POINTS = 161
 RATE_REFINE_ITERS = 80
+RATE_BOUND_STRIDE = 16      # the coarse scan's bound takes every 16th point
+RATE_BATCH_LIVE = 8         # refine in batches once this few points are live
+RATE_BATCH_DEPTH = 3        # ternary steps per batch: 2 + 4 + 8 probes
 
 FRAME_CALIBRATIONS = ("per_branch", "n1_shared")
 FIG3B_BRANCHES = ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -129,83 +132,98 @@ def _best_rate(amps, times, elapsed, n, theta_rate, reference, r0):
     flipped in sign); when minima are nearly degenerate the one closest to
     the analytic rate r0 is chosen.
 
-    The objective max_k |Y_k(r) - reference_k| is evaluated cheaply but to
-    the same bits as on the whole grid.  The coarse scan rotates the
-    phasor z_k = a_k exp(i(r s_k - theta_rate t_k)), s_k = n T_elapsed,k,
-    from one scan rate to the next; the few scan values that rounding could
-    move across the minimum or the slack cut are evaluated directly.  Each
-    refinement step scores its two probes on the live points only, kept as
-    compacted arrays: point k stays live while |Y_k - reference_k| can
-    still reach the maximum somewhere in the bracket, which bounds its
-    change by |a_k s_k| per unit rate plus a rounding margin that grows
-    with the phase.  Pruning stops at two live points, which cost what one
-    does.  Once a step leaves lo and hi where they were, every later step
-    would repeat it, so the refinement ends there.
-    """
+    The objective D(r) = max_k |Y_k(r) - reference_k| is evaluated cheaply
+    but to the same bits as on the whole grid: every |Y_k(r) - reference_k|
+    is taken in ``_y_series``'s order of operations, so it is bit-equal to
+    the whole-grid value, and a maximum over a subset of points is an exact
+    lower bound on D(r).
 
-    def deviations(r):
-        return np.abs(_y_series(amps, times, elapsed, n, theta_rate, r)
-                      - reference)
+    * Coarse scan.  One batch over every RATE_BOUND_STRIDE-th time point
+      (counted from the last) gives each scan rate a bound B_j <= D(r_j).
+      D is taken in full at the rate of least bound, giving D*, and then
+      at every rate with B_j <= D* + max(0.01, 0.5 D*).  As min D <= D*
+      and rounding is monotone, the slack cut min D + max(0.01, 0.5 min D)
+      is at most that value, so every rate under the cut, the minimum
+      included, has been taken in full; every other rate lies above it.
+    * Refinement.  Each ternary step scores its two probes on the live
+      points only, kept as compacted arrays: point k stays live while
+      |Y_k - reference_k| can still reach the maximum somewhere in the
+      bracket, which bounds its change by |a_k s_k| per unit rate
+      (s_k = n T_elapsed,k) plus a rounding margin that grows with the
+      phase.  Once at most RATE_BATCH_LIVE points are live, pruning stops
+      and the probes of the next RATE_BATCH_DEPTH steps, for every outcome,
+      are scored in one batch and walked in order.  Once a step leaves lo
+      and hi where they were, every later step would repeat it, so the
+      refinement ends there.
+    """
+    # theta_rate * times is the same product whether taken once or inside
+    # _y_series
+    whole = (amps, elapsed, theta_rate * times, reference)
+
+    def deviations(rates, a, el, ph, ref):
+        """|Y_k(r) - reference_k| for a column of rates, one row each."""
+        return np.abs((a * np.exp(1j * (rates * n * el - ph))).real - ref)
+
+    def objective(r):
+        return float(np.maximum.reduce(deviations(r, *whole)))
 
     if n == 0 or r0 == 0:
-        return r0, float(deviations(r0).max()), False
+        return r0, objective(r0), False
     half = RATE_BRACKET * abs(r0)
     grid = np.linspace(r0 - half, r0 + half, RATE_COARSE_POINTS)
-    s = n * elapsed
-    lip = np.abs(amps) * np.abs(s)
-    ulps = 16 * np.finfo(float).eps * np.abs(amps)
-    # rounding bound on one |Y_k - reference_k|, scaled with the phase
-    fuzz = 1e-12 + ulps * (
-        (abs(r0) + half) * np.abs(s) + abs(theta_rate) * np.abs(times) + 1)
-    z = amps * np.exp(1j * (grid[0] * n * elapsed - theta_rate * times))
-    step = np.exp(1j * (grid[1] - grid[0]) * s)
-    devs = np.empty(RATE_COARSE_POINTS)
-    for j in range(RATE_COARSE_POINTS):
-        devs[j] = np.abs(z.real - reference).max()
-        z *= step
-    # every rotation step adds a few ulps of |a_k|
-    tol = (fuzz + RATE_COARSE_POINTS * ulps).max()
-
-    def settle(mask):
-        idx = np.flatnonzero(mask)
-        devs[idx] = [deviations(r).max() for r in grid[idx]]
-
-    settle(devs <= devs.min() + 2 * tol)
-    slack = devs.min() + max(0.01, 0.5 * devs.min())
-    settle(np.abs(devs - slack) <= tol)
+    subset = tuple(np.ascontiguousarray(v[::-RATE_BOUND_STRIDE]) for v in whole)
+    bound = np.maximum.reduce(deviations(grid[:, None], *subset), axis=1)
+    least = objective(grid[np.argmin(bound)])
+    devs = np.full(RATE_COARSE_POINTS, np.inf)
+    for j in np.flatnonzero(bound <= least + max(0.01, 0.5 * least)):
+        devs[j] = objective(grid[j])
+    best = devs.min()
+    slack = best + max(0.01, 0.5 * best)
     candidates = np.flatnonzero(devs <= slack)
     i = int(candidates[np.argmin(np.abs(grid[candidates] - r0))])
     flagged = i in (0, len(grid) - 1)
-    lo = grid[max(0, i - 1)]
-    hi = grid[min(len(grid) - 1, i + 1)]
-    # the live points, compacted; theta_rate * times is the same product
-    # whether taken once or per probe
-    live = (amps, elapsed, theta_rate * times, reference, lip, fuzz)
+    lo = float(grid[max(0, i - 1)])
+    hi = float(grid[min(len(grid) - 1, i + 1)])
 
-    def live_deviations(r):
-        a, el, phase, ref, _, _ = live
-        return np.abs((a * np.exp(1j * (r * n * el - phase))).real - ref)
-
-    for _ in range(RATE_REFINE_ITERS):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        d1, d2 = live_deviations(np.array([[m1], [m2]]))
-        if d1.max() <= d2.max():
-            if hi == m2:            # the bracket is fixed from here on
+    s = n * elapsed
+    ulps = 16 * np.finfo(float).eps * np.abs(amps)
+    # the live points, compacted, with the Lipschitz bound |a_k s_k| and a
+    # rounding bound on |Y_k - reference_k| that scales with the phase
+    live = (*whole, np.abs(amps) * np.abs(s), 1e-12 + ulps * (
+        (abs(r0) + half) * np.abs(s) + abs(theta_rate) * np.abs(times) + 1))
+    steps, fixed = 0, False
+    while steps < RATE_REFINE_ITERS and not fixed:
+        depth = 1 if len(live[0]) > RATE_BATCH_LIVE else RATE_BATCH_DEPTH
+        # the brackets of the next `depth` steps for every outcome, heap
+        # ordered: node k's children are 2k + 1 (its left probe won) and
+        # 2k + 2, and its probes are probes[2k] and probes[2k + 1]
+        tree, probes = [(lo, hi)], []
+        for k in range(2**depth - 1):
+            a, b = tree[k]
+            m1, m2 = a + (b - a) / 3, b - (b - a) / 3
+            tree += [(a, m2), (m1, b)]
+            probes += [m1, m2]
+        rows = deviations(np.array(probes)[:, None], *live[:4])
+        scores = np.maximum.reduce(rows, axis=1)
+        node = 0
+        for _ in range(min(depth, RATE_REFINE_ITERS - steps)):
+            child = 2 * node + (1 if scores[2 * node] <= scores[2 * node + 1]
+                                else 2)
+            if tree[child] == tree[node]:   # fixed from here on
+                fixed = True
                 break
-            hi, probe, dev = m2, m1, d1
-        else:
-            if lo == m1:
-                break
-            lo, probe, dev = m1, m2, d2
-        if len(dev) > 2:            # two points cost what one does
-            *_, live_lip, live_fuzz = live
-            reach = live_lip * max(probe - lo, hi - probe) + live_fuzz
-            keep = dev + reach >= (dev - reach).max()
+            node, steps = child, steps + 1
+        lo, hi = tree[node]
+        if depth == 1 and node:
+            # prune against the winning probe, which lies in the new bracket
+            probe, dev = probes[node - 1], rows[node - 1]
+            reach = live[4] * max(probe - lo, hi - probe) + live[5]
+            keep = dev + reach >= np.maximum.reduce(dev - reach)
             if not keep.all():
                 live = tuple(v[keep] for v in live)
     r = 0.5 * (lo + hi)
-    return float(r), float(live_deviations(r).max()), flagged
+    return (float(r), float(np.maximum.reduce(deviations(r, *live[:4]))),
+            flagged)
 
 
 def _fit_rate(p: SchemeParams, elapsed, times, n, amps):
@@ -346,10 +364,11 @@ def _run_overlap_scenario(
 
     atom_counts = sorted({N for N, _ in branch_list})
     p_echo = apply_overrides(params_for_n(atom_counts[0]), overrides)
-    if mode == "physical":
-        # gates the pulse fidelity on one atom at n_max >= 2; VProtocol
-        # takes the same closed-form phase
-        pulse_space = build_space(n_max=max(2, n_max), n_atoms=1, levels=2)
+    if mode == "physical" and n_max < 2:
+        # the pulse fidelity is gated on one atom at n_max >= 2 (VProtocol
+        # takes the same closed-form phase).  Below that the check composes
+        # its own sandwich, before the protocol's laxer pulse guard runs.
+        pulse_space = build_space(n_max=2, n_atoms=1, levels=2)
         calibration_block["pulse"] = dataclasses.asdict(calibrate_pulse_phase(
             pulse_space, replace(p_echo, n_atoms=1)))
     space = build_space(n_max=n_max, n_atoms=1, levels=2)
@@ -361,8 +380,15 @@ def _run_overlap_scenario(
         # counts whose one-atom parameters agree share one protocol.
         one = derive_params(replace(p, n_atoms=1))
         if one not in protocols:
+            protocol = VProtocol(space, one, mode=mode)
+            if mode == "physical" and "pulse" not in calibration_block:
+                # p_echo's protocol; with n_max >= 2 its forward sandwich
+                # is the realization the pulse check scores
+                calibration_block["pulse"] = dataclasses.asdict(
+                    calibrate_pulse_phase(space, one,
+                                          forward=protocol.forward))
             protocols[one] = (
-                VProtocol(space, one, mode=mode),
+                protocol,
                 VProtocol(space, one, mode="ideal") if with_ideal_oracle
                 else None)
         protocol, ideal = protocols[one]

@@ -163,13 +163,16 @@ def _beta_and_fidelity(space: Space, target: np.ndarray, u: np.ndarray):
     return beta, float(fidelity)
 
 
-def calibrate_pulse_phase(space: Space, p: SchemeParams) -> PulseCalibration:
+def calibrate_pulse_phase(space: Space, p: SchemeParams, *,
+                          forward: np.ndarray | None = None) -> PulseCalibration:
     """Closed-form forward pulse phase, checked against the ideal rotation.
 
     Composes the eliminated-tier realization once, at
     ``default_forward_phase(p)``, and scores it against the ideal rotation
     modulo a photon-diagonal phase e^{-i beta n}.  A fidelity below 0.95 is
-    reported as a failure.
+    reported as a failure.  ``forward`` takes that realization's stack of
+    photon-number blocks when it is composed already: a physical
+    ``VProtocol(space, p)`` keeps it as ``forward``.
     """
     if space.n_atoms != 1 or space.n_max < 2:
         raise ValidationError(
@@ -177,9 +180,9 @@ def calibrate_pulse_phase(space: Space, p: SchemeParams) -> PulseCalibration:
         )
     p = derive_params(p)
     phi_forward = default_forward_phase(p)
-    beta, fidelity = _beta_and_fidelity(
-        space, u_ideal(space, p),
-        u_physical(space, p, first_phase=phi_forward))
+    u = (u_physical(space, p, first_phase=phi_forward) if forward is None
+         else numerics.block_diagonal(forward))
+    beta, fidelity = _beta_and_fidelity(space, u_ideal(space, p), u)
     if fidelity < 0.95:
         raise CalibrationError(
             f"pulse-phase calibration failed: fidelity {fidelity:.4f} "
@@ -211,10 +214,13 @@ class VProtocol:
 
     Every factor is kept as a stack of photon-number blocks
     (``evolve.sector_blocks``; one block on the full tier), and V(t) x is
-    evaluated only in the sectors where x is nonzero.
+    evaluated only in the sectors where x is nonzero.  In physical mode
+    ``forward`` is the first sandwich as composed, before its frame factor
+    (what ``calibrate_pulse_phase`` scores).
     """
 
     MODES = ("physical", "ideal", "rotated_reference")
+    forward = None
 
     def __init__(
         self,
@@ -238,12 +244,12 @@ class VProtocol:
             check_pulse_guard(space, p)
             phi_f = default_forward_phase(p)
             props = SegmentPropagators(space, p, tier)
-            self._pre, pre_defects = _sandwich(props, phi_f)
+            self.forward, pre_defects = _sandwich(props, phi_f)
             self._post, post_defects = _sandwich(props, phi_f + math.pi)
             self._edge_defects = (pre_defects, post_defects)
             self._eig, g_on = props.eigensystem(True)
             g_off = props.eigensystem(False)[1]
-            self._pre = np.exp(1j * g_on * self._s)[..., None] * self._pre
+            self._pre = np.exp(1j * g_on * self._s)[..., None] * self.forward
         elif mode == "ideal":
             self._pre = _ideal_rotation(space, p)
             self._post = numerics.dagger(self._pre)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from kerrcav import cli, experiments, pulses
+from kerrcav import cli, experiments, pulses, regimes
 
 G = 1e8
 
@@ -36,6 +36,27 @@ def test_check_regime_strict_warn(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "check-regime", "--config", cfg, "--strict")
     assert code == 3
     assert json.loads(out)["ratios"]["second_dispersive"]["status"] == "warn"
+
+
+@pytest.mark.parametrize("scenario, counts", [
+    ("fig3a", [1, 2]), ("fig3b", [1, 2]), ("cross_toroidal", [1]),
+    ("regime_check", [1])])
+def test_check_regime_judges_the_config_scenario(capsys, tmp_path, scenario,
+                                                 counts):
+    # one report per atom count the scenario runs, and the strict verdict
+    # of `run --strict` on the same config
+    cfg = write_config(tmp_path, {"scenario": scenario,
+                                  "grid": {"points": 16}})
+    code, out, _ = run_cli(capsys, "check-regime", "--config", cfg,
+                           "--strict")
+    reports = json.loads(out)
+    assert list(reports) == [f"N={N}" for N in counts]
+    for p, report in zip(experiments.scenario_params(scenario),
+                         reports.values()):
+        assert report == experiments._jsonable(regimes.check(p).to_dict())
+    run_code, _, _ = run_cli(capsys, "run", "--config", cfg, "--strict",
+                             "--out", str(tmp_path / "run"))
+    assert code == run_code == (3 if scenario == "fig3a" else 0)
 
 
 def test_run_fig3b_default_csv(capsys, tmp_path):

@@ -7,6 +7,7 @@ import os
 import pathlib
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,99 @@ def test_rate_fit_exits_once_its_bracket_is_fixed(monkeypatch):
         assert [best_rate(*args) for args in calls] == capped
     finally:
         faulthandler.cancel_dump_traceback_later()
+
+
+def _synthetic_fit(points, r0=-40.0, offset=0.03, noise=0.0, n=1, seed=7):
+    """Fit inputs drawn like the hypothesis test's: a photon-linear phase at
+    r0 (1 + offset), a Kerr phase and ``noise`` on modulus and phase."""
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 1.0, points)
+    elapsed = times + 0.05
+    theta_rate = 3 * abs(r0)
+    amps = (1 + noise * rng.uniform(-1, 1, points)) * np.exp(1j * (
+        theta_rate * times - r0 * (1 + offset) * n * elapsed
+        + 4 * n**2 * times + noise * rng.uniform(-1, 1, points)))
+    return amps, times, elapsed, n, theta_rate, np.cos(4 * n**2 * times), r0
+
+
+@pytest.mark.parametrize("points", [6, 40, 512])
+@pytest.mark.parametrize("iters", range(1, 10))
+def test_best_rate_matches_unpruned_scan_at_every_refinement_cap(
+        monkeypatch, iters, points):
+    # caps that end the refinement inside a batch of ternary steps (6 and
+    # 40 points are batched from the first steps on, 512 are pruned first)
+    monkeypatch.setattr(ex, "RATE_REFINE_ITERS", iters)
+    args = _synthetic_fit(points)
+    assert ex._best_rate(*args) == _unpruned_best_rate(*args)
+
+
+@pytest.mark.parametrize("kind", ["zero", "noise"])
+def test_best_rate_matches_unpruned_scan_on_flat_objectives(kind):
+    # no rate stands out, so most scan rates fall within the slack cut and
+    # the coarse scan evaluates them all on the whole grid
+    args = list(_synthetic_fit(512))
+    if kind == "zero":
+        args[0] = np.zeros(512, dtype=complex)
+    else:
+        args[0] = np.random.default_rng(3).standard_normal((512, 2)) @ [1, 1j]
+    amps, times, elapsed, n, theta_rate, reference, r0 = args
+    half = ex.RATE_BRACKET * abs(r0)
+    devs = np.array([
+        np.abs(ex._y_series(amps, times, elapsed, n, theta_rate, r)
+               - reference).max()
+        for r in np.linspace(r0 - half, r0 + half, ex.RATE_COARSE_POINTS)])
+    assert (devs <= devs.min() + max(0.01, 0.5 * devs.min())).sum() > 100
+    assert ex._best_rate(*args) == _unpruned_best_rate(*args)
+
+
+@pytest.mark.parametrize("points", [2, 3])
+@pytest.mark.parametrize("r0", [-40.0, 40.0])
+@pytest.mark.parametrize("seed", range(5))
+def test_best_rate_matches_unpruned_scan_on_tiny_grids(points, r0, seed):
+    # the coarse scan's bound then reads the last time point only
+    args = _synthetic_fit(points, r0=r0, noise=0.2, seed=seed)
+    assert ex._best_rate(*args) == _unpruned_best_rate(*args)
+
+
+@pytest.mark.parametrize("r0", [-40.0, 40.0])
+@pytest.mark.parametrize("offset", [-0.101, 0.101])
+def test_best_rate_matches_unpruned_scan_at_a_bracket_edge(r0, offset):
+    # the true rate lies just outside the bracket: the fit is flagged
+    args = _synthetic_fit(512, r0=r0, offset=offset, n=2)
+    fit = ex._best_rate(*args)
+    assert fit[2] is True
+    assert fit == _unpruned_best_rate(*args)
+
+
+def test_rate_fit_peak_memory_stays_below_one_scan_block():
+    # the coarse scan never holds all 161 rates on all 512 points at once
+    args = _synthetic_fit(512)
+    ex._best_rate(*args)
+    tracemalloc.start()
+    try:
+        ex._best_rate(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = ex.RATE_COARSE_POINTS * 512 * np.dtype(complex).itemsize
+    assert peak < block / 2
+
+
+def test_pulse_check_reuses_the_protocols_forward_sandwich(monkeypatch,
+                                                           fig3b_result):
+    # the physical protocol composes its two sandwiches and the pulse check
+    # scores the forward one; a direct calibration gives the same block
+    sandwich, phases = pulses._sandwich, []
+    monkeypatch.setattr(pulses, "_sandwich",
+                        lambda props, phase: phases.append(phase)
+                        or sandwich(props, phase))
+    result = ex.run_fig3b(grid_points=16)
+    assert phases == [math.pi, 2 * math.pi]
+    space = kc.build_space(n_max=ex.DEFAULT_N_MAX, n_atoms=1, levels=2)
+    direct = dataclasses.asdict(
+        kc.calibrate_pulse_phase(space, ex.fig3b_params()))
+    assert result.calibration["pulse"] == direct
+    assert fig3b_result.calibration["pulse"] == direct
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
