@@ -6,16 +6,16 @@ the regime ``thresholds`` are the options the scenario takes
 (``scenario_options``).  ``sweep`` and the command line reject by name an
 option a scenario does not take.
 
-The two overlap scenarios probe X = |<n,-|V(t)|-,n>| and
-Y = Re of the frame-removed amplitude against the pure-Kerr reference
-cos(kappa n^2 t), kappa = N g^4/(4 delta1^2 theta):
+The two overlap scenarios, ``FIG3A`` and ``FIG3B``, probe
+X = |<n,-|V(t)|-,n>| and Y = Re of the frame-removed amplitude against the
+pure-Kerr reference cos(kappa n^2 t), kappa = N g^4/(4 delta1^2 theta).
+Each is described once, by an ``OverlapScenario`` record (parameter family,
+(N, n) branches, n = 0 controls, ideal-mode oracle) that the runner and
+``scenario_params`` read.  A new one is a parameter family, its record in
+``OVERLAP_SCENARIOS`` and the ``SCENARIOS`` entry
+``functools.partial(_run_overlap_scenario, record)``.
 
-* ``fig3b``: g = 1e8 s^-1, delta1 = 10 g, theta = g, omega = 100 g, branches
-  (N, n) in {(1,1), (1,2), (2,1), (2,2)};
-* ``fig3a``: delta1 = 10 sqrt(N) g, theta = g N^(1/3)/5, branches (1,2), (2,2)
-  plus an n = 0 control.
-
-Both simulate one atom whatever N is.  In photon sector n every
+Every one simulates one atom whatever N is.  In photon sector n every
 eliminated-tier generator is a sum of N copies of one single-atom 2x2
 operator, so V_N(t) = u_n(t)^(x)N: ``lifted_series`` raises the one-atom
 amplitude to the N-th power (its docstring bounds the precision), while
@@ -61,6 +61,7 @@ import pickle
 import signal
 import sys
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -82,8 +83,6 @@ RATE_BATCH_LIVE = 8         # refine in batches once this few points are live
 RATE_BATCH_DEPTH = 3        # ternary steps per batch: 2 + 4 + 8 probes
 
 FRAME_CALIBRATIONS = ("per_branch", "n1_shared")
-FIG3B_BRANCHES = ((1, 1), (1, 2), (2, 1), (2, 2))
-FIG3A_BRANCHES = ((1, 2), (2, 2))
 
 
 def fig3b_params(n_atoms: int = 1, g: float = 1e8) -> SchemeParams:
@@ -323,47 +322,61 @@ def _thresholds_entry(thresholds: dict | None) -> dict:
     return {"thresholds": dict(thresholds)} if thresholds else {}
 
 
-def _select_branches(name: str, branch_list, overrides: dict | None) -> tuple:
-    """The branches an ``n_atoms`` override selects; all of them without one.
+@dataclass(frozen=True)
+class OverlapScenario:
+    """One overlap scenario, described once (see the module docstring)."""
+    name: str
+    params_for_n: Callable[[int], SchemeParams]   # N -> parameter set
+    branches: tuple                                # (N, n) pairs
+    controls: bool = False         # add an n = 0 branch for every N
+    ideal_oracle: bool = False     # score X against the ideal-mode protocol
 
-    An atom number selects its branches, never re-labels the others.
-    """
-    if not overrides or "n_atoms" not in overrides:
-        return tuple(branch_list)
-    selected = tuple(b for b in branch_list if b[0] == overrides["n_atoms"])
-    if not selected:
-        raise ValidationError(
-            f"n_atoms override {overrides['n_atoms']!r} matches no {name} "
-            f"branch; available N: {sorted({N for N, _ in branch_list})}")
-    return selected
+    def select_branches(self, overrides: dict | None) -> tuple:
+        """The branches an ``n_atoms`` override selects, never re-labelling
+        the others; all of them without one."""
+        if not overrides or "n_atoms" not in overrides:
+            return self.branches
+        N = overrides["n_atoms"]
+        selected = tuple(b for b in self.branches if b[0] == N)
+        if not selected:
+            raise ValidationError(
+                f"n_atoms override {N!r} matches no {self.name} branch; "
+                f"available N: {sorted({M for M, _ in self.branches})}")
+        return selected
+
+    def param_sets(self, overrides: dict | None) -> list:
+        """One parameter set per atom count run, in increasing N."""
+        return [apply_overrides(self.params_for_n(N), overrides) for N in
+                sorted({N for N, _ in self.select_branches(overrides)})]
 
 
-def _run_overlap_scenario(
-    name: str,
-    params_for_n,
-    branch_list,
-    overrides: dict | None,
-    grid_points: int,
-    mode: str,
-    frame_calibration: str,
-    n_max: int,
-    with_ideal_oracle: bool,
-    include_controls: bool,
-    thresholds: dict | None,
-) -> ScenarioResult:
+FIG3B = OverlapScenario("fig3b", fig3b_params,
+                        ((1, 1), (1, 2), (2, 1), (2, 2)))
+FIG3A = OverlapScenario("fig3a", fig3a_params, ((1, 2), (2, 2)),
+                        controls=True, ideal_oracle=True)
+OVERLAP_SCENARIOS = {s.name: s for s in (FIG3A, FIG3B)}
+
+
+def _run_overlap_scenario(scenario: OverlapScenario,
+                          overrides: dict | None = None,
+                          grid_points: int = DEFAULT_GRID_POINTS,
+                          mode: str = "physical",
+                          frame_calibration: str = "per_branch",
+                          n_max: int = DEFAULT_N_MAX,
+                          thresholds: dict | None = None) -> ScenarioResult:
     if frame_calibration not in FRAME_CALIBRATIONS:
         raise ValidationError(
             f"unknown frame_calibration {frame_calibration!r}")
     require_integer(grid_points, 2, "grid points")
     thresholds_entry = _thresholds_entry(thresholds)
-    branch_list = _select_branches(name, branch_list, overrides)
+    branch_list = scenario.select_branches(overrides)
     branches: list[BranchResult] = []
     calibration_block: dict = {"frame_calibration": frame_calibration,
                                "r_lin": {}, "r_lin_shared": {}}
     diagnostics: dict = {"unitarity_defect": 0.0}
 
-    atom_counts = sorted({N for N, _ in branch_list})
-    p_echo = apply_overrides(params_for_n(atom_counts[0]), overrides)
+    param_sets = scenario.param_sets(overrides)
+    p_echo = param_sets[0]
     if mode == "physical" and n_max < 2:
         # the pulse fidelity is gated on one atom at n_max >= 2 (VProtocol
         # takes the same closed-form phase).  Below that the check composes
@@ -373,8 +386,8 @@ def _run_overlap_scenario(
             pulse_space, replace(p_echo, n_atoms=1)))
     space = build_space(n_max=n_max, n_atoms=1, levels=2)
     protocols: dict = {}    # one-atom parameters -> (protocol, ideal oracle)
-    for N in atom_counts:
-        p = apply_overrides(params_for_n(N), overrides)
+    for p in param_sets:
+        N = p.n_atoms
         # one atom with the N-atom parameters: no eliminated-tier generator
         # reads N, and lifted_series raises the result to N atoms.  Atom
         # counts whose one-atom parameters agree share one protocol.
@@ -389,7 +402,7 @@ def _run_overlap_scenario(
                                           forward=protocol.forward))
             protocols[one] = (
                 protocol,
-                VProtocol(space, one, mode="ideal") if with_ideal_oracle
+                VProtocol(space, one, mode="ideal") if scenario.ideal_oracle
                 else None)
         protocol, ideal = protocols[one]
         t_grid = np.linspace(0.0, 2 * math.pi / abs(p.kappa), grid_points)
@@ -398,7 +411,7 @@ def _run_overlap_scenario(
         r0 = p.n_atoms * p.stark if mode == "physical" else 0.0
 
         ns = [n for (NN, n) in branch_list if NN == N]
-        if include_controls and 0 not in ns:
+        if scenario.controls and 0 not in ns:
             ns = [0] + ns
         series = {n: lifted_series(protocol, t_grid, n, N) for n in ns}
 
@@ -458,7 +471,7 @@ def _run_overlap_scenario(
             diagnostics["unitarity_defect"], defect)
 
     config = {
-        "scenario": name, "mode": mode, "tier": "eliminated",
+        "scenario": scenario.name, "mode": mode, "tier": "eliminated",
         "grid_points": grid_points, "n_max": n_max,
         "frame_calibration": frame_calibration,
         "params": params_dict(p_echo),
@@ -467,7 +480,7 @@ def _run_overlap_scenario(
         **thresholds_entry,
     }
     return ScenarioResult(
-        name=name, config=config, branches=branches,
+        name=scenario.name, config=config, branches=branches,
         regime=regimes.check(p_echo, thresholds),
         calibration=calibration_block, diagnostics=diagnostics,
     )
@@ -479,15 +492,13 @@ def run_fig3b(
     mode: str = "physical",
     frame_calibration: str = "per_branch",
     n_max: int = DEFAULT_N_MAX,
-    branches=FIG3B_BRANCHES,
+    branches=FIG3B.branches,
     thresholds: dict | None = None,
 ) -> ScenarioResult:
     """Y(t) vs cos(kappa n^2 t) for the four (N, n) benchmark branches."""
     return _run_overlap_scenario(
-        "fig3b", fig3b_params, tuple(branches), overrides, grid_points,
-        mode, frame_calibration, n_max,
-        with_ideal_oracle=False, include_controls=False,
-        thresholds=thresholds)
+        replace(FIG3B, branches=tuple(branches)), overrides, grid_points,
+        mode, frame_calibration, n_max, thresholds)
 
 
 def run_fig3a(
@@ -499,11 +510,8 @@ def run_fig3a(
     thresholds: dict | None = None,
 ) -> ScenarioResult:
     """X(t) for the N-scaled parameter family, with the ideal-mode oracle."""
-    return _run_overlap_scenario(
-        "fig3a", fig3a_params, FIG3A_BRANCHES, overrides, grid_points,
-        mode, frame_calibration, n_max,
-        with_ideal_oracle=True, include_controls=True,
-        thresholds=thresholds)
+    return _run_overlap_scenario(FIG3A, overrides, grid_points, mode,
+                                 frame_calibration, n_max, thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -630,14 +638,8 @@ def run_regime_check(overrides: dict | None = None,
 def scenario_params(scenario: str, overrides: dict | None = None) -> list:
     """The parameter sets ``scenario`` runs, one per atom count, with the
     overrides applied (what a strict regime check must judge)."""
-    if scenario in ("fig3a", "fig3b"):
-        params_for_n, branch_list = {
-            "fig3a": (fig3a_params, FIG3A_BRANCHES),
-            "fig3b": (fig3b_params, FIG3B_BRANCHES)}[scenario]
-        counts = {N for N, _ in _select_branches(scenario, branch_list,
-                                                 overrides)}
-        return [apply_overrides(params_for_n(N), overrides)
-                for N in sorted(counts)]
+    if scenario in OVERLAP_SCENARIOS:
+        return OVERLAP_SCENARIOS[scenario].param_sets(overrides)
     if scenario in ("cross_polarization", "cross_toroidal"):
         return [apply_overrides(
             cross_params(scenario.removeprefix("cross_")), overrides)]
@@ -646,12 +648,9 @@ def scenario_params(scenario: str, overrides: dict | None = None) -> list:
     raise ValidationError(f"unknown scenario {scenario!r}")
 
 
-# each runner takes the overrides first and the regime thresholds by name;
-# its other parameters are the options the scenario takes
-# (``scenario_options``)
 SCENARIOS = {
-    "fig3a": run_fig3a,
-    "fig3b": run_fig3b,
+    FIG3A.name: run_fig3a,
+    FIG3B.name: run_fig3b,
     "cross_polarization": functools.partial(run_cross_kerr, "polarization"),
     "cross_toroidal": functools.partial(run_cross_kerr, "toroidal"),
     "regime_check": run_regime_check,

@@ -87,6 +87,10 @@ def derive_params(p: SchemeParams) -> SchemeParams:
     if not np.isfinite(p.delta1) or p.delta1 == 0:
         raise ValidationError(f"delta1 must be finite and nonzero, got {p.delta1}")
     require_integer(p.n_atoms, 1, "n_atoms")
+    for name in ("omega", "lam", "delta2", "g_b", "delta1_b", "mode_split"):
+        value = getattr(p, name)
+        if value is not None and not np.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
 
     raman_given = p.lam is not None or p.delta2 is not None
     if raman_given and (p.lam is None or p.delta2 is None):

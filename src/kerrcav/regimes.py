@@ -126,6 +126,10 @@ def check(p: SchemeParams, thresholds: dict | None = None) -> RegimeReport:
         "rot_condition": (x / theta) ** 3 * sqrt_n,
     }
     if p.lam is not None:
+        if p.delta2 == p.delta1:
+            raise ValidationError(
+                f"delta2 = delta1 = {p.delta1:g}: the Raman pair's detuning "
+                "must differ from the cavity detuning")
         lam, d2 = abs(p.lam), abs(p.delta2)
         values["dispersive_laser"] = sqrt_n * lam / d2
         values["separation"] = max(sqrt_n * g, sqrt_n * lam) / abs(p.delta2 - p.delta1)

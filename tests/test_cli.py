@@ -380,6 +380,41 @@ def test_run_rejects_non_integral_n_atoms_config(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario", ["regime_check", "fig3b"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("field", ["omega", "lam", "delta2", "g_b",
+                                   "delta1_b", "mode_split"])
+def test_run_rejects_a_non_finite_rate_by_name(capsys, tmp_path, scenario,
+                                               value, field):
+    # no report may carry Infinity or NaN, which are not JSON
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"params": {field: value}})
+    code, stdout, err = run_cli(capsys, "run", scenario, "--config", cfg,
+                                "--out", str(out))
+    assert code == 2
+    assert f"{field} must be finite" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["check-regime"], ["run", "regime_check"], ["run", "fig3b"]])
+def test_equal_cavity_and_raman_detunings_exit_2(capsys, tmp_path, command):
+    # a consistent Raman pair (2 lam^2/delta2 = theta = g) with delta2 =
+    # delta1: the separation ratio divides by |delta2 - delta1|
+    cfg = write_config(tmp_path, {
+        "params": {"lam": 223606797.74997896, "delta2": 1e9},
+        "grid": {"points": 16}})
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, *command, "--config", cfg,
+                                *(["--out", str(out)] if command[0] == "run"
+                                  else []))
+    assert code == 2
+    assert "delta2 = delta1 = 1e+09" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["run", "fig3b"],
     ["sweep", "--param", "theta", "--values", str(G), "--scenario", "fig3b"],

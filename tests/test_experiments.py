@@ -675,6 +675,30 @@ def test_scenario_params_cover_every_atom_count():
         ex.scenario_params("fig9")
 
 
+def test_scenarios_hold_the_named_runners_in_order():
+    # the benchmark tracer rebinds exactly the SCENARIOS entries that are
+    # these functions, and `run --help` joins the names in this order
+    assert ex.SCENARIOS["fig3a"] is ex.run_fig3a
+    assert ex.SCENARIOS["fig3b"] is ex.run_fig3b
+    assert list(ex.SCENARIOS) == ["fig3a", "fig3b", "cross_polarization",
+                                  "cross_toroidal", "regime_check"]
+
+
+def test_a_new_overlap_record_runs_with_the_standard_options(monkeypatch):
+    # the module docstring's recipe: a record plus a partial of the runner
+    record = ex.OverlapScenario("fig3b_n1", ex.fig3b_params, ((1, 1),))
+    monkeypatch.setitem(ex.OVERLAP_SCENARIOS, record.name, record)
+    monkeypatch.setitem(ex.SCENARIOS, record.name,
+                        functools.partial(ex._run_overlap_scenario, record))
+    assert ex.scenario_options(record.name) == ex.scenario_options("fig3a")
+    assert ex.scenario_params(record.name) == [ex.fig3b_params(1)]
+    [point] = ex.sweep("theta", [2 * G], record.name, grid_points=16)
+    expected = ex.run_fig3b({"theta": 2 * G}, grid_points=16,
+                            branches=((1, 1),))
+    assert point.result.config == {**expected.config, "scenario": "fig3b_n1"}
+    assert ex.csv_text(point.result) == ex.csv_text(expected)
+
+
 def test_unknown_override_rejected():
     with pytest.raises(ValidationError, match="unknown parameter"):
         ex.run_fig3b({"not_a_param": 1.0})
