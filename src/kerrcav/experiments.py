@@ -23,7 +23,8 @@ kappa, the time grid and the frame rates keep their N-atom values.  A run
 builds one protocol (and, for fig3a, one ideal oracle) per distinct
 one-atom parameter set ``derive_params(replace(p, n_atoms=1))``: every
 atom count of fig3b shares one, while fig3a's delta1 and theta change with
-N, so it builds one per N.
+N, so it builds one per N.  Each protocol is evaluated once per atom count,
+for all of that count's photon numbers together (``lifted_series``).
 
 Frame removal multiplies the raw amplitude by exp(+i r_lin n T_elapsed(t))
 (killing the photon-linear phase accrued over the whole protocol, pulse and
@@ -232,21 +233,30 @@ def _fit_rate(p: SchemeParams, elapsed, times, n, amps):
                       np.cos(p.kappa * n**2 * times), p.n_atoms * p.stark)
 
 
-def lifted_series(protocol: VProtocol, times, n: int, n_atoms: int):
-    """(A_N, <S++>) of branch n for ``n_atoms`` atoms over the time grid,
-    from the one-atom ``protocol``.
+def lifted_series(protocol: VProtocol, times, ns, n_atoms: int) -> dict:
+    """{n: (A_N, <S++>)} of the branches n in ``ns`` for ``n_atoms`` atoms
+    over the time grid, from the one-atom ``protocol``.
 
     In photon sector n every eliminated-tier generator is a sum of N copies
     of one single-atom 2x2 operator, so V_N(t) = u_n(t)^(x)N.  From
     |n, -...->, A_N = a_1^N with a_1 = <n,-|u_n|n,->, and
     <S++> = N |<n,+|u_n|n,->|^2.  Raising to the N-th power multiplies the
     error of a_1 by N: a 1e-15 error becomes about 1e-9 at N = 1e6.
+
+    The protocol is evaluated once, on the sum of the |n,-> states: their
+    photon-number sectors are disjoint and ``VProtocol.states`` works
+    sector by sector, so every branch's amplitudes are bit for bit those
+    of its own evaluation.
     """
     space = protocol.space
-    minus = basis_state(space, n, "-")
-    states = protocol.states(times, minus)
-    plus = states @ basis_state(space, n, "+").conj()
-    return (states @ minus.conj()) ** n_atoms, n_atoms * np.abs(plus) ** 2
+    minus = {n: basis_state(space, n, "-") for n in ns}
+    states = protocol.states(times, sum(minus.values()))
+    series = {}
+    for n, ket in minus.items():
+        plus = states @ basis_state(space, n, "+").conj()
+        series[n] = ((states @ ket.conj()) ** n_atoms,
+                     n_atoms * np.abs(plus) ** 2)
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +423,9 @@ def _run_overlap_scenario(scenario: OverlapScenario,
         ns = [n for (NN, n) in branch_list if NN == N]
         if scenario.controls and 0 not in ns:
             ns = [0] + ns
-        series = {n: lifted_series(protocol, t_grid, n, N) for n in ns}
+        series = lifted_series(protocol, t_grid, ns, N)
+        ideal_series = (lifted_series(ideal, t_grid, ns, N)
+                        if ideal is not None else None)
 
         # shared rate from this N's n=1 series (or the smallest nonzero n)
         probe = 1 if 1 in ns else min([n for n in ns if n > 0], default=0)
@@ -453,9 +465,8 @@ def _run_overlap_scenario(scenario: OverlapScenario,
                 basis_label=f"n={n};atoms=-^{N}",
             )
             calibration_block["r_lin"][f"N={N},n={n}"] = r_lin
-            if ideal is not None:
-                branch.ideal_x = np.abs(
-                    lifted_series(ideal, t_grid, n, N)[0])
+            if ideal_series is not None:
+                branch.ideal_x = np.abs(ideal_series[n][0])
                 branch.ideal_deviation = float(
                     np.abs(branch.x - branch.ideal_x).max())
             branches.append(branch)
@@ -812,7 +823,9 @@ def csv_text(result) -> str:
     Floats are written as ``repr`` of the Python float, column by column;
     a cross-Kerr modulus is Python's ``abs`` of each complex amplitude.
     Each block of rows is joined on its own, so its row strings are freed
-    before the next block is formatted.
+    before the next block is formatted.  The ``t_seconds,N,`` prefixes of
+    an overlap result are formatted once per time grid and atom count and
+    shared by every branch on that grid.
     """
     if isinstance(result, CrossKerrResult):
         blocks = ["t_seconds,n_a,n_b,modulus,phase\n"]
@@ -825,12 +838,16 @@ def csv_text(result) -> str:
                 for t, a, ph in zip(times, amp.tolist(), phase.tolist())]))
         return "".join(blocks)
     blocks = ["t_seconds,N,n,X,Y,reference,abs_error\n"]
+    prefixes: dict = {}     # (id of a time grid, N) -> its rows' "t,N,"
     for b in sorted(result.branches,
                     key=lambda b: (b.n_atoms, b.n_photons)):
+        key = (id(b.times), b.n_atoms)
+        if key not in prefixes:
+            prefixes[key] = [f"{t!r},{b.n_atoms}," for t in b.times.tolist()]
         blocks.append("".join([
-            f"{t!r},{b.n_atoms},{b.n_photons},{x!r},{y!r},{ref!r},{err!r}\n"
-            for t, x, y, ref, err in zip(
-                b.times.tolist(), b.x.tolist(), b.y.tolist(),
+            f"{pre}{b.n_photons},{x!r},{y!r},{ref!r},{err!r}\n"
+            for pre, x, y, ref, err in zip(
+                prefixes[key], b.x.tolist(), b.y.tolist(),
                 b.reference.tolist(), b.abs_error.tolist())]))
     return "".join(blocks)
 

@@ -50,6 +50,9 @@ class Space:
     levels: int
     representation: str
     atomic_basis: tuple = field(repr=False)
+    # read-only operators and states built on this space, by normalized key
+    _built: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def photon_dim(self) -> int:
@@ -156,6 +159,23 @@ def build_space(
     return Space(n_max, n_modes, n_atoms, levels, representation, atomic)
 
 
+def _memo(space: Space, key: tuple, build) -> np.ndarray:
+    """``build()`` on the first call for ``key`` on ``space``, made
+    read-only; the same array on every later call.  ``key`` must name the
+    result completely, and a build that raises stores nothing."""
+    out = space._built.get(key)
+    if out is None:
+        out = build()
+        out.flags.writeable = False
+        space._built[key] = out
+    return out
+
+
+def _check_mode(space: Space, mode: int) -> None:
+    if not 0 <= mode < space.n_modes:
+        raise ValidationError(f"mode index {mode} invalid for {space.n_modes} mode(s)")
+
+
 def _photon_only(space: Space, mat_1mode: np.ndarray, mode: int) -> np.ndarray:
     """Lift a single-mode photon matrix to the full space."""
     ops = []
@@ -168,18 +188,18 @@ def _photon_only(space: Space, mat_1mode: np.ndarray, mode: int) -> np.ndarray:
 
 
 def annihilation(space: Space, mode: int = 0) -> np.ndarray:
-    """Truncated lowering operator for the given photon mode."""
-    if not 0 <= mode < space.n_modes:
-        raise ValidationError(f"mode index {mode} invalid for {space.n_modes} mode(s)")
-    a1 = np.diag(np.sqrt(np.arange(1, space.n_max + 1)), 1).astype(complex)
-    return _photon_only(space, a1, mode)
+    """Truncated lowering operator for the given photon mode (read-only,
+    built once per space)."""
+    _check_mode(space, mode)
+    return _memo(space, ("a", mode), lambda: _photon_only(space, np.diag(
+        np.sqrt(np.arange(1, space.n_max + 1)), 1).astype(complex), mode))
 
 
 def number_op(space: Space, mode: int = 0) -> np.ndarray:
-    if not 0 <= mode < space.n_modes:
-        raise ValidationError(f"mode index {mode} invalid for {space.n_modes} mode(s)")
-    n1 = np.diag(np.arange(space.n_max + 1)).astype(complex)
-    return _photon_only(space, n1, mode)
+    """Photon number of the given mode (read-only, built once per space)."""
+    _check_mode(space, mode)
+    return _memo(space, ("n", mode), lambda: _photon_only(
+        space, np.diag(np.arange(space.n_max + 1)).astype(complex), mode))
 
 
 def _atomic_collective_plain(space: Space, bra: int, ket: int) -> np.ndarray:
@@ -215,9 +235,14 @@ def collective(space: Space, bra, ket) -> np.ndarray:
 
     Levels may be 0, 1, 2 or the metastable superpositions '+', '-' with
     |+-> = (|0> +- |1>)/sqrt(2); the latter require level 1 to exist.
-    Identity on all photon factors.
+    Identity on all photon factors.  Read-only, built once per space.
     """
     bra, ket = _as_level(bra), _as_level(ket)
+    return _memo(space, ("S", bra, ket),
+                 lambda: _build_collective(space, bra, ket))
+
+
+def _build_collective(space: Space, bra: str, ket: str) -> np.ndarray:
     for lv in (bra, ket):
         if lv in _PM and space.levels < 2:
             raise ValidationError("'+'/'-' levels need levels 0 and 1")
@@ -245,18 +270,27 @@ def s3(space: Space) -> np.ndarray:
     return collective(space, "+", "+") - collective(space, "-", "-")
 
 
-def _atomic_state(space: Space, atoms) -> np.ndarray:
-    """Atomic-factor state vector from a label string or an occupation tuple."""
+def _atoms_key(space: Space, atoms) -> tuple:
+    """("occ", occupation) or ("labels", per-atom levels): what ``atoms``
+    names, as a hashable key."""
     if isinstance(atoms, (tuple, list)) and space.representation == "symmetric" \
             and all(isinstance(x, (int, np.integer)) for x in atoms):
-        occ = tuple(int(x) for x in atoms)
+        return "occ", tuple(int(x) for x in atoms)
+    return "labels", tuple(_as_level(c) for c in atoms)
+
+
+def _atomic_state(space: Space, key: tuple, atoms) -> np.ndarray:
+    """Atomic-factor state vector for ``key = _atoms_key(space, atoms)``."""
+    kind, values = key
+    if kind == "occ":
+        occ = values
         if len(occ) != space.levels or sum(occ) != space.n_atoms or min(occ) < 0:
             raise ValidationError(f"occupation {occ} invalid for this space")
         v = np.zeros(space.atomic_dim, dtype=complex)
         v[space.atomic_basis.index(occ)] = 1.0
         return v
 
-    labels = [_as_level(c) for c in atoms]
+    labels = values
     if len(labels) != space.n_atoms:
         raise ValidationError(
             f"need {space.n_atoms} atomic labels, got {len(labels)}"
@@ -310,9 +344,16 @@ def basis_state(space: Space, photons, atoms) -> np.ndarray:
     ``photons``: int or per-mode sequence. ``atoms``: per-atom label string
     like ``"0-+"`` (product), or in the symmetric representation either a
     uniform label string or an occupation tuple like ``(1, 1, 0)``.
+    Read-only, built once per space.
     """
     ns = _photon_tuple(space, photons)
-    at = _atomic_state(space, atoms)
+    key = _atoms_key(space, atoms)
+    return _memo(space, ("psi", ns, key),
+                 lambda: _build_basis_state(space, ns, key, atoms))
+
+
+def _build_basis_state(space: Space, ns: tuple, key: tuple, atoms):
+    at = _atomic_state(space, key, atoms)
     ph = np.zeros(space.photon_dim, dtype=complex)
     idx = 0
     for n in ns:

@@ -32,6 +32,7 @@ All three statements are verified numerically in the test suite.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,7 +81,8 @@ def derive_params(p: SchemeParams) -> SchemeParams:
     """Validate a parameter set and fill the derived quantities.
 
     theta = 2 lam^2 / delta2 when the Raman pair is given, mu = g^2/(D1 theta),
-    kappa = N g^4 / (4 D1^2 theta).
+    kappa = N g^4 / (4 D1^2 theta).  A set whose mu or kappa overflows or
+    vanishes in floating point is a ``ValidationError``.
     """
     if not np.isfinite(p.g) or p.g == 0:
         raise ValidationError(f"g must be finite and nonzero, got {p.g}")
@@ -113,8 +115,20 @@ def derive_params(p: SchemeParams) -> SchemeParams:
     if theta == 0 or not np.isfinite(theta):
         raise ValidationError(f"theta must be finite and nonzero, got {theta}")
 
-    mu = p.g**2 / (p.delta1 * theta)
-    kappa = p.n_atoms * p.g**4 / (4 * p.delta1**2 * theta)
+    # a power that overflows or a divisor that underflows to 0 leaves inf
+    mu = kappa = math.inf
+    try:
+        mu = p.g**2 / (p.delta1 * theta)
+        kappa = p.n_atoms * p.g**4 / (4 * p.delta1**2 * theta)
+    except (OverflowError, ZeroDivisionError):
+        pass
+    for name, value in (("mu = g^2/(delta1 theta)", mu),
+                        ("kappa = N g^4/(4 delta1^2 theta)", kappa)):
+        if not math.isfinite(value) or value == 0:
+            raise ValidationError(
+                f"derived {name} must be finite and nonzero, got {value} "
+                f"(g = {p.g}, delta1 = {p.delta1}, theta = {theta}, "
+                f"n_atoms = {p.n_atoms})")
     return replace(p, theta=theta, mu=mu, kappa=kappa)
 
 
@@ -329,17 +343,41 @@ def effective_hamiltonian(
 # ---------------------------------------------------------------------------
 
 def _cross_couplings(p: SchemeParams, variant: str) -> tuple[float, float, float, float]:
-    """(g_a, delta_a, g_b, delta_b) for the requested variant."""
+    """(g_a, delta_a, g_b, delta_b) for the requested variant.
+
+    A zero detuning, or a coupling A = g_a^2/(2 delta_a) or
+    B = g_b^2/(2 delta_b) that is not finite, is a ``ValidationError``.
+    """
     p = derive_params(p)
     if variant == "polarization":
         if p.g_b is None or p.delta1_b is None:
             raise ValidationError("polarization variant needs g_b and delta1_b")
-        return p.g, p.delta1, p.g_b, p.delta1_b
-    if variant == "toroidal":
+        out = p.g, p.delta1, p.g_b, p.delta1_b
+        detunings = "delta1", "delta1_b"
+    elif variant == "toroidal":
         if p.g_b is None or p.mode_split is None:
             raise ValidationError("toroidal variant needs g_b and mode_split")
-        return p.g, p.delta1 - p.mode_split, p.g_b, p.delta1 + p.mode_split
-    raise ValidationError(f"unknown cross-Kerr variant {variant!r}")
+        out = p.g, p.delta1 - p.mode_split, p.g_b, p.delta1 + p.mode_split
+        detunings = "(delta1 - mode_split)", "(delta1 + mode_split)"
+    else:
+        raise ValidationError(f"unknown cross-Kerr variant {variant!r}")
+    for coupling, g_name, g, d_name, delta in (
+            ("A", "g", out[0], detunings[0], out[1]),
+            ("B", "g_b", out[2], detunings[1], out[3])):
+        if delta == 0:
+            raise ValidationError(
+                f"{variant} cross-Kerr detuning {d_name} is zero; coupling "
+                f"{coupling} = {g_name}^2/(2 {d_name}) divides by it")
+        try:
+            value = float(g) ** 2 / (2 * float(delta))
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValidationError(
+                f"{variant} cross-Kerr coupling {coupling} = "
+                f"{g_name}^2/(2 {d_name}) is not finite ({g_name} = {g}, "
+                f"{d_name} = {delta})")
+    return out
 
 
 def cross_kerr_hamiltonian(

@@ -415,6 +415,53 @@ def test_equal_cavity_and_raman_detunings_exit_2(capsys, tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario, params, message", [
+    # mode_split = +-delta1 zeroes one toroidal detuning
+    ("cross_toroidal", {"mode_split": 1e9},
+     "detuning (delta1 - mode_split) is zero"),
+    ("cross_toroidal", {"mode_split": -1e9},
+     "detuning (delta1 + mode_split) is zero"),
+    ("cross_polarization", {"delta1_b": 0}, "detuning delta1_b is zero"),
+    # B = g_b^2/(2 delta1_b) overflows to inf
+    ("cross_polarization", {"delta1_b": 1e-300},
+     "coupling B = g_b^2/(2 delta1_b) is not finite"),
+    ("cross_polarization", {"g_b": 1e200},
+     "coupling B = g_b^2/(2 delta1_b) is not finite"),
+])
+def test_degenerate_cross_kerr_detunings_exit_2(capsys, tmp_path, scenario,
+                                                params, message):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"params": params})
+    code, stdout, err = run_cli(capsys, "run", scenario, "--config", cfg,
+                                "--out", str(out))
+    assert code == 2
+    assert message in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", ["regime_check", "fig3b"])
+@pytest.mark.parametrize("params, message", [
+    ({"delta1": 1e-300}, "kappa = N g^4/(4 delta1^2 theta) must be finite "
+                         "and nonzero, got inf"),
+    ({"g": 1e200}, "mu = g^2/(delta1 theta) must be finite and nonzero, "
+                   "got inf"),
+    ({"g": 1e-300}, "mu = g^2/(delta1 theta) must be finite and nonzero, "
+                    "got 0.0"),
+])
+def test_derived_rates_that_overflow_or_vanish_exit_2(capsys, tmp_path,
+                                                      scenario, params,
+                                                      message):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"params": params})
+    code, stdout, err = run_cli(capsys, "run", scenario, "--config", cfg,
+                                "--out", str(out))
+    assert code == 2
+    assert message in err
+    assert stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["run", "fig3b"],
     ["sweep", "--param", "theta", "--values", str(G), "--scenario", "fig3b"],

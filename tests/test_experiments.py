@@ -296,9 +296,53 @@ def test_lift_matches_dense_protocol(g, delta1, delta1_sign, theta,
     plus = np.einsum("ij,ij->i", states.conj(), states @ spp.T).real
     one = kc.VProtocol(kc.build_space(n_max=n_max, n_atoms=1, levels=2),
                        dataclasses.replace(p, n_atoms=1), mode=mode)
-    amps, plus_lift = ex.lifted_series(one, times, n, n_atoms)
+    amps, plus_lift = ex.lifted_series(one, times, [n], n_atoms)[n]
     assert np.abs(amps - states @ psi0.conj()).max() < 1e-10
     assert np.abs(plus_lift - plus).max() < 1e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(g=st.floats(1e7, 1e9), delta1=st.floats(5.0, 20.0),
+       theta=st.floats(0.3, 2.0), theta_sign=st.sampled_from((-1, 1)),
+       n_max=st.integers(0, 4), mode=st.sampled_from(kc.VProtocol.MODES),
+       n_atoms=st.integers(1, 10**6),
+       t_fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64),
+       data=st.data())
+def test_batched_lift_equals_the_per_n_evaluation_bit_for_bit(
+        g, delta1, theta, theta_sign, n_max, mode, n_atoms, t_fracs, data):
+    ns = data.draw(st.lists(st.integers(0, n_max), min_size=1, unique=True),
+                   label="ns")
+    p = kc.derive_params(kc.SchemeParams(
+        g=g, delta1=delta1 * g, theta=theta_sign * theta * g,
+        omega=pulses.PULSE_SPEED_FACTOR * 2 * max(g * math.sqrt(max(n_max, 1)),
+                                                  theta * g)))
+    space = kc.build_space(n_max=n_max, n_atoms=1, levels=2)
+    protocol = kc.VProtocol(space, p, mode=mode)
+    times = np.array(t_fracs) * 2 * math.pi / abs(p.kappa)
+    batched = ex.lifted_series(protocol, times, ns, n_atoms)
+    assert list(batched) == ns
+    for n in ns:
+        # the one-branch evaluation lifted_series replaced
+        minus = kc.basis_state(space, n, "-")
+        states = protocol.states(times, minus)
+        plus = states @ kc.basis_state(space, n, "+").conj()
+        amps, plus_pop = batched[n]
+        assert np.array_equal(amps, (states @ minus.conj()) ** n_atoms)
+        assert np.array_equal(plus_pop, n_atoms * np.abs(plus) ** 2)
+
+
+@pytest.mark.parametrize("scenario", ["fig3a", "fig3b"])
+def test_two_runs_in_one_process_write_the_same_bytes(scenario, tmp_path,
+                                                      fig3a_result,
+                                                      fig3b_result):
+    # the session fixture ran first, on its own spaces and caches
+    first = {"fig3a": fig3a_result, "fig3b": fig3b_result}[scenario]
+    again = ex.SCENARIOS[scenario]()
+    paths = [ex.write_outputs(r, tmp_path / k)
+             for k, r in (("first", first), ("again", again))]
+    for kind in ("csv", "json"):
+        assert pathlib.Path(paths[0][kind]).read_bytes() == \
+            pathlib.Path(paths[1][kind]).read_bytes()
 
 
 def test_overlap_scenarios_build_only_one_atom_spaces(monkeypatch):

@@ -209,3 +209,88 @@ def test_public_names_resolve():
     assert not {"Operator", "FrameSpec"} & set(kc.__all__)
     assert not hasattr(hilbert, "Operator")
     assert not hasattr(models, "FrameSpec")
+
+
+# -- the per-space operator cache -------------------------------------------
+
+def _cached_builds(space):
+    """Every cached builder once, on ``space``."""
+    out = {"S01": kc.collective(space, 0, 1),
+           "S+-": kc.collective(space, "+", "-"),
+           "n": kc.number_op(space), "a": kc.annihilation(space),
+           "psi": kc.basis_state(space, (1,) * space.n_modes,
+                                 "-" * space.n_atoms)}
+    if space.n_modes == 2:
+        out["n_b"] = kc.number_op(space, 1)
+        out["a_b"] = kc.annihilation(space, 1)
+    if space.levels == 3:
+        out["S20"] = kc.collective(space, 2, 0)
+    return out
+
+
+SPACE_ARGS = [dict(n_max=2, n_atoms=1, levels=2),
+              dict(n_max=1, n_atoms=2, levels=3, representation="product"),
+              dict(n_max=2, n_atoms=4, levels=3, representation="symmetric"),
+              dict(n_max=1, n_atoms=1, levels=2, n_modes=2)]
+
+
+@pytest.mark.parametrize("kwargs", SPACE_ARGS)
+def test_cached_operators_are_read_only(kwargs):
+    for name, op in _cached_builds(kc.build_space(**kwargs)).items():
+        assert not op.flags.writeable, name
+        with pytest.raises(ValueError):
+            op[(0,) * op.ndim] = 1.0
+        with pytest.raises(ValueError):
+            op += 1.0
+
+
+@pytest.mark.parametrize("kwargs", SPACE_ARGS)
+def test_cached_operator_equals_a_fresh_build_on_an_equal_space(kwargs):
+    space, twin = kc.build_space(**kwargs), kc.build_space(**kwargs)
+    assert space == twin and hash(space) == hash(twin)
+    first = _cached_builds(space)
+    again = _cached_builds(space)
+    fresh = _cached_builds(twin)
+    for name, op in first.items():
+        assert again[name] is op, name                 # served from the cache
+        assert fresh[name] is not op, name             # each space its own
+        assert np.array_equal(fresh[name], op), name
+
+
+def test_cache_keys_name_the_operator_not_the_spelling():
+    space = kc.build_space(n_max=2, n_atoms=2, levels=2,
+                           representation="product")
+    assert kc.collective(space, 0, 1) is kc.collective(space, "0", "1")
+    assert kc.basis_state(space, 1, "0-") is kc.basis_state(space, [1],
+                                                            ["0", "-"])
+    assert kc.basis_state(space, 1, "0-") is not kc.basis_state(space, 1, "-0")
+    sym = kc.build_space(n_max=1, n_atoms=2, levels=3,
+                         representation="symmetric")
+    occ = kc.basis_state(sym, 0, (1, 1, 0))
+    assert kc.basis_state(sym, 0, [1, 1, 0]) is occ
+    assert not np.array_equal(kc.basis_state(sym, 0, "00"), occ)
+
+
+def test_a_failed_build_is_not_cached():
+    space = kc.build_space(n_max=1, n_atoms=1, levels=2)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="two-level"):
+            kc.collective(space, 2, 0)
+        with pytest.raises(ValidationError, match="mode index"):
+            kc.number_op(space, 1)
+        with pytest.raises(ValidationError, match="outside"):
+            kc.basis_state(space, 2, "-")
+    assert not space._built
+
+
+def test_the_cache_is_freed_with_its_space():
+    import gc
+    import weakref
+
+    space = kc.build_space(n_max=3, n_atoms=6, levels=3,
+                           representation="symmetric")
+    refs = [weakref.ref(op) for op in _cached_builds(space).values()]
+    assert all(r() is not None for r in refs)
+    del space
+    gc.collect()
+    assert all(r() is None for r in refs)
