@@ -11,9 +11,9 @@ from .errors import (CalibrationError, GuardError, KerrcavError,
                      ValidationError, WorkerError)
 from .hilbert import (Space, annihilation, basis_state, build_space,
                       collective, number_op, s3)
-from .models import SchemeParams, derive_params, synthesize_raman
+from .models import SchemeParams, synthesize_raman
 from .pulses import PulseCalibration, VProtocol, calibrate_pulse_phase
-from .regimes import RegimeReport, check, enhanced_strength, kerr_strength
+from .regimes import RegimeReport, check, enhanced_strength
 from .experiments import (run_cross_kerr, run_fig3a, run_fig3b, sweep,
                           write_outputs)
 
@@ -24,9 +24,9 @@ __all__ = [
     "WorkerError",
     "Space", "annihilation", "basis_state", "build_space",
     "collective", "number_op", "s3",
-    "SchemeParams", "derive_params", "synthesize_raman",
+    "SchemeParams", "synthesize_raman",
     "PulseCalibration", "VProtocol", "calibrate_pulse_phase",
-    "RegimeReport", "check", "enhanced_strength", "kerr_strength",
+    "RegimeReport", "check", "enhanced_strength",
     "run_cross_kerr", "run_fig3a", "run_fig3b", "sweep", "write_outputs",
     "__version__",
 ]

@@ -2,14 +2,15 @@
 
 Configs are JSON documents; any physical rate may be given either as an
 absolute number in s^-1 or as a multiple of g with a suffix, e.g. "10g"
-(g itself must be absolute).  Unknown keys are rejected by name.  Scenario
-names and the options each takes come from ``experiments``: one config
-serves every subcommand, so its grid block, ``mode`` and
-``frame_calibration`` reach a scenario only where it takes them, but a
-command-line flag the scenario does not take is rejected by name.  The
-config's ``thresholds`` reach every regime report: ``check-regime``,
-``--strict`` and the JSON of every scenario.  Exit
-codes: 0 success, 2 validation error, 3 guard/physics failure.
+(g itself must be absolute).  Unknown keys, and values of the wrong JSON
+type (``CONFIG_TYPES``), are rejected by name.  Scenario names and
+the options each takes come from ``experiments``: one config serves every
+subcommand, so its grid block, ``mode`` and ``frame_calibration`` reach a
+scenario only where it takes them, but a command-line flag the scenario
+does not take is rejected by name.  The config's ``thresholds`` reach
+every regime report: ``check-regime``, ``--strict`` and the JSON of every
+scenario.  Exit codes: 0 success, 2 validation error, 3 guard/physics
+failure.
 """
 from __future__ import annotations
 
@@ -27,20 +28,26 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
 
-RATE_KEYS = {"g", "delta1", "theta", "lam", "delta2", "omega",
-             "g_b", "delta1_b", "mode_split"}
 KNOWN_TOP_KEYS = {"mode", "scenario", "params", "grid",
                   "frame_calibration", "sweep", "output", "jobs", "strict",
                   "thresholds"}
 KNOWN_GRID_KEYS = {"points", "n_max"}
 KNOWN_SWEEP_KEYS = {"param", "values"}
 KNOWN_OUTPUT_KEYS = {"dir"}
+# the JSON type each of these config values must have; a block comes
+# before the keys inside it
+CONFIG_TYPES = {"params": (dict, "an object"), "grid": (dict, "an object"),
+                "sweep": (dict, "an object"), "output": (dict, "an object"),
+                "strict": (bool, "a boolean"), "scenario": (str, "a string"),
+                "sweep.param": (str, "a string"),
+                "sweep.values": (list, "an array"),
+                "output.dir": (str, "a string")}
 
 
 def parse_rate(value, g: float | None, where: str) -> float:
     """A rate: a number, or a string like '10g' scaled by the absolute g;
     ``where`` names the input in error messages."""
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if not isinstance(value, str):
         raise ValidationError(f"{where}: expected a rate, got {value!r}")
@@ -56,9 +63,10 @@ def parse_rate(value, g: float | None, where: str) -> float:
 
 
 def _as_int(value, where: str) -> int:
-    """An integral number or numeric string as an int; else rejected."""
+    """An integral number or numeric string as an int; anything else, a
+    bool included, is rejected."""
     try:
-        if float(value).is_integer():
+        if not isinstance(value, bool) and float(value).is_integer():
             return int(float(value))
     except (TypeError, ValueError):
         pass
@@ -89,14 +97,24 @@ def load_config(path: str | None) -> dict:
 
 
 def resolve_config(cfg: dict) -> dict:
-    """Validate keys and convert rate strings to absolute numbers."""
+    """Validate keys and types and convert rate strings to absolute numbers.
+
+    The settable parameters are ``experiments.PARAM_NAMES``: ``n_atoms`` is
+    an integer and every other one a rate.
+    """
     _reject_unknown(cfg, KNOWN_TOP_KEYS, "")
+    for key, (kind, name) in CONFIG_TYPES.items():
+        block, _, inner = key.rpartition(".")
+        values = cfg.get(block, {}) if block else cfg
+        if inner in values and not isinstance(values[inner], kind):
+            raise ValidationError(
+                f"config key {key} must be {name}, got {values[inner]!r}")
+    for key, known in (("grid", KNOWN_GRID_KEYS), ("sweep", KNOWN_SWEEP_KEYS),
+                       ("output", KNOWN_OUTPUT_KEYS)):
+        _reject_unknown(cfg.get(key, {}), known, f"{key}.")
     out = dict(cfg)
-    params = dict(cfg.get("params", {}))
-    if not isinstance(params, dict):
-        raise ValidationError("config key 'params' must be an object")
-    known_params = {f for f in RATE_KEYS} | {"n_atoms"}
-    _reject_unknown(params, known_params, "params.")
+    params = cfg.get("params", {})
+    _reject_unknown(params, experiments.PARAM_NAMES, "params.")
     g_raw = params.get("g")
     g = float(g_raw) if isinstance(g_raw, (int, float)) else None
     resolved = {}
@@ -106,12 +124,6 @@ def resolve_config(cfg: dict) -> dict:
         else:
             resolved[key] = parse_rate(value, g, f"config key params.{key}")
     out["params"] = resolved
-    if "grid" in cfg:
-        _reject_unknown(dict(cfg["grid"]), KNOWN_GRID_KEYS, "grid.")
-    if "sweep" in cfg:
-        _reject_unknown(dict(cfg["sweep"]), KNOWN_SWEEP_KEYS, "sweep.")
-    if "output" in cfg:
-        _reject_unknown(dict(cfg["output"]), KNOWN_OUTPUT_KEYS, "output.")
     fc = cfg.get("frame_calibration", "per_branch")
     if fc not in experiments.FRAME_CALIBRATIONS:
         raise ValidationError(
@@ -125,7 +137,7 @@ def resolve_config(cfg: dict) -> dict:
 
 def _grid_kwargs(cfg: dict) -> dict:
     """The config's grid block as scenario keywords, validated."""
-    grid = dict(cfg.get("grid", {}))
+    grid = cfg.get("grid", {})
     kw = {}
     if grid.get("points") is not None:
         kw["grid_points"] = _as_int(grid["points"], "grid points")
@@ -225,7 +237,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(load_config(args.config))
-    sweep_cfg = dict(cfg.get("sweep", {}))
+    sweep_cfg = cfg.get("sweep", {})
     param = args.param or sweep_cfg.get("param")
     if not param:
         raise ValidationError("sweep needs --param or config sweep.param")

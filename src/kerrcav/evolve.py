@@ -97,7 +97,7 @@ class SegmentPropagators:
 
     def __init__(self, space: Space, params: SchemeParams, tier: str):
         self.space = space
-        self.params = models.derive_params(params)
+        self.params = params
         self.tier = tier
         self._cache: dict = {}
         # diagonal of S00 + S22, the generator R = exp(i phi (S00 + S22))

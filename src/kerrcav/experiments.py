@@ -21,9 +21,9 @@ operator, so V_N(t) = u_n(t)^(x)N: ``lifted_series`` raises the one-atom
 amplitude to the N-th power (its docstring bounds the precision), while
 kappa, the time grid and the frame rates keep their N-atom values.  A run
 builds one protocol (and, for fig3a, one ideal oracle) per distinct
-one-atom parameter set ``derive_params(replace(p, n_atoms=1))``: every
-atom count of fig3b shares one, while fig3a's delta1 and theta change with
-N, so it builds one per N.  Each protocol is evaluated once per atom count,
+one-atom parameter set ``replace(p, n_atoms=1)``: every atom count of
+fig3b shares one, while fig3a's delta1 and theta change with N, so it
+builds one per N.  Each protocol is evaluated once per atom count,
 for all of that count's photon numbers together (``lifted_series``).
 
 Frame removal multiplies the raw amplitude by exp(+i r_lin n T_elapsed(t))
@@ -70,7 +70,7 @@ from . import numerics, regimes
 from .errors import (KerrcavError, ValidationError, WorkerError,
                      require_integer)
 from .hilbert import basis_state, build_space
-from .models import SchemeParams, cross_kerr_hamiltonian, derive_params
+from .models import SchemeParams, cross_kerr_hamiltonian
 from .pulses import VProtocol, calibrate_pulse_phase
 from .regimes import RegimeReport
 
@@ -87,33 +87,35 @@ FRAME_CALIBRATIONS = ("per_branch", "n1_shared")
 
 
 def fig3b_params(n_atoms: int = 1, g: float = 1e8) -> SchemeParams:
-    return derive_params(SchemeParams(
-        g=g, delta1=10 * g, theta=g, omega=100 * g, n_atoms=n_atoms))
+    return SchemeParams(
+        g=g, delta1=10 * g, theta=g, omega=100 * g, n_atoms=n_atoms)
 
 
 def fig3a_params(n_atoms: int = 1, g: float = 1e8) -> SchemeParams:
-    return derive_params(SchemeParams(
+    return SchemeParams(
         g=g, delta1=10 * math.sqrt(n_atoms) * g,
-        theta=g * n_atoms ** (1 / 3) / 5, omega=100 * g, n_atoms=n_atoms))
+        theta=g * n_atoms ** (1 / 3) / 5, omega=100 * g, n_atoms=n_atoms)
 
 
 def cross_params(variant: str = "polarization", g: float = 1e8) -> SchemeParams:
     base = dict(g=g, delta1=10 * g, theta=g, omega=100 * g, n_atoms=1, g_b=g)
     if variant == "polarization":
-        return derive_params(SchemeParams(**base, delta1_b=10 * g))
-    return derive_params(SchemeParams(**base, mode_split=0.0))
+        return SchemeParams(**base, delta1_b=10 * g)
+    return SchemeParams(**base, mode_split=0.0)
 
 
-PARAM_NAMES = frozenset(f.name for f in dataclasses.fields(SchemeParams))
+# the settable parameters; the derived mu and kappa are not among them
+PARAM_NAMES = frozenset(f.name for f in dataclasses.fields(SchemeParams)
+                        if f.init)
 
 
 def apply_overrides(p: SchemeParams, overrides: dict | None) -> SchemeParams:
     if not overrides:
-        return derive_params(p)
+        return p
     unknown = set(overrides) - PARAM_NAMES
     if unknown:
         raise ValidationError(f"unknown parameter override(s): {sorted(unknown)}")
-    return derive_params(replace(p, **overrides))
+    return replace(p, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +403,7 @@ def _run_overlap_scenario(scenario: OverlapScenario,
         # one atom with the N-atom parameters: no eliminated-tier generator
         # reads N, and lifted_series raises the result to N atoms.  Atom
         # counts whose one-atom parameters agree share one protocol.
-        one = derive_params(replace(p, n_atoms=1))
+        one = replace(p, n_atoms=1)
         if one not in protocols:
             protocol = VProtocol(space, one, mode=mode)
             if mode == "physical" and "pulse" not in calibration_block:

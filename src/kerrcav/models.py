@@ -33,7 +33,7 @@ All three statements are verified numerically in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,7 +52,15 @@ class SchemeParams:
 
     Either ``theta`` or the pair (``lam``, ``delta2``) must be supplied; when
     both are present they must satisfy theta = 2 lam^2 / delta2.  ``omega``
-    is the pulse Rabi frequency.  ``mu`` and ``kappa`` are derived.
+    is the pulse Rabi frequency.
+
+    A set is validated and derived when it is built, ``dataclasses.replace``
+    included: theta = 2 lam^2 / delta2 when only the Raman pair is given,
+    and ``mu`` = g^2/(D1 theta) and ``kappa`` = N g^4 / (4 D1^2 theta) are
+    computed, never passed.  An invalid set, or one whose mu or kappa
+    overflows or vanishes in floating point, is a ``ValidationError``.  A
+    derived theta is stored, so a replacement Raman pair passes
+    ``theta=None`` to derive it again.
     """
 
     g: float
@@ -67,69 +75,64 @@ class SchemeParams:
     g_b: float | None = None
     delta1_b: float | None = None
     mode_split: float | None = None
-    # derived
-    mu: float | None = None
-    kappa: float | None = None
+    mu: float = field(init=False)
+    kappa: float = field(init=False)
+
+    def __post_init__(self):
+        if not np.isfinite(self.g) or self.g == 0:
+            raise ValidationError(f"g must be finite and nonzero, got {self.g}")
+        if not np.isfinite(self.delta1) or self.delta1 == 0:
+            raise ValidationError(
+                f"delta1 must be finite and nonzero, got {self.delta1}")
+        require_integer(self.n_atoms, 1, "n_atoms")
+        for name in ("omega", "lam", "delta2", "g_b", "delta1_b", "mode_split"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
+
+        raman_given = self.lam is not None or self.delta2 is not None
+        if raman_given and (self.lam is None or self.delta2 is None):
+            raise ValidationError("lam and delta2 must be given together")
+        if raman_given and self.delta2 == 0:
+            raise ValidationError("delta2 must be nonzero")
+
+        theta = self.theta
+        if raman_given:
+            theta_raman = 2 * self.lam**2 / self.delta2
+            if theta is None:
+                theta = theta_raman
+            elif abs(theta - theta_raman) > THETA_CONSISTENCY_RTOL * abs(theta):
+                raise ValidationError(
+                    f"inconsistent parameters: theta={theta:g} but "
+                    f"2 lam^2/delta2 = {theta_raman:g}"
+                )
+        if theta is None:
+            raise ValidationError("either theta or (lam, delta2) must be given")
+        if theta == 0 or not np.isfinite(theta):
+            raise ValidationError(f"theta must be finite and nonzero, got {theta}")
+
+        # a power that overflows or a divisor that underflows to 0 leaves inf
+        mu = kappa = math.inf
+        try:
+            mu = self.g**2 / (self.delta1 * theta)
+            kappa = self.n_atoms * self.g**4 / (4 * self.delta1**2 * theta)
+        except (OverflowError, ZeroDivisionError):
+            pass
+        for name, value in (("mu = g^2/(delta1 theta)", mu),
+                            ("kappa = N g^4/(4 delta1^2 theta)", kappa)):
+            if not math.isfinite(value) or value == 0:
+                raise ValidationError(
+                    f"derived {name} must be finite and nonzero, got {value} "
+                    f"(g = {self.g}, delta1 = {self.delta1}, theta = {theta}, "
+                    f"n_atoms = {self.n_atoms})")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "kappa", kappa)
 
     @property
     def stark(self) -> float:
         """Per-photon Stark rate x = g^2 / (2 delta1)."""
         return self.g**2 / (2 * self.delta1)
-
-
-def derive_params(p: SchemeParams) -> SchemeParams:
-    """Validate a parameter set and fill the derived quantities.
-
-    theta = 2 lam^2 / delta2 when the Raman pair is given, mu = g^2/(D1 theta),
-    kappa = N g^4 / (4 D1^2 theta).  A set whose mu or kappa overflows or
-    vanishes in floating point is a ``ValidationError``.
-    """
-    if not np.isfinite(p.g) or p.g == 0:
-        raise ValidationError(f"g must be finite and nonzero, got {p.g}")
-    if not np.isfinite(p.delta1) or p.delta1 == 0:
-        raise ValidationError(f"delta1 must be finite and nonzero, got {p.delta1}")
-    require_integer(p.n_atoms, 1, "n_atoms")
-    for name in ("omega", "lam", "delta2", "g_b", "delta1_b", "mode_split"):
-        value = getattr(p, name)
-        if value is not None and not np.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}")
-
-    raman_given = p.lam is not None or p.delta2 is not None
-    if raman_given and (p.lam is None or p.delta2 is None):
-        raise ValidationError("lam and delta2 must be given together")
-    if raman_given and p.delta2 == 0:
-        raise ValidationError("delta2 must be nonzero")
-
-    theta = p.theta
-    if raman_given:
-        theta_raman = 2 * p.lam**2 / p.delta2
-        if theta is None:
-            theta = theta_raman
-        elif abs(theta - theta_raman) > THETA_CONSISTENCY_RTOL * abs(theta):
-            raise ValidationError(
-                f"inconsistent parameters: theta={theta:g} but "
-                f"2 lam^2/delta2 = {theta_raman:g}"
-            )
-    if theta is None:
-        raise ValidationError("either theta or (lam, delta2) must be given")
-    if theta == 0 or not np.isfinite(theta):
-        raise ValidationError(f"theta must be finite and nonzero, got {theta}")
-
-    # a power that overflows or a divisor that underflows to 0 leaves inf
-    mu = kappa = math.inf
-    try:
-        mu = p.g**2 / (p.delta1 * theta)
-        kappa = p.n_atoms * p.g**4 / (4 * p.delta1**2 * theta)
-    except (OverflowError, ZeroDivisionError):
-        pass
-    for name, value in (("mu = g^2/(delta1 theta)", mu),
-                        ("kappa = N g^4/(4 delta1^2 theta)", kappa)):
-        if not math.isfinite(value) or value == 0:
-            raise ValidationError(
-                f"derived {name} must be finite and nonzero, got {value} "
-                f"(g = {p.g}, delta1 = {p.delta1}, theta = {theta}, "
-                f"n_atoms = {p.n_atoms})")
-    return replace(p, theta=theta, mu=mu, kappa=kappa)
 
 
 def synthesize_raman(p: SchemeParams, ratio: float = 9.0) -> SchemeParams:
@@ -143,13 +146,12 @@ def synthesize_raman(p: SchemeParams, ratio: float = 9.0) -> SchemeParams:
     realized (sign-flipped) theta so it stays self-consistent.  Overlap
     figures of merit are insensitive to the sign.
     """
-    p = derive_params(p)
     if p.lam is not None:
         return p
     delta2 = -ratio * p.delta1
     lam = float(np.sqrt(abs(p.theta * delta2) / 2))
     theta_realized = 2 * lam**2 / delta2
-    return derive_params(replace(p, lam=lam, delta2=delta2, theta=theta_realized))
+    return replace(p, lam=lam, delta2=delta2, theta=theta_realized)
 
 
 def _require_levels(space: Space, levels: int, what: str):
@@ -184,7 +186,6 @@ def full_hamiltonian(
     ``pulse``.
     """
     _require_levels(space, 3, "the full model")
-    p = derive_params(p)
     annih = hilbert.annihilation(space, 0)
     s20 = collective(space, 2, 0)
     term = p.g * np.exp(-1j * p.delta1 * t) * (annih @ s20)
@@ -204,7 +205,6 @@ def full_hamiltonian(
 
 def full_hamiltonian_func(space, p, raman=False, pulse=False, pulse_phase=0.0):
     """(callable t -> ndarray, fastest rate) for the time-stepped integrator."""
-    p = derive_params(p)
     if raman and p.lam is None:
         raise ValidationError("raman_on requires lam and delta2 (use synthesize_raman)")
     rates = [abs(p.delta1), p.omega if pulse else 0.0,
@@ -236,7 +236,6 @@ def static_frame_hamiltonian(
     rather than assumed.
     """
     _require_levels(space, 3, "the full model")
-    p = derive_params(p)
     delta2 = p.delta2 if (raman and p.delta2 is not None) else p.delta1
     g = ((delta2 - p.delta1) * np.diag(number_op(space)).real
          + delta2 * np.diag(collective(space, 2, 2)).real)
@@ -257,7 +256,6 @@ def tier_b_hamiltonian(
     ``raman``; the pulse flag adds the resonant 0<->1 drive.
     """
     _require_levels(space, 2, "the eliminated model")
-    p = derive_params(p)
     n = np.diag(number_op(space))
     s00 = collective(space, 0, 0)
     h = (p.g**2 / p.delta1) * (n[:, None] * s00)  # n @ S00, n diagonal
@@ -276,7 +274,6 @@ def rotation_generator(space: Space, p: SchemeParams) -> np.ndarray:
     ``h1int`` at first order; mu/2 = g^2/(2 delta1 theta) is the angle per
     photon.
     """
-    p = derive_params(p)
     n = np.diag(number_op(space))
     spm = collective(space, "+", "-")
     return -(p.mu / 2) * (n[:, None] * (spm - spm.conj().T))
@@ -295,7 +292,6 @@ def effective_hamiltonian(
     """
     if kind not in EFFECTIVE_KINDS:
         raise ValidationError(f"unknown effective Hamiltonian kind {kind!r}")
-    p = derive_params(p)
     n = number_op(space)
     x = p.stark
 
@@ -348,7 +344,6 @@ def _cross_couplings(p: SchemeParams, variant: str) -> tuple[float, float, float
     A zero detuning, or a coupling A = g_a^2/(2 delta_a) or
     B = g_b^2/(2 delta_b) that is not finite, is a ``ValidationError``.
     """
-    p = derive_params(p)
     if variant == "polarization":
         if p.g_b is None or p.delta1_b is None:
             raise ValidationError("polarization variant needs g_b and delta1_b")
@@ -404,7 +399,6 @@ def cross_kerr_hamiltonian(
     """
     if space.n_modes != 2:
         raise ValidationError("cross-Kerr models need a two-mode space")
-    p = derive_params(p)
     ga, da, gb, db = _cross_couplings(p, variant)
     n_a = number_op(space, 0)
     n_b = number_op(space, 1)

@@ -31,7 +31,7 @@ from . import models, numerics
 from .errors import CalibrationError, GuardError, ValidationError
 from .evolve import SegmentPropagators, sector_blocks
 from .hilbert import Space, basis_state, collective
-from .models import SchemeParams, derive_params
+from .models import SchemeParams
 
 M_PULSE_PHASE = math.pi
 PULSE_SPEED_FACTOR = 20.0  # omega must beat both g sqrt(n_max) and theta by this
@@ -48,7 +48,6 @@ class PulseCalibration:
 
 
 def check_pulse_guard(space: Space, p: SchemeParams):
-    p = derive_params(p)
     floor = PULSE_SPEED_FACTOR * max(
         abs(p.g) * math.sqrt(max(space.n_max, 1)), abs(p.theta))
     if p.omega < floor:
@@ -60,7 +59,6 @@ def check_pulse_guard(space: Space, p: SchemeParams):
 
 def default_forward_phase(p: SchemeParams) -> float:
     """Pulse phase whose realization cancels the linear flip term."""
-    p = derive_params(p)
     return M_PULSE_PHASE if p.theta > 0 else 0.0
 
 
@@ -84,7 +82,6 @@ def m_pulse(
     if mode != "physical":
         raise ValidationError(f"unknown pulse mode {mode!r}")
     check_pulse_guard(space, p)
-    p = derive_params(p)
     props = SegmentPropagators(space, p, "eliminated")
     return numerics.block_diagonal(
         props.propagator(False, phase, 0.0, math.pi / (2 * p.omega)))
@@ -131,7 +128,6 @@ def u_physical(
     photon-diagonal phase realizes the inverse rotation.
     """
     check_pulse_guard(space, p)
-    p = derive_params(p)
     if first_phase is None:
         first_phase = default_forward_phase(p)
     return numerics.block_diagonal(
@@ -178,7 +174,6 @@ def calibrate_pulse_phase(space: Space, p: SchemeParams, *,
         raise ValidationError(
             "pulse-phase calibration uses a single-atom space with n_max >= 2"
         )
-    p = derive_params(p)
     phi_forward = default_forward_phase(p)
     u = (u_physical(space, p, first_phase=phi_forward) if forward is None
          else numerics.block_diagonal(forward))
@@ -231,9 +226,8 @@ class VProtocol:
     ):
         if mode not in self.MODES:
             raise ValidationError(f"unknown V mode {mode!r}")
-        p = derive_params(params)
         self.space = space
-        self.params = p
+        self.params = p = params
         self.mode = mode
         self.tier = tier
         self.tau = 1.0 / abs(p.theta)

@@ -14,7 +14,7 @@ import numbers
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .models import SchemeParams, derive_params
+from .models import SchemeParams
 
 DEFAULT_THRESHOLD = 0.15
 SEPARATION_THRESHOLD = 0.1
@@ -67,14 +67,8 @@ class RegimeReport:
         }
 
 
-def kerr_strength(p: SchemeParams) -> float:
-    """kappa = N g^4 / (4 delta1^2 theta)."""
-    return derive_params(p).kappa
-
-
 def enhanced_strength(p: SchemeParams) -> EnhancedStrength:
     """Strength at theta chosen so (g^2/2 delta1)/theta = N^{-1/4}."""
-    p = derive_params(p)
     n = p.n_atoms
     x = p.stark
     theta_choice = n**0.25 * x
@@ -109,7 +103,6 @@ def check(p: SchemeParams, thresholds: dict | None = None) -> RegimeReport:
     """Evaluate every validity ratio and strength for a parameter set,
     under the default thresholds updated by ``thresholds``."""
     check_thresholds(thresholds)
-    p = derive_params(p)
     th = {"default": DEFAULT_THRESHOLD, "separation": SEPARATION_THRESHOLD}
     th.update(thresholds or {})
 

@@ -72,8 +72,8 @@ def test_criterion_4_regime_arithmetic(fig3b_p1):
              and abs(r["second_dispersive"] - 0.05) <= 1e-12
              and abs(r["rot_condition"] - 1.25e-4) <= 1e-12)
     n = 10**4
-    p_enh = kc.derive_params(kc.SchemeParams(
-        g=G, delta1=math.sqrt(n) * G / 0.1, theta=G, n_atoms=n))
+    p_enh = kc.SchemeParams(
+        g=G, delta1=math.sqrt(n) * G / 0.1, theta=G, n_atoms=n)
     enh = kc.enhanced_strength(p_enh)
     rep_enh = kc.check(p_enh)
     both_present = ("enhanced_exact" in rep_enh.strengths
@@ -113,7 +113,7 @@ def test_criterion_5_operator_algebra():
     p = ex.fig3b_params(1)
     times = np.linspace(0, 30 / G, 5)
     for n_atoms in (1, 2, 3):
-        pn = kc.derive_params(dataclasses.replace(p, n_atoms=n_atoms))
+        pn = dataclasses.replace(p, n_atoms=n_atoms)
         series = {}
         for rep in ("product", "symmetric"):
             space = kc.build_space(n_max=2, n_atoms=n_atoms, levels=2,
@@ -140,8 +140,8 @@ def test_criterion_6_hausdorff_residual_scaling():
     resid = []
     for r in rs:
         g = math.sqrt(2 * delta1 * r * theta)
-        p = kc.derive_params(kc.SchemeParams(g=g, delta1=delta1, theta=theta,
-                                             omega=1e12))
+        p = kc.SchemeParams(g=g, delta1=delta1, theta=theta,
+                            omega=1e12)
         u = pulses.u_ideal(space, p)
         h = models.effective_hamiltonian(space, p, "h1int")
         hrot = models.effective_hamiltonian(space, p, "hrot")

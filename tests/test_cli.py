@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -7,6 +8,8 @@ import sys
 import pytest
 
 from kerrcav import cli, experiments, pulses, regimes
+from kerrcav.errors import ValidationError
+from kerrcav.models import SchemeParams
 
 G = 1e8
 
@@ -509,7 +512,7 @@ def test_sweep_config_applies_overlap_keys(capsys, tmp_path):
     assert (config["mode"], config["frame_calibration"]) == ("ideal", "n1_shared")
 
 
-@pytest.mark.parametrize("jobs", ["abc", 2.5])
+@pytest.mark.parametrize("jobs", ["abc", 2.5, True])
 def test_sweep_rejects_non_integral_jobs(capsys, tmp_path, jobs):
     cfg = write_config(tmp_path, {"jobs": jobs})
     code, _, err = run_cli(capsys, "sweep", "--config", cfg,
@@ -765,3 +768,85 @@ def test_bad_thresholds_exit_2_by_name(capsys, tmp_path, thresholds,
         assert code == 2 and out == ""
         assert message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("param", ["kappa", "mu"])
+def test_derived_parameters_cannot_be_swept_or_overridden(capsys, tmp_path,
+                                                         param):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "sweep", "--param", param,
+                                "--values", "1,2", "--scenario", "fig3b",
+                                "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert f"unknown sweep parameter {param!r}" in err
+    assert not out.exists()
+    with pytest.raises(ValidationError, match="unknown parameter override"):
+        experiments.run_fig3b({param: 1.0})
+
+
+def test_config_params_are_the_settable_parameters():
+    settable = {f.name for f in dataclasses.fields(SchemeParams)} - {
+        "mu", "kappa"}
+    assert experiments.PARAM_NAMES == settable
+    # n_atoms is an integer; every other parameter is a rate in the "10g" form
+    for name in settable - {"g", "n_atoms"}:
+        cfg = cli.resolve_config({"params": {"g": G, name: "3g"}})
+        assert cfg["params"][name] == 3 * G
+    assert cli.resolve_config({"params": {"n_atoms": "2"}})["params"] == {
+        "n_atoms": 2}
+    for name in ("mu", "kappa", "stark"):
+        with pytest.raises(ValidationError,
+                           match=f"unknown config key params.{name!r}"):
+            cli.resolve_config({"params": {name: 1.0}})
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"params": [1, 2]}, "key params must be an object, got [1, 2]"),
+    ({"params": "x"}, "key params must be an object, got 'x'"),
+    ({"grid": "ab"}, "key grid must be an object, got 'ab'"),
+    ({"grid": [1]}, "key grid must be an object, got [1]"),
+    ({"sweep": 5}, "key sweep must be an object, got 5"),
+    ({"output": "dir"}, "key output must be an object, got 'dir'"),
+    ({"output": {"dir": 5}}, "key output.dir must be a string, got 5"),
+    ({"scenario": ["fig3b"]}, "key scenario must be a string, got ['fig3b']"),
+    ({"sweep": {"param": ["theta"]}},
+     "key sweep.param must be a string, got ['theta']"),
+    ({"sweep": {"values": "12"}}, "key sweep.values must be an array, got '12'"),
+])
+def test_malformed_config_block_exits_2_by_name(capsys, tmp_path,
+                                                monkeypatch, cfg, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "run", "fig3b", "--config",
+                             write_config(tmp_path, cfg))
+    assert code == 2 and out == ""
+    assert message in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize("strict, expected", [
+    (True, 3), (False, 0), ("false", 2), ("true", 2), (None, 2)])
+def test_strict_must_be_a_json_boolean(capsys, tmp_path, strict, expected):
+    cfg = write_config(tmp_path, {"strict": strict,
+                                  "params": {"g": G, "theta": "0.01g"}})
+    code, _, err = run_cli(capsys, "check-regime", "--config", cfg)
+    assert code == expected
+    if expected == 2:
+        assert f"key strict must be a boolean, got {strict!r}" in err
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"grid": {"points": True}}, "grid points: expected an integer, got True"),
+    ({"grid": {"n_max": True}},
+     "config key grid.n_max: expected an integer, got True"),
+    ({"params": {"n_atoms": True}},
+     "config key params.n_atoms: expected an integer, got True"),
+    ({"params": {"theta": True}},
+     "config key params.theta: expected a rate, got True"),
+])
+def test_a_json_boolean_is_not_a_number(capsys, tmp_path, cfg, message):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "run", "fig3b", "--config",
+                                write_config(tmp_path, cfg), "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert message in err
+    assert not out.exists()

@@ -112,8 +112,8 @@ def test_compose_merges_static_segments(fig3b_p1):
 def test_adjacent_pulse_pair_composes_to_identity():
     # a pulse followed by its phase-conjugate undoes itself; with a fast
     # enough drive the cavity term during the windows is negligible
-    p = kc.derive_params(kc.SchemeParams(
-        g=G, delta1=10 * G, theta=G, omega=2.5e7 * G))
+    p = kc.SchemeParams(
+        g=G, delta1=10 * G, theta=G, omega=2.5e7 * G)
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
     props = SegmentPropagators(space, p, "eliminated")
     tp = math.pi / (2 * p.omega)

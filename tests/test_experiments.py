@@ -39,8 +39,8 @@ def test_fig3b_branch_count_and_grid(fig3b_result):
     assert len(fig3b_result.branches) == 4
     for b in fig3b_result.branches:
         assert len(b.times) == 512
-        p = kc.derive_params(kc.SchemeParams(
-            g=G, delta1=10 * G, theta=G, n_atoms=b.n_atoms))
+        p = kc.SchemeParams(
+            g=G, delta1=10 * G, theta=G, n_atoms=b.n_atoms)
         assert b.times[-1] == pytest.approx(2 * math.pi / p.kappa)
 
 
@@ -284,9 +284,9 @@ def test_lift_matches_dense_protocol(g, delta1, delta1_sign, theta,
     n = data.draw(st.integers(0, n_max), label="n")
     floor = pulses.PULSE_SPEED_FACTOR * max(g * math.sqrt(max(n_max, 1)),
                                         theta * g)
-    p = kc.derive_params(kc.SchemeParams(
+    p = kc.SchemeParams(
         g=g, delta1=delta1_sign * delta1 * g, theta=theta_sign * theta * g,
-        omega=speed * floor, n_atoms=n_atoms))
+        omega=speed * floor, n_atoms=n_atoms)
     times = np.array(t_fracs) * 2 * math.pi / abs(p.kappa)
     space = kc.build_space(n_max=n_max, n_atoms=n_atoms, levels=2,
                            representation=representation)
@@ -312,10 +312,10 @@ def test_batched_lift_equals_the_per_n_evaluation_bit_for_bit(
         g, delta1, theta, theta_sign, n_max, mode, n_atoms, t_fracs, data):
     ns = data.draw(st.lists(st.integers(0, n_max), min_size=1, unique=True),
                    label="ns")
-    p = kc.derive_params(kc.SchemeParams(
+    p = kc.SchemeParams(
         g=g, delta1=delta1 * g, theta=theta_sign * theta * g,
         omega=pulses.PULSE_SPEED_FACTOR * 2 * max(g * math.sqrt(max(n_max, 1)),
-                                                  theta * g)))
+                                                  theta * g))
     space = kc.build_space(n_max=n_max, n_atoms=1, levels=2)
     protocol = kc.VProtocol(space, p, mode=mode)
     times = np.array(t_fracs) * 2 * math.pi / abs(p.kappa)
@@ -410,8 +410,8 @@ def test_shared_protocol_matches_one_protocol_per_atom_count(fig3b_result):
 @pytest.mark.parametrize("n_atoms", [2.5, 2.0, True, "2"])
 def test_non_integral_atom_count_is_rejected_by_name(n_atoms):
     with pytest.raises(ValidationError, match="n_atoms must be an integer"):
-        kc.derive_params(kc.SchemeParams(g=G, delta1=10 * G, theta=G,
-                                         n_atoms=n_atoms))
+        kc.SchemeParams(g=G, delta1=10 * G, theta=G,
+                        n_atoms=n_atoms)
     with pytest.raises(ValidationError, match="n_atoms must be an integer"):
         ex.run_fig3b(branches=((n_atoms, 1),))
 

@@ -180,8 +180,8 @@ def test_two_mode_operators_commute():
 def test_representation_agreement(n_atoms):
     # identical overlap dynamics in the product and symmetric representations
     g = 1e8
-    p = kc.derive_params(kc.SchemeParams(g=g, delta1=10 * g, theta=g,
-                                         omega=100 * g, n_atoms=n_atoms))
+    p = kc.SchemeParams(g=g, delta1=10 * g, theta=g,
+                        omega=100 * g, n_atoms=n_atoms)
     times = np.linspace(0, 40 / g, 7)
     series = {}
     for rep in ("product", "symmetric"):

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kerrcav as kc
 from kerrcav import evolve, models, numerics, pulses
@@ -12,7 +14,7 @@ G = 1e8
 
 
 def test_theta_from_raman_pair():
-    p = kc.derive_params(kc.SchemeParams(g=G, delta1=1e9, lam=1e7, delta2=1e9))
+    p = kc.SchemeParams(g=G, delta1=1e9, lam=1e7, delta2=1e9)
     assert abs(p.theta - 2e5) < 1e-6
 
 
@@ -24,23 +26,69 @@ def test_fig3b_derived_values(fig3b_p1):
 
 def test_inconsistent_theta_rejected():
     with pytest.raises(ValidationError, match="inconsistent"):
-        kc.derive_params(kc.SchemeParams(
-            g=G, delta1=1e9, theta=3e5, lam=1e7, delta2=1e9))
+        kc.SchemeParams(
+            g=G, delta1=1e9, theta=3e5, lam=1e7, delta2=1e9)
 
 
 def test_consistent_both_accepted():
-    p = kc.derive_params(kc.SchemeParams(
-        g=G, delta1=1e9, theta=2e5, lam=1e7, delta2=1e9))
+    p = kc.SchemeParams(
+        g=G, delta1=1e9, theta=2e5, lam=1e7, delta2=1e9)
     assert p.theta == 2e5
 
 
 def test_zero_rates_rejected():
     with pytest.raises(ValidationError):
-        kc.derive_params(kc.SchemeParams(g=G, delta1=0.0, theta=G))
+        kc.SchemeParams(g=G, delta1=0.0, theta=G)
     with pytest.raises(ValidationError):
-        kc.derive_params(kc.SchemeParams(g=G, delta1=1e9, lam=1e7, delta2=0.0))
+        kc.SchemeParams(g=G, delta1=1e9, lam=1e7, delta2=0.0)
     with pytest.raises(ValidationError):
-        kc.derive_params(kc.SchemeParams(g=G, delta1=1e9))
+        kc.SchemeParams(g=G, delta1=1e9)
+
+
+RATE = st.builds(lambda m, sign: sign * m, st.floats(1e6, 1e10),
+                 st.sampled_from((-1.0, 1.0)))
+ATOMS = st.integers(1, 10**6)
+# one replacement per settable input of mu and kappa, valid or not
+CHANGES = {
+    "theta": (st.fixed_dictionaries({"theta": RATE}),
+              [{"theta": 0.0}, {"theta": math.inf}, {"theta": math.nan}]),
+    "g": (st.fixed_dictionaries({"g": RATE}),
+          [{"g": 0.0}, {"g": -math.inf}, {"g": math.nan}]),
+    "delta1": (st.fixed_dictionaries({"delta1": RATE}),
+               [{"delta1": 0.0}, {"delta1": math.inf}, {"delta1": 1e-300}]),
+    "n_atoms": (st.fixed_dictionaries({"n_atoms": ATOMS}),
+                [{"n_atoms": 0}, {"n_atoms": 2.0}, {"n_atoms": True}]),
+    # the stored theta was derived from the old pair: re-derive it
+    "raman": (st.fixed_dictionaries({"lam": RATE, "delta2": RATE,
+                                     "theta": st.none()}),
+              [{"lam": 1e7, "delta2": 0.0, "theta": None},
+               {"lam": math.nan, "delta2": 1e9, "theta": None},
+               {"lam": 1e7, "delta2": None}]),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(g=RATE, delta1=RATE, theta=RATE, n_atoms=ATOMS,
+       changed=st.sampled_from(sorted(CHANGES)), data=st.data())
+def test_derived_fields_are_never_stale(g, delta1, theta, n_atoms, changed,
+                                        data):
+    p = kc.SchemeParams(g=g, delta1=delta1, theta=theta, n_atoms=n_atoms)
+    valid, invalid = CHANGES[changed]
+    q = dataclasses.replace(p, **data.draw(valid, label="change"))
+    if changed == "raman":
+        assert q.theta == 2 * q.lam**2 / q.delta2
+    assert q.mu == q.g**2 / (q.delta1 * q.theta)
+    assert q.kappa == q.n_atoms * q.g**4 / (4 * q.delta1**2 * q.theta)
+    with pytest.raises(ValidationError):
+        dataclasses.replace(p, **data.draw(st.sampled_from(invalid),
+                                           label="invalid change"))
+
+
+def test_derived_fields_cannot_be_passed(fig3b_p1):
+    with pytest.raises(TypeError):
+        kc.SchemeParams(g=G, delta1=10 * G, theta=G, kappa=1.0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(fig3b_p1, mu=1.0)
 
 
 def test_synthesize_raman(fig3b_p1):
@@ -177,8 +225,8 @@ def test_hausdorff_residual_scaling():
     resid = []
     for r in rs:
         g = math.sqrt(2 * delta1 * r * theta)
-        p = kc.derive_params(kc.SchemeParams(g=g, delta1=delta1, theta=theta,
-                                             omega=1e12))
+        p = kc.SchemeParams(g=g, delta1=delta1, theta=theta,
+                            omega=1e12)
         u = pulses.u_ideal(space, p)
         h = models.effective_hamiltonian(space, p, "h1int")
         hrot = models.effective_hamiltonian(space, p, "hrot")
@@ -246,8 +294,8 @@ def test_tier_consistency_eigenphases(fig3b_p1):
 
 def test_full_vs_eliminated_overlap_agreement():
     # X series of the two tiers agree within 0.05 once every ratio <= 0.05
-    p = kc.synthesize_raman(kc.derive_params(kc.SchemeParams(
-        g=G, delta1=20 * G, theta=G, omega=100 * G, n_atoms=1)))
+    p = kc.synthesize_raman(kc.SchemeParams(
+        g=G, delta1=20 * G, theta=G, omega=100 * G, n_atoms=1))
     report = kc.check(p, {"default": 0.06, "separation": 0.08})
     for name in ("dispersive_cavity", "dispersive_laser", "separation",
                  "second_dispersive", "rot_condition"):

@@ -46,7 +46,7 @@ def test_physical_pulse_close_to_ideal(fig3b_p1):
 def test_pulse_guard(fig3b_p1):
     import dataclasses
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
-    slow = kc.derive_params(dataclasses.replace(fig3b_p1, omega=10 * G))
+    slow = dataclasses.replace(fig3b_p1, omega=10 * G)
     with pytest.raises(GuardError, match="pulse too slow"):
         pulses.m_pulse(space, slow, mode="physical")
 
@@ -67,7 +67,7 @@ def test_u_ideal_rotation_elements(fig3b_p1):
 
 def test_u_ideal_small_angle_limit(fig3b_p1):
     import dataclasses
-    p = kc.derive_params(dataclasses.replace(fig3b_p1, theta=1e6 * G))
+    p = dataclasses.replace(fig3b_p1, theta=1e6 * G)
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
     assert numerics.max_abs_diff(
         pulses.u_ideal(space, p), np.eye(space.dim)) < 1e-5
@@ -88,8 +88,8 @@ def test_u_physical_fidelity_to_ideal(fig3b_p1):
 
 def test_u_physical_zero_window_limit():
     # theta -> infinity: the middle window vanishes, pulses cancel exactly
-    p = kc.derive_params(kc.SchemeParams(
-        g=G, delta1=10 * G, theta=1e6 * G, omega=2.5e7 * G))
+    p = kc.SchemeParams(
+        g=G, delta1=10 * G, theta=1e6 * G, omega=2.5e7 * G)
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
     u = pulses.u_physical(space, p)
     assert numerics.max_abs_diff(u, np.eye(space.dim)) < 1e-6
@@ -120,9 +120,9 @@ def test_closed_form_phase_maximizes_fidelity(tier, theta, theta_sign,
                                               delta1, delta1_sign):
     # the fidelity modulo a photon-diagonal phase, F(phi), peaks on the 1
     # degree grid at default_forward_phase and is mirror-symmetric about it
-    p = kc.derive_params(kc.SchemeParams(
+    p = kc.SchemeParams(
         g=G, delta1=delta1_sign * delta1 * G, theta=theta_sign * theta * G,
-        omega=100 * G))
+        omega=100 * G)
     levels = 2
     if tier == "full":
         p, levels = kc.synthesize_raman(p), 3
@@ -234,7 +234,7 @@ def _tier_setup(tier, n_atoms, fig3b_p1):
         return (kc.build_space(n_max=2, n_atoms=n_atoms, levels=3),
                 kc.synthesize_raman(fig3b_p1))
     return (kc.build_space(n_max=3, n_atoms=n_atoms, levels=2),
-            kc.derive_params(dataclasses.replace(fig3b_p1, n_atoms=n_atoms)))
+            dataclasses.replace(fig3b_p1, n_atoms=n_atoms))
 
 
 @pytest.mark.parametrize("tier, n_atoms",
@@ -309,9 +309,9 @@ def test_sector_states_match_dense_oracle(n_atoms, representation, n, theta,
                                           theta_sign, t_frac):
     # V(t) evaluated in one photon-number block, or in the two blocks of a
     # superposition of n = 0 and 2, equals the dense product
-    p = kc.derive_params(kc.SchemeParams(
+    p = kc.SchemeParams(
         g=G, delta1=10 * G, theta=theta_sign * theta * G, omega=100 * G,
-        n_atoms=n_atoms))
+        n_atoms=n_atoms)
     space = kc.build_space(n_max=2, n_atoms=n_atoms, levels=2,
                            representation=representation)
     minus = "-" * n_atoms
@@ -331,9 +331,9 @@ def test_sector_states_match_dense_oracle(n_atoms, representation, n, theta,
        theta=st.floats(0.5, 4.0), theta_sign=st.sampled_from((-1, 1)))
 def test_product_and_symmetric_protocols_agree(n_atoms, n, theta, theta_sign):
     # the two representations give the protocol blocks of size 2^N and N+1
-    p = kc.derive_params(kc.SchemeParams(
+    p = kc.SchemeParams(
         g=G, delta1=10 * G, theta=theta_sign * theta * G, omega=100 * G,
-        n_atoms=n_atoms))
+        n_atoms=n_atoms)
     times = np.linspace(0, 2 * math.pi / abs(p.kappa), 17)
     amps = {}
     for rep in ("product", "symmetric"):
@@ -350,9 +350,9 @@ def test_product_and_symmetric_protocols_agree(n_atoms, n, theta, theta_sign):
        t_frac=st.floats(0.0, 1.0))
 def test_v_is_unitary_over_the_kerr_period(g, delta1, delta1_sign, theta,
                                            theta_sign, n_atoms, t_frac):
-    p = kc.derive_params(kc.SchemeParams(
+    p = kc.SchemeParams(
         g=g, delta1=delta1_sign * delta1 * g, theta=theta_sign * theta * g,
-        omega=100 * g, n_atoms=n_atoms))
+        omega=100 * g, n_atoms=n_atoms)
     space = kc.build_space(n_max=2, n_atoms=n_atoms, levels=2)
     t = t_frac * 2 * math.pi / abs(p.kappa)
     diag = kc.VProtocol(space, p).compose_diagnostics(t)

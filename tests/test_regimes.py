@@ -26,7 +26,7 @@ def test_fig3b_ratio_arithmetic(fig3b_p1):
 def test_sqrtn_scaling(fig3b_p1):
     r1 = kc.check(fig3b_p1).ratios["dispersive_cavity"].value
     p4 = dataclasses.replace(fig3b_p1, n_atoms=4)
-    r4 = kc.check(kc.derive_params(p4)).ratios["dispersive_cavity"].value
+    r4 = kc.check(p4).ratios["dispersive_cavity"].value
     assert r4 == pytest.approx(2 * r1, rel=1e-12)
 
 
@@ -57,27 +57,27 @@ def test_laser_ratios_with_synthesized_pair(fig3b_p1):
 
 
 def test_kerr_strength_values(fig3b_p1):
-    assert kc.kerr_strength(fig3b_p1) == pytest.approx(2.5e5, rel=1e-12)
+    assert fig3b_p1.kappa == pytest.approx(2.5e5, rel=1e-12)
     # theta -> 2 theta halves kappa
-    p2 = kc.derive_params(dataclasses.replace(fig3b_p1, theta=2 * G))
-    assert kc.kerr_strength(p2) == pytest.approx(1.25e5, rel=1e-12)
+    p2 = dataclasses.replace(fig3b_p1, theta=2 * G)
+    assert p2.kappa == pytest.approx(1.25e5, rel=1e-12)
 
 
 def test_kerr_strength_n_invariance_with_scaled_detuning():
     # kappa is N-independent when delta1 ~ sqrt(N) at fixed theta
-    p1 = kc.derive_params(kc.SchemeParams(g=G, delta1=10 * G, theta=G,
-                                          n_atoms=1))
-    p2 = kc.derive_params(kc.SchemeParams(
-        g=G, delta1=10 * math.sqrt(2) * G, theta=G, n_atoms=2))
-    assert kc.kerr_strength(p2) == pytest.approx(kc.kerr_strength(p1),
-                                                 rel=1e-12)
+    p1 = kc.SchemeParams(g=G, delta1=10 * G, theta=G,
+                         n_atoms=1)
+    p2 = kc.SchemeParams(
+        g=G, delta1=10 * math.sqrt(2) * G, theta=G, n_atoms=2)
+    assert p2.kappa == pytest.approx(p1.kappa,
+                                     rel=1e-12)
 
 
 def test_enhanced_strength_headline_case():
     # N = 1e4 with sqrt(N) g / delta1 = 0.1: exact 0.5 g, estimate 1.0 g
     n = 10**4
-    p = kc.derive_params(kc.SchemeParams(
-        g=G, delta1=math.sqrt(n) * G / 0.1, theta=G, n_atoms=n))
+    p = kc.SchemeParams(
+        g=G, delta1=math.sqrt(n) * G / 0.1, theta=G, n_atoms=n)
     enh = kc.enhanced_strength(p)
     assert enh.strength == pytest.approx(0.5 * G, rel=1e-12)
     assert enh.simple_estimate == pytest.approx(1.0 * G, rel=1e-12)
@@ -88,25 +88,25 @@ def test_enhanced_strength_headline_case():
 def test_enhanced_strength_consistency_with_kappa(fig3b_p1):
     # at theta = theta_choice the rotated strength equals N x^2 / theta_choice
     enh = kc.enhanced_strength(fig3b_p1)
-    p_choice = kc.derive_params(dataclasses.replace(
-        fig3b_p1, theta=enh.theta_choice))
+    p_choice = dataclasses.replace(
+        fig3b_p1, theta=enh.theta_choice)
     assert enh.strength == pytest.approx(
         p_choice.n_atoms * p_choice.stark**2 / p_choice.theta, rel=1e-12)
 
 
 def test_enhanced_strength_n_scaling(fig3b_p1):
     e1 = kc.enhanced_strength(fig3b_p1)
-    p16 = kc.derive_params(dataclasses.replace(fig3b_p1, n_atoms=16))
+    p16 = dataclasses.replace(fig3b_p1, n_atoms=16)
     e16 = kc.enhanced_strength(p16)
     assert e16.strength == pytest.approx(8 * e1.strength, rel=1e-12)
 
 
 def test_theta_choice_satisfies_rotation_condition_for_large_n():
     for n, expected_pass in ((1500, False), (2500, True)):
-        p = kc.derive_params(kc.SchemeParams(g=G, delta1=10 * G, theta=G,
-                                             n_atoms=n))
+        p = kc.SchemeParams(g=G, delta1=10 * G, theta=G,
+                            n_atoms=n)
         enh = kc.enhanced_strength(p)
-        p_choice = kc.derive_params(dataclasses.replace(p, theta=enh.theta_choice))
+        p_choice = dataclasses.replace(p, theta=enh.theta_choice)
         entry = kc.check(p_choice).ratios["rot_condition"]
         assert entry.value == pytest.approx(n**-0.25, rel=1e-9)
         assert (entry.status == "pass") is expected_pass
@@ -115,7 +115,7 @@ def test_theta_choice_satisfies_rotation_condition_for_large_n():
 def test_ratio_monotonicity_in_n(fig3b_p1):
     values = []
     for n in (1, 2, 4, 8):
-        p = kc.derive_params(dataclasses.replace(fig3b_p1, n_atoms=n))
+        p = dataclasses.replace(fig3b_p1, n_atoms=n)
         rep = kc.check(p)
         values.append([rep.ratios[k].value for k in
                        ("dispersive_cavity", "second_dispersive",
