@@ -3,13 +3,15 @@
 ``SegmentPropagators`` exponentiates each protocol segment through one
 Hermitian eigendecomposition per segment type and applies the segment's
 rotating frame (``models.segment_hamiltonian``) as diagonal phases on the
-global clock; on the static eliminated tier that frame is zero.  It works
-in photon-number sectors (``sector_blocks``): the eliminated tier and its
-pulses conserve the photon number, and the photon index varies slowest, so
-a segment is a stack of ``photon_dim`` blocks of the atomic dimension and
-a full-space vector reshapes to (photon_dim, atomic_dim).  The full tier,
-whose Raman term changes the photon number, is one block.  A pulse's phase
-is a diagonal conjugation, so one phase-0 eigensystem serves every phase.
+global clock.  The tier is the space's level count (two levels: the
+static eliminated tier, whose frame is zero; three: the full tier), and a
+segment's pulse is its phase (None: no pulse).  It works in photon-number
+sectors (``sector_blocks``): the eliminated tier and its pulses conserve
+the photon number, and the photon index varies slowest, so a segment is a
+stack of ``photon_dim`` blocks of the atomic dimension and a full-space
+vector reshapes to (photon_dim, atomic_dim).  The full tier, whose Raman
+term changes the photon number, is one block.  A pulse's phase is a
+diagonal conjugation, so one phase-0 eigensystem serves every phase.
 ``propagate_timedep``, a second-order midpoint-exponential product
 integrator over the oscillatory Hamiltonian itself, stands apart as the
 independent oracle for that frame; disagreements between the two expose
@@ -68,26 +70,27 @@ def propagate_timedep(
     return u
 
 
-def sector_blocks(space: Space, tier: str, h: np.ndarray, g: np.ndarray):
-    """(S, d, d) and (S, d) diagonal blocks of a full-space segment (H', g).
+def sector_blocks(space: Space, h: np.ndarray, g: np.ndarray | None = None):
+    """(S, d, d) and (S, d) diagonal blocks of a full-space segment (H', g);
+    g defaults to the zero frame of a static operator.
 
-    S = ``photon_dim`` on the eliminated tier and 1 (the whole space) on the
-    full tier.  The builders leave exact zeros between photon-number
+    S = ``photon_dim`` on a two-level space and 1 (the whole space) on a
+    three-level one.  The builders leave exact zeros between photon-number
     sectors, so an entry there that is not exactly zero is an error.
     """
-    s = space.photon_dim if tier == "eliminated" else 1
+    s = space.photon_dim if space.levels == 2 else 1
     d = space.dim // s
     sectors = np.arange(s)
     blocks = h.reshape(s, d, s, d)[sectors, :, sectors, :]
     if np.count_nonzero(blocks) != np.count_nonzero(h):
         raise ValidationError(
-            f"the {tier} tier's segment couples photon-number sectors; "
+            f"the segment couples photon-number sectors; "
             f"it cannot be split into {s} diagonal blocks")
-    return blocks, np.reshape(g, (s, d))
+    return blocks, (np.zeros((s, d)) if g is None else np.reshape(g, (s, d)))
 
 
 class SegmentPropagators:
-    """Protocol-segment propagators of one tier, cached per segment type.
+    """Protocol-segment propagators on one space, cached per segment type.
 
     A segment type is (raman, pulse), so a protocol evaluated at many clock
     times, durations and pulse phases costs one eigendecomposition per
@@ -95,10 +98,9 @@ class SegmentPropagators:
     stacks.
     """
 
-    def __init__(self, space: Space, params: SchemeParams, tier: str):
+    def __init__(self, space: Space, params: SchemeParams):
         self.space = space
         self.params = params
-        self.tier = tier
         self._cache: dict = {}
         # diagonal of S00 + S22, the generator R = exp(i phi (S00 + S22))
         # that carries a pulse from phase 0 to phase phi
@@ -116,9 +118,9 @@ class SegmentPropagators:
                 raise ValidationError(
                     "a pulse segment runs with the Raman lasers off")
             h, g = models.segment_hamiltonian(
-                self.space, self.params, self.tier, raman,
-                0.0 if pulse else None)
-            h, g = sector_blocks(self.space, self.tier, h, g)
+                self.space, self.params, raman,
+                pulse_phase=0.0 if pulse else None)
+            h, g = sector_blocks(self.space, h, g)
             self._cache[key] = (numerics.HermitianEigensystem(h), g)
         return self._cache[key]
 

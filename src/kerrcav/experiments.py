@@ -110,11 +110,15 @@ PARAM_NAMES = frozenset(f.name for f in dataclasses.fields(SchemeParams)
 
 
 def apply_overrides(p: SchemeParams, overrides: dict | None) -> SchemeParams:
+    """``p`` with ``overrides`` replaced; overrides that name ``lam`` or
+    ``delta2`` but not ``theta`` derive theta from the Raman pair."""
     if not overrides:
         return p
     unknown = set(overrides) - PARAM_NAMES
     if unknown:
         raise ValidationError(f"unknown parameter override(s): {sorted(unknown)}")
+    if {"lam", "delta2"} & set(overrides) and "theta" not in overrides:
+        overrides = {**overrides, "theta": None}
     return replace(p, **overrides)
 
 

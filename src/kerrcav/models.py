@@ -19,8 +19,10 @@ and the two-mode cross-Kerr configurations.
 Every builder returns a plain complex (dim, dim) ndarray.  The rotating
 frame is diagonal, so it is carried as the real vector g of its generator's
 diagonal: ``static_frame_hamiltonian`` returns (H', g), and a
-pulse-protocol segment on the ``eliminated`` or the ``full`` tier is the
-same pair from ``segment_hamiltonian``, the static tier with g = 0.
+pulse-protocol segment is the same pair from ``segment_hamiltonian``.  The
+tier is the space's level count (three levels: ``full``, two:
+``eliminated``, static with g = 0), and the pulse is its ``pulse_phase``
+(None: no pulse).
 
 Sign conventions: propagators are exp(-i H t) everywhere.  The rotation
 generator used for ``hrot`` and by the pulse protocol is
@@ -161,14 +163,38 @@ def _require_levels(space: Space, levels: int, what: str):
         )
 
 
-def _pulse_term(space: Space, omega: float, phase: float) -> np.ndarray:
-    """(omega/2)(e^{i phi} S01 + e^{-i phi} S10).
+def _raman_pair(p: SchemeParams) -> tuple[float, float]:
+    """(lam, delta2), which the three-level Raman drive needs."""
+    if p.lam is None:
+        raise ValidationError(
+            "a Raman-on three-level segment needs lam and delta2 "
+            "(use synthesize_raman)")
+    return p.lam, p.delta2
 
-    A resonant drive of Rabi frequency omega: the pi/2 rotation takes
-    t = pi/(2 omega), so the stated pulse durations come out right.
+
+def _add_drives(h: np.ndarray, space: Space, p: SchemeParams, t: float,
+                raman: bool, pulse_phase: float | None) -> np.ndarray:
+    """``h`` plus the drives at time t, each term written once here.
+
+    The Raman drive, when ``raman``: sqrt(2) lam (e^{-i D2 t} S2+ + h.c.) on
+    a three-level space, its eliminated form (theta/2)(S01 + S10) on a
+    two-level one.  The pulse at phase phi (unless ``pulse_phase`` is
+    None): (omega/2)(e^{i phi} S01 + h.c.), so its pi/2 rotation takes
+    t = pi/(2 omega).
     """
-    s01 = collective(space, 0, 1)
-    return (omega / 2) * (np.exp(1j * phase) * s01 + np.exp(-1j * phase) * s01.conj().T)
+    if raman and space.levels == 3:
+        lam, delta2 = _raman_pair(p)
+        s2p = collective(space, 2, "+")
+        term = np.sqrt(2) * lam * np.exp(-1j * delta2 * t) * s2p
+        h = h + term + term.conj().T
+    elif raman:
+        s01 = collective(space, 0, 1)
+        h = h + (p.theta / 2) * (s01 + s01.conj().T)
+    if pulse_phase is not None:
+        s01 = collective(space, 0, 1)
+        h = h + (p.omega / 2) * (np.exp(1j * pulse_phase) * s01
+                                 + np.exp(-1j * pulse_phase) * s01.conj().T)
+    return h
 
 
 def full_hamiltonian(
@@ -176,44 +202,30 @@ def full_hamiltonian(
     p: SchemeParams,
     t: float,
     raman: bool = False,
-    pulse: bool = False,
-    pulse_phase: float = 0.0,
+    *,
+    pulse_phase: float | None = None,
 ) -> np.ndarray:
     """Three-level interaction-picture Hamiltonian at time ``t``.
 
     H(t) = g (e^{-i D1 t} a S20 + h.c.) + sqrt(2) lam (e^{-i D2 t} S2+ + h.c.)
-    with the Raman term gated by ``raman`` and the resonant 0<->1 drive by
-    ``pulse``.
+    with the Raman term gated by ``raman``, plus the resonant 0<->1 drive at
+    ``pulse_phase`` (None: no pulse).
     """
     _require_levels(space, 3, "the full model")
-    annih = hilbert.annihilation(space, 0)
-    s20 = collective(space, 2, 0)
-    term = p.g * np.exp(-1j * p.delta1 * t) * (annih @ s20)
-    h = term + term.conj().T
-    if raman:
-        if p.lam is None:
-            raise ValidationError(
-                "raman_on requires lam and delta2 (use synthesize_raman)"
-            )
-        s2p = collective(space, 2, "+")
-        term = np.sqrt(2) * p.lam * np.exp(-1j * p.delta2 * t) * s2p
-        h = h + term + term.conj().T
-    if pulse:
-        h = h + _pulse_term(space, p.omega, pulse_phase)
-    return h
+    term = p.g * np.exp(-1j * p.delta1 * t) * (
+        hilbert.annihilation(space, 0) @ collective(space, 2, 0))
+    return _add_drives(term + term.conj().T, space, p, t, raman, pulse_phase)
 
 
-def full_hamiltonian_func(space, p, raman=False, pulse=False, pulse_phase=0.0):
+def full_hamiltonian_func(space, p, raman=False, *, pulse_phase=None):
     """(callable t -> ndarray, fastest rate) for the time-stepped integrator."""
-    if raman and p.lam is None:
-        raise ValidationError("raman_on requires lam and delta2 (use synthesize_raman)")
-    rates = [abs(p.delta1), p.omega if pulse else 0.0,
+    rates = [abs(p.delta1), 0.0 if pulse_phase is None else abs(p.omega),
              np.sqrt(space.n_max) * abs(p.g)]
     if raman:
-        rates += [abs(p.delta2), abs(p.lam)]
+        rates += [abs(rate) for rate in _raman_pair(p)]
 
     def h_of_t(t):
-        return full_hamiltonian(space, p, t, raman, pulse, pulse_phase)
+        return full_hamiltonian(space, p, t, raman, pulse_phase=pulse_phase)
 
     return h_of_t, max(rates)
 
@@ -222,8 +234,8 @@ def static_frame_hamiltonian(
     space: Space,
     p: SchemeParams,
     raman: bool = False,
-    pulse: bool = False,
-    pulse_phase: float = 0.0,
+    *,
+    pulse_phase: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(H', g): time-independent rotating-frame equivalent of the full
     Hamiltonian and the real diagonal g of its frame generator.
@@ -235,11 +247,10 @@ def static_frame_hamiltonian(
     Exactness against the time-stepped integrator is validated in the tests
     rather than assumed.
     """
-    _require_levels(space, 3, "the full model")
-    delta2 = p.delta2 if (raman and p.delta2 is not None) else p.delta1
+    h0 = full_hamiltonian(space, p, 0.0, raman, pulse_phase=pulse_phase)
+    delta2 = p.delta2 if raman else p.delta1
     g = ((delta2 - p.delta1) * np.diag(number_op(space)).real
          + delta2 * np.diag(collective(space, 2, 2)).real)
-    h0 = full_hamiltonian(space, p, 0.0, raman, pulse, pulse_phase)
     return h0 - np.diag(g), g
 
 
@@ -247,24 +258,20 @@ def tier_b_hamiltonian(
     space: Space,
     p: SchemeParams,
     raman: bool = True,
-    pulse: bool = False,
-    pulse_phase: float = 0.0,
+    *,
+    pulse_phase: float | None = None,
 ) -> np.ndarray:
     """Two-level model after eliminating the excited level.
 
     H1 = (g^2/delta1) n S00 + (theta/2)(S10 + S01), the theta term gated by
-    ``raman``; the pulse flag adds the resonant 0<->1 drive.
+    ``raman``, plus the resonant 0<->1 drive at ``pulse_phase`` (None: no
+    pulse).
     """
     _require_levels(space, 2, "the eliminated model")
     n = np.diag(number_op(space))
     s00 = collective(space, 0, 0)
     h = (p.g**2 / p.delta1) * (n[:, None] * s00)  # n @ S00, n diagonal
-    if raman:
-        s01 = collective(space, 0, 1)
-        h = h + (p.theta / 2) * (s01 + s01.conj().T)
-    if pulse:
-        h = h + _pulse_term(space, p.omega, pulse_phase)
-    return h
+    return _add_drives(h, space, p, 0.0, raman, pulse_phase)
 
 
 def rotation_generator(space: Space, p: SchemeParams) -> np.ndarray:
@@ -382,8 +389,8 @@ def cross_kerr_hamiltonian(
     form: str = "effective",
     t: float = 0.0,
     raman: bool = True,
-    pulse: bool = False,
-    pulse_phase: float = 0.0,
+    *,
+    pulse_phase: float | None = None,
 ) -> np.ndarray:
     """Two-mode Hamiltonians for the cross-Kerr configurations.
 
@@ -395,7 +402,8 @@ def cross_kerr_hamiltonian(
 
     ``form="eliminated"``: the two-level model before the second
     elimination; ``form="full"``: the three-level interaction-picture
-    Hamiltonian at time ``t``.
+    Hamiltonian at time ``t``.  Both carry the Raman drive when ``raman``
+    and the pulse at ``pulse_phase`` unless it is None.
     """
     if space.n_modes != 2:
         raise ValidationError("cross-Kerr models need a two-mode space")
@@ -419,14 +427,7 @@ def cross_kerr_hamiltonian(
             h = 2 * A * (n_a @ s00) + 2 * B * (n_b @ s11)
         else:
             h = 2 * (A * n_a + B * n_b) @ s00
-        if raman:
-            s01 = collective(space, 0, 1)
-            h = h + (p.theta / 2) * (s01 + s01.conj().T)
-        if pulse:
-            h = h + _pulse_term(space, p.omega, pulse_phase)
-        return h
-
-    if form == "full":
+    elif form == "full":
         _require_levels(space, 3, "the full cross-Kerr model")
         a = hilbert.annihilation(space, 0)
         b = hilbert.annihilation(space, 1)
@@ -436,17 +437,9 @@ def cross_kerr_hamiltonian(
         target_b = s20 if variant == "toroidal" else collective(space, 2, 1)
         term = gb * np.exp(-1j * db * t) * (b @ target_b)
         h = h + term + term.conj().T
-        if raman:
-            if p.lam is None:
-                raise ValidationError("full cross-Kerr with raman needs lam, delta2")
-            s2p = collective(space, 2, "+")
-            term = np.sqrt(2) * p.lam * np.exp(-1j * p.delta2 * t) * s2p
-            h = h + term + term.conj().T
-        if pulse:
-            h = h + _pulse_term(space, p.omega, pulse_phase)
-        return h
-
-    raise ValidationError(f"unknown cross-Kerr form {form!r}")
+    else:
+        raise ValidationError(f"unknown cross-Kerr form {form!r}")
+    return _add_drives(h, space, p, t, raman, pulse_phase)
 
 
 # ---------------------------------------------------------------------------
@@ -456,23 +449,20 @@ def cross_kerr_hamiltonian(
 def segment_hamiltonian(
     space: Space,
     p: SchemeParams,
-    tier: str,
     raman: bool,
+    *,
     pulse_phase: float | None = None,
 ):
     """(H', g) of one protocol segment; ``pulse_phase=None`` is pulse-free.
 
     H' is time independent and g is the diagonal of the rotating-frame
     generator, so the segment's propagator over [t0, t0 + dt] is
-    e^{-i g (t0 + dt)} exp(-i H' dt) e^{i g t0}.  The ``full`` tier takes
-    its exact static frame; the ``eliminated`` tier is already static, g = 0.
+    e^{-i g (t0 + dt)} exp(-i H' dt) e^{i g t0}.  The space's level count
+    names the tier: a two-level space runs the eliminated model, already
+    static (g = 0); a three-level space runs the full model in its exact
+    static frame.
     """
-    pulse = pulse_phase is not None
-    phase = pulse_phase if pulse else 0.0
-    if tier == "eliminated":
-        h = tier_b_hamiltonian(space, p, raman, pulse, phase)
+    if space.levels == 2:
+        h = tier_b_hamiltonian(space, p, raman, pulse_phase=pulse_phase)
         return h, np.zeros(space.dim)
-    if tier == "full":
-        return static_frame_hamiltonian(space, p, raman, pulse, phase)
-    raise ValidationError(
-        f"unknown tier {tier!r}; protocol segments run on 'eliminated' or 'full'")
+    return static_frame_hamiltonian(space, p, raman, pulse_phase=pulse_phase)

@@ -18,7 +18,9 @@ also the one whose ideal pulse reproduces the canonical map
 realization at that phase and checks its fidelity.
 
 V(t) = [sandwich] e^{-i H t} [sandwich] changes only through the Kerr time,
-so it is one closed form over the whole time grid (see VProtocol).
+so it is one closed form over the whole time grid (see VProtocol).  The
+tier is the space's level count (two levels: eliminated, three: full), and
+a segment's pulse is its phase (None: no pulse).
 """
 from __future__ import annotations
 
@@ -72,7 +74,7 @@ def m_pulse(
 
     Ideal mode: the bare collective rotation exp(-i (pi/4) X_phi) with
     X_phi = e^{i phi} S01 + h.c., photon factors untouched.  Physical mode:
-    the eliminated-tier Hamiltonian with the pulse term on for
+    the space's segment Hamiltonian with the pulse term on for
     t = pi/(2 omega); the cavity coupling stays on throughout.
     """
     if mode == "ideal":
@@ -82,20 +84,14 @@ def m_pulse(
     if mode != "physical":
         raise ValidationError(f"unknown pulse mode {mode!r}")
     check_pulse_guard(space, p)
-    props = SegmentPropagators(space, p, "eliminated")
+    props = SegmentPropagators(space, p)
     return numerics.block_diagonal(
         props.propagator(False, phase, 0.0, math.pi / (2 * p.omega)))
 
 
-def _photon_sectors(space: Space, h: np.ndarray):
-    """(S, d, d) photon-number blocks of a photon-diagonal operator, and the
-    zero frame in the matching (S, d) shape."""
-    return sector_blocks(space, "eliminated", h, np.zeros(space.dim))
-
-
 def _ideal_rotation(space: Space, p: SchemeParams) -> np.ndarray:
     """The canonical rotation, exponentiated per photon-number block."""
-    gen, _ = _photon_sectors(space, models.rotation_generator(space, p))
+    gen, _ = sector_blocks(space, models.rotation_generator(space, p))
     return numerics.expm_antihermitian(gen)
 
 
@@ -118,7 +114,7 @@ def _sandwich(props: SegmentPropagators, first_phase: float):
 def u_physical(
     space: Space,
     p: SchemeParams,
-    tier: str = "eliminated",
+    *,
     first_phase: float | None = None,
 ) -> np.ndarray:
     """Composed realization [pulse][cavity-only, 1/theta][conjugate pulse].
@@ -131,7 +127,7 @@ def u_physical(
     if first_phase is None:
         first_phase = default_forward_phase(p)
     return numerics.block_diagonal(
-        _sandwich(SegmentPropagators(space, p, tier), first_phase)[0])
+        _sandwich(SegmentPropagators(space, p), first_phase)[0])
 
 
 def sector_traces(space: Space, d: np.ndarray) -> np.ndarray:
@@ -163,9 +159,9 @@ def calibrate_pulse_phase(space: Space, p: SchemeParams, *,
                           forward: np.ndarray | None = None) -> PulseCalibration:
     """Closed-form forward pulse phase, checked against the ideal rotation.
 
-    Composes the eliminated-tier realization once, at
-    ``default_forward_phase(p)``, and scores it against the ideal rotation
-    modulo a photon-diagonal phase e^{-i beta n}.  A fidelity below 0.95 is
+    Composes the realization once, at ``default_forward_phase(p)``, and
+    scores it against the ideal rotation modulo a photon-diagonal phase
+    e^{-i beta n}.  A fidelity below 0.95 is
     reported as a failure.  ``forward`` takes that realization's stack of
     photon-number blocks when it is composed already: a physical
     ``VProtocol(space, p)`` keeps it as ``forward``.
@@ -207,9 +203,11 @@ class VProtocol:
     rotated Hamiltonian between identities (the analytic pipeline check,
     for which X(t) = 1 and Y(t) = cos(kappa n^2 t) exactly).
 
-    Every factor is kept as a stack of photon-number blocks
-    (``evolve.sector_blocks``; one block on the full tier), and V(t) x is
-    evaluated only in the sectors where x is nonzero.  In physical mode
+    Physical mode runs on the space's tier: the eliminated one on a
+    two-level space, the full one on a three-level space.  Every factor is
+    kept as a stack of photon-number blocks (``evolve.sector_blocks``; one
+    block on a three-level space), and V(t) x is evaluated only in the
+    sectors where x is nonzero.  In physical mode
     ``forward`` is the first sandwich as composed, before its frame factor
     (what ``calibrate_pulse_phase`` scores).
     """
@@ -222,14 +220,12 @@ class VProtocol:
         space: Space,
         params: SchemeParams,
         mode: str = "physical",
-        tier: str = "eliminated",
     ):
         if mode not in self.MODES:
             raise ValidationError(f"unknown V mode {mode!r}")
         self.space = space
         self.params = p = params
         self.mode = mode
-        self.tier = tier
         self.tau = 1.0 / abs(p.theta)
         self.t_pulse = math.pi / (2 * p.omega) if p.omega else 0.0
         self._s = 2 * self.t_pulse + self.tau
@@ -237,7 +233,7 @@ class VProtocol:
         if mode == "physical":
             check_pulse_guard(space, p)
             phi_f = default_forward_phase(p)
-            props = SegmentPropagators(space, p, tier)
+            props = SegmentPropagators(space, p)
             self.forward, pre_defects = _sandwich(props, phi_f)
             self._post, post_defects = _sandwich(props, phi_f + math.pi)
             self._edge_defects = (pre_defects, post_defects)
@@ -247,12 +243,12 @@ class VProtocol:
         elif mode == "ideal":
             self._pre = _ideal_rotation(space, p)
             self._post = numerics.dagger(self._pre)
-            h, g_on = _photon_sectors(
+            h, g_on = sector_blocks(
                 space, models.effective_hamiltonian(space, p, "h1int"))
             self._eig = numerics.HermitianEigensystem(h)
             g_off = g_on
         else:
-            h, g_on = _photon_sectors(space, models.effective_hamiltonian(
+            h, g_on = sector_blocks(space, models.effective_hamiltonian(
                 space, p, "hrot", drop_rot_leakage=True))
             self._eig = numerics.HermitianEigensystem(h)
             self._pre = self._post = np.broadcast_to(

@@ -36,7 +36,8 @@ class EnhancedStrength:
     ``strength`` is the literal N (g^2/2 D1)^2 / theta_choice =
     N^{3/4} g^2/(2 D1); ``simple_estimate`` is the order-of-magnitude form
     (sqrt(N) g / D1) N^{1/4} g, which carries an extra factor 2.  Both are
-    reported so the bookkeeping difference stays visible.
+    reported so the bookkeeping difference stays visible.  The N^{3/4}
+    holds at fixed D1 (see ``enhanced_strength``).
     """
 
     theta_choice: float
@@ -68,7 +69,13 @@ class RegimeReport:
 
 
 def enhanced_strength(p: SchemeParams) -> EnhancedStrength:
-    """Strength at theta chosen so (g^2/2 delta1)/theta = N^{-1/4}."""
+    """Strength at theta chosen so (g^2/2 delta1)/theta = N^{-1/4}.
+
+    Its N^{3/4} g^2/(2 delta1) holds at fixed delta1.  On a family with
+    delta1 = 10 sqrt(N) g the single-atom Stark rate x = g^2/(2 delta1)
+    falls as N^{-1/2}: the N^{3/4} is then in units of x, and the absolute
+    frequency grows as N^{1/4}.
+    """
     n = p.n_atoms
     x = p.stark
     theta_choice = n**0.25 * x

@@ -165,7 +165,7 @@ def test_criterion_7_integrator_cross_oracle(fig3b_p1):
 
     space_b = kc.build_space(n_max=3, n_atoms=1, levels=2)
     proto_b = kc.VProtocol(space_b, fig3b_p1, mode="physical")
-    proto_a = kc.VProtocol(space, p, mode="physical", tier="full")
+    proto_a = kc.VProtocol(space, p, mode="physical")
     defect = 0.0
     for t in (0.0, 31.0 / G, 503.0 / G, 2511.0 / G):
         defect = max(defect, numerics.unitarity_defect(proto_b.matrix(t)))

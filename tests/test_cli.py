@@ -418,6 +418,53 @@ def test_equal_cavity_and_raman_detunings_exit_2(capsys, tmp_path, command):
     assert not out.exists()
 
 
+def _echoed_params(paths):
+    return json.loads(pathlib.Path(paths["json"]).read_text())[
+        "config"]["params"]
+
+
+def test_a_raman_pair_override_derives_theta(capsys, tmp_path):
+    # the family's theta = g gives way to 2 lam^2/delta2 = 2e8 when the
+    # overrides name the Raman pair but not theta
+    cfg = write_config(tmp_path, {"params": {"lam": 2e9, "delta2": 4e10}})
+    code, out, err = run_cli(capsys, "run", "regime_check", "--config", cfg,
+                             "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    assert _echoed_params(json.loads(out)["outputs"])["theta"] == 2e8
+    code, _, err = run_cli(capsys, "check-regime", "--config", cfg)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"lam": 2e9}, "lam and delta2 must be given together"),
+    ({"lam": 2e9, "delta2": 4e10, "theta": G},
+     "inconsistent parameters: theta=1e+08 but 2 lam^2/delta2 = 2e+08")])
+@pytest.mark.parametrize("command", [["check-regime"], ["run", "regime_check"]])
+def test_a_raman_override_is_still_validated(capsys, tmp_path, params,
+                                             message, command):
+    cfg = write_config(tmp_path, {"params": params})
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, *command, "--config", cfg,
+                                *(["--out", str(out)] if command[0] == "run"
+                                  else []))
+    assert code == 2
+    assert message in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_sweep_over_lam_derives_theta_at_every_point(capsys, tmp_path):
+    cfg = write_config(tmp_path, {"params": {"delta2": 2e10}})
+    code, out, _ = run_cli(capsys, "sweep", "--config", cfg, "--param", "lam",
+                           "--values", "1e9,2e9", "--scenario", "regime_check",
+                           "--out", str(tmp_path / "out"))
+    assert code == 0
+    entries = json.loads(out)
+    assert all(e["ok"] for e in entries)
+    assert [_echoed_params(e["outputs"])["theta"] for e in entries] == [
+        1e8, 4e8]
+
+
 @pytest.mark.parametrize("scenario, params, message", [
     # mode_split = +-delta1 zeroes one toroidal detuning
     ("cross_toroidal", {"mode_split": 1e9},

@@ -100,7 +100,7 @@ def _tier_setup(tier, p):
 
 def test_compose_merges_static_segments(fig3b_p1):
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
-    props = SegmentPropagators(space, fig3b_p1, "eliminated")
+    props = SegmentPropagators(space, fig3b_p1)
     t1, t2 = 3.0 / G, 7.0 / G
     u = numerics.block_diagonal(
         props.propagator(True, None, t1, t2) @ props.propagator(True, None, 0.0, t1))
@@ -115,7 +115,7 @@ def test_adjacent_pulse_pair_composes_to_identity():
     p = kc.SchemeParams(
         g=G, delta1=10 * G, theta=G, omega=2.5e7 * G)
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
-    props = SegmentPropagators(space, p, "eliminated")
+    props = SegmentPropagators(space, p)
     tp = math.pi / (2 * p.omega)
     phi = 0.7
     u = numerics.block_diagonal(props.propagator(False, phi + math.pi, tp, tp)
@@ -125,7 +125,7 @@ def test_adjacent_pulse_pair_composes_to_identity():
 
 def test_time_reversal(fig3b_p1):
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
-    props = SegmentPropagators(space, fig3b_p1, "eliminated")
+    props = SegmentPropagators(space, fig3b_p1)
     mats = [numerics.block_diagonal(props.propagator(False, None, 0.0, 4.0 / G)),
             numerics.block_diagonal(props.propagator(True, None, 4.0 / G, 9.0 / G))]
     forward = mats[1] @ mats[0]
@@ -140,7 +140,7 @@ def test_schedule_global_clock(fig3b_p1):
     p = kc.synthesize_raman(fig3b_p1)
     space = kc.build_space(n_max=1, n_atoms=1, levels=3)
     t0, dt = 0.37 / G, 0.05 / G
-    u = SegmentPropagators(space, p, "full").propagator(True, None, t0, dt)
+    u = SegmentPropagators(space, p).propagator(True, None, t0, dt)
     h_func, rate = models.full_hamiltonian_func(space, p, raman=True)
     ref = evolve.propagate_timedep(h_func, t0, t0 + dt, 2000, rate)
     assert numerics.max_abs_diff(u, ref) < 1e-6
@@ -151,7 +151,7 @@ def test_framed_segments_respect_global_clock(fig3b_p1):
     for tier, (raman, phase) in itertools.product(
             ("eliminated", "full"), ((True, None), (False, 0.4))):
         space, p = _tier_setup(tier, fig3b_p1)
-        props = SegmentPropagators(space, p, tier)
+        props = SegmentPropagators(space, p)
         t_tot = 0.11 / G
         one = props.propagator(raman, phase, 0.0, t_tot)
         two = props.propagator(raman, phase, 0.3 * t_tot, 0.7 * t_tot) \
@@ -179,13 +179,12 @@ def test_sector_blocks_rejects_photon_changing_operator():
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
     a = kc.annihilation(space)
     with pytest.raises(ValidationError, match="photon-number sectors"):
-        evolve.sector_blocks(space, "eliminated", a + a.conj().T,
-                             np.zeros(space.dim))
+        evolve.sector_blocks(space, a + a.conj().T, np.zeros(space.dim))
 
 
 def test_sector_blocks_are_the_diagonal_blocks(fig3b_p1):
     space = kc.build_space(n_max=2, n_atoms=2, levels=2)
     h = models.tier_b_hamiltonian(space, fig3b_p1)
-    blocks, g = evolve.sector_blocks(space, "eliminated", h, np.zeros(space.dim))
+    blocks, g = evolve.sector_blocks(space, h, np.zeros(space.dim))
     assert blocks.shape == (3, 4, 4) and g.shape == (3, 4)
     assert np.array_equal(numerics.block_diagonal(blocks), h)

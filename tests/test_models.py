@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,17 @@ def test_full_hamiltonian_matrix_element(fig3b_p1):
         assert abs(h[i, j] - p.g * np.exp(-1j * p.delta1 * t)) < 1e-6
         assert numerics.hermiticity_defect(h) < 1e-12 * np.abs(h).max()
 
+
+
+def test_integrator_rate_counts_a_pulse_of_either_sign(fig3b_p1):
+    # a drive of Rabi frequency -omega is as fast as one of +omega, so the
+    # step guard must resolve both
+    p = kc.synthesize_raman(dataclasses.replace(fig3b_p1, omega=1e4 * G))
+    space = kc.build_space(n_max=1, n_atoms=1, levels=3)
+    rates = [models.full_hamiltonian_func(
+        space, dataclasses.replace(p, omega=omega), pulse_phase=0.0)[1]
+        for omega in (p.omega, -p.omega)]
+    assert rates == [1e4 * G] * 2
 
 def test_static_frame_eigenvalues_real_and_raman_off_form(fig3b_p1):
     space = kc.build_space(n_max=2, n_atoms=1, levels=3)
@@ -302,8 +314,8 @@ def test_full_vs_eliminated_overlap_agreement():
         assert report.ratios[name].status == "pass"
     space_a = kc.build_space(n_max=3, n_atoms=1, levels=3)
     space_b = kc.build_space(n_max=3, n_atoms=1, levels=2)
-    proto_a = kc.VProtocol(space_a, p, mode="physical", tier="full")
-    proto_b = kc.VProtocol(space_b, p, mode="physical", tier="eliminated")
+    proto_a = kc.VProtocol(space_a, p, mode="physical")
+    proto_b = kc.VProtocol(space_b, p, mode="physical")
     times = np.linspace(0, 2 * math.pi / abs(p.kappa), 33)
     for n in (1, 2):
         xa = np.abs(proto_a.amplitude_series(times, n))
@@ -367,9 +379,9 @@ def test_every_builder_is_hermitian(fig3b_p1):
     space3 = kc.build_space(n_max=2, n_atoms=2, levels=3)
     space2 = kc.build_space(n_max=2, n_atoms=2, levels=2)
     mats = [
-        models.full_hamiltonian(space3, p, 0.7e-8, raman=True, pulse=True),
+        models.full_hamiltonian(space3, p, 0.7e-8, raman=True, pulse_phase=0.0),
         models.static_frame_hamiltonian(space3, p, raman=True)[0],
-        models.tier_b_hamiltonian(space2, p, pulse=True),
+        models.tier_b_hamiltonian(space2, p, pulse_phase=0.0),
         models.effective_hamiltonian(space2, p, "h1int"),
         models.effective_hamiltonian(space2, p, "hrot"),
         models.effective_hamiltonian(space2, p, "kerr"),
@@ -388,12 +400,12 @@ def test_every_builder_returns_a_complex128_square_ndarray(fig3b_p1):
         (space2, kc.annihilation(space2)), (space2, kc.number_op(space2)),
         (space3, kc.collective(space3, 2, "+")), (space2, kc.s3(space2)),
         (space3, models.full_hamiltonian(space3, p, 0.3e-8, raman=True,
-                                         pulse=True)),
+                                         pulse_phase=0.0)),
         (space3, models.static_frame_hamiltonian(space3, p, raman=True)[0]),
-        (space3, models.segment_hamiltonian(space3, p, "full", True)[0]),
-        (space2, models.segment_hamiltonian(space2, p, "eliminated", False,
-                                            0.4)[0]),
-        (space2, models.tier_b_hamiltonian(space2, p, pulse=True)),
+        (space3, models.segment_hamiltonian(space3, p, True)[0]),
+        (space2, models.segment_hamiltonian(space2, p, False,
+                                            pulse_phase=0.4)[0]),
+        (space2, models.tier_b_hamiltonian(space2, p, pulse_phase=0.0)),
         (space2, models.rotation_generator(space2, p)),
     ]
     built += [(space2, models.effective_hamiltonian(space2, p, kind))
@@ -406,7 +418,7 @@ def test_every_builder_returns_a_complex128_square_ndarray(fig3b_p1):
                                       n_modes=2)}
         two["eliminated"] = two["effective"]
         built += [(sp, models.cross_kerr_hamiltonian(sp, pc, variant, form,
-                                                     pulse=True))
+                                                     pulse_phase=0.0))
                   for form, sp in two.items()]
     for space, m in built:
         assert type(m) is np.ndarray
@@ -415,29 +427,60 @@ def test_every_builder_returns_a_complex128_square_ndarray(fig3b_p1):
 
 
 def test_spec_flag_validation(fig3b_p1):
-    # protocol segments exist on the eliminated and full tiers only; the
-    # eliminated tier is static, so its frame is zero
+    # a two-level space runs the eliminated tier, which is static, so its
+    # frame is zero
     space = kc.build_space(n_max=1, n_atoms=1, levels=2)
-    for tier in ("kerr", "nonsense"):
-        with pytest.raises(ValidationError, match="unknown tier"):
-            models.segment_hamiltonian(space, fig3b_p1, tier, False, 0.0)
-    h, g = models.segment_hamiltonian(space, fig3b_p1, "eliminated", True)
+    h, g = models.segment_hamiltonian(space, fig3b_p1, True)
     assert numerics.max_abs_diff(
         h, models.tier_b_hamiltonian(space, fig3b_p1)) == 0
     assert not g.any()
-    # on the full tier g = (D2 - D1) n + D2 S22, with D2 := D1 when the
-    # Raman pair is off, and H' = H(0) - diag(g)
+    # a three-level space runs the full tier: g = (D2 - D1) n + D2 S22, with
+    # D2 := D1 when the Raman pair is off, and H' = H(0) - diag(g)
     p = kc.synthesize_raman(fig3b_p1)
     space3 = kc.build_space(n_max=1, n_atoms=2, levels=3)
     n = np.diag(kc.number_op(space3))
     s22 = np.diag(kc.collective(space3, 2, 2))
     for raman, d2 in ((False, p.delta1), (True, p.delta2)):
-        h, g = models.segment_hamiltonian(space3, p, "full", raman, 0.4)
+        h, g = models.segment_hamiltonian(space3, p, raman, pulse_phase=0.4)
         hop, g_frame = models.static_frame_hamiltonian(
-            space3, p, raman, pulse=True, pulse_phase=0.4)
+            space3, p, raman, pulse_phase=0.4)
         assert numerics.max_abs_diff(h, hop) == 0
         assert numerics.max_abs_diff(g, g_frame) == 0
         assert g.dtype == np.float64 and g.shape == (space3.dim,)
         assert numerics.max_abs_diff(g, (d2 - p.delta1) * n + d2 * s22) == 0
-        h0 = models.full_hamiltonian(space3, p, 0.0, raman, True, 0.4)
+        h0 = models.full_hamiltonian(space3, p, 0.0, raman, pulse_phase=0.4)
         assert numerics.max_abs_diff(hop, h0 - np.diag(g)) == 0
+
+
+@pytest.mark.parametrize("n_modes, build", [
+    (1, lambda sp, p: models.full_hamiltonian(sp, p, 0.0, raman=True)),
+    (1, lambda sp, p: models.full_hamiltonian_func(sp, p, raman=True)),
+    (1, lambda sp, p: models.static_frame_hamiltonian(sp, p, raman=True)),
+    (1, lambda sp, p: models.segment_hamiltonian(sp, p, True)),
+    (2, lambda sp, p: models.cross_kerr_hamiltonian(
+        sp, dataclasses.replace(p, g_b=p.g, delta1_b=p.delta1 / 2),
+        "polarization", form="full", raman=True)),
+], ids=["full", "full_func", "static_frame", "segment", "cross_full"])
+def test_raman_on_without_a_raman_pair_is_rejected_by_name(fig3b_p1, n_modes,
+                                                           build):
+    # fig3b_p1 gives theta alone; a three-level Raman drive needs the pair
+    space = kc.build_space(n_max=1, n_atoms=1, levels=3, n_modes=n_modes)
+    assert fig3b_p1.lam is None
+    with pytest.raises(ValidationError, match=re.escape(
+            "a Raman-on three-level segment needs lam and delta2 "
+            "(use synthesize_raman)")):
+        build(space, fig3b_p1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda sp2, sp3, p: models.segment_hamiltonian(sp2, p, "eliminated", True),
+    lambda sp2, sp3, p: models.tier_b_hamiltonian(sp2, p, True, True),
+    lambda sp2, sp3, p: kc.VProtocol(sp3, p, "physical", "full"),
+], ids=["segment_hamiltonian", "tier_b_hamiltonian", "VProtocol"])
+def test_a_tier_or_pulse_flag_is_no_positional_argument(fig3b_p1, call):
+    # the space names the tier and the phase names the pulse: a positional
+    # True is not taken as a 1 rad phase, nor a tier name as a flag
+    space2 = kc.build_space(n_max=1, n_atoms=1, levels=2)
+    space3 = kc.build_space(n_max=1, n_atoms=1, levels=3)
+    with pytest.raises(TypeError):
+        call(space2, space3, kc.synthesize_raman(fig3b_p1))

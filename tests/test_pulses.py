@@ -128,7 +128,7 @@ def test_closed_form_phase_maximizes_fidelity(tier, theta, theta_sign,
         p, levels = kc.synthesize_raman(p), 3
     space = kc.build_space(n_max=2, n_atoms=1, levels=levels)
     target = pulses.u_ideal(space, p)
-    u0 = pulses.u_physical(space, p, tier, first_phase=0.0)
+    u0 = pulses.u_physical(space, p, first_phase=0.0)
     gen = np.diag(kc.collective(space, 0, 0)).real
     if levels == 3:
         gen = gen + np.diag(kc.collective(space, 2, 2)).real
@@ -241,11 +241,11 @@ def _tier_setup(tier, n_atoms, fig3b_p1):
                          [("eliminated", 1), ("eliminated", 2), ("full", 1)])
 def test_v_closed_form_matches_seven_segment_schedule(fig3b_p1, tier, n_atoms):
     space, p = _tier_setup(tier, n_atoms, fig3b_p1)
-    proto = kc.VProtocol(space, p, mode="physical", tier=tier)
+    proto = kc.VProtocol(space, p, mode="physical")
     phi_f = pulses.default_forward_phase(p)
     phi_i = phi_f + math.pi
     tp, tau = math.pi / (2 * p.omega), 1 / abs(p.theta)
-    props = SegmentPropagators(space, p, tier)
+    props = SegmentPropagators(space, p)
     times = (0.0, 31.0 / G, 2511.0 / G)
     psi0 = kc.basis_state(space, 1, "-" * n_atoms)
     states = proto.states(times, psi0)
@@ -271,10 +271,10 @@ def test_pulse_phase_is_a_diagonal_conjugation(fig3b_p1, tier):
     gen = kc.collective(space, 0, 0)
     if tier == "full":
         gen = gen + kc.collective(space, 2, 2)
-    u0 = pulses.u_physical(space, p, tier, first_phase=0.0)
+    u0 = pulses.u_physical(space, p, first_phase=0.0)
     for phi in (0.4, math.pi, 4.9):
         r = numerics.expm_hermitian(gen, -phi)
-        u = pulses.u_physical(space, p, tier, first_phase=phi)
+        u = pulses.u_physical(space, p, first_phase=phi)
         assert numerics.max_abs_diff(u, r @ u0 @ r.conj().T) < 1e-12
 
 
@@ -295,7 +295,7 @@ def _dense_seven_segment_oracle(space, p, t):
                 (False, phi_i + math.pi, tp)]
     u = np.eye(space.dim)
     for raman, phase, dt in segments:
-        h, _ = models.segment_hamiltonian(space, p, "eliminated", raman, phase)
+        h, _ = models.segment_hamiltonian(space, p, raman, pulse_phase=phase)
         u = numerics.expm_hermitian(h, dt) @ u
     return u
 
@@ -372,7 +372,7 @@ def test_physical_protocol_makes_three_eigendecompositions(
         init(self, h, *args, **kwargs)
 
     monkeypatch.setattr(numerics.HermitianEigensystem, "__init__", counting)
-    kc.VProtocol(space, p, tier=tier)
+    kc.VProtocol(space, p)
     sectors = space.photon_dim if tier == "eliminated" else 1
     block = space.dim // sectors
     assert shapes == [(sectors, block, block)] * 3

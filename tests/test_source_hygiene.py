@@ -1,0 +1,77 @@
+"""Source hygiene of the package, checked with the standard library's ast.
+
+No linter ships with the test dependencies, so two of a linter's checks
+live here: every import in a module is used there, and every module-level
+private function, class or constant is referenced somewhere in the package.
+A deletion that leaves a dead helper or an orphaned import behind fails.
+"""
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "kerrcav"
+MODULES = sorted(SRC.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in MODULES}
+
+
+def _loaded_names(tree) -> set:
+    """Every name read in ``tree``, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _imported_names(tree) -> dict:
+    """Each name a module-level import binds, with its line."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _private_definitions(tree) -> dict:
+    """Module-level ``_private`` functions, classes and constants."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+@pytest.mark.parametrize("module", [name for name in TREES
+                                    if name != "__init__.py"])
+def test_every_import_is_used(module):
+    tree = TREES[module]
+    used = _loaded_names(tree)
+    unused = {name: line for name, line in _imported_names(tree).items()
+              if name not in used}
+    assert not unused, f"{module}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("module", list(TREES))
+def test_every_private_definition_is_referenced(module):
+    used = set().union(*(_loaded_names(tree) for tree in TREES.values()))
+    dead = {name: line
+            for name, line in _private_definitions(TREES[module]).items()
+            if name not in used}
+    assert not dead, f"{module}: unreferenced private definitions {dead}"
