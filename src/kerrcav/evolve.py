@@ -1,4 +1,4 @@
-"""Exact segment propagators under a global clock, and their oracle.
+"""Exact segment propagators under a global clock.
 
 ``SegmentPropagators`` exponentiates each protocol segment through one
 Hermitian eigendecomposition per segment type and applies the segment's
@@ -12,62 +12,19 @@ stack of ``photon_dim`` blocks of the atomic dimension and a full-space
 vector reshapes to (photon_dim, atomic_dim).  The full tier, whose Raman
 term changes the photon number, is one block.  A pulse's phase is a
 diagonal conjugation, so one phase-0 eigensystem serves every phase.
-``propagate_timedep``, a second-order midpoint-exponential product
-integrator over the oscillatory Hamiltonian itself, stands apart as the
-independent oracle for that frame; disagreements between the two expose
+The independent oracle for that frame, a second-order midpoint-exponential
+product integrator over the oscillatory Hamiltonian itself, lives with the
+tests in ``tests/oracles.py``; disagreements between the two expose
 frame-bookkeeping bugs.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import hilbert, models, numerics
-from .errors import GuardError, ValidationError
+from .errors import ValidationError
 from .hilbert import Space
 from .models import SchemeParams
-
-STEP_GUARD = 0.05  # max physical rate * dt must stay below this
-
-
-def required_steps(t0: float, t1: float, rate_scale: float) -> int:
-    """Smallest step count satisfying rate_scale * dt <= STEP_GUARD."""
-    if rate_scale <= 0:
-        return 1
-    return max(1, math.ceil(abs(t1 - t0) * rate_scale / STEP_GUARD))
-
-
-def propagate_timedep(
-    h_of_t,
-    t0: float,
-    t1: float,
-    steps: int,
-    rate_scale: float | None = None,
-) -> np.ndarray:
-    """Second-order midpoint-exponential product integrator.
-
-    U = prod_k exp(-i H(t_k + dt/2) dt) with each factor exponentiated
-    exactly; halving dt shrinks the error by ~4x.  When ``rate_scale`` (the
-    fastest rate in H) is given, the step guard rate*dt <= 0.05 is enforced.
-    """
-    if steps < 1:
-        raise ValidationError(f"steps must be >= 1, got {steps}")
-    if rate_scale is not None:
-        needed = required_steps(t0, t1, rate_scale)
-        if steps < needed:
-            raise GuardError(
-                f"step guard violated: {steps} steps give rate*dt = "
-                f"{abs(t1 - t0) * rate_scale / steps:.3g} > {STEP_GUARD}; "
-                f"need at least {needed} steps"
-            )
-    dt = (t1 - t0) / steps
-    u = None
-    for k in range(steps):
-        tk = t0 + (k + 0.5) * dt
-        uk = numerics.expm_hermitian(h_of_t(tk), dt)
-        u = uk if u is None else uk @ u
-    return u
 
 
 def sector_blocks(space: Space, h: np.ndarray, g: np.ndarray | None = None):

@@ -394,12 +394,12 @@ def _run_overlap_scenario(scenario: OverlapScenario,
     param_sets = scenario.param_sets(overrides)
     p_echo = param_sets[0]
     if mode == "physical" and n_max < 2:
-        # the pulse fidelity is gated on one atom at n_max >= 2 (VProtocol
-        # takes the same closed-form phase).  Below that the check composes
-        # its own sandwich, before the protocol's laxer pulse guard runs.
+        # the pulse fidelity is gated on one atom at n_max >= 2.  Below that
+        # the check scores a protocol of its own on n_max = 2, built before
+        # the run's protocol so that a slow pulse fails the n_max = 2 floor.
         pulse_space = build_space(n_max=2, n_atoms=1, levels=2)
         calibration_block["pulse"] = dataclasses.asdict(calibrate_pulse_phase(
-            pulse_space, replace(p_echo, n_atoms=1)))
+            VProtocol(pulse_space, replace(p_echo, n_atoms=1))))
     space = build_space(n_max=n_max, n_atoms=1, levels=2)
     protocols: dict = {}    # one-atom parameters -> (protocol, ideal oracle)
     for p in param_sets:
@@ -411,11 +411,9 @@ def _run_overlap_scenario(scenario: OverlapScenario,
         if one not in protocols:
             protocol = VProtocol(space, one, mode=mode)
             if mode == "physical" and "pulse" not in calibration_block:
-                # p_echo's protocol; with n_max >= 2 its forward sandwich
-                # is the realization the pulse check scores
+                # p_echo's protocol, on n_max >= 2
                 calibration_block["pulse"] = dataclasses.asdict(
-                    calibrate_pulse_phase(space, one,
-                                          forward=protocol.forward))
+                    calibrate_pulse_phase(protocol))
             protocols[one] = (
                 protocol,
                 VProtocol(space, one, mode="ideal") if scenario.ideal_oracle

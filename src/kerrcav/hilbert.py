@@ -15,7 +15,7 @@ slowest (mode a slower than mode b), the atomic configuration fastest.  For
 the product representation atomic configurations are tuples (l_1, ..., l_N)
 in lexicographic order with the last atom fastest; for the symmetric
 representation occupations are ordered by decreasing m_0, then decreasing
-m_1.  Basis labels follow ``n=2;atoms=+-`` / ``n=2;occ=(1,1,0)``.
+m_1.
 """
 from __future__ import annotations
 
@@ -65,29 +65,6 @@ class Space:
     @property
     def dim(self) -> int:
         return self.photon_dim * self.atomic_dim
-
-    def index(self, photons, atomic_index: int) -> int:
-        ns = _photon_tuple(self, photons)
-        ph = 0
-        for n in ns:
-            ph = ph * (self.n_max + 1) + n
-        return ph * self.atomic_dim + atomic_index
-
-    def photon_numbers(self, basis_index: int) -> tuple:
-        ph = basis_index // self.atomic_dim
-        out = []
-        for _ in range(self.n_modes):
-            out.append(ph % (self.n_max + 1))
-            ph //= self.n_max + 1
-        return tuple(reversed(out))
-
-    def basis_label(self, basis_index: int) -> str:
-        ns = self.photon_numbers(basis_index)
-        n_txt = str(ns[0]) if self.n_modes == 1 else "(" + ",".join(map(str, ns)) + ")"
-        conf = self.atomic_basis[basis_index % self.atomic_dim]
-        if self.representation == "product":
-            return f"n={n_txt};atoms=" + "".join(str(l) for l in conf)
-        return f"n={n_txt};occ=(" + ",".join(map(str, conf)) + ")"
 
 
 def _photon_tuple(space: Space, photons) -> tuple:
@@ -362,8 +339,3 @@ def _build_basis_state(space: Space, ns: tuple, key: tuple, atoms):
     v = np.kron(ph, at)
     return v / np.linalg.norm(v)
 
-
-def plus_population(space: Space, state: np.ndarray) -> float:
-    """Expectation of sum_k |+_k><+_k| (number of atoms found in |+>)."""
-    v = np.asarray(state, dtype=complex)
-    return float((v.conj() @ (collective(space, "+", "+") @ v)).real)

@@ -217,19 +217,6 @@ def full_hamiltonian(
     return _add_drives(term + term.conj().T, space, p, t, raman, pulse_phase)
 
 
-def full_hamiltonian_func(space, p, raman=False, *, pulse_phase=None):
-    """(callable t -> ndarray, fastest rate) for the time-stepped integrator."""
-    rates = [abs(p.delta1), 0.0 if pulse_phase is None else abs(p.omega),
-             np.sqrt(space.n_max) * abs(p.g)]
-    if raman:
-        rates += [abs(rate) for rate in _raman_pair(p)]
-
-    def h_of_t(t):
-        return full_hamiltonian(space, p, t, raman, pulse_phase=pulse_phase)
-
-    return h_of_t, max(rates)
-
-
 def static_frame_hamiltonian(
     space: Space,
     p: SchemeParams,

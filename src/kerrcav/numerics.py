@@ -117,7 +117,3 @@ def unitarity_defect(u) -> float:
     m = as_matrix(u)
     return float(np.abs(dagger(m) @ m - np.eye(m.shape[-1])).max())
 
-
-def max_abs_diff(a, b) -> float:
-    """Max entrywise |a - b| for matrices or vectors."""
-    return float(np.abs(np.asarray(a) - np.asarray(b)).max())

@@ -14,8 +14,9 @@ R = exp(i phi (S00 + S22)).  The fidelity to the ideal rotation, modulo the
 photon-diagonal phase, is symmetric about and maximal at the closed-form
 forward phase: pi for positive theta, 0 for negative theta.  The phase pi is
 also the one whose ideal pulse reproduces the canonical map
-|0> -> (|0> + i|1>)/sqrt(2).  The calibration therefore composes one
-realization at that phase and checks its fidelity.
+|0> -> (|0> + i|1>)/sqrt(2).  The pulse check therefore scores the
+realization a physical protocol composes at that phase, its ``forward``
+sandwich, against the ideal rotation.
 
 V(t) = [sandwich] e^{-i H t} [sandwich] changes only through the Kerr time,
 so it is one closed form over the whole time grid (see VProtocol).  The
@@ -29,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models, numerics
+from . import hilbert, models, numerics
 from .errors import CalibrationError, GuardError, ValidationError
 from .evolve import SegmentPropagators, sector_blocks
-from .hilbert import Space, basis_state, collective
+from .hilbert import Space
 from .models import SchemeParams
 
 M_PULSE_PHASE = math.pi
@@ -64,35 +65,13 @@ def default_forward_phase(p: SchemeParams) -> float:
     return M_PULSE_PHASE if p.theta > 0 else 0.0
 
 
-def m_pulse(
-    space: Space,
-    p: SchemeParams,
-    phase: float = M_PULSE_PHASE,
-    mode: str = "physical",
-) -> np.ndarray:
-    """One pi/2 pulse propagator.
-
-    Ideal mode: the bare collective rotation exp(-i (pi/4) X_phi) with
-    X_phi = e^{i phi} S01 + h.c., photon factors untouched.  Physical mode:
-    the space's segment Hamiltonian with the pulse term on for
-    t = pi/(2 omega); the cavity coupling stays on throughout.
-    """
-    if mode == "ideal":
-        s01 = collective(space, 0, 1)
-        x_phi = np.exp(1j * phase) * s01 + np.exp(-1j * phase) * s01.conj().T
-        return numerics.expm_hermitian(x_phi, math.pi / 4)
-    if mode != "physical":
-        raise ValidationError(f"unknown pulse mode {mode!r}")
-    check_pulse_guard(space, p)
-    props = SegmentPropagators(space, p)
-    return numerics.block_diagonal(
-        props.propagator(False, phase, 0.0, math.pi / (2 * p.omega)))
-
-
 def _ideal_rotation(space: Space, p: SchemeParams) -> np.ndarray:
-    """The canonical rotation, exponentiated per photon-number block."""
-    gen, _ = sector_blocks(space, models.rotation_generator(space, p))
-    return numerics.expm_antihermitian(gen)
+    """The canonical rotation, exponentiated per photon-number block
+    (read-only, built once per space and parameter set)."""
+    def build():
+        gen, _ = sector_blocks(space, models.rotation_generator(space, p))
+        return numerics.expm_antihermitian(gen)
+    return hilbert._memo(space, ("U_ideal", p), build)
 
 
 def u_ideal(space: Space, p: SchemeParams) -> np.ndarray:
@@ -109,25 +88,6 @@ def _sandwich(props: SegmentPropagators, first_phase: float):
     u2 = props.propagator(False, None, tp, tau)
     u3 = props.propagator(False, first_phase + math.pi, tp + tau, tp)
     return u3 @ (u2 @ u1), [numerics.unitarity_defect(u) for u in (u1, u2, u3)]
-
-
-def u_physical(
-    space: Space,
-    p: SchemeParams,
-    *,
-    first_phase: float | None = None,
-) -> np.ndarray:
-    """Composed realization [pulse][cavity-only, 1/theta][conjugate pulse].
-
-    The first pulse phase defaults to ``default_forward_phase``; shifting it
-    by pi flips the sign of the effective generator, which up to the shared
-    photon-diagonal phase realizes the inverse rotation.
-    """
-    check_pulse_guard(space, p)
-    if first_phase is None:
-        first_phase = default_forward_phase(p)
-    return numerics.block_diagonal(
-        _sandwich(SegmentPropagators(space, p), first_phase)[0])
 
 
 def sector_traces(space: Space, d: np.ndarray) -> np.ndarray:
@@ -155,25 +115,28 @@ def _beta_and_fidelity(space: Space, target: np.ndarray, u: np.ndarray):
     return beta, float(fidelity)
 
 
-def calibrate_pulse_phase(space: Space, p: SchemeParams, *,
-                          forward: np.ndarray | None = None) -> PulseCalibration:
+def calibrate_pulse_phase(protocol: VProtocol) -> PulseCalibration:
     """Closed-form forward pulse phase, checked against the ideal rotation.
 
-    Composes the realization once, at ``default_forward_phase(p)``, and
-    scores it against the ideal rotation modulo a photon-diagonal phase
-    e^{-i beta n}.  A fidelity below 0.95 is
-    reported as a failure.  ``forward`` takes that realization's stack of
-    photon-number blocks when it is composed already: a physical
-    ``VProtocol(space, p)`` keeps it as ``forward``.
+    Scores the forward sandwich of the protocol it is given, the
+    realization a physical ``VProtocol`` composes at
+    ``default_forward_phase``, against the ideal rotation modulo a
+    photon-diagonal phase e^{-i beta n}.  The protocol must be physical
+    and run one atom on n_max >= 2.  A fidelity below 0.95 is reported as
+    a failure.
     """
+    space, p = protocol.space, protocol.params
+    if protocol.mode != "physical":
+        raise ValidationError(
+            f"pulse-phase calibration scores a physical protocol's forward "
+            f"sandwich; a {protocol.mode!r} protocol has none")
     if space.n_atoms != 1 or space.n_max < 2:
         raise ValidationError(
             "pulse-phase calibration uses a single-atom space with n_max >= 2"
         )
     phi_forward = default_forward_phase(p)
-    u = (u_physical(space, p, first_phase=phi_forward) if forward is None
-         else numerics.block_diagonal(forward))
-    beta, fidelity = _beta_and_fidelity(space, u_ideal(space, p), u)
+    beta, fidelity = _beta_and_fidelity(
+        space, u_ideal(space, p), numerics.block_diagonal(protocol.forward))
     if fidelity < 0.95:
         raise CalibrationError(
             f"pulse-phase calibration failed: fidelity {fidelity:.4f} "
@@ -314,8 +277,3 @@ class VProtocol:
         out = np.zeros((y.shape[2], *x.shape[:2]), dtype=complex)
         out[:, live] = y.transpose(2, 0, 1)
         return out.reshape(len(out), -1)
-
-    def amplitude_series(self, times, n_photons: int) -> np.ndarray:
-        """<n, -...-| V(t) |n, -...-> over the time grid."""
-        psi0 = basis_state(self.space, n_photons, "-" * self.space.n_atoms)
-        return self.states(times, psi0) @ psi0.conj()

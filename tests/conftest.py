@@ -35,7 +35,7 @@ def cross_result():
 @pytest.fixture(scope="session")
 def pulse_calibration(fig3b_p1):
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
-    return kc.calibrate_pulse_phase(space, fig3b_p1)
+    return kc.calibrate_pulse_phase(kc.VProtocol(space, fig3b_p1))
 
 
 def random_hermitian(rng, dim):

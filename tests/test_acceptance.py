@@ -10,8 +10,11 @@ import time
 import numpy as np
 
 import kerrcav as kc
-from kerrcav import evolve, models, numerics, pulses
+from kerrcav import models, numerics, pulses
 from kerrcav import experiments as ex
+
+from oracles import (full_hamiltonian_func, index, max_abs_diff,
+                     propagate_timedep)
 
 G = 1e8
 
@@ -100,14 +103,14 @@ def test_criterion_5_operator_algebra():
             spm = kc.collective(space, "+", "-")
             smp = kc.collective(space, "-", "+")
             s3 = kc.s3(space)
-            su2_defect = max(su2_defect, numerics.max_abs_diff(
+            su2_defect = max(su2_defect, max_abs_diff(
                 spm @ smp - smp @ spm, s3))
             adjoint_exact &= np.array_equal(spm.conj().T, smp)
     space = kc.build_space(n_max=5, n_atoms=1, levels=2)
     a = kc.annihilation(space)
     comm = a @ a.conj().T - a.conj().T @ a
     trunc_defect = max(
-        abs(comm[space.index(n, 0), space.index(n, 0)] - 1)
+        abs(comm[index(space, n, 0), index(space, n, 0)] - 1)
         for n in range(space.n_max))
     rep_dev = 0.0
     p = ex.fig3b_params(1)
@@ -156,12 +159,12 @@ def test_criterion_7_integrator_cross_oracle(fig3b_p1):
     p = kc.synthesize_raman(fig3b_p1)
     space = kc.build_space(n_max=2, n_atoms=1, levels=3)
     hop, g = models.static_frame_hamiltonian(space, p, raman=True)
-    h_func, rate = models.full_hamiltonian_func(space, p, raman=True)
+    h_func, rate = full_hamiltonian_func(space, p, raman=True)
     t1 = 0.1 / G
     eig = numerics.HermitianEigensystem(hop)
     u_exact = np.exp(-1j * g * t1)[:, None] * eig.propagator(t1)
-    u_step = evolve.propagate_timedep(h_func, 0.0, t1, 4000, rate)
-    diff = numerics.max_abs_diff(u_exact, u_step)
+    u_step = propagate_timedep(h_func, 0.0, t1, 4000, rate)
+    diff = max_abs_diff(u_exact, u_step)
 
     space_b = kc.build_space(n_max=3, n_atoms=1, levels=2)
     proto_b = kc.VProtocol(space_b, fig3b_p1, mode="physical")

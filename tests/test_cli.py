@@ -646,6 +646,23 @@ def test_calibrate_pulse_matches_fig3b_report(capsys, tmp_path, grid):
     assert report["calibration"]["pulse"] == pulse
 
 
+def test_calibrate_below_n_max_2_checks_the_pulse_on_n_max_2(capsys, tmp_path):
+    # the pulse check needs n_max >= 2: at n_max = 1 it reports what n_max = 2
+    # reports, and a slow pulse fails the n_max = 2 floor
+    pulse = {}
+    for n_max in (1, 2):
+        cfg = write_config(tmp_path, {"grid": {"points": 16, "n_max": n_max}})
+        code, out, _ = run_cli(capsys, "calibrate", "--config", cfg)
+        assert code == 0
+        pulse[n_max] = json.loads(out)["pulse"]
+    assert pulse[1] == pulse[2]
+    cfg = write_config(tmp_path, {"params": {"g": G, "omega": "5g"},
+                                  "grid": {"n_max": 1}})
+    code, out, err = run_cli(capsys, "calibrate", "--config", cfg)
+    assert code == 3 and out == ""
+    assert "pulse too slow: omega = 5e+08 < 2.83e+09" in err
+
+
 def test_unknown_scheme_exits_2(capsys, tmp_path):
     # no output read the scheme, so 'scheme' is no config key
     for scheme in ("self_kerr", "cross_polarization", "cross_bogus"):

@@ -10,6 +10,8 @@ from kerrcav.errors import GuardError, ValidationError
 from kerrcav.evolve import SegmentPropagators
 
 from conftest import random_hermitian
+from oracles import (full_hamiltonian_func, index, max_abs_diff,
+                     propagate_timedep)
 
 G = 1e8
 
@@ -28,7 +30,7 @@ def test_number_phase():
 def test_zero_time_identity(fig3b_p1):
     space = kc.build_space(n_max=1, n_atoms=1, levels=2)
     h = models.tier_b_hamiltonian(space, fig3b_p1)
-    assert numerics.max_abs_diff(
+    assert max_abs_diff(
         numerics.expm_hermitian(h, 0.0), np.eye(space.dim)) < 1e-14
 
 
@@ -52,24 +54,24 @@ def test_tier_b_segment_matches_sector_rabi_formula(fig3b_p1):
         # convert the +/- block to the 0/1 basis used by the space
         tpm = np.array([[1, 1], [1, -1]], complex) / math.sqrt(2)
         block01 = tpm @ block @ tpm.conj().T
-        idx = [space.index(n, k) for k in range(2)]
-        assert numerics.max_abs_diff(u[np.ix_(idx, idx)], block01) < 1e-10
+        idx = [index(space, n, k) for k in range(2)]
+        assert max_abs_diff(u[np.ix_(idx, idx)], block01) < 1e-10
 
 
 def test_timedep_reduces_to_static(fig3b_p1):
     space = kc.build_space(n_max=1, n_atoms=1, levels=3)
     h = models.full_hamiltonian(space, fig3b_p1, 0.0)
 
-    u1 = evolve.propagate_timedep(lambda t: h, 0.0, 3.0 / G, steps=16)
+    u1 = propagate_timedep(lambda t: h, 0.0, 3.0 / G, steps=16)
     u2 = numerics.expm_hermitian(h, 3.0 / G)
-    assert numerics.max_abs_diff(u1, u2) < 1e-10
+    assert max_abs_diff(u1, u2) < 1e-10
 
 
 def test_step_guard_enforced(fig3b_p1):
     space = kc.build_space(n_max=1, n_atoms=1, levels=3)
-    h_func, rate = models.full_hamiltonian_func(space, fig3b_p1)
+    h_func, rate = full_hamiltonian_func(space, fig3b_p1)
     with pytest.raises(GuardError, match="need at least"):
-        evolve.propagate_timedep(h_func, 0.0, 1.0 / G, steps=3, rate_scale=rate)
+        propagate_timedep(h_func, 0.0, 1.0 / G, steps=3, rate_scale=rate)
 
 
 def test_midpoint_second_order_convergence(rng):
@@ -83,11 +85,11 @@ def test_midpoint_second_order_convergence(rng):
         return h0 + math.sin(nu * t) * h1
 
     t1 = 1.0
-    ref = evolve.propagate_timedep(h_of_t, 0.0, t1, 4096)
+    ref = propagate_timedep(h_of_t, 0.0, t1, 4096)
     err = []
     for steps in (32, 64):
-        u = evolve.propagate_timedep(h_of_t, 0.0, t1, steps)
-        err.append(numerics.max_abs_diff(u, ref))
+        u = propagate_timedep(h_of_t, 0.0, t1, steps)
+        err.append(max_abs_diff(u, ref))
     ratio = err[0] / err[1]
     assert 3.5 <= ratio <= 4.5
 
@@ -105,7 +107,7 @@ def test_compose_merges_static_segments(fig3b_p1):
     u = numerics.block_diagonal(
         props.propagator(True, None, t1, t2) @ props.propagator(True, None, 0.0, t1))
     h = models.tier_b_hamiltonian(space, fig3b_p1)
-    assert numerics.max_abs_diff(
+    assert max_abs_diff(
         u, numerics.expm_hermitian(h, t1 + t2)) < 1e-10
 
 
@@ -120,7 +122,7 @@ def test_adjacent_pulse_pair_composes_to_identity():
     phi = 0.7
     u = numerics.block_diagonal(props.propagator(False, phi + math.pi, tp, tp)
                                 @ props.propagator(False, phi, 0.0, tp))
-    assert numerics.max_abs_diff(u, np.eye(space.dim)) < 1e-6
+    assert max_abs_diff(u, np.eye(space.dim)) < 1e-6
 
 
 def test_time_reversal(fig3b_p1):
@@ -130,7 +132,7 @@ def test_time_reversal(fig3b_p1):
             numerics.block_diagonal(props.propagator(True, None, 4.0 / G, 9.0 / G))]
     forward = mats[1] @ mats[0]
     inverse = mats[0].conj().T @ mats[1].conj().T
-    assert numerics.max_abs_diff(forward @ inverse, np.eye(space.dim)) < 1e-8
+    assert max_abs_diff(forward @ inverse, np.eye(space.dim)) < 1e-8
 
 
 def test_schedule_global_clock(fig3b_p1):
@@ -141,9 +143,9 @@ def test_schedule_global_clock(fig3b_p1):
     space = kc.build_space(n_max=1, n_atoms=1, levels=3)
     t0, dt = 0.37 / G, 0.05 / G
     u = SegmentPropagators(space, p).propagator(True, None, t0, dt)
-    h_func, rate = models.full_hamiltonian_func(space, p, raman=True)
-    ref = evolve.propagate_timedep(h_func, t0, t0 + dt, 2000, rate)
-    assert numerics.max_abs_diff(u, ref) < 1e-6
+    h_func, rate = full_hamiltonian_func(space, p, raman=True)
+    ref = propagate_timedep(h_func, t0, t0 + dt, 2000, rate)
+    assert max_abs_diff(u, ref) < 1e-6
 
 
 def test_framed_segments_respect_global_clock(fig3b_p1):
@@ -156,7 +158,7 @@ def test_framed_segments_respect_global_clock(fig3b_p1):
         one = props.propagator(raman, phase, 0.0, t_tot)
         two = props.propagator(raman, phase, 0.3 * t_tot, 0.7 * t_tot) \
             @ props.propagator(raman, phase, 0.0, 0.3 * t_tot)
-        assert numerics.max_abs_diff(one, two) < 1e-10
+        assert max_abs_diff(one, two) < 1e-10
 
 
 def test_compose_diagnostics(fig3b_p1):

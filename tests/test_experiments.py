@@ -262,9 +262,23 @@ def test_pulse_check_reuses_the_protocols_forward_sandwich(monkeypatch,
     assert phases == [math.pi, 2 * math.pi]
     space = kc.build_space(n_max=ex.DEFAULT_N_MAX, n_atoms=1, levels=2)
     direct = dataclasses.asdict(
-        kc.calibrate_pulse_phase(space, ex.fig3b_params()))
+        kc.calibrate_pulse_phase(kc.VProtocol(space, ex.fig3b_params())))
     assert result.calibration["pulse"] == direct
     assert fig3b_result.calibration["pulse"] == direct
+
+
+def test_a_run_builds_each_ideal_rotation_once(monkeypatch):
+    # the pulse check and fig3a's ideal oracle share the rotation of one
+    # (space, parameter set): fig3a's two atom counts need two, fig3b one
+    generator, calls = models.rotation_generator, []
+    monkeypatch.setattr(models, "rotation_generator",
+                        lambda space, p: calls.append(p)
+                        or generator(space, p))
+    ex.run_fig3a(grid_points=16)
+    assert len(calls) == 2
+    calls.clear()
+    ex.run_fig3b(grid_points=16)
+    assert len(calls) == 1
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -5,6 +5,8 @@ import kerrcav as kc
 from kerrcav import hilbert, models, numerics
 from kerrcav.errors import ValidationError
 
+from oracles import index, max_abs_diff
+
 
 def test_space_dimensions():
     assert kc.build_space(n_max=4, n_atoms=2, levels=3,
@@ -30,7 +32,7 @@ def test_annihilation_action():
     a = kc.annihilation(space)
     ket2 = kc.basis_state(space, 2, "0")
     ket1 = kc.basis_state(space, 1, "0")
-    assert numerics.max_abs_diff(a @ ket2, np.sqrt(2) * ket1) < 1e-14
+    assert max_abs_diff(a @ ket2, np.sqrt(2) * ket1) < 1e-14
     ket0 = kc.basis_state(space, 0, "0")
     assert np.abs(a @ ket0).max() == 0
 
@@ -41,10 +43,10 @@ def test_truncated_commutator_identity_on_inner_sectors():
     a = kc.annihilation(space)
     comm = a @ a.conj().T - a.conj().T @ a
     for n in range(space.n_max):
-        i = space.index(n, 0)
+        i = index(space, n, 0)
         assert abs(comm[i, i] - 1.0) < 1e-14
     # the edge of the truncation is the only deviation
-    i = space.index(space.n_max, 0)
+    i = index(space, space.n_max, 0)
     assert abs(comm[i, i] - (1 - (space.n_max + 1))) < 1e-12
 
 
@@ -52,10 +54,10 @@ def test_number_operator_diagonal():
     space = kc.build_space(n_max=3, n_atoms=2, levels=2)
     a = kc.annihilation(space)
     n = a.conj().T @ a
-    assert numerics.max_abs_diff(n, np.diag(np.diag(n))) < 1e-14
-    expected = [space.photon_numbers(i)[0] for i in range(space.dim)]
-    assert numerics.max_abs_diff(np.diag(n).real, expected) < 1e-12
-    assert numerics.max_abs_diff(kc.number_op(space), n) < 1e-14
+    assert max_abs_diff(n, np.diag(np.diag(n))) < 1e-14
+    expected = np.repeat(np.arange(space.n_max + 1), space.atomic_dim)
+    assert max_abs_diff(np.diag(n).real, expected) < 1e-12
+    assert max_abs_diff(kc.number_op(space), n) < 1e-14
 
 
 def test_collective_flip_on_two_atoms():
@@ -63,14 +65,14 @@ def test_collective_flip_on_two_atoms():
     spm = kc.collective(space, "+", "-")
     minus2 = kc.basis_state(space, 0, "--")
     expected = (kc.basis_state(space, 0, "+-") + kc.basis_state(space, 0, "-+"))
-    assert numerics.max_abs_diff(spm @ minus2, expected) < 1e-14
+    assert max_abs_diff(spm @ minus2, expected) < 1e-14
 
 
 def test_s3_single_atom():
     space = kc.build_space(n_max=0, n_atoms=1, levels=2)
     s3 = kc.s3(space)
     minus = kc.basis_state(space, 0, "-")
-    assert numerics.max_abs_diff(s3 @ minus, -minus) < 1e-14
+    assert max_abs_diff(s3 @ minus, -minus) < 1e-14
 
 
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
@@ -82,10 +84,10 @@ def test_su2_commutators(n_atoms, representation, levels):
     spm = kc.collective(space, "+", "-")
     smp = kc.collective(space, "-", "+")
     s3 = kc.s3(space)
-    assert numerics.max_abs_diff(
+    assert max_abs_diff(
         spm @ smp - smp @ spm, s3) < 1e-12
     # with S3 = sum(|+><+| - |-><-|) the raising constant is 2, not 1
-    assert numerics.max_abs_diff(
+    assert max_abs_diff(
         s3 @ spm - spm @ s3, 2 * spm) < 1e-12
 
 
@@ -102,14 +104,14 @@ def test_basis_state_first_vector():
     v = kc.basis_state(space, 0, "00")
     expected = np.zeros(space.dim)
     expected[0] = 1
-    assert numerics.max_abs_diff(v, expected) == 0
+    assert max_abs_diff(v, expected) == 0
 
 
 def test_minus_state_single_atom():
     space = kc.build_space(n_max=0, n_atoms=1, levels=2)
     v = kc.basis_state(space, 0, "-")
     expected = np.array([1, -1]) / np.sqrt(2)
-    assert numerics.max_abs_diff(v, expected) < 1e-15
+    assert max_abs_diff(v, expected) < 1e-15
 
 
 def test_minus_state_symmetric_two_atoms():
@@ -118,14 +120,14 @@ def test_minus_state_symmetric_two_atoms():
                            representation="symmetric")
     v = kc.basis_state(space, 0, "--")
     expected = np.array([0.5, -1 / np.sqrt(2), 0.5])
-    assert numerics.max_abs_diff(v, expected) < 1e-14
+    assert max_abs_diff(v, expected) < 1e-14
 
 
 def test_symmetric_occupation_state():
     space = kc.build_space(n_max=1, n_atoms=3, levels=2,
                            representation="symmetric")
     v = kc.basis_state(space, 1, (2, 1))
-    i = space.index(1, space.atomic_basis.index((2, 1)))
+    i = index(space, 1, space.atomic_basis.index((2, 1)))
     assert v[i] == 1.0 and abs(np.linalg.norm(v) - 1) < 1e-15
 
 
@@ -152,24 +154,11 @@ def test_photon_bounds_checked():
         kc.basis_state(space, 3, "0")
 
 
-def test_basis_labels():
-    space = kc.build_space(n_max=2, n_atoms=2, levels=2)
-    i = space.index(2, space.atomic_basis.index((0, 1)))
-    assert space.basis_label(i) == "n=2;atoms=01"
-    sym = kc.build_space(n_max=2, n_atoms=2, levels=3,
-                         representation="symmetric")
-    j = sym.index(2, sym.atomic_basis.index((1, 1, 0)))
-    assert sym.basis_label(j) == "n=2;occ=(1,1,0)"
-    two = kc.build_space(n_max=1, n_atoms=1, levels=2, n_modes=2)
-    k = two.index((1, 0), 0)
-    assert two.basis_label(k).startswith("n=(1,0);")
-
-
 def test_two_mode_operators_commute():
     space = kc.build_space(n_max=2, n_atoms=1, levels=2, n_modes=2)
     na = kc.number_op(space, 0)
     nb = kc.number_op(space, 1)
-    assert numerics.max_abs_diff(na @ nb, nb @ na) < 1e-14
+    assert max_abs_diff(na @ nb, nb @ na) < 1e-14
     b = kc.annihilation(space, 1)
     ket = kc.basis_state(space, (0, 2), "0")
     out = b @ ket
@@ -194,13 +183,6 @@ def test_representation_agreement(n_atoms):
             psi.conj() @ (eig.propagator(t) @ psi) for t in times])
     assert np.abs(series["product"] - series["symmetric"]).max() < 1e-8
 
-
-def test_plus_population():
-    space = kc.build_space(n_max=0, n_atoms=2, levels=2)
-    assert abs(hilbert.plus_population(
-        space, kc.basis_state(space, 0, "++")) - 2) < 1e-12
-    assert abs(hilbert.plus_population(
-        space, kc.basis_state(space, 0, "--"))) < 1e-12
 
 
 def test_public_names_resolve():

@@ -4,11 +4,17 @@ No linter ships with the test dependencies, so two of a linter's checks
 live here: every import in a module is used there, and every module-level
 private function, class or constant is referenced somewhere in the package.
 A deletion that leaves a dead helper or an orphaned import behind fails.
+A third keeps the package to what its commands and its public API run:
+every module-level public function or class is referenced in the package
+outside its own definition, or exported in ``kerrcav.__all__``.  Helpers
+that only tests call live in ``tests/oracles.py``.
 """
 import ast
 import pathlib
 
 import pytest
+
+import kerrcav
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "kerrcav"
 MODULES = sorted(SRC.glob("*.py"))
@@ -75,3 +81,23 @@ def test_every_private_definition_is_referenced(module):
             for name, line in _private_definitions(TREES[module]).items()
             if name not in used}
     assert not dead, f"{module}: unreferenced private definitions {dead}"
+
+
+# the names each module-level statement of the package reads
+STATEMENT_NAMES = [(stmt, _loaded_names(stmt)) for tree in TREES.values()
+                   for stmt in tree.body]
+
+
+@pytest.mark.parametrize("module", list(TREES))
+def test_every_public_definition_is_used_or_exported(module):
+    dead = {}
+    for node in TREES[module].body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        used = set().union(*(names for stmt, names in STATEMENT_NAMES
+                             if stmt is not node))
+        if node.name not in used and node.name not in kerrcav.__all__:
+            dead[node.name] = node.lineno
+    assert not dead, (f"{module}: public definitions neither used in the "
+                      f"package nor exported {dead}")
