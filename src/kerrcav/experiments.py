@@ -4,7 +4,10 @@ This module is the one that knows the scenarios: ``SCENARIOS`` maps each
 name to its runner, and a runner's parameters besides ``overrides`` and
 the regime ``thresholds`` are the options the scenario takes
 (``scenario_options``).  ``sweep`` and the command line reject by name an
-option a scenario does not take.
+option a scenario does not take.  ``scenario_params`` is the one source of
+the parameter sets a scenario runs, overrides applied, for its runner,
+``--strict`` and ``check-regime``: a new non-overlap scenario adds its
+family there.  ``_echo`` builds every runner's config echo.
 
 The two overlap scenarios, ``FIG3A`` and ``FIG3B``, probe
 X = |<n,-|V(t)|-,n>| and Y = Re of the frame-removed amplitude against the
@@ -26,19 +29,20 @@ fig3b shares one, while fig3a's delta1 and theta change with N, so it
 builds one per N.  Each protocol is evaluated once per atom count,
 for all of that count's photon numbers together (``lifted_series``).
 
-Frame removal multiplies the raw amplitude by exp(+i r_lin n T_elapsed(t))
-(killing the photon-linear phase accrued over the whole protocol, pulse and
-rotation windows included) and by exp(-i N theta t / 2) (the global atomic
-reference phase of the Raman segment).  The removal rate r_lin is calibrated
-(``_best_rate``) by scanning a bracket around its analytic value
-N g^2/(2 delta1) and minimizing the maximum deviation from the reference.
-By default each branch is calibrated against its own reference curve
-(``per_branch``), which absorbs the branch's intrinsic dressed-frequency
-shift; ``n1_shared`` calibrates once on the n = 1 branch and reuses that
-rate everywhere.  The fitted dominant frequencies reported per branch
-always use the shared n = 1 rate so the n^2 scaling law is measured in one
-common frame.  ``kerrcav calibrate`` prints fig3b's pulse check and shared
-rate for a single (N, 1) branch.
+``_frame_removed``, the one frame formula, multiplies the raw amplitude by
+exp(+i r_lin n T_elapsed(t)) (killing the photon-linear phase accrued over
+the whole protocol, pulse and rotation windows included) and by
+exp(-i N theta t / 2) (the Raman segment's global atomic reference phase).
+The removal rate r_lin is calibrated (``_best_rate``) by scanning a bracket
+around its analytic value N g^2/(2 delta1) and minimizing the maximum
+deviation from the reference.  By default each branch is calibrated against
+its own reference curve (``per_branch``), which absorbs the branch's
+intrinsic dressed-frequency shift; ``n1_shared`` calibrates once on the
+n = 1 branch and reuses that rate everywhere.  The fitted dominant
+frequencies reported per branch always use the shared n = 1 rate so the n^2
+scaling law is measured in one common frame, and a branch at that rate
+takes Y from the same frame-removed series.  ``kerrcav calibrate`` prints
+fig3b's pulse check and shared rate for a single (N, 1) branch.
 
 A sweep runs a scenario once per parameter value.  With ``jobs > 1`` each
 of k processes forked from this one takes every k-th point and, with an
@@ -126,8 +130,10 @@ def apply_overrides(p: SchemeParams, overrides: dict | None) -> SchemeParams:
 # frame-rate calibration
 # ---------------------------------------------------------------------------
 
-def _y_series(amps, times, elapsed, n, theta_rate, r_lin):
-    return (amps * np.exp(1j * (r_lin * n * elapsed - theta_rate * times))).real
+def _frame_removed(amps, elapsed, n, theta_phase, r):
+    """Branch n's amplitudes without the photon-linear phase r n T_elapsed
+    and the atomic ``theta_phase``; ``r`` may be a column of rates."""
+    return amps * np.exp(1j * (r * n * elapsed - theta_phase))
 
 
 def _best_rate(amps, times, elapsed, n, theta_rate, reference, r0):
@@ -140,8 +146,8 @@ def _best_rate(amps, times, elapsed, n, theta_rate, reference, r0):
 
     The objective D(r) = max_k |Y_k(r) - reference_k| is evaluated cheaply
     but to the same bits as on the whole grid: every |Y_k(r) - reference_k|
-    is taken in ``_y_series``'s order of operations, so it is bit-equal to
-    the whole-grid value, and a maximum over a subset of points is an exact
+    is taken through ``_frame_removed``, so it is bit-equal to the
+    whole-grid value, and a maximum over a subset of points is an exact
     lower bound on D(r).
 
     * Coarse scan.  One batch over every RATE_BOUND_STRIDE-th time point
@@ -162,13 +168,11 @@ def _best_rate(amps, times, elapsed, n, theta_rate, reference, r0):
       and hi where they were, every later step would repeat it, so the
       refinement ends there.
     """
-    # theta_rate * times is the same product whether taken once or inside
-    # _y_series
     whole = (amps, elapsed, theta_rate * times, reference)
 
     def deviations(rates, a, el, ph, ref):
         """|Y_k(r) - reference_k| for a column of rates, one row each."""
-        return np.abs((a * np.exp(1j * (rates * n * el - ph))).real - ref)
+        return np.abs(_frame_removed(a, el, n, ph, rates).real - ref)
 
     def objective(r):
         return float(np.maximum.reduce(deviations(r, *whole)))
@@ -230,13 +234,6 @@ def _best_rate(amps, times, elapsed, n, theta_rate, reference, r0):
     r = 0.5 * (lo + hi)
     return (float(r), float(np.maximum.reduce(deviations(r, *live[:4]))),
             flagged)
-
-
-def _fit_rate(p: SchemeParams, elapsed, times, n, amps):
-    """(r_lin, objective, flagged) of branch n's series against
-    cos(kappa n^2 t), fitted around the analytic rate N g^2/(2 delta1)."""
-    return _best_rate(amps, times, elapsed, n, p.n_atoms * p.theta / 2,
-                      np.cos(p.kappa * n**2 * times), p.n_atoms * p.stark)
 
 
 def lifted_series(protocol: VProtocol, times, ns, n_atoms: int) -> dict:
@@ -330,12 +327,14 @@ def fitted_frequency(times, z) -> float:
     return abs(float(slope))
 
 
-def _thresholds_entry(thresholds: dict | None) -> dict:
-    """The config entry for valid regime thresholds (a ``ValidationError``
-    names a bad one): none when none are set, so such a run's report and
-    file name do not change."""
-    regimes.check_thresholds(thresholds)
-    return {"thresholds": dict(thresholds)} if thresholds else {}
+def _echo(name: str, p: SchemeParams, overrides: dict | None,
+          thresholds: dict | None, **options) -> dict:
+    """A run's config echo: the scenario name, its ``options``, the
+    parameter set and the overrides, and the thresholds only when some are
+    set, so that a run without them keeps its report and file name."""
+    return {"scenario": name, **options, "params": dataclasses.asdict(p),
+            "overrides": dict(overrides or {}),
+            **({"thresholds": dict(thresholds)} if thresholds else {})}
 
 
 @dataclass(frozen=True)
@@ -384,7 +383,7 @@ def _run_overlap_scenario(scenario: OverlapScenario,
         raise ValidationError(
             f"unknown frame_calibration {frame_calibration!r}")
     require_integer(grid_points, 2, "grid points")
-    thresholds_entry = _thresholds_entry(thresholds)
+    regimes.check_thresholds(thresholds)
     branch_list = scenario.select_branches(overrides)
     branches: list[BranchResult] = []
     calibration_block: dict = {"frame_calibration": frame_calibration,
@@ -422,6 +421,7 @@ def _run_overlap_scenario(scenario: OverlapScenario,
         t_grid = np.linspace(0.0, 2 * math.pi / abs(p.kappa), grid_points)
         elapsed = protocol.elapsed(t_grid)
         theta_rate = p.n_atoms * p.theta / 2
+        theta_phase = theta_rate * t_grid
         r0 = p.n_atoms * p.stark if mode == "physical" else 0.0
 
         ns = [n for (NN, n) in branch_list if NN == N]
@@ -430,12 +430,15 @@ def _run_overlap_scenario(scenario: OverlapScenario,
         series = lifted_series(protocol, t_grid, ns, N)
         ideal_series = (lifted_series(ideal, t_grid, ns, N)
                         if ideal is not None else None)
+        references = {n: np.cos(p.kappa * n**2 * t_grid) for n in ns}
 
-        # shared rate from this N's n=1 series (or the smallest nonzero n)
+        # shared rate from this N's n=1 series (or the smallest nonzero n),
+        # fitted around the analytic rate N g^2/(2 delta1)
         probe = 1 if 1 in ns else min([n for n in ns if n > 0], default=0)
         if probe and mode == "physical":
-            r_shared, _, flagged = _fit_rate(
-                p, elapsed, t_grid, probe, series[probe][0])
+            r_shared, _, flagged = _best_rate(
+                series[probe][0], t_grid, elapsed, probe, theta_rate,
+                references[probe], r0)
         else:
             r_shared, flagged = r0, False
         calibration_block["r_lin_shared"][str(N)] = r_shared
@@ -445,17 +448,17 @@ def _run_overlap_scenario(scenario: OverlapScenario,
 
         for n in ns:
             amps, plus_pop = series[n]
-            reference = np.cos(p.kappa * n**2 * t_grid)
+            reference = references[n]
+            z_shared = _frame_removed(amps, elapsed, n, theta_phase, r_shared)
             if (mode == "physical" and frame_calibration == "per_branch"
                     and n not in (0, probe)):
                 # the probe branch's own calibration is the shared one
-                r_lin, _, _ = _fit_rate(p, elapsed, t_grid, n, amps)
+                r_lin, _, _ = _best_rate(amps, t_grid, elapsed, n, theta_rate,
+                                         reference, r0)
+                y = _frame_removed(amps, elapsed, n, theta_phase, r_lin).real
             else:
-                r_lin = r_shared
-            y = _y_series(amps, t_grid, elapsed, n, theta_rate, r_lin)
+                r_lin, y = r_shared, z_shared.real
             err = np.abs(y - reference)
-            z_shared = amps * np.exp(
-                1j * (r_shared * n * elapsed - theta_rate * t_grid))
             freq = fitted_frequency(t_grid, z_shared) if n > 0 else 0.0
             x = np.abs(amps)
             branch = BranchResult(
@@ -485,15 +488,10 @@ def _run_overlap_scenario(scenario: OverlapScenario,
         diagnostics["unitarity_defect"] = max(
             diagnostics["unitarity_defect"], defect)
 
-    config = {
-        "scenario": scenario.name, "mode": mode, "tier": "eliminated",
-        "grid_points": grid_points, "n_max": n_max,
-        "frame_calibration": frame_calibration,
-        "params": params_dict(p_echo),
-        "overrides": dict(overrides or {}),
-        "branches": [list(b) for b in branch_list],
-        **thresholds_entry,
-    }
+    config = _echo(scenario.name, p_echo, overrides, thresholds, mode=mode,
+                   tier="eliminated", grid_points=grid_points, n_max=n_max,
+                   frame_calibration=frame_calibration,
+                   branches=[list(b) for b in branch_list])
     return ScenarioResult(
         name=scenario.name, config=config, branches=branches,
         regime=regimes.check(p_echo, thresholds),
@@ -567,8 +565,8 @@ def run_cross_kerr(
     if n_max > 2:
         raise ValidationError("cross-Kerr scenarios run at n_max <= 2 per mode")
     require_integer(grid_points, 2, "grid points")
-    thresholds_entry = _thresholds_entry(thresholds)
-    p = apply_overrides(cross_params(variant), overrides)
+    regimes.check_thresholds(thresholds)
+    [p] = scenario_params(f"cross_{variant}", overrides)
     space = build_space(n_max=n_max, n_atoms=p.n_atoms, levels=2, n_modes=2)
 
     h_eff = cross_kerr_hamiltonian(space, p, variant, form="effective")
@@ -604,12 +602,8 @@ def run_cross_kerr(
     nu_hat = -slope    # phases evolve as -E t under exp(-i H t)
 
     rel = abs(nu_hat - nu_eff) / abs(nu_eff) if nu_eff else float("inf")
-    config = {
-        "scenario": f"cross_{variant}", "variant": variant,
-        "grid_points": grid_points, "n_max": n_max,
-        "params": params_dict(p), "overrides": dict(overrides or {}),
-        **thresholds_entry,
-    }
+    config = _echo(f"cross_{variant}", p, overrides, thresholds,
+                   variant=variant, grid_points=grid_points, n_max=n_max)
     return CrossKerrResult(
         variant=variant, config=config, times=t_grid, amplitudes=amps,
         nu_hat=nu_hat, nu_effective=nu_eff, relative_error=rel,
@@ -641,18 +635,16 @@ class RegimeCheckResult:
 
 def run_regime_check(overrides: dict | None = None,
                      thresholds: dict | None = None) -> RegimeCheckResult:
-    p = apply_overrides(fig3b_params(), overrides)
+    [p] = scenario_params("regime_check", overrides)
+    regime = regimes.check(p, thresholds)   # rejects bad thresholds by name
     return RegimeCheckResult(
-        config={"scenario": "regime_check", "params": params_dict(p),
-                "overrides": dict(overrides or {}),
-                **_thresholds_entry(thresholds)},
-        regime=regimes.check(p, thresholds),
-    )
+        config=_echo("regime_check", p, overrides, thresholds), regime=regime)
 
 
 def scenario_params(scenario: str, overrides: dict | None = None) -> list:
     """The parameter sets ``scenario`` runs, one per atom count, with the
-    overrides applied (what a strict regime check must judge)."""
+    overrides applied: every runner reads its sets here (an overlap one
+    through its record), so a strict regime check judges what runs."""
     if scenario in OVERLAP_SCENARIOS:
         return OVERLAP_SCENARIOS[scenario].param_sets(overrides)
     if scenario in ("cross_polarization", "cross_toroidal"):
@@ -796,10 +788,6 @@ def sweep(param: str, values, scenario: str, jobs: int = 1, overrides=None,
 # ---------------------------------------------------------------------------
 # deterministic emission
 # ---------------------------------------------------------------------------
-
-def params_dict(p: SchemeParams) -> dict:
-    return {k: v for k, v in dataclasses.asdict(p).items()}
-
 
 def _jsonable(obj):
     if isinstance(obj, dict):

@@ -914,3 +914,33 @@ def test_a_json_boolean_is_not_a_number(capsys, tmp_path, cfg, message):
     assert code == 2 and stdout == ""
     assert message in err
     assert not out.exists()
+
+
+SUBCOMMANDS = (["run", "regime_check"], ["check-regime"], ["calibrate"],
+               ["sweep", "--param", "theta", "--values", str(G),
+                "--scenario", "regime_check"])
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"grid": {"points": True}}, "grid points: expected an integer, got True"),
+    ({"jobs": 0}, "config key jobs: expected an integer >= 1, got 0"),
+    ({"grid": {"points": 1}, "scenario": "regime_check"},
+     "grid points must be an integer >= 2, got 1"),
+    ({"grid": {"n_max": -1}, "scenario": "cross_polarization"},
+     "config key grid.n_max must be an integer >= 0, got -1"),
+    ({"sweep": {"param": "bogus"}}, "unknown sweep parameter 'bogus'"),
+    ({"scenario": "fig9"}, "unknown scenario 'fig9'"),
+], ids=["points-true", "jobs-0", "points-1", "n_max-neg", "param-bogus",
+        "scenario-fig9"])
+def test_every_subcommand_judges_a_config_the_same_way(capsys, tmp_path, cfg,
+                                                       message):
+    # each value is checked whether or not the subcommand reads it, so a
+    # config that one subcommand rejects is rejected by all of them
+    config = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    for argv in SUBCOMMANDS:
+        extra = ["--out", str(out)] if argv[0] in ("run", "sweep") else []
+        code, stdout, err = run_cli(capsys, *argv, "--config", config, *extra)
+        assert (code, stdout) == (2, ""), argv
+        assert message in err, argv
+    assert not out.exists()

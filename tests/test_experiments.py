@@ -90,8 +90,8 @@ def _unpruned_best_rate(amps, times, elapsed, n, theta_rate, reference, r0):
     """The rate fit with every objective value taken on the whole grid."""
 
     def objective(r):
-        return float(np.abs(ex._y_series(
-            amps, times, elapsed, n, theta_rate, r) - reference).max())
+        return float(np.abs(ex._frame_removed(
+            amps, elapsed, n, theta_rate * times, r).real - reference).max())
 
     if n == 0 or r0 == 0:
         return r0, objective(r0), False
@@ -210,7 +210,7 @@ def test_best_rate_matches_unpruned_scan_on_flat_objectives(kind):
     amps, times, elapsed, n, theta_rate, reference, r0 = args
     half = ex.RATE_BRACKET * abs(r0)
     devs = np.array([
-        np.abs(ex._y_series(amps, times, elapsed, n, theta_rate, r)
+        np.abs(ex._frame_removed(amps, elapsed, n, theta_rate * times, r).real
                - reference).max()
         for r in np.linspace(r0 - half, r0 + half, ex.RATE_COARSE_POINTS)])
     assert (devs <= devs.min() + max(0.01, 0.5 * devs.min())).sum() > 100
