@@ -70,11 +70,11 @@ from typing import Callable
 
 import numpy as np
 
-from . import numerics, regimes
+from . import models, numerics, regimes
 from .errors import (KerrcavError, ValidationError, WorkerError,
                      require_integer)
 from .hilbert import basis_state, build_space
-from .models import SchemeParams, cross_kerr_hamiltonian
+from .models import SchemeParams
 from .pulses import VProtocol, calibrate_pulse_phase
 from .regimes import RegimeReport
 
@@ -360,9 +360,16 @@ class OverlapScenario:
         return selected
 
     def param_sets(self, overrides: dict | None) -> list:
-        """One parameter set per atom count run, in increasing N."""
-        return [apply_overrides(self.params_for_n(N), overrides) for N in
+        """One parameter set per atom count run, in increasing N; the
+        scenario has one cavity mode, so a mode-b override is an error."""
+        sets = [apply_overrides(self.params_for_n(N), overrides) for N in
                 sorted({N for N, _ in self.select_branches(overrides)})]
+        mode_b = sorted({"g_b", "delta1_b", "mode_split"} & set(overrides or {}))
+        if mode_b:
+            raise ValidationError(
+                f"{self.name} runs one cavity mode and takes no mode-b "
+                f"parameter {mode_b[0]!r}")
+        return sets
 
 
 FIG3B = OverlapScenario("fig3b", fig3b_params,
@@ -554,11 +561,12 @@ def run_cross_kerr(
     """Conditional-phase estimate from the two-mode eliminated model.
 
     Evolves |n_a, n_b> (x) |-...-> under the eliminated two-mode Hamiltonian
-    and fits nu_hat as the slope of the discrete second difference
-    -(phi_11 - phi_10 - phi_01 + phi_00) of the unwrapped amplitude phases,
-    which cancels every constant and single-mode-linear phase exactly.
-    Compared against the same second difference of the effective
-    photon-diagonal Hamiltonian.
+    (``tier_b_hamiltonian``) and fits nu_hat as the slope of the discrete
+    second difference -(phi_11 - phi_10 - phi_01 + phi_00) of the unwrapped
+    amplitude phases, which cancels every constant and single-mode-linear
+    phase exactly.  Compared against the same second difference of the
+    ``kerr`` tier.  ``variant`` picks the scenario's parameters, which name
+    mode b.
     """
     if variant not in ("polarization", "toroidal"):
         raise ValidationError(f"unknown cross-Kerr variant {variant!r}")
@@ -569,8 +577,8 @@ def run_cross_kerr(
     [p] = scenario_params(f"cross_{variant}", overrides)
     space = build_space(n_max=n_max, n_atoms=p.n_atoms, levels=2, n_modes=2)
 
-    h_eff = cross_kerr_hamiltonian(space, p, variant, form="effective")
-    h_sim = cross_kerr_hamiltonian(space, p, variant, form="eliminated")
+    h_eff = models.effective_hamiltonian(space, p, "kerr")
+    h_sim = models.tier_b_hamiltonian(space, p)
 
     occupations = ((0, 0), (0, 1), (1, 0), (1, 1))
     kets = {occ: basis_state(space, occ, "-" * p.n_atoms) for occ in occupations}

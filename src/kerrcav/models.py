@@ -3,7 +3,7 @@
 The model chain, from exact to effective:
 
 * ``full``        three-level interaction-picture Hamiltonian with explicit
-                  oscillating phases (cavity to 0<->2, Raman lasers to +<->2),
+                  oscillating phases (cavity to 2, Raman lasers to +<->2),
 * ``framed``      its exact time-independent rotating-frame equivalent,
 * ``eliminated``  two-level model after adiabatic elimination of level 2:
                   H1 = (g^2/D1) n S00 + (Theta/2)(S10 + S01),
@@ -13,8 +13,12 @@ The model chain, from exact to effective:
                   kept through third order in (g^2/2D1)/Theta,
 * ``kerr``        the pure Kerr limit (g^4/4 D1^2 Theta) n^2 S3,
 
-plus the two warm-up models (``dispersive_two_level``, ``resonant_driven``)
-and the two-mode cross-Kerr configurations.
+plus the two warm-up models (``dispersive_two_level``, ``resonant_driven``).
+
+There is one builder per tier, and ``full``, ``eliminated`` and ``kerr``
+sum their cavity term over the space's modes: one for self-Kerr, two for
+cross-Kerr.  ``mode_couplings`` is the one place a mode is defined.  The
+other builders and the static frame take one mode.
 
 Every builder returns a plain complex (dim, dim) ndarray.  The rotating
 frame is diagonal, so it is carried as the real vector g of its generator's
@@ -35,7 +39,9 @@ All three statements are verified numerically in the test suite.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -156,11 +162,69 @@ def synthesize_raman(p: SchemeParams, ratio: float = 9.0) -> SchemeParams:
     return replace(p, lam=lam, delta2=delta2, theta=theta_realized)
 
 
+def mode_couplings(p: SchemeParams) -> tuple:
+    """((g, detuning, lower level, sign), ...) of each cavity mode of ``p``.
+
+    Mode a couples 0<->2 at (g, delta1).  Naming any of g_b, delta1_b and
+    mode_split adds a mode b at g_b: polarization (``delta1_b``) couples
+    1<->2 at delta1_b, with sign -1 in the Kerr square; toroidal
+    (``mode_split`` d) couples both modes 0<->2, at delta1 -+ d, sign +1.
+    A mode b that names neither variant or both, or lacks g_b, is a
+    ``ValidationError``; so is a zero detuning, or a coupling
+    A = g^2/(2 delta_a) or B = g_b^2/(2 delta_b) that is not finite.
+    """
+    if p.g_b is None and p.delta1_b is None and p.mode_split is None:
+        return ((p.g, p.delta1, 0, 1.0),)
+    if (p.delta1_b is None) == (p.mode_split is None):
+        raise ValidationError(
+            "mode b needs exactly one of delta1_b (polarization) and "
+            "mode_split (toroidal)")
+    if p.delta1_b is not None:
+        variant, detunings = "polarization", ("delta1", "delta1_b")
+        modes = ((p.g, p.delta1, 0, 1.0), (p.g_b, p.delta1_b, 1, -1.0))
+    else:
+        variant = "toroidal"
+        detunings = "(delta1 - mode_split)", "(delta1 + mode_split)"
+        modes = ((p.g, p.delta1 - p.mode_split, 0, 1.0),
+                 (p.g_b, p.delta1 + p.mode_split, 0, 1.0))
+    if p.g_b is None:
+        raise ValidationError(f"the {variant} mode b needs g_b")
+    for coupling, g_name, (g, delta, _, _), d_name in zip(
+            "AB", ("g", "g_b"), modes, detunings):
+        if delta == 0:
+            raise ValidationError(
+                f"{variant} cross-Kerr detuning {d_name} is zero; coupling "
+                f"{coupling} = {g_name}^2/(2 {d_name}) divides by it")
+        if not math.isfinite(float(g) * float(g) / (2 * float(delta))):
+            raise ValidationError(
+                f"{variant} cross-Kerr coupling {coupling} = "
+                f"{g_name}^2/(2 {d_name}) is not finite ({g_name} = {g}, "
+                f"{d_name} = {delta})")
+    return modes
+
+
+def _mode_sum(space: Space, p: SchemeParams, term) -> np.ndarray:
+    """term(mode, g, detuning, lower, sign) summed in order over the modes
+    of ``mode_couplings(p)``, which must be as many as ``space`` has."""
+    modes = mode_couplings(p)
+    if len(modes) != space.n_modes:
+        raise ValidationError(
+            f"the parameters name {len(modes)} cavity mode(s) but the space "
+            f"has {space.n_modes}")
+    return reduce(operator.add, (term(m, *mode) for m, mode in enumerate(modes)))
+
+
 def _require_levels(space: Space, levels: int, what: str):
     if space.levels != levels:
         raise ValidationError(
             f"{what} needs a {levels}-level space, got {space.levels} levels"
         )
+
+
+def _require_one_mode(space: Space, what: str):
+    if space.n_modes != 1:
+        raise ValidationError(
+            f"{what} needs a one-mode space, got {space.n_modes} modes")
 
 
 def _raman_pair(p: SchemeParams) -> tuple[float, float]:
@@ -207,14 +271,21 @@ def full_hamiltonian(
 ) -> np.ndarray:
     """Three-level interaction-picture Hamiltonian at time ``t``.
 
-    H(t) = g (e^{-i D1 t} a S20 + h.c.) + sqrt(2) lam (e^{-i D2 t} S2+ + h.c.)
-    with the Raman term gated by ``raman``, plus the resonant 0<->1 drive at
-    ``pulse_phase`` (None: no pulse).
+    H(t) = sum_m g_m (e^{-i D_m t} a_m S2l_m + h.c.)
+    + sqrt(2) lam (e^{-i D2 t} S2+ + h.c.) over the modes m of
+    ``mode_couplings`` (one mode: g a S20 at D1), with the Raman term gated
+    by ``raman``, plus the resonant 0<->1 drive at ``pulse_phase`` (None: no
+    pulse).
     """
     _require_levels(space, 3, "the full model")
-    term = p.g * np.exp(-1j * p.delta1 * t) * (
-        hilbert.annihilation(space, 0) @ collective(space, 2, 0))
-    return _add_drives(term + term.conj().T, space, p, t, raman, pulse_phase)
+
+    def coupling(mode, g, detuning, lower, _sign):
+        term = g * np.exp(-1j * detuning * t) * (
+            hilbert.annihilation(space, mode) @ collective(space, 2, lower))
+        return term + term.conj().T
+
+    return _add_drives(_mode_sum(space, p, coupling), space, p, t, raman,
+                       pulse_phase)
 
 
 def static_frame_hamiltonian(
@@ -232,8 +303,10 @@ def static_frame_hamiltonian(
     framed Hamiltonian is H' = H(0) - diag(g), and the interaction-picture
     propagator over [t0, t1] is e^{-i g t1} exp(-i H' (t1 - t0)) e^{i g t0}.
     Exactness against the time-stepped integrator is validated in the tests
-    rather than assumed.
+    rather than assumed.  The generator frames mode a only, so the space
+    has one mode.
     """
+    _require_one_mode(space, "the static frame")
     h0 = full_hamiltonian(space, p, 0.0, raman, pulse_phase=pulse_phase)
     delta2 = p.delta2 if raman else p.delta1
     g = ((delta2 - p.delta1) * np.diag(number_op(space)).real
@@ -250,14 +323,16 @@ def tier_b_hamiltonian(
 ) -> np.ndarray:
     """Two-level model after eliminating the excited level.
 
-    H1 = (g^2/delta1) n S00 + (theta/2)(S10 + S01), the theta term gated by
-    ``raman``, plus the resonant 0<->1 drive at ``pulse_phase`` (None: no
-    pulse).
+    H1 = sum_m (g_m^2/D_m) n_m Sll_m + (theta/2)(S10 + S01) over the modes
+    m of ``mode_couplings`` (one mode: (g^2/delta1) n S00), the theta term
+    gated by ``raman``, plus the resonant 0<->1 drive at ``pulse_phase``
+    (None: no pulse).
     """
     _require_levels(space, 2, "the eliminated model")
-    n = np.diag(number_op(space))
-    s00 = collective(space, 0, 0)
-    h = (p.g**2 / p.delta1) * (n[:, None] * s00)  # n @ S00, n diagonal
+    # n_m @ Sll, n_m diagonal
+    h = _mode_sum(space, p, lambda mode, g, detuning, lower, _sign: (
+        (g**2 / detuning) * (np.diag(number_op(space, mode))[:, None]
+                             * collective(space, lower, lower))))
     return _add_drives(h, space, p, 0.0, raman, pulse_phase)
 
 
@@ -268,6 +343,7 @@ def rotation_generator(space: Space, p: SchemeParams) -> np.ndarray:
     ``h1int`` at first order; mu/2 = g^2/(2 delta1 theta) is the angle per
     photon.
     """
+    _require_one_mode(space, "the rotation generator")
     n = np.diag(number_op(space))
     spm = collective(space, "+", "-")
     return -(p.mu / 2) * (n[:, None] * (spm - spm.conj().T))
@@ -281,22 +357,29 @@ def effective_hamiltonian(
 ) -> np.ndarray:
     """Literal effective Hamiltonians of the derivation chain; see module doc.
 
+    ``kerr`` is (1/theta)(sum_m +-A_m n_m)^2 S3 with A_m = g_m^2/(2 D_m)
+    over the modes of ``mode_couplings``; every other kind takes one mode.
     ``drop_rot_leakage`` removes the third-order n^3 (S+- + S-+) remainder
     from ``hrot``, leaving the exactly photon-diagonal part.
     """
     if kind not in EFFECTIVE_KINDS:
         raise ValidationError(f"unknown effective Hamiltonian kind {kind!r}")
+    _require_levels(space, 2, kind)
+    if kind == "kerr":
+        quad = _mode_sum(space, p, lambda mode, g, detuning, _lower, sign: (
+            (sign * g**2 / (2 * detuning)) * number_op(space, mode)))
+        return (1 / p.theta) * (quad @ quad @ s3(space))
+
+    _require_one_mode(space, kind)
     n = number_op(space)
     x = p.stark
 
     if kind == "h1int":
-        _require_levels(space, 2, "h1int")
         sx = collective(space, "+", "-")
         sx = sx + sx.conj().T
         return x * (n @ sx) + (p.theta / 2) * s3(space)
 
     if kind == "hrot":
-        _require_levels(space, 2, "hrot")
         n2 = n @ n
         h = (p.theta / 2) * s3(space) + (x**2 / p.theta) * (n2 @ s3(space))
         if not drop_rot_leakage:
@@ -305,13 +388,7 @@ def effective_hamiltonian(
             h = h - (4 / 3) * (x**3 / p.theta**2) * (n2 @ n @ sx)
         return h
 
-    if kind == "kerr":
-        _require_levels(space, 2, "the Kerr limit")
-        coeff = p.g**4 / (4 * p.delta1**2 * p.theta)  # kappa / N
-        return coeff * (n @ n @ s3(space))
-
     if kind == "dispersive_two_level":
-        _require_levels(space, 2, "the dispersive two-level model")
         pop = collective(space, 0, 0) - collective(space, 1, 1)
         nn = p.n_atoms
         return ((nn * p.g**2 / p.delta1) * (n @ pop)
@@ -320,113 +397,11 @@ def effective_hamiltonian(
     # resonant_driven: dispersive JC plus a resonant 0<->1 drive of Rabi
     # frequency omega; quartic coefficient N g^4/(D1^2 omega), the
     # unit-consistent reading of the two stated smallness factors.
-    _require_levels(space, 2, "the resonant-driven model")
     if p.omega == 0:
         raise ValidationError("resonant_driven needs a nonzero omega")
     nn = p.n_atoms
     return ((nn * p.g**2 / p.delta1) * (n @ s3(space))
             + (nn * p.g**4 / (p.delta1**2 * p.omega)) * (n @ n @ s3(space)))
-
-
-# ---------------------------------------------------------------------------
-# cross-Kerr configurations (two photon modes)
-# ---------------------------------------------------------------------------
-
-def _cross_couplings(p: SchemeParams, variant: str) -> tuple[float, float, float, float]:
-    """(g_a, delta_a, g_b, delta_b) for the requested variant.
-
-    A zero detuning, or a coupling A = g_a^2/(2 delta_a) or
-    B = g_b^2/(2 delta_b) that is not finite, is a ``ValidationError``.
-    """
-    if variant == "polarization":
-        if p.g_b is None or p.delta1_b is None:
-            raise ValidationError("polarization variant needs g_b and delta1_b")
-        out = p.g, p.delta1, p.g_b, p.delta1_b
-        detunings = "delta1", "delta1_b"
-    elif variant == "toroidal":
-        if p.g_b is None or p.mode_split is None:
-            raise ValidationError("toroidal variant needs g_b and mode_split")
-        out = p.g, p.delta1 - p.mode_split, p.g_b, p.delta1 + p.mode_split
-        detunings = "(delta1 - mode_split)", "(delta1 + mode_split)"
-    else:
-        raise ValidationError(f"unknown cross-Kerr variant {variant!r}")
-    for coupling, g_name, g, d_name, delta in (
-            ("A", "g", out[0], detunings[0], out[1]),
-            ("B", "g_b", out[2], detunings[1], out[3])):
-        if delta == 0:
-            raise ValidationError(
-                f"{variant} cross-Kerr detuning {d_name} is zero; coupling "
-                f"{coupling} = {g_name}^2/(2 {d_name}) divides by it")
-        try:
-            value = float(g) ** 2 / (2 * float(delta))
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise ValidationError(
-                f"{variant} cross-Kerr coupling {coupling} = "
-                f"{g_name}^2/(2 {d_name}) is not finite ({g_name} = {g}, "
-                f"{d_name} = {delta})")
-    return out
-
-
-def cross_kerr_hamiltonian(
-    space: Space,
-    p: SchemeParams,
-    variant: str,
-    form: str = "effective",
-    t: float = 0.0,
-    raman: bool = True,
-    *,
-    pulse_phase: float | None = None,
-) -> np.ndarray:
-    """Two-mode Hamiltonians for the cross-Kerr configurations.
-
-    ``form="effective"``: the fully eliminated photon-diagonal operator,
-    (1/theta)(A n_a -+ B n_b)^2 S3 with A = g_a^2/(2 delta_a),
-    B = g_b^2/(2 delta_b); the minus sign belongs to the polarization
-    variant (mode b couples 1<->2), the plus to the toroidal one (both
-    modes couple 0<->2).
-
-    ``form="eliminated"``: the two-level model before the second
-    elimination; ``form="full"``: the three-level interaction-picture
-    Hamiltonian at time ``t``.  Both carry the Raman drive when ``raman``
-    and the pulse at ``pulse_phase`` unless it is None.
-    """
-    if space.n_modes != 2:
-        raise ValidationError("cross-Kerr models need a two-mode space")
-    ga, da, gb, db = _cross_couplings(p, variant)
-    n_a = number_op(space, 0)
-    n_b = number_op(space, 1)
-    A = ga**2 / (2 * da)
-    B = gb**2 / (2 * db)
-    sign = -1.0 if variant == "polarization" else +1.0
-
-    if form == "effective":
-        _require_levels(space, 2, "the effective cross-Kerr model")
-        quad = A * n_a + sign * B * n_b
-        return (1 / p.theta) * (quad @ quad @ s3(space))
-
-    if form == "eliminated":
-        _require_levels(space, 2, "the eliminated cross-Kerr model")
-        s00 = collective(space, 0, 0)
-        if variant == "polarization":
-            s11 = collective(space, 1, 1)
-            h = 2 * A * (n_a @ s00) + 2 * B * (n_b @ s11)
-        else:
-            h = 2 * (A * n_a + B * n_b) @ s00
-    elif form == "full":
-        _require_levels(space, 3, "the full cross-Kerr model")
-        a = hilbert.annihilation(space, 0)
-        b = hilbert.annihilation(space, 1)
-        s20 = collective(space, 2, 0)
-        term = ga * np.exp(-1j * da * t) * (a @ s20)
-        h = term + term.conj().T
-        target_b = s20 if variant == "toroidal" else collective(space, 2, 1)
-        term = gb * np.exp(-1j * db * t) * (b @ target_b)
-        h = h + term + term.conj().T
-    else:
-        raise ValidationError(f"unknown cross-Kerr form {form!r}")
-    return _add_drives(h, space, p, t, raman, pulse_phase)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Every adiabaticity condition of the scheme is evaluated as a named
 nonnegative ratio with a pass/warn threshold (0.15 for the "much smaller
 than one" conditions, 0.1 for the spectral-separation one, both
-configurable).  Ratios that need the Raman pair when it is absent are
-marked ``not_evaluated`` rather than failed: the eliminated-tier scenarios
-never use them.
+configurable).  A ratio that involves the cavity is taken at the worst of
+the modes ``models.mode_couplings`` names.  Ratios that need the Raman pair
+when it is absent are marked ``not_evaluated`` rather than failed: the
+eliminated-tier scenarios never use them.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import numbers
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .models import SchemeParams
+from .models import SchemeParams, mode_couplings
 
 DEFAULT_THRESHOLD = 0.15
 SEPARATION_THRESHOLD = 0.1
@@ -108,7 +109,8 @@ def check_thresholds(thresholds, where: str = "thresholds") -> None:
 
 def check(p: SchemeParams, thresholds: dict | None = None) -> RegimeReport:
     """Evaluate every validity ratio and strength for a parameter set,
-    under the default thresholds updated by ``thresholds``."""
+    under the default thresholds updated by ``thresholds``; a cavity ratio
+    is the largest over the set's modes."""
     check_thresholds(thresholds)
     th = {"default": DEFAULT_THRESHOLD, "separation": SEPARATION_THRESHOLD}
     th.update(thresholds or {})
@@ -117,11 +119,12 @@ def check(p: SchemeParams, thresholds: dict | None = None) -> RegimeReport:
         return float(th.get(name, th["default"]))
 
     sqrt_n = math.sqrt(p.n_atoms)
-    g, d1, theta = abs(p.g), abs(p.delta1), abs(p.theta)
-    x = g**2 / (2 * d1)
+    theta = abs(p.theta)
+    modes = [(abs(g), detuning) for g, detuning, _, _ in mode_couplings(p)]
+    x = max(g**2 / (2 * abs(d)) for g, d in modes)
 
     values: dict = {
-        "dispersive_cavity": sqrt_n * g / d1,
+        "dispersive_cavity": max(sqrt_n * g / abs(d) for g, d in modes),
         "second_dispersive": sqrt_n * x / theta,
         "rot_condition": (x / theta) ** 3 * sqrt_n,
     }
@@ -130,10 +133,16 @@ def check(p: SchemeParams, thresholds: dict | None = None) -> RegimeReport:
             raise ValidationError(
                 f"delta2 = delta1 = {p.delta1:g}: the Raman pair's detuning "
                 "must differ from the cavity detuning")
+        if any(p.delta2 == d for _, d in modes):
+            raise ValidationError(
+                f"delta2 = {p.delta2:g} is a cavity mode's detuning: the "
+                "Raman pair's detuning must differ from it")
         lam, d2 = abs(p.lam), abs(p.delta2)
         values["dispersive_laser"] = sqrt_n * lam / d2
-        values["separation"] = max(sqrt_n * g, sqrt_n * lam) / abs(p.delta2 - p.delta1)
-        values["footnote_ratio"] = (lam**3 / d2**2) / (g**2 / d1)
+        values["separation"] = max(max(sqrt_n * g, sqrt_n * lam)
+                                   / abs(p.delta2 - d) for g, d in modes)
+        values["footnote_ratio"] = max((lam**3 / d2**2) / (g**2 / abs(d))
+                                       for g, d in modes)
     else:
         values["dispersive_laser"] = None
         values["separation"] = None

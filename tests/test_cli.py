@@ -944,3 +944,47 @@ def test_every_subcommand_judges_a_config_the_same_way(capsys, tmp_path, cfg,
         assert (code, stdout) == (2, ""), argv
         assert message in err, argv
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("g_b", G), ("delta1_b", 3 * G), ("mode_split", 3 * G)])
+def test_one_mode_scenarios_reject_mode_b_parameters_by_name(
+        capsys, tmp_path, field, value):
+    message = f"fig3b runs one cavity mode and takes no mode-b parameter {field!r}"
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"scenario": "fig3b",
+                                  "params": {field: value}})
+    for argv in (["run", "--config", cfg, "--out", str(out)],
+                 ["run", "--config", cfg, "--out", str(out), "--strict"],
+                 ["check-regime", "--config", cfg]):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (2, ""), argv
+        assert message in err, argv
+    assert not out.exists()
+    # in a sweep the point fails and is recorded
+    code, stdout, _ = run_cli(capsys, "sweep", "--config", cfg, "--param",
+                              "theta", "--values", str(G), "--out", str(out))
+    assert code == 3
+    [point] = json.loads(stdout)
+    assert not point["ok"] and point["error"] == message
+    # the regime_check family takes a complete mode b and judges its worst
+    # mode: delta1_b = 3g is 3x closer than delta1
+    code, stdout, _ = run_cli(capsys, "check-regime", "--config", write_config(
+        tmp_path, {"params": {"g_b": G, "delta1_b": 3 * G}}, "rc.json"))
+    assert code == 0
+    assert json.loads(stdout)["ratios"]["dispersive_cavity"]["value"] == 1 / 3
+
+
+@pytest.mark.parametrize("scenario", ["cross_polarization", "cross_toroidal"])
+def test_a_mode_b_with_both_variants_exits_2(capsys, tmp_path, scenario):
+    # each scenario names one variant of mode b; naming the other as well
+    # is an error, not an override that is ignored
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"params": {"delta1_b": 1e9,
+                                             "mode_split": 1e8}})
+    code, stdout, err = run_cli(capsys, "run", scenario, "--config", cfg,
+                                "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert ("mode b needs exactly one of delta1_b (polarization) and "
+            "mode_split (toroidal)") in err
+    assert not out.exists()

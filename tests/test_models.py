@@ -330,7 +330,7 @@ def test_cross_effective_polarization_coefficient():
     # cross term +2 (g/20)^2 / g = 5e5 on the all-minus sector
     p = ex.cross_params("polarization")
     space = kc.build_space(n_max=1, n_atoms=1, levels=2, n_modes=2)
-    h = models.cross_kerr_hamiltonian(space, p, "polarization")
+    h = models.effective_hamiltonian(space, p, "kerr")
     vals = {}
     for occ in ((0, 0), (0, 1), (1, 0), (1, 1)):
         ket = kc.basis_state(space, occ, "-")
@@ -342,7 +342,7 @@ def test_cross_effective_polarization_coefficient():
 def test_cross_toroidal_degenerate_limit():
     p = ex.cross_params("toroidal")  # mode_split = 0
     space = kc.build_space(n_max=1, n_atoms=1, levels=2, n_modes=2)
-    h = models.cross_kerr_hamiltonian(space, p, "toroidal")
+    h = models.effective_hamiltonian(space, p, "kerr")
     a_coeff = p.g**2 / (2 * p.delta1)
     quad = a_coeff * (kc.number_op(space, 0)
                       + kc.number_op(space, 1))
@@ -353,7 +353,7 @@ def test_cross_toroidal_degenerate_limit():
 def test_cross_effective_commutes_with_photon_numbers():
     p = ex.cross_params("polarization")
     space = kc.build_space(n_max=1, n_atoms=1, levels=2, n_modes=2)
-    h = models.cross_kerr_hamiltonian(space, p, "polarization")
+    h = models.effective_hamiltonian(space, p, "kerr")
     for mode in (0, 1):
         n = kc.number_op(space, mode)
         assert max_abs_diff(h @ n, n @ h) < 1e-9
@@ -362,8 +362,7 @@ def test_cross_effective_commutes_with_photon_numbers():
 def test_cross_full_hermitian_and_couplings():
     p = kc.synthesize_raman(ex.cross_params("polarization"))
     space = kc.build_space(n_max=1, n_atoms=1, levels=3, n_modes=2)
-    h = models.cross_kerr_hamiltonian(space, p, "polarization", form="full",
-                                      t=2.0e-9, raman=True)
+    h = models.full_hamiltonian(space, p, 2.0e-9, raman=True)
     assert numerics.hermiticity_defect(h) < 1e-12 * np.abs(h).max()
     # mode b couples 1 <-> 2: <(0,0), 2| H |(0,1), 1> = g_b e^{-i delta1_b t}
     i = index(space, (0, 0), space.atomic_basis.index((2,)))
@@ -374,7 +373,7 @@ def test_cross_full_hermitian_and_couplings():
 def test_cross_missing_parameters_rejected(fig3b_p1):
     space = kc.build_space(n_max=1, n_atoms=1, levels=2, n_modes=2)
     with pytest.raises(ValidationError):
-        models.cross_kerr_hamiltonian(space, fig3b_p1, "polarization")
+        models.effective_hamiltonian(space, fig3b_p1, "kerr")
 
 
 def test_every_builder_is_hermitian(fig3b_p1):
@@ -389,6 +388,16 @@ def test_every_builder_is_hermitian(fig3b_p1):
         models.effective_hamiltonian(space2, p, "hrot"),
         models.effective_hamiltonian(space2, p, "kerr"),
     ]
+    two2 = kc.build_space(n_max=1, n_atoms=2, levels=2, n_modes=2)
+    two3 = kc.build_space(n_max=1, n_atoms=2, levels=3, n_modes=2)
+    for variant in ("polarization", "toroidal"):
+        pc = kc.synthesize_raman(ex.cross_params(variant))
+        mats += [
+            models.full_hamiltonian(two3, pc, 0.7e-8, raman=True,
+                                    pulse_phase=0.0),
+            models.tier_b_hamiltonian(two2, pc, pulse_phase=0.0),
+            models.effective_hamiltonian(two2, pc, "kerr"),
+        ]
     for m in mats:
         assert numerics.hermiticity_defect(m) <= 1e-12 * max(np.abs(m).max(), 1)
 
@@ -413,16 +422,17 @@ def test_every_builder_returns_a_complex128_square_ndarray(fig3b_p1):
     ]
     built += [(space2, models.effective_hamiltonian(space2, p, kind))
               for kind in models.EFFECTIVE_KINDS]
+    two2 = kc.build_space(n_max=1, n_atoms=1, levels=2, n_modes=2)
+    two3 = kc.build_space(n_max=1, n_atoms=1, levels=3, n_modes=2)
     for variant in ("polarization", "toroidal"):
         pc = kc.synthesize_raman(ex.cross_params(variant))
-        two = {"effective": kc.build_space(n_max=1, n_atoms=1, levels=2,
-                                           n_modes=2),
-               "full": kc.build_space(n_max=1, n_atoms=1, levels=3,
-                                      n_modes=2)}
-        two["eliminated"] = two["effective"]
-        built += [(sp, models.cross_kerr_hamiltonian(sp, pc, variant, form,
-                                                     pulse_phase=0.0))
-                  for form, sp in two.items()]
+        built += [
+            (two3, models.full_hamiltonian(two3, pc, 0.0, raman=True,
+                                           pulse_phase=0.0)),
+            (two2, models.tier_b_hamiltonian(two2, pc, pulse_phase=0.0)),
+            (two2, models.segment_hamiltonian(two2, pc, True)[0]),
+            (two2, models.effective_hamiltonian(two2, pc, "kerr")),
+        ]
     for space, m in built:
         assert type(m) is np.ndarray
         assert m.dtype == np.complex128
@@ -460,9 +470,9 @@ def test_spec_flag_validation(fig3b_p1):
     (1, lambda sp, p: full_hamiltonian_func(sp, p, raman=True)),
     (1, lambda sp, p: models.static_frame_hamiltonian(sp, p, raman=True)),
     (1, lambda sp, p: models.segment_hamiltonian(sp, p, True)),
-    (2, lambda sp, p: models.cross_kerr_hamiltonian(
-        sp, dataclasses.replace(p, g_b=p.g, delta1_b=p.delta1 / 2),
-        "polarization", form="full", raman=True)),
+    (2, lambda sp, p: models.full_hamiltonian(
+        sp, dataclasses.replace(p, g_b=p.g, delta1_b=p.delta1 / 2), 0.0,
+        raman=True)),
 ], ids=["full", "full_func", "static_frame", "segment", "cross_full"])
 def test_raman_on_without_a_raman_pair_is_rejected_by_name(fig3b_p1, n_modes,
                                                            build):
@@ -487,3 +497,74 @@ def test_a_tier_or_pulse_flag_is_no_positional_argument(fig3b_p1, call):
     space3 = kc.build_space(n_max=1, n_atoms=1, levels=3)
     with pytest.raises(TypeError):
         call(space2, space3, kc.synthesize_raman(fig3b_p1))
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"mode_split": 0.0}, "exactly one of delta1_b"),
+    ({"delta1_b": None}, "exactly one of delta1_b"),
+    ({"g_b": None}, "the polarization mode b needs g_b"),
+    ({"g_b": None, "delta1_b": None, "mode_split": 1e8},
+     "the toroidal mode b needs g_b"),
+])
+def test_mode_couplings_reject_an_ill_named_mode_b(overrides, message):
+    p = dataclasses.replace(ex.cross_params("polarization"), **overrides)
+    with pytest.raises(ValidationError, match=message):
+        models.mode_couplings(p)
+
+
+def test_mode_couplings_name_each_mode(fig3b_p1):
+    assert models.mode_couplings(fig3b_p1) == ((G, 10 * G, 0, 1.0),)
+    pol = ex.cross_params("polarization")
+    assert models.mode_couplings(pol) == ((G, 10 * G, 0, 1.0),
+                                          (G, 10 * G, 1, -1.0))
+    tor = dataclasses.replace(ex.cross_params("toroidal"), mode_split=3e8)
+    assert models.mode_couplings(tor) == ((G, 7e8, 0, 1.0),
+                                          (G, 1.3e9, 0, 1.0))
+
+
+@pytest.mark.parametrize("variant", ["polarization", "toroidal"])
+def test_the_eliminated_tier_sums_the_modes(variant):
+    # H1 = sum_m (g_m^2/D_m) n_m Sll_m + (theta/2)(S01 + S10)
+    p = dataclasses.replace(ex.cross_params(variant), g_b=2 * G,
+                            **({"delta1_b": 7e8} if variant == "polarization"
+                               else {"mode_split": 3e8}))
+    space = kc.build_space(n_max=1, n_atoms=2, levels=2, n_modes=2)
+    s01 = kc.collective(space, 0, 1)
+    want = (p.theta / 2) * (s01 + s01.conj().T)
+    for mode, (g, d, lower, _) in enumerate(models.mode_couplings(p)):
+        want = want + (g**2 / d) * (kc.number_op(space, mode)
+                                    @ kc.collective(space, lower, lower))
+    h, frame = models.segment_hamiltonian(space, p, True)
+    assert max_abs_diff(h, want) <= 1e-9 * np.abs(want).max()
+    assert not frame.any()
+
+
+def _two_mode_spaces():
+    return (kc.build_space(n_max=1, n_atoms=1, levels=2, n_modes=2),
+            kc.build_space(n_max=1, n_atoms=1, levels=3, n_modes=2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda sp2, sp3, p: models.effective_hamiltonian(sp2, p, "h1int"),
+    lambda sp2, sp3, p: models.effective_hamiltonian(sp2, p, "hrot"),
+    lambda sp2, sp3, p: models.effective_hamiltonian(
+        sp2, p, "dispersive_two_level"),
+    lambda sp2, sp3, p: models.effective_hamiltonian(
+        sp2, p, "resonant_driven"),
+    lambda sp2, sp3, p: models.rotation_generator(sp2, p),
+    lambda sp2, sp3, p: models.static_frame_hamiltonian(sp3, p),
+    lambda sp2, sp3, p: models.segment_hamiltonian(sp3, p, False),
+], ids=["h1int", "hrot", "dispersive_two_level", "resonant_driven",
+        "rotation_generator", "static_frame", "segment_three_level"])
+def test_single_mode_builders_reject_a_two_mode_space_by_name(build):
+    # they would build mode a alone and drop mode b without a word
+    with pytest.raises(ValidationError, match="one-mode space, got 2 modes"):
+        build(*_two_mode_spaces(), ex.cross_params("polarization"))
+
+
+def test_a_tier_builder_rejects_a_space_with_other_modes(fig3b_p1):
+    one = kc.build_space(n_max=1, n_atoms=1, levels=2)
+    for space, p in ((_two_mode_spaces()[0], fig3b_p1),
+                     (one, ex.cross_params("toroidal"))):
+        with pytest.raises(ValidationError, match="cavity mode"):
+            models.tier_b_hamiltonian(space, p)

@@ -166,3 +166,34 @@ def test_every_ratio_and_default_take_a_threshold(fig3b_p1):
     assert [r.threshold for r in report.ratios.values()] == [0.5] * 6
     assert kc.check(fig3b_p1, {"separation": np.float64(0.0)}).ratios[
         "separation"].threshold == 0.0
+
+
+@pytest.mark.parametrize("variant, overrides, detunings, cavity, second", [
+    # polarization with delta1_b = g: mode b is the worse mode
+    ("polarization", {"delta1_b": 1e8}, (1e9, 1e8), 1.0, 0.5),
+    # toroidal with d = 6e8: mode a sits at delta1 - d = 4e8
+    ("toroidal", {"mode_split": 6e8}, (4e8, 1.6e9), 0.25, 0.125),
+])
+def test_cavity_ratios_take_the_worst_mode(variant, overrides, detunings,
+                                           cavity, second):
+    p = ex.apply_overrides(ex.cross_params(variant), overrides)
+    report = kc.check(p)
+    assert report.ratios["dispersive_cavity"].value == cavity
+    assert report.ratios["second_dispersive"].value == second
+    assert report.ratios["rot_condition"].value == pytest.approx(second**3)
+    assert report.worst_status == "warn"
+    # with a Raman pair, the laser-cavity ratios judge the worst mode too
+    raman = dataclasses.replace(p, lam=2e9, delta2=4e10, theta=None)
+    lam, d2 = raman.lam, raman.delta2
+    ratios = kc.check(raman).ratios
+    assert ratios["separation"].value == max(
+        max(G, lam) / abs(d2 - d) for d in detunings)
+    assert ratios["footnote_ratio"].value == max(
+        (lam**3 / d2**2) / (G**2 / d) for d in detunings)
+
+
+def test_a_raman_detuning_on_a_cavity_mode_is_rejected_by_name():
+    p = dataclasses.replace(ex.cross_params("polarization"), delta1_b=4e10,
+                            lam=2e9, delta2=4e10, theta=None)
+    with pytest.raises(ValidationError, match="cavity mode's detuning"):
+        kc.check(p)
