@@ -5,7 +5,7 @@ absolute number in s^-1 or as a multiple of g with a suffix, e.g. "10g"
 (g itself must be absolute).  For every subcommand, unknown keys and values
 of the wrong JSON type (``CONFIG_TYPES``) or range are rejected by name.
 Scenario names and the options each takes come from ``experiments``: one
-config serves every subcommand, so its grid block, ``mode`` and
+config serves every subcommand, so its ``grid.points``, ``mode`` and
 ``frame_calibration`` reach a scenario only where it takes them, but a
 command-line flag the scenario does not take is rejected by name.  The
 config's ``thresholds`` reach every regime report: ``check-regime``,
@@ -30,7 +30,7 @@ EXIT_GUARD = 3
 KNOWN_TOP_KEYS = {"mode", "scenario", "params", "grid",
                   "frame_calibration", "sweep", "output", "jobs", "strict",
                   "thresholds"}
-KNOWN_GRID_KEYS = {"points", "n_max"}
+KNOWN_GRID_KEYS = {"points"}
 KNOWN_SWEEP_KEYS = {"param", "values"}
 KNOWN_OUTPUT_KEYS = {"dir"}
 # the JSON type each of these config values must have; a block comes
@@ -100,9 +100,9 @@ def resolve_config(cfg: dict) -> dict:
     numbers, whatever the subcommand that reads the config.
 
     The settable parameters are ``experiments.PARAM_NAMES``: ``n_atoms`` is
-    an integer and every other one a rate.  ``grid.points`` (>= 2),
-    ``grid.n_max`` (>= 0) and ``jobs`` (>= 1) become ints; ``scenario`` and
-    ``sweep.param`` must name a scenario and a settable parameter.
+    an integer and every other one a rate.  ``grid.points`` (>= 2) and
+    ``jobs`` (>= 1) become ints; ``scenario`` and ``sweep.param`` must name
+    a scenario and a settable parameter.
     """
     _reject_unknown(cfg, KNOWN_TOP_KEYS, "")
     for key, (kind, name) in CONFIG_TYPES.items():
@@ -135,11 +135,9 @@ def resolve_config(cfg: dict) -> dict:
         raise ValidationError(f"config key 'mode': unknown value {mode!r}")
     regimes.check_thresholds(cfg.get("thresholds"), "config key thresholds")
     out["grid"] = {}
-    for key, where, minimum in (("points", "grid points", 2),
-                                ("n_max", "config key grid.n_max", 0)):
-        if cfg.get("grid", {}).get(key) is not None:
-            out["grid"][key] = _as_int(cfg["grid"][key], where)
-            require_integer(out["grid"][key], minimum, where)
+    if cfg.get("grid", {}).get("points") is not None:
+        out["grid"]["points"] = _as_int(cfg["grid"]["points"], "grid points")
+        require_integer(out["grid"]["points"], 2, "grid points")
     if "jobs" in cfg:
         out["jobs"] = _as_int(cfg["jobs"], "config key jobs")
         if out["jobs"] < 1:
@@ -156,8 +154,8 @@ def resolve_config(cfg: dict) -> dict:
 
 def _grid_kwargs(cfg: dict) -> dict:
     """A resolved config's grid block as scenario keywords."""
-    names = {"points": "grid_points", "n_max": "n_max"}
-    return {names[key]: value for key, value in cfg["grid"].items()}
+    grid = cfg["grid"]
+    return {"grid_points": grid["points"]} if "points" in grid else {}
 
 
 def _scenario_kwargs(cfg: dict, scenario: str, args=None) -> dict:

@@ -16,7 +16,8 @@ Each is described once, by an ``OverlapScenario`` record (parameter family,
 (N, n) branches, n = 0 controls, ideal-mode oracle) that the runner and
 ``scenario_params`` read.  A new one is a parameter family, its record in
 ``OVERLAP_SCENARIOS`` and the ``SCENARIOS`` entry
-``functools.partial(_run_overlap_scenario, record)``.
+``functools.partial(_run_overlap_scenario, record)``.  They truncate at
+``N_MAX`` photons, the pulse check's range: no branch depends on it.
 
 Every one simulates one atom whatever N is.  In photon sector n every
 eliminated-tier generator is a sum of N copies of one single-atom 2x2
@@ -37,11 +38,12 @@ The removal rate r_lin is calibrated (``_best_rate``) by scanning a bracket
 around its analytic value N g^2/(2 delta1) and minimizing the maximum
 deviation from the reference.  By default each branch is calibrated against
 its own reference curve (``per_branch``), which absorbs the branch's
-intrinsic dressed-frequency shift; ``n1_shared`` calibrates once on the
-n = 1 branch and reuses that rate everywhere.  The fitted dominant
-frequencies reported per branch always use the shared n = 1 rate so the n^2
-scaling law is measured in one common frame, and a branch at that rate
-takes Y from the same frame-removed series.  ``kerrcav calibrate`` prints
+intrinsic dressed-frequency shift; fig3b's ``n1_shared`` calibrates once on
+the n = 1 branch and reuses that rate everywhere.  fig3a has one nonzero
+photon number per N, its own shared-rate probe, so it takes no choice.  The
+fitted dominant frequencies reported per branch always use the shared n = 1
+rate so the n^2 scaling law is measured in one common frame, and a branch
+at that rate takes Y from the same frame-removed series.  ``kerrcav calibrate`` prints
 fig3b's pulse check and shared rate for a single (N, 1) branch.
 
 A sweep runs a scenario once per parameter value.  With ``jobs > 1`` each
@@ -79,7 +81,7 @@ from .pulses import VProtocol, calibrate_pulse_phase
 from .regimes import RegimeReport
 
 DEFAULT_GRID_POINTS = 512
-DEFAULT_N_MAX = 4           # photon truncation of the overlap scenarios
+N_MAX = 4                   # overlap photon truncation: the pulse check's range
 RATE_BRACKET = 0.1          # calibration bracket, relative to N g^2/(2 delta1)
 RATE_COARSE_POINTS = 161
 RATE_REFINE_ITERS = 80
@@ -346,6 +348,18 @@ class OverlapScenario:
     controls: bool = False         # add an n = 0 branch for every N
     ideal_oracle: bool = False     # score X against the ideal-mode protocol
 
+    def __post_init__(self):     # ``replace`` re-runs the branch checks
+        for b in self.branches:
+            if not isinstance(b, (tuple, list)) or len(b) != 2:
+                raise ValidationError(
+                    f"{self.name} branch {b!r} is not an (N, n) pair")
+            require_integer(b[0], 1, f"{self.name} branch n_atoms")
+            require_integer(b[1], 0, f"{self.name} branch photon number n")
+        distinct = {tuple(b) for b in self.branches}
+        if not distinct or len(distinct) < len(self.branches):
+            raise ValidationError(f"{self.name} needs distinct (N, n) "
+                                  f"branches, got {list(self.branches)}")
+
     def select_branches(self, overrides: dict | None) -> tuple:
         """The branches an ``n_atoms`` override selects, never re-labelling
         the others; all of them without one."""
@@ -384,7 +398,6 @@ def _run_overlap_scenario(scenario: OverlapScenario,
                           grid_points: int = DEFAULT_GRID_POINTS,
                           mode: str = "physical",
                           frame_calibration: str = "per_branch",
-                          n_max: int = DEFAULT_N_MAX,
                           thresholds: dict | None = None) -> ScenarioResult:
     if frame_calibration not in FRAME_CALIBRATIONS:
         raise ValidationError(
@@ -399,14 +412,7 @@ def _run_overlap_scenario(scenario: OverlapScenario,
 
     param_sets = scenario.param_sets(overrides)
     p_echo = param_sets[0]
-    if mode == "physical" and n_max < 2:
-        # the pulse fidelity is gated on one atom at n_max >= 2.  Below that
-        # the check scores a protocol of its own on n_max = 2, built before
-        # the run's protocol so that a slow pulse fails the n_max = 2 floor.
-        pulse_space = build_space(n_max=2, n_atoms=1, levels=2)
-        calibration_block["pulse"] = dataclasses.asdict(calibrate_pulse_phase(
-            VProtocol(pulse_space, replace(p_echo, n_atoms=1))))
-    space = build_space(n_max=n_max, n_atoms=1, levels=2)
+    space = build_space(n_max=N_MAX, n_atoms=1, levels=2)
     protocols: dict = {}    # one-atom parameters -> (protocol, ideal oracle)
     for p in param_sets:
         N = p.n_atoms
@@ -417,7 +423,6 @@ def _run_overlap_scenario(scenario: OverlapScenario,
         if one not in protocols:
             protocol = VProtocol(space, one, mode=mode)
             if mode == "physical" and "pulse" not in calibration_block:
-                # p_echo's protocol, on n_max >= 2
                 calibration_block["pulse"] = dataclasses.asdict(
                     calibrate_pulse_phase(protocol))
             protocols[one] = (
@@ -496,7 +501,7 @@ def _run_overlap_scenario(scenario: OverlapScenario,
             diagnostics["unitarity_defect"], defect)
 
     config = _echo(scenario.name, p_echo, overrides, thresholds, mode=mode,
-                   tier="eliminated", grid_points=grid_points, n_max=n_max,
+                   tier="eliminated", grid_points=grid_points, n_max=N_MAX,
                    frame_calibration=frame_calibration,
                    branches=[list(b) for b in branch_list])
     return ScenarioResult(
@@ -511,27 +516,25 @@ def run_fig3b(
     grid_points: int = DEFAULT_GRID_POINTS,
     mode: str = "physical",
     frame_calibration: str = "per_branch",
-    n_max: int = DEFAULT_N_MAX,
     branches=FIG3B.branches,
     thresholds: dict | None = None,
 ) -> ScenarioResult:
     """Y(t) vs cos(kappa n^2 t) for the four (N, n) benchmark branches."""
     return _run_overlap_scenario(
         replace(FIG3B, branches=tuple(branches)), overrides, grid_points,
-        mode, frame_calibration, n_max, thresholds)
+        mode, frame_calibration, thresholds)
 
 
 def run_fig3a(
     overrides: dict | None = None,
     grid_points: int = DEFAULT_GRID_POINTS,
     mode: str = "physical",
-    frame_calibration: str = "per_branch",
-    n_max: int = DEFAULT_N_MAX,
     thresholds: dict | None = None,
 ) -> ScenarioResult:
-    """X(t) for the N-scaled parameter family, with the ideal-mode oracle."""
+    """X(t) for the N-scaled parameter family, with the ideal-mode oracle;
+    one n > 0 per N, its own frame probe, so the calibration is per_branch."""
     return _run_overlap_scenario(FIG3A, overrides, grid_points, mode,
-                                 frame_calibration, n_max, thresholds)
+                                 "per_branch", thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +558,6 @@ def run_cross_kerr(
     variant: str = "polarization",
     overrides: dict | None = None,
     grid_points: int = 65,
-    n_max: int = 1,
     thresholds: dict | None = None,
 ) -> CrossKerrResult:
     """Conditional-phase estimate from the two-mode eliminated model.
@@ -570,12 +572,10 @@ def run_cross_kerr(
     """
     if variant not in ("polarization", "toroidal"):
         raise ValidationError(f"unknown cross-Kerr variant {variant!r}")
-    if n_max > 2:
-        raise ValidationError("cross-Kerr scenarios run at n_max <= 2 per mode")
     require_integer(grid_points, 2, "grid points")
     regimes.check_thresholds(thresholds)
     [p] = scenario_params(f"cross_{variant}", overrides)
-    space = build_space(n_max=n_max, n_atoms=p.n_atoms, levels=2, n_modes=2)
+    space = build_space(n_max=1, n_atoms=p.n_atoms, levels=2, n_modes=2)
 
     h_eff = models.effective_hamiltonian(space, p, "kerr")
     h_sim = models.tier_b_hamiltonian(space, p)
@@ -611,7 +611,7 @@ def run_cross_kerr(
 
     rel = abs(nu_hat - nu_eff) / abs(nu_eff) if nu_eff else float("inf")
     config = _echo(f"cross_{variant}", p, overrides, thresholds,
-                   variant=variant, grid_points=grid_points, n_max=n_max)
+                   variant=variant, grid_points=grid_points, n_max=space.n_max)
     return CrossKerrResult(
         variant=variant, config=config, times=t_grid, amplitudes=amps,
         nu_hat=nu_hat, nu_effective=nu_eff, relative_error=rel,

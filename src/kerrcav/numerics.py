@@ -48,30 +48,29 @@ def hermiticity_defect(h) -> float:
     return float(np.abs(m - dagger(m)).max())
 
 
-def require_hermitian(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate H = H^dag within ``tol`` relative to the largest entry."""
+def _require_symmetry(m, defect: float, tol: float, kind: str, name: str):
+    """``m`` if ``defect`` is within ``tol`` of its largest entry."""
+    scale = float(np.abs(m).max())
+    if defect > tol * max(scale, 1.0):
+        raise ValidationError(
+            f"matrix is not {kind}: max entrywise defect {defect:.3e} "
+            f"exceeds {tol:.0e} * max|{name}| = {tol * scale:.3e}"
+        )
+    return m
+
+
+def require_hermitian(h) -> np.ndarray:
+    """Validate H = H^dag within HERMITICITY_TOL of the largest entry."""
     m = as_matrix(h)
-    defect = hermiticity_defect(m)
-    scale = float(np.abs(m).max())
-    if defect > tol * max(scale, 1.0):
-        raise ValidationError(
-            f"matrix is not Hermitian: max entrywise defect {defect:.3e} "
-            f"exceeds {tol:.0e} * max|H| = {tol * scale:.3e}"
-        )
-    return m
+    return _require_symmetry(m, hermiticity_defect(m), HERMITICITY_TOL,
+                             "Hermitian", "H")
 
 
-def require_antihermitian(a, tol: float = ANTIHERMITICITY_TOL) -> np.ndarray:
-    """Validate A = -A^dag within ``tol`` relative to the largest entry."""
+def require_antihermitian(a) -> np.ndarray:
+    """Validate A = -A^dag within ANTIHERMITICITY_TOL of the largest entry."""
     m = as_matrix(a)
-    defect = float(np.abs(m + dagger(m)).max())
-    scale = float(np.abs(m).max())
-    if defect > tol * max(scale, 1.0):
-        raise ValidationError(
-            f"matrix is not anti-Hermitian: max entrywise defect {defect:.3e} "
-            f"exceeds {tol:.0e} * max|A| = {tol * scale:.3e}"
-        )
-    return m
+    return _require_symmetry(m, float(np.abs(m + dagger(m)).max()),
+                             ANTIHERMITICITY_TOL, "anti-Hermitian", "A")
 
 
 class HermitianEigensystem:
@@ -82,8 +81,8 @@ class HermitianEigensystem:
     grid of durations is cheap.  ``dim`` is the size of one block.
     """
 
-    def __init__(self, h, tol: float = HERMITICITY_TOL):
-        m = require_hermitian(h, tol)
+    def __init__(self, h):
+        m = require_hermitian(h)
         # symmetrize so eigh sees an exactly Hermitian input
         m = 0.5 * (m + dagger(m))
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(m)

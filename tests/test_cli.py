@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import kerrcav as kc
 from kerrcav import cli, experiments, pulses, regimes
 from kerrcav.errors import ValidationError
 from kerrcav.models import SchemeParams
@@ -213,7 +214,7 @@ def test_calibrate_subcommand(capsys):
 @pytest.mark.parametrize("grid, message", [
     ({"points": "abc"}, "grid points"),
     ({"points": 1}, "grid points"),
-    ({"n_max": 1.5}, "grid.n_max"),
+    ({"n_max": 1.5}, "unknown config key grid.'n_max'"),
 ], ids=["points-abc", "points-1", "n_max-1.5"])
 def test_calibrate_rejects_bad_grid(capsys, tmp_path, grid, message):
     cfg = write_config(tmp_path, {"grid": grid})
@@ -222,13 +223,18 @@ def test_calibrate_rejects_bad_grid(capsys, tmp_path, grid, message):
     assert message in err
 
 
-def test_calibrate_applies_grid_n_max(capsys, tmp_path):
-    # the frame fit runs on the n = 1 series, as in run fig3b
-    cfg = write_config(tmp_path, {"grid": {"n_max": 0}})
-    code, out, err = run_cli(capsys, "calibrate", "--config", cfg)
-    assert code == 2
-    assert "photon number 1 outside 0..0" in err
-    assert out == ""
+def test_calibrate_applies_grid_n_max(capsys):
+    # the pulse check averages over the overlap scenarios' fixed photon
+    # truncation, n = 0..N_MAX, and a smaller one scores differently
+    code, out, _ = run_cli(capsys, "calibrate")
+    assert code == 0
+    pulse = json.loads(out)["pulse"]
+
+    def check(n_max):
+        space = kc.build_space(n_max=n_max, n_atoms=1, levels=2)
+        return dataclasses.asdict(kc.calibrate_pulse_phase(
+            kc.VProtocol(space, experiments.fig3b_params())))
+    assert pulse == check(experiments.N_MAX) != check(2)
 
 
 def test_calibrate_low_fidelity_exits_3(capsys, monkeypatch):
@@ -301,7 +307,7 @@ def test_run_rejects_fewer_than_two_grid_points(capsys, tmp_path, points):
 
 @pytest.mark.parametrize("grid, message", [
     ({"points": 0}, "grid points"),
-    ({"n_max": 0}, "photon number 1 outside 0..0"),
+    ({"n_max": 0}, "unknown config key grid.'n_max'"),
 ])
 def test_run_zero_grid_config_is_not_ignored(capsys, tmp_path, grid, message):
     cfg = write_config(tmp_path, {"scenario": "fig3b", "grid": grid})
@@ -634,33 +640,28 @@ def test_strict_judges_the_parameters_the_scenario_runs(capsys, tmp_path):
 
 @pytest.mark.parametrize("grid", [{}, {"n_max": 2}], ids=["default", "n_max2"])
 def test_calibrate_pulse_matches_fig3b_report(capsys, tmp_path, grid):
+    # a grid key that neither subcommand knows fails both alike
     cfg = write_config(tmp_path, {"grid": {"points": 16, **grid}})
-    code, out, _ = run_cli(capsys, "calibrate", "--config", cfg)
-    assert code == 0
-    pulse = json.loads(out)["pulse"]
-    code, out, _ = run_cli(capsys, "run", "fig3b", "--config", cfg,
-                           "--out", str(tmp_path / "out"))
-    assert code == 0
+    calibrated = run_cli(capsys, "calibrate", "--config", cfg)
+    code, out, err = run_cli(capsys, "run", "fig3b", "--config", cfg,
+                             "--out", str(tmp_path / "out"))
+    if grid:
+        assert calibrated == (code, out, err) == (
+            2, "", "error: unknown config key grid.'n_max'\n")
+        return
+    assert calibrated[0] == code == 0
+    pulse = json.loads(calibrated[1])["pulse"]
     report = json.loads(
         pathlib.Path(json.loads(out)["outputs"]["json"]).read_text())
     assert report["calibration"]["pulse"] == pulse
 
 
-def test_calibrate_below_n_max_2_checks_the_pulse_on_n_max_2(capsys, tmp_path):
-    # the pulse check needs n_max >= 2: at n_max = 1 it reports what n_max = 2
-    # reports, and a slow pulse fails the n_max = 2 floor
-    pulse = {}
-    for n_max in (1, 2):
-        cfg = write_config(tmp_path, {"grid": {"points": 16, "n_max": n_max}})
-        code, out, _ = run_cli(capsys, "calibrate", "--config", cfg)
-        assert code == 0
-        pulse[n_max] = json.loads(out)["pulse"]
-    assert pulse[1] == pulse[2]
-    cfg = write_config(tmp_path, {"params": {"g": G, "omega": "5g"},
-                                  "grid": {"n_max": 1}})
+def test_calibrate_fails_a_slow_pulse_on_the_n_max_4_floor(capsys, tmp_path):
+    # the pulse guard's floor is 20 g sqrt(n_max) at the fixed n_max = 4
+    cfg = write_config(tmp_path, {"params": {"g": G, "omega": "5g"}})
     code, out, err = run_cli(capsys, "calibrate", "--config", cfg)
     assert code == 3 and out == ""
-    assert "pulse too slow: omega = 5e+08 < 2.83e+09" in err
+    assert "pulse too slow: omega = 5e+08 < 4e+09" in err
 
 
 def test_unknown_scheme_exits_2(capsys, tmp_path):
@@ -681,7 +682,10 @@ def test_unknown_scheme_exits_2(capsys, tmp_path):
      "frame_calibration"),
     (["run", "regime_check", "--grid-points", "1"], "grid_points"),
     (["run", "regime_check", "--mode", "physical"], "mode"),
-], ids=["cross-mode", "cross-frame", "regime-grid", "regime-mode"])
+    (["run", "fig3a", "--frame-calibration", "n1_shared"],
+     "frame_calibration"),
+], ids=["cross-mode", "cross-frame", "regime-grid", "regime-mode",
+        "fig3a-frame"])
 def test_run_flag_the_scenario_does_not_take_exits_2(capsys, tmp_path, argv,
                                                      option):
     out = tmp_path / "out"
@@ -694,20 +698,23 @@ def test_run_flag_the_scenario_does_not_take_exits_2(capsys, tmp_path, argv,
 def test_config_keys_apply_only_where_the_scenario_takes_them(capsys,
                                                               tmp_path):
     # one config serves every subcommand: fig3b's keys do not stop a
-    # cross-Kerr or regime run, and do reach fig3b
+    # cross-Kerr or regime run, and do reach fig3b; fig3a takes the mode
+    # and has one frame calibration
     cfg = write_config(tmp_path, {"mode": "ideal",
                                   "frame_calibration": "n1_shared",
                                   "grid": {"points": 16}})
-    for scenario in ("cross_polarization", "regime_check", "fig3b"):
+    configs = {}
+    for scenario in ("cross_polarization", "regime_check", "fig3a", "fig3b"):
         code, out, _ = run_cli(capsys, "run", scenario, "--config", cfg,
                                "--out", str(tmp_path / scenario))
         assert code == 0
-        report = json.loads(pathlib.Path(
-            json.loads(out)["outputs"]["json"]).read_text())
-        assert report["config"].get("grid_points") == (
+        configs[scenario] = json.loads(pathlib.Path(
+            json.loads(out)["outputs"]["json"]).read_text())["config"]
+        assert configs[scenario].get("grid_points") == (
             None if scenario == "regime_check" else 16)
-    assert (report["config"]["mode"],
-            report["config"]["frame_calibration"]) == ("ideal", "n1_shared")
+    for scenario, frame in (("fig3a", "per_branch"), ("fig3b", "n1_shared")):
+        assert (configs[scenario]["mode"],
+                configs[scenario]["frame_calibration"]) == ("ideal", frame)
 
 
 def test_run_mode_flag_takes_every_protocol_mode(capsys, tmp_path):
@@ -900,8 +907,7 @@ def test_strict_must_be_a_json_boolean(capsys, tmp_path, strict, expected):
 
 @pytest.mark.parametrize("cfg, message", [
     ({"grid": {"points": True}}, "grid points: expected an integer, got True"),
-    ({"grid": {"n_max": True}},
-     "config key grid.n_max: expected an integer, got True"),
+    ({"jobs": True}, "config key jobs: expected an integer, got True"),
     ({"params": {"n_atoms": True}},
      "config key params.n_atoms: expected an integer, got True"),
     ({"params": {"theta": True}},
@@ -927,11 +933,12 @@ SUBCOMMANDS = (["run", "regime_check"], ["check-regime"], ["calibrate"],
     ({"grid": {"points": 1}, "scenario": "regime_check"},
      "grid points must be an integer >= 2, got 1"),
     ({"grid": {"n_max": -1}, "scenario": "cross_polarization"},
-     "config key grid.n_max must be an integer >= 0, got -1"),
+     "unknown config key grid.'n_max'"),
+    ({"grid": {"n_max": 4}}, "unknown config key grid.'n_max'"),
     ({"sweep": {"param": "bogus"}}, "unknown sweep parameter 'bogus'"),
     ({"scenario": "fig9"}, "unknown scenario 'fig9'"),
-], ids=["points-true", "jobs-0", "points-1", "n_max-neg", "param-bogus",
-        "scenario-fig9"])
+], ids=["points-true", "jobs-0", "points-1", "n_max-neg", "n_max-4",
+        "param-bogus", "scenario-fig9"])
 def test_every_subcommand_judges_a_config_the_same_way(capsys, tmp_path, cfg,
                                                        message):
     # each value is checked whether or not the subcommand reads it, so a

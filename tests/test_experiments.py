@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import kerrcav as kc
 from kerrcav import cli, experiments as ex, models, numerics, pulses
-from kerrcav.errors import ValidationError, WorkerError
+from kerrcav.errors import KerrcavError, ValidationError, WorkerError
 
 G = 1e8
 
@@ -260,7 +260,7 @@ def test_pulse_check_reuses_the_protocols_forward_sandwich(monkeypatch,
                         or sandwich(props, phase))
     result = ex.run_fig3b(grid_points=16)
     assert phases == [math.pi, 2 * math.pi]
-    space = kc.build_space(n_max=ex.DEFAULT_N_MAX, n_atoms=1, levels=2)
+    space = kc.build_space(n_max=ex.N_MAX, n_atoms=1, levels=2)
     direct = dataclasses.asdict(
         kc.calibrate_pulse_phase(kc.VProtocol(space, ex.fig3b_params())))
     assert result.calibration["pulse"] == direct
@@ -527,8 +527,12 @@ def test_cross_kerr_toroidal_degenerate(cross_result):
 
 
 def test_cross_kerr_nmax_guard():
-    with pytest.raises(ValidationError):
-        ex.run_cross_kerr("polarization", n_max=3)
+    # the four occupations need one photon per mode, the truncation every
+    # cross-Kerr run has; no option is left to set another
+    assert ex.run_cross_kerr("polarization", grid_points=16).config[
+        "n_max"] == 1
+    with pytest.raises(ValidationError, match="takes no option 'n_max'"):
+        ex.sweep("theta", [G], "cross_polarization", n_max=3)
 
 
 def test_sweep_theta_halves_kappa_and_frequency():
@@ -568,9 +572,8 @@ def test_sweep_option_the_scenario_does_not_take_is_rejected(
 
 
 def test_scenario_options_read_through_functools_wraps(monkeypatch):
-    assert ex.scenario_options("fig3a") == {
-        "grid_points", "mode", "frame_calibration", "n_max"}
-    assert ex.scenario_options("cross_toroidal") == {"grid_points", "n_max"}
+    assert ex.scenario_options("fig3a") == {"grid_points", "mode"}
+    assert ex.scenario_options("cross_toroidal") == {"grid_points"}
     assert ex.scenario_options("regime_check") == frozenset()
     # bench/tracer.py swaps scenario runners for functools.wraps wrappers
     original = ex.SCENARIOS["fig3b"]
@@ -581,12 +584,58 @@ def test_scenario_options_read_through_functools_wraps(monkeypatch):
 
     monkeypatch.setitem(ex.SCENARIOS, "fig3b", traced)
     assert ex.scenario_options("fig3b") == {
-        "grid_points", "mode", "frame_calibration", "n_max", "branches"}
+        "grid_points", "mode", "frame_calibration", "branches"}
     [point] = ex.sweep("theta", [G], "fig3b", grid_points=16,
                        branches=((1, 1),))
     assert point.ok
     with pytest.raises(ValidationError, match="takes no option 'tier'"):
         ex.sweep("theta", [G], "fig3b", tier="full")
+
+
+# two values of each scenario option, which must give different CSVs
+OPTION_VALUES = {"grid_points": (16, 17), "mode": ("physical", "ideal"),
+                 "frame_calibration": ("per_branch", "n1_shared"),
+                 "branches": (((1, 1),), ((1, 2),))}
+
+
+def test_every_scenario_option_changes_the_csv():
+    # an option that leaves the output as it is changes nothing the
+    # scenario computes; options other than the grid run on 16 points
+    inert, failed = [], []
+    for name in ex.SCENARIOS:
+        takes = ex.scenario_options(name)
+        for option in sorted(takes):
+            assert option in OPTION_VALUES, f"{name}: no values for {option!r}"
+            base = ({"grid_points": 16} if "grid_points" in takes
+                    and option != "grid_points" else {})
+            try:
+                a, b = (ex.csv_text(ex.SCENARIOS[name](**base, **{option: v}))
+                        for v in OPTION_VALUES[option])
+            except KerrcavError as exc:
+                failed.append(f"{name}.{option}: {exc}")
+                continue
+            if a == b:
+                inert.append(f"{name}.{option}")
+    assert not inert and not failed, f"inert: {inert}; failed: {failed}"
+
+
+@pytest.mark.parametrize("branches, message", [
+    ((), r"fig3b needs distinct \(N, n\) branches, got \[\]"),
+    (((1, 1), (1, 1)), r"fig3b needs distinct \(N, n\) branches, "
+                       r"got \[\(1, 1\), \(1, 1\)\]"),
+    (((1, True),), "fig3b branch photon number n must be an integer >= 0, "
+                   "got True"),
+    (((0, 1),), "fig3b branch n_atoms must be an integer >= 1, got 0"),
+    (((1, -1),), "fig3b branch photon number n must be an integer >= 0"),
+    (((1, 1, 1),), r"fig3b branch \(1, 1, 1\) is not an \(N, n\) pair"),
+    ((1,), r"fig3b branch 1 is not an \(N, n\) pair"),
+], ids=["empty", "duplicate", "bool", "no-atoms", "negative-n", "triple",
+        "not-a-pair"])
+def test_overlap_branches_are_checked_by_name(branches, message):
+    with pytest.raises(ValidationError, match=message):
+        ex.run_fig3b(branches=branches)
+    with pytest.raises(ValidationError, match=message):
+        dataclasses.replace(ex.FIG3B, branches=branches)
 
 
 def test_sweep_over_n_atoms_matches_direct_run(fig3b_result):
@@ -748,7 +797,9 @@ def test_a_new_overlap_record_runs_with_the_standard_options(monkeypatch):
     monkeypatch.setitem(ex.OVERLAP_SCENARIOS, record.name, record)
     monkeypatch.setitem(ex.SCENARIOS, record.name,
                         functools.partial(ex._run_overlap_scenario, record))
-    assert ex.scenario_options(record.name) == ex.scenario_options("fig3a")
+    # the runner's own options: fig3b's, less the branches a record fixes
+    assert ex.scenario_options(record.name) == \
+        ex.scenario_options("fig3b") - {"branches"}
     assert ex.scenario_params(record.name) == [ex.fig3b_params(1)]
     [point] = ex.sweep("theta", [2 * G], record.name, grid_points=16)
     expected = ex.run_fig3b({"theta": 2 * G}, grid_points=16,
