@@ -19,16 +19,11 @@ Each is described once, by an ``OverlapScenario`` record (parameter family,
 ``functools.partial(_run_overlap_scenario, record)``.  They truncate at
 ``N_MAX`` photons, the pulse check's range: no branch depends on it.
 
-Every one simulates one atom whatever N is.  In photon sector n every
-eliminated-tier generator is a sum of N copies of one single-atom 2x2
-operator, so V_N(t) = u_n(t)^(x)N: ``lifted_series`` raises the one-atom
-amplitude to the N-th power (its docstring bounds the precision), while
-kappa, the time grid and the frame rates keep their N-atom values.  A run
-builds one protocol (and, for fig3a, one ideal oracle) per distinct
-one-atom parameter set ``replace(p, n_atoms=1)``: every atom count of
-fig3b shares one, while fig3a's delta1 and theta change with N, so it
-builds one per N.  Each protocol is evaluated once per atom count,
-for all of that count's photon numbers together (``lifted_series``).
+Every one simulates one atom whatever N is and lifts it to N atoms
+(``amplitude_table``), while kappa, the time grid and the frame rates keep
+their N-atom values.  A run builds one protocol per distinct one-atom
+parameter set: fig3b's atom counts share one, while fig3a's delta1 and
+theta change with N, so it builds one per N.
 
 ``_frame_removed``, the one frame formula, multiplies the raw amplitude by
 exp(+i r_lin n T_elapsed(t)) (killing the photon-linear phase accrued over
@@ -59,7 +54,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import inspect
 import json
 import math
@@ -238,30 +232,49 @@ def _best_rate(amps, times, elapsed, n, theta_rate, reference, r0):
             flagged)
 
 
-def lifted_series(protocol: VProtocol, times, ns, n_atoms: int) -> dict:
-    """{n: (A_N, <S++>)} of the branches n in ``ns`` for ``n_atoms`` atoms
-    over the time grid, from the one-atom ``protocol``.
+# ---------------------------------------------------------------------------
+# the one-atom amplitude table
+# ---------------------------------------------------------------------------
 
+def amplitude_table(space, runs, mode: str, ideal_oracle: bool):
+    """The one-atom amplitudes of a run: (pulse check or None, entries).
+
+    ``runs`` holds one (N-atom parameter set, time grid, photon numbers)
+    entry per atom count, and the table one entry for each: V(t)'s clock
+    T_elapsed, the one-atom states V(t) sum_n |n,->, the ideal-mode
+    oracle's (or None) and ``compose_diagnostics`` at the last Kerr time.
     In photon sector n every eliminated-tier generator is a sum of N copies
-    of one single-atom 2x2 operator, so V_N(t) = u_n(t)^(x)N.  From
-    |n, -...->, A_N = a_1^N with a_1 = <n,-|u_n|n,->, and
-    <S++> = N |<n,+|u_n|n,->|^2.  Raising to the N-th power multiplies the
-    error of a_1 by N: a 1e-15 error becomes about 1e-9 at N = 1e6.
+    of one single-atom 2x2 operator, so V_N(t) = u_n(t)^(x)N: with
+    v_n(t) = u_n(t)|n,-> on one atom, the amplitude is A_N = a_1^N,
+    a_1 = <n,-|v_n>, and <S++> = N |<n,+|v_n>|^2.  The power multiplies
+    a_1's error by N (1e-15 becomes 1e-9 at N = 1e6).
 
-    The protocol is evaluated once, on the sum of the |n,-> states: their
-    photon-number sectors are disjoint and ``VProtocol.states`` works
-    sector by sector, so every branch's amplitudes are bit for bit those
-    of its own evaluation.
+    One ``VProtocol`` on ``space`` is built per distinct one-atom set
+    replace(p, n_atoms=1), in order; the first physical one is
+    pulse-checked at once, and an ideal-mode oracle follows each when asked
+    for.  An entry takes one ``states`` call, on the sum of its |n,->
+    states: their sectors are disjoint, so each n is bit for bit its own
+    evaluation.  Entries that share a protocol are not joined into one
+    call, which would round some states differently in the last bits.
     """
-    space = protocol.space
-    minus = {n: basis_state(space, n, "-") for n in ns}
-    states = protocol.states(times, sum(minus.values()))
-    series = {}
-    for n, ket in minus.items():
-        plus = states @ basis_state(space, n, "+").conj()
-        series[n] = ((states @ ket.conj()) ** n_atoms,
-                     n_atoms * np.abs(plus) ** 2)
-    return series
+    protocols: dict = {}    # one-atom parameters -> (protocol, ideal oracle)
+    pulse, table = None, []
+    for p, times, ns in runs:
+        one = replace(p, n_atoms=1)
+        if one not in protocols:
+            protocol = VProtocol(space, one, mode=mode)
+            if mode == "physical" and pulse is None:
+                pulse = calibrate_pulse_phase(protocol)
+            protocols[one] = (
+                protocol,
+                VProtocol(space, one, mode="ideal") if ideal_oracle else None)
+        protocol, ideal = protocols[one]
+        psi0 = sum(basis_state(space, n, "-") for n in ns)
+        table.append((
+            protocol.elapsed(times), protocol.states(times, psi0),
+            ideal.states(times, psi0) if ideal is not None else None,
+            protocol.compose_diagnostics(float(times[-1]))))
+    return pulse, table
 
 
 # ---------------------------------------------------------------------------
@@ -413,57 +426,43 @@ def _run_overlap_scenario(scenario: OverlapScenario,
     param_sets = scenario.param_sets(overrides)
     p_echo = param_sets[0]
     space = build_space(n_max=N_MAX, n_atoms=1, levels=2)
-    protocols: dict = {}    # one-atom parameters -> (protocol, ideal oracle)
+    runs = []
     for p in param_sets:
-        N = p.n_atoms
-        # one atom with the N-atom parameters: no eliminated-tier generator
-        # reads N, and lifted_series raises the result to N atoms.  Atom
-        # counts whose one-atom parameters agree share one protocol.
-        one = replace(p, n_atoms=1)
-        if one not in protocols:
-            protocol = VProtocol(space, one, mode=mode)
-            if mode == "physical" and "pulse" not in calibration_block:
-                calibration_block["pulse"] = dataclasses.asdict(
-                    calibrate_pulse_phase(protocol))
-            protocols[one] = (
-                protocol,
-                VProtocol(space, one, mode="ideal") if scenario.ideal_oracle
-                else None)
-        protocol, ideal = protocols[one]
-        t_grid = np.linspace(0.0, 2 * math.pi / abs(p.kappa), grid_points)
-        elapsed = protocol.elapsed(t_grid)
-        theta_rate = p.n_atoms * p.theta / 2
-        theta_phase = theta_rate * t_grid
-        r0 = p.n_atoms * p.stark if mode == "physical" else 0.0
-
-        ns = [n for (NN, n) in branch_list if NN == N]
+        ns = [n for (N, n) in branch_list if N == p.n_atoms]
         if scenario.controls and 0 not in ns:
             ns = [0] + ns
-        series = lifted_series(protocol, t_grid, ns, N)
-        ideal_series = (lifted_series(ideal, t_grid, ns, N)
-                        if ideal is not None else None)
+        runs.append((p, np.linspace(0.0, 2 * math.pi / abs(p.kappa),
+                                    grid_points), ns))
+    pulse, table = amplitude_table(space, runs, mode, scenario.ideal_oracle)
+    if pulse is not None:
+        calibration_block["pulse"] = dataclasses.asdict(pulse)
+
+    for (p, t_grid, ns), (elapsed, states, ideal_states, segments) in zip(
+            runs, table):
+        N = p.n_atoms
+        theta_rate = N * p.theta / 2
+        theta_phase = theta_rate * t_grid
+        r0 = N * p.stark if mode == "physical" else 0.0
+        minus = {n: basis_state(space, n, "-").conj() for n in ns}
+        series = {n: (states @ minus[n]) ** N for n in ns}
         references = {n: np.cos(p.kappa * n**2 * t_grid) for n in ns}
 
         # shared rate from this N's n=1 series (or the smallest nonzero n),
-        # fitted around the analytic rate N g^2/(2 delta1)
+        # fitted around the analytic rate N g^2/(2 delta1); _best_rate
+        # keeps r0 for n = 0 and for the reference modes' r0 = 0
         probe = 1 if 1 in ns else min([n for n in ns if n > 0], default=0)
-        if probe and mode == "physical":
-            r_shared, _, flagged = _best_rate(
-                series[probe][0], t_grid, elapsed, probe, theta_rate,
-                references[probe], r0)
-        else:
-            r_shared, flagged = r0, False
+        r_shared, _, flagged = _best_rate(
+            series[probe], t_grid, elapsed, probe, theta_rate,
+            references[probe], r0)
         calibration_block["r_lin_shared"][str(N)] = r_shared
         if flagged:
             calibration_block.setdefault("flags", []).append(
                 f"N={N}: no interior minimum in the calibration bracket")
 
         for n in ns:
-            amps, plus_pop = series[n]
-            reference = references[n]
+            amps, reference = series[n], references[n]
             z_shared = _frame_removed(amps, elapsed, n, theta_phase, r_shared)
-            if (mode == "physical" and frame_calibration == "per_branch"
-                    and n not in (0, probe)):
+            if frame_calibration == "per_branch" and n not in (0, probe):
                 # the probe branch's own calibration is the shared one
                 r_lin, _, _ = _best_rate(amps, t_grid, elapsed, n, theta_rate,
                                          reference, r0)
@@ -473,6 +472,7 @@ def _run_overlap_scenario(scenario: OverlapScenario,
             err = np.abs(y - reference)
             freq = fitted_frequency(t_grid, z_shared) if n > 0 else 0.0
             x = np.abs(amps)
+            plus = states @ basis_state(space, n, "+").conj()
             branch = BranchResult(
                 n_atoms=N, n_photons=n, times=t_grid, amplitudes=amps,
                 x=x, y=y, reference=reference, abs_error=err,
@@ -480,25 +480,20 @@ def _run_overlap_scenario(scenario: OverlapScenario,
                 max_abs_error=float(err.max()),
                 rms_error=float(np.sqrt((err**2).mean())),
                 min_x=float(x.min()), max_x=float(x.max()),
-                max_plus_population=float(plus_pop.max()),
+                max_plus_population=float((N * np.abs(plus) ** 2).max()),
                 basis_label=f"n={n};atoms=-^{N}",
             )
             calibration_block["r_lin"][f"N={N},n={n}"] = r_lin
-            if ideal_series is not None:
-                branch.ideal_x = np.abs(ideal_series[n][0])
+            if ideal_states is not None:
+                branch.ideal_x = np.abs((ideal_states @ minus[n]) ** N)
                 branch.ideal_deviation = float(
                     np.abs(branch.x - branch.ideal_x).max())
             branches.append(branch)
 
         if mode == "physical":
-            seg_diag = protocol.compose_diagnostics(float(t_grid[-1]))
-            diagnostics[f"segments_N={N}"] = seg_diag
-            defect = seg_diag["total_unitarity_defect"]
-        else:
-            defect = numerics.unitarity_defect(
-                protocol.matrix(float(t_grid[-1])))
+            diagnostics[f"segments_N={N}"] = segments
         diagnostics["unitarity_defect"] = max(
-            diagnostics["unitarity_defect"], defect)
+            diagnostics["unitarity_defect"], segments["total_unitarity_defect"])
 
     config = _echo(scenario.name, p_echo, overrides, thresholds, mode=mode,
                    tier="eliminated", grid_points=grid_points, n_max=N_MAX,
@@ -812,6 +807,8 @@ def _jsonable(obj):
 
 
 def config_hash(config: dict) -> str:
+    import hashlib      # loads OpenSSL: only the commands that write pay it
+
     payload = json.dumps(_jsonable(config), sort_keys=True,
                          separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:12]

@@ -256,14 +256,15 @@ class VProtocol:
         return numerics.block_diagonal(self._blocks(t))
 
     def compose_diagnostics(self, t: float) -> dict:
-        """Per-segment unitarity defects at Kerr time t.
+        """Per-segment unitarity defects at Kerr time t, and V(t)'s.
 
         The frame conjugation that moves a sandwich to its clock time leaves
-        its defects unchanged.
+        its defects unchanged.  A reference mode has no segments, and its
+        total is taken on the dense V(t).
         """
         if self.mode != "physical":
-            return {"segment_unitarity_defects": [],
-                    "total_unitarity_defect": 0.0}
+            return {"segment_unitarity_defects": [], "total_unitarity_defect":
+                    numerics.unitarity_defect(self.matrix(t))}
         pre, post = self._edge_defects
         defects = pre + [numerics.unitarity_defect(self._eig.propagator(t))] + post
         return {"segment_unitarity_defects": defects,

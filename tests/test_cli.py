@@ -766,6 +766,30 @@ def test_sweep_jobs_imports_no_process_pool(tmp_path):
     assert len(list(tmp_path.glob("fig3a_*.json"))) == 2
 
 
+@pytest.mark.parametrize("argv, loads", [
+    (["list-scenarios"], False), (["check-regime"], False),
+    (["calibrate"], False), (["run", "fig3b", "--grid-points", "16"], True)],
+    ids=["list-scenarios", "check-regime", "calibrate", "run"])
+def test_only_a_command_that_writes_files_imports_hashlib(tmp_path, argv,
+                                                         loads):
+    # hashlib loads OpenSSL; only the file-name hash of written outputs
+    # needs it, and ``run`` shows that the check sees the import
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    if argv[0] == "run":
+        argv = argv + ["--out", str(tmp_path)]
+    script = ("import sys\n"
+              "from kerrcav import cli\n"
+              f"code = cli.main({argv!r})\n"
+              "print(code, 'hashlib' in sys.modules)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loads}"
+
+
 @pytest.mark.parametrize("scenario", [
     "regime_check", "fig3b", "fig3a", "cross_polarization", "cross_toroidal"])
 def test_config_thresholds_reach_the_written_report(capsys, tmp_path,

@@ -293,10 +293,12 @@ def test_a_run_builds_each_ideal_rotation_once(monkeypatch):
 def test_lift_matches_dense_protocol(g, delta1, delta1_sign, theta,
                                      theta_sign, speed, n_atoms, n_max, mode,
                                      representation, t_fracs, data):
-    # A_N = a_1^N and <S++> = N |<n,+|u_n|n,->|^2 against the dense N-atom
-    # protocol; the worst of 2000 random draws was 9e-12
+    # A_N = a_1^N and <S++> = N |<n,+|u_n|n,->|^2 from the amplitude table
+    # against the dense N-atom protocol; the worst of 2000 random draws was
+    # 9e-12.  The table's one-atom space keeps the pulse check's n_max >= 2.
     n = data.draw(st.integers(0, n_max), label="n")
-    floor = pulses.PULSE_SPEED_FACTOR * max(g * math.sqrt(max(n_max, 1)),
+    one_space = kc.build_space(n_max=max(n_max, 2), n_atoms=1, levels=2)
+    floor = pulses.PULSE_SPEED_FACTOR * max(g * math.sqrt(one_space.n_max),
                                         theta * g)
     p = kc.SchemeParams(
         g=g, delta1=delta1_sign * delta1 * g, theta=theta_sign * theta * g,
@@ -308,11 +310,12 @@ def test_lift_matches_dense_protocol(g, delta1, delta1_sign, theta,
     states = kc.VProtocol(space, p, mode=mode).states(times, psi0)
     spp = kc.collective(space, "+", "+")
     plus = np.einsum("ij,ij->i", states.conj(), states @ spp.T).real
-    one = kc.VProtocol(kc.build_space(n_max=n_max, n_atoms=1, levels=2),
-                       dataclasses.replace(p, n_atoms=1), mode=mode)
-    amps, plus_lift = ex.lifted_series(one, times, [n], n_atoms)[n]
-    assert np.abs(amps - states @ psi0.conj()).max() < 1e-10
-    assert np.abs(plus_lift - plus).max() < 1e-10
+    _, [(_, one, _, _)] = ex.amplitude_table(one_space, [(p, times, [n])],
+                                             mode, False)
+    a_1 = one @ kc.basis_state(one_space, n, "-").conj()
+    plus_1 = one @ kc.basis_state(one_space, n, "+").conj()
+    assert np.abs(a_1 ** n_atoms - states @ psi0.conj()).max() < 1e-10
+    assert np.abs(n_atoms * np.abs(plus_1) ** 2 - plus).max() < 1e-10
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -329,20 +332,91 @@ def test_batched_lift_equals_the_per_n_evaluation_bit_for_bit(
     p = kc.SchemeParams(
         g=g, delta1=delta1 * g, theta=theta_sign * theta * g,
         omega=pulses.PULSE_SPEED_FACTOR * 2 * max(g * math.sqrt(max(n_max, 1)),
-                                                  theta * g))
-    space = kc.build_space(n_max=n_max, n_atoms=1, levels=2)
-    protocol = kc.VProtocol(space, p, mode=mode)
+                                                  theta * g),
+        n_atoms=n_atoms)
+    # the pulse check needs n_max >= 2, which the omega above passes
+    space = kc.build_space(n_max=max(n_max, 2), n_atoms=1, levels=2)
+    protocol = kc.VProtocol(space, dataclasses.replace(p, n_atoms=1),
+                            mode=mode)
     times = np.array(t_fracs) * 2 * math.pi / abs(p.kappa)
-    batched = ex.lifted_series(protocol, times, ns, n_atoms)
-    assert list(batched) == ns
+    _, [(elapsed, batched, _, _)] = ex.amplitude_table(
+        space, [(p, times, ns)], mode, False)
+    assert np.array_equal(elapsed, protocol.elapsed(times))
     for n in ns:
-        # the one-branch evaluation lifted_series replaced
+        # each branch's own evaluation, which the one call replaces
         minus = kc.basis_state(space, n, "-")
         states = protocol.states(times, minus)
         plus = states @ kc.basis_state(space, n, "+").conj()
-        amps, plus_pop = batched[n]
-        assert np.array_equal(amps, (states @ minus.conj()) ** n_atoms)
-        assert np.array_equal(plus_pop, n_atoms * np.abs(plus) ** 2)
+        plus_batched = batched @ kc.basis_state(space, n, "+").conj()
+        assert np.array_equal((batched @ minus.conj()) ** n_atoms,
+                              (states @ minus.conj()) ** n_atoms)
+        assert np.array_equal(n_atoms * np.abs(plus_batched) ** 2,
+                              n_atoms * np.abs(plus) ** 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(g=st.floats(1e7, 1e9), delta1=st.floats(5.0, 20.0),
+       theta=st.floats(0.3, 2.0), theta_sign=st.sampled_from((-1, 1)),
+       mode=st.sampled_from(kc.VProtocol.MODES),
+       n_atoms=st.lists(st.integers(1, 10**6), min_size=2, max_size=2,
+                        unique=True),
+       spans=st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
+       ideal_oracle=st.booleans(), data=st.data())
+def test_atom_counts_sharing_a_protocol_take_one_states_call_per_grid(
+        g, delta1, theta, theta_sign, mode, n_atoms, spans, ideal_oracle,
+        data):
+    # fig3b's atom counts share one protocol on grids of their own: one
+    # states call on the joined grids rounds some states differently
+    p = ex.fig3b_params(g=g)
+    p = dataclasses.replace(p, delta1=delta1 * g,
+                            theta=theta_sign * theta * g)
+    space = kc.build_space(n_max=ex.N_MAX, n_atoms=1, levels=2)
+    runs = []
+    for N, points, span in zip(n_atoms, (17, 23), spans):
+        ns = data.draw(st.lists(st.integers(0, ex.N_MAX), min_size=1,
+                                unique=True), label=f"ns (N={N})")
+        pN = dataclasses.replace(p, n_atoms=N)
+        runs.append((pN, np.linspace(0.0, span * 2 * math.pi / abs(pN.kappa),
+                                     points), ns))
+    _, table = ex.amplitude_table(space, runs, mode, ideal_oracle)
+    protocol = kc.VProtocol(space, p, mode=mode)
+    oracle = kc.VProtocol(space, p, mode="ideal")
+    for (_, times, ns), (elapsed, states, ideal, _) in zip(runs, table):
+        psi0 = sum(kc.basis_state(space, n, "-") for n in ns)
+        assert np.array_equal(states, protocol.states(times, psi0))
+        assert np.array_equal(elapsed, protocol.elapsed(times))
+        if ideal_oracle:
+            assert np.array_equal(ideal, oracle.states(times, psi0))
+        else:
+            assert ideal is None
+
+
+@pytest.mark.parametrize("run, built, calls", [
+    (functools.partial(ex.run_fig3b, grid_points=16), {"physical": 1}, 2),
+    (functools.partial(ex.run_fig3a, grid_points=16),
+     {"physical": 2, "ideal": 2}, 4),
+    (functools.partial(ex.run_fig3b, grid_points=16,
+                       branches=((8, 1), (16, 1), (32, 1), (48, 1))),
+     {"physical": 1}, 4),
+], ids=["fig3b", "fig3a", "scaling"])
+def test_a_run_builds_each_protocol_once_and_one_states_call_per_count(
+        monkeypatch, run, built, calls):
+    seen, evaluated = {}, []
+    init, states = kc.VProtocol.__init__, kc.VProtocol.states
+
+    def counting_init(self, space, params, mode="physical"):
+        seen[mode] = seen.get(mode, 0) + 1
+        init(self, space, params, mode)
+
+    def counting_states(self, times, psi0):
+        evaluated.append(len(times))
+        return states(self, times, psi0)
+
+    monkeypatch.setattr(kc.VProtocol, "__init__", counting_init)
+    monkeypatch.setattr(kc.VProtocol, "states", counting_states)
+    run()
+    assert seen == built
+    assert evaluated == [16] * calls
 
 
 @pytest.mark.parametrize("scenario", ["fig3a", "fig3b"])
