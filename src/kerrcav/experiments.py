@@ -19,11 +19,14 @@ Each is described once, by an ``OverlapScenario`` record (parameter family,
 ``functools.partial(_run_overlap_scenario, record)``.  They truncate at
 ``N_MAX`` photons, the pulse check's range: no branch depends on it.
 
-Every one simulates one atom whatever N is and lifts it to N atoms
-(``amplitude_table``), while kappa, the time grid and the frame rates keep
-their N-atom values.  A run builds one protocol per distinct one-atom
-parameter set: fig3b's atom counts share one, while fig3a's delta1 and
-theta change with N, so it builds one per N.
+Every scenario, the two cross-Kerr ones included, simulates one atom
+whatever N is and lifts it to N atoms (``amplitude_table``), while kappa,
+the time grid and the frame rates keep their N-atom values; no scenario
+builds a two-level space of more than one atom.  A run builds one protocol
+per distinct one-atom parameter set: fig3b's atom counts share one, while
+fig3a's delta1 and theta change with N, so it builds one per N.  The
+cross-Kerr scenarios run it on a two-mode space with one photon per mode,
+in the (n_a, n_b) sectors (``run_cross_kerr``).
 
 ``_frame_removed``, the one frame formula, multiplies the raw amplitude by
 exp(+i r_lin n T_elapsed(t)) (killing the photon-linear phase accrued over
@@ -66,7 +69,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import models, numerics, regimes
+from . import models, regimes
 from .errors import (KerrcavError, ValidationError, WorkerError,
                      require_integer)
 from .hilbert import basis_state, build_space
@@ -243,6 +246,7 @@ def amplitude_table(space, runs, mode: str, ideal_oracle: bool):
     entry per atom count, and the table one entry for each: V(t)'s clock
     T_elapsed, the one-atom states V(t) sum_n |n,->, the ideal-mode
     oracle's (or None) and ``compose_diagnostics`` at the last Kerr time.
+    A photon number n is an occupation (n_a, n_b) on a two-mode space.
     In photon sector n every eliminated-tier generator is a sum of N copies
     of one single-atom 2x2 operator, so V_N(t) = u_n(t)^(x)N: with
     v_n(t) = u_n(t)|n,-> on one atom, the amplitude is A_N = a_1^N,
@@ -250,12 +254,13 @@ def amplitude_table(space, runs, mode: str, ideal_oracle: bool):
     a_1's error by N (1e-15 becomes 1e-9 at N = 1e6).
 
     One ``VProtocol`` on ``space`` is built per distinct one-atom set
-    replace(p, n_atoms=1), in order; the first physical one is
-    pulse-checked at once, and an ideal-mode oracle follows each when asked
-    for.  An entry takes one ``states`` call, on the sum of its |n,->
-    states: their sectors are disjoint, so each n is bit for bit its own
-    evaluation.  Entries that share a protocol are not joined into one
-    call, which would round some states differently in the last bits.
+    replace(p, n_atoms=1), in order; on a one-mode space the first physical
+    one is pulse-checked at once (a two-mode space has no pulse check), and
+    an ideal-mode oracle follows each when asked for.  An entry takes one
+    ``states`` call, on the sum of its |n,-> states: their sectors are
+    disjoint, so each n is bit for bit its own evaluation.  Entries that
+    share a protocol are not joined into one call, which would round some
+    states differently in the last bits.
     """
     protocols: dict = {}    # one-atom parameters -> (protocol, ideal oracle)
     pulse, table = None, []
@@ -263,7 +268,7 @@ def amplitude_table(space, runs, mode: str, ideal_oracle: bool):
         one = replace(p, n_atoms=1)
         if one not in protocols:
             protocol = VProtocol(space, one, mode=mode)
-            if mode == "physical" and pulse is None:
+            if mode == "physical" and pulse is None and space.n_modes == 1:
                 pulse = calibrate_pulse_phase(protocol)
             protocols[one] = (
                 protocol,
@@ -555,13 +560,16 @@ def run_cross_kerr(
     grid_points: int = 65,
     thresholds: dict | None = None,
 ) -> CrossKerrResult:
-    """Conditional-phase estimate from the two-mode eliminated model.
+    """Conditional phase of the physical protocol on two modes, lifted.
 
-    Evolves |n_a, n_b> (x) |-...-> under the eliminated two-mode Hamiltonian
-    (``tier_b_hamiltonian``) and fits nu_hat as the slope of the discrete
-    second difference -(phi_11 - phi_10 - phi_01 + phi_00) of the unwrapped
-    amplitude phases, which cancels every constant and single-mode-linear
-    phase exactly.  Compared against the same second difference of the
+    One atom on one photon per mode runs the protocol from |n_a, n_b, ->
+    for the four occupations (``amplitude_table``); each amplitude lifts to
+    A_N = a_1^N.  nu_hat is minus the slope of N unwrap(arg(a_11 a_00
+    conj(a_10 a_01))), the second difference, which cancels every constant
+    and single-mode-linear phase at each time, so the fit window does not
+    enter.  The grid is one Kerr period 2 pi / kappa_max of the stronger
+    mode, kappa_max = N max_m A_m^2 / |theta|, A_m = g_m^2/(2 D_m).
+    nu_effective is N times the same one-atom second difference of the
     ``kerr`` tier.  ``variant`` picks the scenario's parameters, which name
     mode b.
     """
@@ -570,49 +578,37 @@ def run_cross_kerr(
     require_integer(grid_points, 2, "grid points")
     regimes.check_thresholds(thresholds)
     [p] = scenario_params(f"cross_{variant}", overrides)
-    space = build_space(n_max=1, n_atoms=p.n_atoms, levels=2, n_modes=2)
-
-    h_eff = models.effective_hamiltonian(space, p, "kerr")
-    h_sim = models.tier_b_hamiltonian(space, p)
+    N = p.n_atoms
+    space = build_space(n_max=1, n_atoms=1, levels=2, n_modes=2)
+    kappa_max = N * max((g**2 / (2 * d))**2 for g, d, _, _ in
+                        models.mode_couplings(p)) / abs(p.theta)
+    t_grid = np.linspace(0.0, 2 * math.pi / kappa_max, grid_points)
 
     occupations = ((0, 0), (0, 1), (1, 0), (1, 1))
-    kets = {occ: basis_state(space, occ, "-" * p.n_atoms) for occ in occupations}
+    _, [(_, states, _, _)] = amplitude_table(
+        space, [(p, t_grid, occupations)], "physical", ideal_oracle=False)
+    kets = {occ: basis_state(space, occ, "-") for occ in occupations}
+    one = {occ: states @ ket.conj() for occ, ket in kets.items()}
 
-    def second_difference(values):
-        return (values[(1, 1)] - values[(1, 0)] - values[(0, 1)]
-                + values[(0, 0)])
-
-    nu_eff = float(second_difference(
-        {occ: (ket.conj() @ (h_eff @ ket)).real for occ, ket in kets.items()}))
-
-    # time window set by the self-Kerr scale so phases stay unwrap-safe
-    ga, da = abs(p.g), abs(p.delta1)
-    gb = abs(p.g_b) if p.g_b else 0.0
-    db = abs(p.delta1_b) if p.delta1_b else da
-    scale = 2 * p.n_atoms * max(ga**2 / (2 * da), gb**2 / (2 * db)) ** 2 / abs(p.theta)
-    t_grid = np.linspace(0.0, 0.5 / scale, grid_points)
-
-    eig = numerics.HermitianEigensystem(h_sim)
-    amps = {}
-    for occ, ket in kets.items():
-        coeff = eig.eigenvectors.conj().T @ ket
-        weights = (ket.conj() @ eig.eigenvectors) * coeff
-        amps[occ] = eig.phases(t_grid) @ weights
-
-    phases = {occ: np.unwrap(np.angle(a)) for occ, a in amps.items()}
-    stacked = second_difference(phases)
-    slope = float(np.polyfit(t_grid, stacked, 1)[0])
-    nu_hat = -slope    # phases evolve as -E t under exp(-i H t)
+    h_eff = models.effective_hamiltonian(space, p, "kerr")   # one atom
+    energy = {occ: (ket.conj() @ (h_eff @ ket)).real
+              for occ, ket in kets.items()}
+    nu_eff = N * float(energy[1, 1] - energy[1, 0] - energy[0, 1] + energy[0, 0])
+    product = one[1, 1] * one[0, 0] * np.conj(one[1, 0] * one[0, 1])
+    # phases evolve as -E t under exp(-i H t)
+    nu_hat = -float(np.polyfit(t_grid, N * np.unwrap(np.angle(product)), 1)[0])
 
     rel = abs(nu_hat - nu_eff) / abs(nu_eff) if nu_eff else float("inf")
     config = _echo(f"cross_{variant}", p, overrides, thresholds,
                    variant=variant, grid_points=grid_points, n_max=space.n_max)
     return CrossKerrResult(
-        variant=variant, config=config, times=t_grid, amplitudes=amps,
+        variant=variant, config=config, times=t_grid,
+        amplitudes={occ: a ** N for occ, a in one.items()},
         nu_hat=nu_hat, nu_effective=nu_eff, relative_error=rel,
         regime=regimes.check(p, thresholds),
-        notes=("nu_hat fitted as minus the slope of the phase second "
-               "difference; exp(-i H t) convention.",),
+        notes=("nu_hat is minus the slope of N unwrap(arg(a11 a00 conj(a10 "
+               "a01))) of the one-atom physical-protocol amplitudes; "
+               "exp(-i H t) convention.",),
     )
 
 
@@ -818,7 +814,9 @@ def csv_text(result) -> str:
     """CSV body for a scenario result (stable row order).
 
     Floats are written as ``repr`` of the Python float, column by column;
-    a cross-Kerr modulus is Python's ``abs`` of each complex amplitude.
+    a cross-Kerr modulus is Python's ``abs`` of each complex amplitude and
+    its phase the wrapped ``np.angle``: unwrapped per occupation, a
+    Kerr-period grid would alias it.
     Each block of rows is joined on its own, so its row strings are freed
     before the next block is formatted.  The ``t_seconds,N,`` prefixes of
     an overlap result are formatted once per time grid and atom count and
@@ -829,10 +827,10 @@ def csv_text(result) -> str:
         times = result.times.tolist()
         for n_a, n_b in sorted(result.amplitudes):
             amp = result.amplitudes[n_a, n_b]
-            phase = np.unwrap(np.angle(amp))
             blocks.append("".join([
                 f"{t!r},{n_a},{n_b},{abs(a)!r},{ph!r}\n"
-                for t, a, ph in zip(times, amp.tolist(), phase.tolist())]))
+                for t, a, ph in zip(times, amp.tolist(),
+                                    np.angle(amp).tolist())]))
         return "".join(blocks)
     blocks = ["t_seconds,N,n,X,Y,reference,abs_error\n"]
     prefixes: dict = {}     # (id of a time grid, N) -> its rows' "t,N,"

@@ -92,11 +92,6 @@ class HermitianEigensystem:
         v = self.eigenvectors
         return (v * np.exp(-1j * self.eigenvalues * t)[..., None, :]) @ dagger(v)
 
-    def phases(self, t) -> np.ndarray:
-        """exp(-i w_j t) for each eigenvalue, shape t.shape + eigenvalues.shape."""
-        t = np.asarray(t, dtype=float)
-        return np.exp(-1j * np.multiply.outer(t, self.eigenvalues))
-
 
 def expm_hermitian(h, t: float) -> np.ndarray:
     """exp(-i H t) for Hermitian H via eigendecomposition."""

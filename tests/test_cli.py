@@ -1006,6 +1006,18 @@ def test_one_mode_scenarios_reject_mode_b_parameters_by_name(
     assert json.loads(stdout)["ratios"]["dispersive_cavity"]["value"] == 1 / 3
 
 
+def test_cross_kerr_runs_the_pulse_protocol_under_its_guard(capsys, tmp_path):
+    # omega sets the pulses of the protocol the cross-Kerr run drives, so a
+    # pulse slower than the guard stops the run
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"params": {"g": G, "omega": "10g"}})
+    code, stdout, err = run_cli(capsys, "run", "cross_polarization",
+                                "--config", cfg, "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert "pulse too slow" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scenario", ["cross_polarization", "cross_toroidal"])
 def test_a_mode_b_with_both_variants_exits_2(capsys, tmp_path, scenario):
     # each scenario names one variant of mode b; naming the other as well

@@ -563,7 +563,8 @@ def test_calibrate_frame_bare_recovers_analytic_rate(fig3b_p1):
     weights = ((psi0.conj() @ eig.eigenvectors)
                * (eig.eigenvectors.conj().T @ psi0))
     t = np.linspace(0.0, 2 * math.pi / abs(p.kappa), ex.DEFAULT_GRID_POINTS)
-    r_lin, _, _ = ex._best_rate(eig.phases(t) @ weights, t, t, 1, p.theta / 2,
+    amps = np.exp(-1j * np.multiply.outer(t, eig.eigenvalues)) @ weights
+    r_lin, _, _ = ex._best_rate(amps, t, t, 1, p.theta / 2,
                                 np.cos(p.kappa * t), p.stark)
     assert abs(r_lin - 5e6) < 1e-3 * 5e6
 
@@ -598,6 +599,32 @@ def test_cross_kerr_toroidal_degenerate(cross_result):
     # both modes shift the same level: same magnitude, opposite sign
     assert res.nu_hat == pytest.approx(-cross_result.nu_hat, rel=0.02)
     assert res.relative_error <= 0.15
+
+
+@pytest.mark.parametrize("n_atoms", [1, 4, 16, 64])
+def test_cross_kerr_holds_its_accuracy_at_every_atom_number(n_atoms):
+    # the eliminated tier's atoms are independent, so nu_N = N nu_1 exactly
+    res = ex.run_cross_kerr("polarization", {"n_atoms": n_atoms})
+    assert res.nu_effective == pytest.approx(n_atoms * 5e5, rel=1e-9)
+    assert res.relative_error <= 5e-3
+
+
+def test_no_scenario_builds_a_many_atom_two_level_space(monkeypatch):
+    built = []
+
+    def recording(**kw):
+        space = kc.build_space(**kw)
+        built.append(space)
+        return space
+
+    monkeypatch.setattr(ex, "build_space", recording)
+    for runner in ex.SCENARIOS.values():
+        runner()
+    for variant in ("polarization", "toroidal"):
+        for n_atoms in (4, 16):
+            ex.run_cross_kerr(variant, {"n_atoms": n_atoms})
+    assert {s.n_modes for s in built} == {1, 2}
+    assert all(s.n_atoms == 1 for s in built if s.levels == 2)
 
 
 def test_cross_kerr_nmax_guard():
@@ -932,8 +959,7 @@ def test_csv_text_matches_per_element_repr(fig3b_result, cross_result):
     rows = ["t_seconds,n_a,n_b,modulus,phase"]
     for occ in sorted(cross_result.amplitudes):
         amp = cross_result.amplitudes[occ]
-        phase = np.unwrap(np.angle(amp))
-        for t, a, ph in zip(cross_result.times, amp, phase):
+        for t, a, ph in zip(cross_result.times, amp, np.angle(amp)):
             rows.append(
                 f"{_fmt(t)},{occ[0]},{occ[1]},{_fmt(abs(a))},{_fmt(ph)}")
     assert ex.csv_text(cross_result) == "\n".join(rows) + "\n"

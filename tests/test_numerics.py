@@ -105,7 +105,6 @@ def test_stack_matches_its_blocks(rng):
     blocks = np.array([random_hermitian(rng, 4) for _ in range(3)])
     eig = numerics.HermitianEigensystem(blocks)
     assert eig.dim == 4
-    assert eig.phases([0.1, 0.2, 0.3]).shape == (3, 3, 4)
     u = eig.propagator(0.7)
     for h, block in zip(blocks, u):
         assert max_abs_diff(block, numerics.expm_hermitian(h, 0.7)) < 1e-12
