@@ -549,7 +549,7 @@ class CrossKerrResult:
     amplitudes: dict
     nu_hat: float
     nu_effective: float
-    relative_error: float
+    relative_error: float | None      # None when nu_effective = 0
     regime: RegimeReport
     notes: tuple = ()
 
@@ -570,8 +570,9 @@ def run_cross_kerr(
     enter.  The grid is one Kerr period 2 pi / kappa_max of the stronger
     mode, kappa_max = N max_m A_m^2 / |theta|, A_m = g_m^2/(2 D_m).
     nu_effective is N times the same one-atom second difference of the
-    ``kerr`` tier.  ``variant`` picks the scenario's parameters, which name
-    mode b.
+    ``kerr`` tier.  relative_error is |nu_hat - nu_effective| /
+    |nu_effective|, None when nu_effective = 0 (the g_b = 0 control).
+    ``variant`` picks the scenario's parameters, which name mode b.
     """
     if variant not in ("polarization", "toroidal"):
         raise ValidationError(f"unknown cross-Kerr variant {variant!r}")
@@ -598,7 +599,7 @@ def run_cross_kerr(
     # phases evolve as -E t under exp(-i H t)
     nu_hat = -float(np.polyfit(t_grid, N * np.unwrap(np.angle(product)), 1)[0])
 
-    rel = abs(nu_hat - nu_eff) / abs(nu_eff) if nu_eff else float("inf")
+    rel = abs(nu_hat - nu_eff) / abs(nu_eff) if nu_eff else None
     config = _echo(f"cross_{variant}", p, overrides, thresholds,
                    variant=variant, grid_points=grid_points, n_max=space.n_max)
     return CrossKerrResult(
@@ -810,40 +811,63 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
+def _repr_columns(columns) -> list:
+    """``repr`` of every float of ``columns`` (1-d float arrays), one list
+    of strings per column.  Each distinct 64-bit pattern is formatted once
+    and its string shared by every cell that holds it; keying on the bits,
+    not on float equality, keeps -0.0 apart from 0.0."""
+    flat = np.concatenate([np.asarray(c, dtype=np.float64) for c in columns])
+    bits, cell = np.unique(flat.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())),
+                    dtype=object)[cell]
+    return [part.tolist() for part in
+            np.split(text, np.cumsum([len(c) for c in columns])[:-1])]
+
+
 def csv_text(result) -> str:
     """CSV body for a scenario result (stable row order).
 
-    Floats are written as ``repr`` of the Python float, column by column;
-    a cross-Kerr modulus is Python's ``abs`` of each complex amplitude and
+    Every float is written as ``repr`` of the Python float.  The table
+    (``_repr_columns``) formats each distinct 64-bit pattern of the
+    result's float columns once, and every cell holding that pattern
+    reuses the string; ``repr`` depends on the bit pattern alone, so each
+    cell gets the bytes its own ``repr`` would, and the table cannot change
+    the output.  Over half of fig3a's cells repeat (its n = 0 controls
+    hold a few values each), about a sixth of fig3b's.  The
+    ``t_seconds,N,`` prefixes of an overlap result are built once per time
+    grid and atom count and shared by every branch on that grid.  A
+    cross-Kerr modulus is Python's ``abs`` of each complex amplitude and
     its phase the wrapped ``np.angle``: unwrapped per occupation, a
-    Kerr-period grid would alias it.
-    Each block of rows is joined on its own, so its row strings are freed
-    before the next block is formatted.  The ``t_seconds,N,`` prefixes of
-    an overlap result are formatted once per time grid and atom count and
-    shared by every branch on that grid.
+    Kerr-period grid would alias it.  Each block of rows is joined on its
+    own, so its row strings are freed before the next block is built.
     """
     if isinstance(result, CrossKerrResult):
         blocks = ["t_seconds,n_a,n_b,modulus,phase\n"]
-        times = result.times.tolist()
-        for n_a, n_b in sorted(result.amplitudes):
-            amp = result.amplitudes[n_a, n_b]
+        occupations = sorted(result.amplitudes)
+        times, *cells = _repr_columns([result.times, *(
+            column for occ in occupations for column in (
+                [abs(a) for a in result.amplitudes[occ].tolist()],
+                np.angle(result.amplitudes[occ])))])
+        for k, (n_a, n_b) in enumerate(occupations):
             blocks.append("".join([
-                f"{t!r},{n_a},{n_b},{abs(a)!r},{ph!r}\n"
-                for t, a, ph in zip(times, amp.tolist(),
-                                    np.angle(amp).tolist())]))
+                f"{t},{n_a},{n_b},{mod},{ph}\n"
+                for t, mod, ph in zip(times, *cells[2 * k:2 * k + 2])]))
         return "".join(blocks)
     blocks = ["t_seconds,N,n,X,Y,reference,abs_error\n"]
-    prefixes: dict = {}     # (id of a time grid, N) -> its rows' "t,N,"
-    for b in sorted(result.branches,
-                    key=lambda b: (b.n_atoms, b.n_photons)):
-        key = (id(b.times), b.n_atoms)
-        if key not in prefixes:
-            prefixes[key] = [f"{t!r},{b.n_atoms}," for t in b.times.tolist()]
+    branches = sorted(result.branches,
+                      key=lambda b: (b.n_atoms, b.n_photons))
+    grids = {(id(b.times), b.n_atoms): b.times for b in branches}
+    cells = _repr_columns([*grids.values(), *(
+        column for b in branches
+        for column in (b.x, b.y, b.reference, b.abs_error))])
+    prefixes = {key: [f"{t},{key[1]}," for t in times]
+                for key, times in zip(grids, cells)}
+    del cells[:len(grids)]
+    for k, b in enumerate(branches):
         blocks.append("".join([
-            f"{pre}{b.n_photons},{x!r},{y!r},{ref!r},{err!r}\n"
+            f"{pre}{b.n_photons},{x},{y},{ref},{err}\n"
             for pre, x, y, ref, err in zip(
-                prefixes[key], b.x.tolist(), b.y.tolist(),
-                b.reference.tolist(), b.abs_error.tolist())]))
+                prefixes[id(b.times), b.n_atoms], *cells[4 * k:4 * k + 4])]))
     return "".join(blocks)
 
 
@@ -872,7 +896,8 @@ def json_report(result) -> dict:
 
 
 def write_outputs(result, outdir) -> dict:
-    """Write <scenario>_<config-hash>.{csv,json}; returns the paths."""
+    """Write <scenario>_<config-hash>.{csv,json}; returns the paths.  The
+    JSON is strict: a NaN or infinity in a report is a ``ValueError``."""
     import pathlib
 
     outdir = pathlib.Path(outdir)
@@ -880,7 +905,8 @@ def write_outputs(result, outdir) -> dict:
     cfg = result.config
     stem = f"{cfg['scenario']}_{config_hash(cfg)}"
     paths = {}
-    report = json.dumps(json_report(result), sort_keys=True, indent=2) + "\n"
+    report = json.dumps(json_report(result), sort_keys=True, indent=2,
+                        allow_nan=False) + "\n"
     json_path = outdir / f"{stem}.json"
     json_path.write_text(report)
     paths["json"] = str(json_path)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,16 @@ def cross_result():
 def pulse_calibration(fig3b_p1):
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
     return kc.calibrate_pulse_phase(kc.VProtocol(space, fig3b_p1))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """``json.loads`` that rejects NaN, Infinity and -Infinity, which
+    ``json.dumps`` writes by default but JSON does not allow."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def random_hermitian(rng, dim):

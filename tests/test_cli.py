@@ -12,6 +12,8 @@ from kerrcav import cli, experiments, pulses, regimes
 from kerrcav.errors import ValidationError
 from kerrcav.models import SchemeParams
 
+from conftest import strict_json
+
 G = 1e8
 
 
@@ -70,7 +72,7 @@ def test_run_fig3b_default_csv(capsys, tmp_path):
     lines = pathlib.Path(paths["csv"]).read_text().strip().split("\n")
     assert lines[0] == "t_seconds,N,n,X,Y,reference,abs_error"
     assert len(lines) == 1 + 4 * 512
-    report = json.loads(pathlib.Path(paths["json"]).read_text())
+    report = strict_json(pathlib.Path(paths["json"]).read_text())
     assert report["config"]["scenario"] == "fig3b"
 
 
@@ -177,7 +179,7 @@ def test_config_echo_round_trip(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", "--config", cfg)
     assert code == 0
     paths = json.loads(out)["outputs"]
-    report = json.loads(pathlib.Path(paths["json"]).read_text())
+    report = strict_json(pathlib.Path(paths["json"]).read_text())
     echoed = report["config"]
     assert echoed["grid_points"] == 24
     assert echoed["frame_calibration"] == "n1_shared"
@@ -251,7 +253,7 @@ def test_sweep_config_grid_is_applied(capsys, tmp_path):
                            "--scenario", "fig3b", "--out", str(tmp_path))
     assert code == 0
     [entry] = json.loads(out)
-    report = json.loads(pathlib.Path(entry["outputs"]["json"]).read_text())
+    report = strict_json(pathlib.Path(entry["outputs"]["json"]).read_text())
     assert report["config"]["grid_points"] == 16
 
 
@@ -324,7 +326,7 @@ def test_sweep_over_n_atoms_reports_only_that_n(capsys, tmp_path):
     assert code == 0
     [entry] = json.loads(out)
     assert entry["value"] == 2 and isinstance(entry["value"], int)
-    report = json.loads(pathlib.Path(entry["outputs"]["json"]).read_text())
+    report = strict_json(pathlib.Path(entry["outputs"]["json"]).read_text())
     assert {b["N"] for b in report["branches"]} == {2}
 
 
@@ -345,7 +347,7 @@ def test_sweep_resolves_g_relative_values_against_config_g(capsys,
     assert code == 0
     [entry] = json.loads(out)
     assert entry["value"] == 2 * G
-    report = json.loads(pathlib.Path(entry["outputs"]["json"]).read_text())
+    report = strict_json(pathlib.Path(entry["outputs"]["json"]).read_text())
     assert report["config"]["params"]["theta"] == 2 * G
 
 
@@ -425,7 +427,7 @@ def test_equal_cavity_and_raman_detunings_exit_2(capsys, tmp_path, command):
 
 
 def _echoed_params(paths):
-    return json.loads(pathlib.Path(paths["json"]).read_text())[
+    return strict_json(pathlib.Path(paths["json"]).read_text())[
         "config"]["params"]
 
 
@@ -560,7 +562,7 @@ def test_sweep_config_applies_overlap_keys(capsys, tmp_path):
                            "--scenario", "fig3b", "--out", str(tmp_path))
     assert code == 0
     [entry] = json.loads(out)
-    config = json.loads(
+    config = strict_json(
         pathlib.Path(entry["outputs"]["json"]).read_text())["config"]
     assert (config["mode"], config["frame_calibration"]) == ("ideal", "n1_shared")
 
@@ -651,7 +653,7 @@ def test_calibrate_pulse_matches_fig3b_report(capsys, tmp_path, grid):
         return
     assert calibrated[0] == code == 0
     pulse = json.loads(calibrated[1])["pulse"]
-    report = json.loads(
+    report = strict_json(
         pathlib.Path(json.loads(out)["outputs"]["json"]).read_text())
     assert report["calibration"]["pulse"] == pulse
 
@@ -708,7 +710,7 @@ def test_config_keys_apply_only_where_the_scenario_takes_them(capsys,
         code, out, _ = run_cli(capsys, "run", scenario, "--config", cfg,
                                "--out", str(tmp_path / scenario))
         assert code == 0
-        configs[scenario] = json.loads(pathlib.Path(
+        configs[scenario] = strict_json(pathlib.Path(
             json.loads(out)["outputs"]["json"]).read_text())["config"]
         assert configs[scenario].get("grid_points") == (
             None if scenario == "regime_check" else 16)
@@ -722,7 +724,7 @@ def test_run_mode_flag_takes_every_protocol_mode(capsys, tmp_path):
                            "rotated_reference", "--grid-points", "16",
                            "--out", str(tmp_path))
     assert code == 0
-    report = json.loads(pathlib.Path(
+    report = strict_json(pathlib.Path(
         json.loads(out)["outputs"]["json"]).read_text())
     assert report["config"]["mode"] == "rotated_reference"
 
@@ -801,7 +803,7 @@ def test_config_thresholds_reach_the_written_report(capsys, tmp_path,
     code, out, _ = run_cli(capsys, "run", scenario, "--config", cfg,
                            "--out", str(tmp_path / "run"))
     assert code == 0
-    report = json.loads(
+    report = strict_json(
         pathlib.Path(json.loads(out)["outputs"]["json"]).read_text())
     assert report["config"]["thresholds"] == thresholds
     ratios = report["regime"]["ratios"]
@@ -821,7 +823,7 @@ def test_config_thresholds_reach_every_sweep_point(capsys, tmp_path):
                            "--out", str(tmp_path / "sweep"))
     assert code == 0
     for point in json.loads(out):
-        ratio = json.loads(pathlib.Path(point["outputs"]["json"]).read_text())[
+        ratio = strict_json(pathlib.Path(point["outputs"]["json"]).read_text())[
             "regime"]["ratios"]["second_dispersive"]
         assert (ratio["threshold"], ratio["status"]) == (0.01, "warn")
 
@@ -837,7 +839,7 @@ def test_empty_thresholds_leave_report_and_file_name_unchanged(capsys,
         written.append(pathlib.Path(json.loads(out)["outputs"]["json"]))
     assert written[0].name == written[1].name
     assert written[0].read_bytes() == written[1].read_bytes()
-    assert "thresholds" not in json.loads(written[0].read_text())["config"]
+    assert "thresholds" not in strict_json(written[0].read_text())["config"]
 
 
 @pytest.mark.parametrize("thresholds, message", [
@@ -1016,6 +1018,18 @@ def test_cross_kerr_runs_the_pulse_protocol_under_its_guard(capsys, tmp_path):
     assert (code, stdout) == (3, "")
     assert "pulse too slow" in err
     assert not out.exists()
+
+
+def test_cross_kerr_control_writes_strict_json(capsys, tmp_path):
+    # criterion 8's g_b = 0 control has no cross-Kerr coefficient, so its
+    # relative error is undefined: null, not Infinity
+    cfg = write_config(tmp_path, {"params": {"g_b": 0}})
+    code, out, _ = run_cli(capsys, "run", "cross_polarization", "--config",
+                           cfg, "--out", str(tmp_path / "out"))
+    assert code == 0
+    report = strict_json(
+        pathlib.Path(json.loads(out)["outputs"]["json"]).read_text())
+    assert (report["nu_effective"], report["relative_error"]) == (0.0, None)
 
 
 @pytest.mark.parametrize("scenario", ["cross_polarization", "cross_toroidal"])

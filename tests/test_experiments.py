@@ -946,23 +946,75 @@ def _fmt(x):
     return repr(float(x))
 
 
-def test_csv_text_matches_per_element_repr(fig3b_result, cross_result):
+def _per_element_csv(result):
+    """The CSV a result should give, one ``repr`` per cell."""
+    if isinstance(result, ex.CrossKerrResult):
+        rows = ["t_seconds,n_a,n_b,modulus,phase"]
+        for occ in sorted(result.amplitudes):
+            amp = result.amplitudes[occ]
+            for t, a, ph in zip(result.times, amp, np.angle(amp)):
+                rows.append(f"{_fmt(t)},{occ[0]},{occ[1]},{_fmt(abs(a))},"
+                            f"{_fmt(ph)}")
+        return "\n".join(rows) + "\n"
     rows = ["t_seconds,N,n,X,Y,reference,abs_error"]
-    for b in sorted(fig3b_result.branches,
+    for b in sorted(result.branches,
                     key=lambda b: (b.n_atoms, b.n_photons)):
         for k, t in enumerate(b.times):
             rows.append(
                 f"{_fmt(t)},{b.n_atoms},{b.n_photons},{_fmt(b.x[k])},"
                 f"{_fmt(b.y[k])},{_fmt(b.reference[k])},"
                 f"{_fmt(b.abs_error[k])}")
-    assert ex.csv_text(fig3b_result) == "\n".join(rows) + "\n"
-    rows = ["t_seconds,n_a,n_b,modulus,phase"]
-    for occ in sorted(cross_result.amplitudes):
-        amp = cross_result.amplitudes[occ]
-        for t, a, ph in zip(cross_result.times, amp, np.angle(amp)):
-            rows.append(
-                f"{_fmt(t)},{occ[0]},{occ[1]},{_fmt(abs(a))},{_fmt(ph)}")
-    assert ex.csv_text(cross_result) == "\n".join(rows) + "\n"
+    return "\n".join(rows) + "\n"
+
+
+def test_csv_text_matches_per_element_repr(fig3b_result, cross_result):
+    assert ex.csv_text(fig3b_result) == _per_element_csv(fig3b_result)
+    assert ex.csv_text(cross_result) == _per_element_csv(cross_result)
+
+
+# values whose strings a table keyed on float equality would merge
+# (0.0 and -0.0) or whose bit patterns differ but print alike (the NaNs)
+AWKWARD = np.array([
+    0.0, -0.0, np.nan, np.copysign(np.nan, -1.0),
+    np.int64(0x7FF8000000000001).view(np.float64), np.inf, -np.inf,
+    5e-324, 1e-5, 1e16, 1e22, 0.1 + 0.2, 1.0])
+
+
+def test_csv_text_writes_every_bit_pattern_as_its_own_repr():
+    rng = np.random.default_rng(28)
+
+    def pick(*shape):
+        return rng.choice(AWKWARD, size=shape)
+
+    def branch(n_atoms, n_photons, times):
+        x, y, ref, err = pick(4, len(times))
+        return ex.BranchResult(
+            n_atoms=n_atoms, n_photons=n_photons, times=times,
+            amplitudes=None, x=x, y=y, reference=ref, abs_error=err,
+            basis_label="", **dict.fromkeys((
+                "r_lin", "r_lin_expected", "freq_fit", "max_abs_error",
+                "rms_error", "min_x", "max_x", "max_plus_population"), 0.0))
+
+    two, long = np.array([-0.0, 1e-5]), AWKWARD.copy()
+    # unsorted, a grid shared by two atom counts, repeats within and
+    # across branches
+    branches = [branch(3, 1, long), branch(1, 0, two), branch(1, 2, two),
+                branch(3, 0, long), branch(2, 1, two)]
+    overlap = ex.ScenarioResult("synthetic", {}, branches, None, {}, {})
+    assert ex.csv_text(overlap) == _per_element_csv(overlap)
+
+    def amplitude(n):
+        a = np.empty(n, dtype=complex)
+        a.real, a.imag = pick(2, n)
+        return a
+
+    for times in (two, long):
+        cross = ex.CrossKerrResult(
+            "synthetic", {}, times,
+            {occ: amplitude(len(times))
+             for occ in ((1, 1), (0, 1), (0, 0), (1, 0))},
+            0.0, 0.0, None, None)
+        assert ex.csv_text(cross) == _per_element_csv(cross)
 
 
 def test_write_outputs_hash_stable(tmp_path, cross_result):
