@@ -41,8 +41,8 @@ the n = 1 branch and reuses that rate everywhere.  fig3a has one nonzero
 photon number per N, its own shared-rate probe, so it takes no choice.  The
 fitted dominant frequencies reported per branch always use the shared n = 1
 rate so the n^2 scaling law is measured in one common frame, and a branch
-at that rate takes Y from the same frame-removed series.  ``kerrcav calibrate`` prints
-fig3b's pulse check and shared rate for a single (N, 1) branch.
+at that rate takes Y from the same frame-removed series; the report keeps
+each N's shared rate as ``r_lin_shared``.
 
 A sweep runs a scenario once per parameter value.  With ``jobs > 1`` each
 of k processes forked from this one takes every k-th point and, with an
@@ -328,7 +328,7 @@ class ScenarioResult:
     name: str
     config: dict
     branches: list
-    regime: RegimeReport
+    regime: dict                       # N=<N> -> RegimeReport
     calibration: dict
     diagnostics: dict
     notes: tuple = ()
@@ -429,7 +429,6 @@ def _run_overlap_scenario(scenario: OverlapScenario,
     diagnostics: dict = {"unitarity_defect": 0.0}
 
     param_sets = scenario.param_sets(overrides)
-    p_echo = param_sets[0]
     space = build_space(n_max=N_MAX, n_atoms=1, levels=2)
     runs = []
     for p in param_sets:
@@ -500,13 +499,13 @@ def _run_overlap_scenario(scenario: OverlapScenario,
         diagnostics["unitarity_defect"] = max(
             diagnostics["unitarity_defect"], segments["total_unitarity_defect"])
 
-    config = _echo(scenario.name, p_echo, overrides, thresholds, mode=mode,
-                   tier="eliminated", grid_points=grid_points, n_max=N_MAX,
-                   frame_calibration=frame_calibration,
+    config = _echo(scenario.name, param_sets[0], overrides, thresholds,
+                   mode=mode, tier="eliminated", grid_points=grid_points,
+                   n_max=N_MAX, frame_calibration=frame_calibration,
                    branches=[list(b) for b in branch_list])
     return ScenarioResult(
         name=scenario.name, config=config, branches=branches,
-        regime=regimes.check(p_echo, thresholds),
+        regime=regime_reports(param_sets, thresholds),
         calibration=calibration_block, diagnostics=diagnostics,
     )
 
@@ -655,6 +654,14 @@ def scenario_params(scenario: str, overrides: dict | None = None) -> list:
     raise ValidationError(f"unknown scenario {scenario!r}")
 
 
+def regime_reports(param_sets, thresholds: dict | None = None) -> dict:
+    """One regime report per parameter set, keyed ``N=<N>``.  Over the sets
+    of ``scenario_params`` they are what an overlap report's ``regime``
+    block, ``check-regime <scenario>`` and ``--strict`` show."""
+    return {f"N={p.n_atoms}": regimes.check(p, thresholds)
+            for p in param_sets}
+
+
 SCENARIOS = {
     FIG3A.name: run_fig3a,
     FIG3B.name: run_fig3b,
@@ -662,7 +669,6 @@ SCENARIOS = {
     "cross_toroidal": functools.partial(run_cross_kerr, "toroidal"),
     "regime_check": run_regime_check,
 }
-SWEEP_DEFAULT_SCENARIO = "fig3b"
 
 
 def scenario_options(scenario: str) -> frozenset:
@@ -887,7 +893,7 @@ def json_report(result) -> dict:
         })
     return _jsonable({
         "config": result.config,
-        "regime": result.regime.to_dict(),
+        "regime": {key: r.to_dict() for key, r in result.regime.items()},
         "calibration": result.calibration,
         "diagnostics": result.diagnostics,
         "branches": [b.summary() for b in result.branches],

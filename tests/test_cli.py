@@ -2,6 +2,8 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -15,6 +17,7 @@ from kerrcav.models import SchemeParams
 from conftest import strict_json
 
 G = 1e8
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -49,18 +52,16 @@ def test_check_regime_strict_warn(capsys, tmp_path):
     ("regime_check", [1])])
 def test_check_regime_judges_the_config_scenario(capsys, tmp_path, scenario,
                                                  counts):
-    # one report per atom count the scenario runs, and the strict verdict
-    # of `run --strict` on the same config
-    cfg = write_config(tmp_path, {"scenario": scenario,
-                                  "grid": {"points": 16}})
-    code, out, _ = run_cli(capsys, "check-regime", "--config", cfg,
-                           "--strict")
+    # one report per atom count the named scenario runs, and the strict
+    # verdict of `run --strict` on the same scenario
+    code, out, _ = run_cli(capsys, "check-regime", scenario, "--strict")
     reports = json.loads(out)
     assert list(reports) == [f"N={N}" for N in counts]
     for p, report in zip(experiments.scenario_params(scenario),
                          reports.values()):
         assert report == experiments._jsonable(regimes.check(p).to_dict())
-    run_code, _, _ = run_cli(capsys, "run", "--config", cfg, "--strict",
+    grid = [] if scenario == "regime_check" else ["--grid-points", "16"]
+    run_code, _, _ = run_cli(capsys, "run", scenario, "--strict", *grid,
                              "--out", str(tmp_path / "run"))
     assert code == run_code == (3 if scenario == "fig3a" else 0)
 
@@ -155,8 +156,9 @@ def test_help_lists_subcommands(capsys):
         cli.main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for sub in ("run", "check-regime", "sweep", "calibrate", "list-scenarios"):
+    for sub in ("run", "check-regime", "sweep", "list-scenarios"):
         assert sub in out
+    assert "calibrate" not in out
 
 
 def test_run_help_lists_flags(capsys):
@@ -170,13 +172,11 @@ def test_run_help_lists_flags(capsys):
 
 def test_config_echo_round_trip(capsys, tmp_path):
     cfg = write_config(tmp_path, {
-        "scenario": "fig3b",
-        "params": {"g": G, "delta1": "10g", "theta": "1g", "omega": "100g"},
-        "grid": {"points": 24},
-        "frame_calibration": "n1_shared",
-        "output": {"dir": str(tmp_path / "out")},
-    })
-    code, out, _ = run_cli(capsys, "run", "--config", cfg)
+        "params": {"g": G, "delta1": "10g", "theta": "1g", "omega": "100g"}})
+    code, out, _ = run_cli(capsys, "run", "fig3b", "--config", cfg,
+                           "--grid-points", "24",
+                           "--frame-calibration", "n1_shared",
+                           "--out", str(tmp_path / "out"))
     assert code == 0
     paths = json.loads(out)["outputs"]
     report = strict_json(pathlib.Path(paths["json"]).read_text())
@@ -189,9 +189,11 @@ def test_config_echo_round_trip(capsys, tmp_path):
 
 def test_run_cross_is_an_unknown_scenario(capsys, tmp_path):
     # the cross-Kerr scenarios are named in full; there is no 'cross' alias
-    cfg = write_config(tmp_path, {"scenario": "cross"})
-    for argv in (["run", "cross"], ["run", "--config", cfg]):
-        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    out_dir = ["--out", str(tmp_path / "out")]
+    for argv in (["run", "cross", *out_dir], ["check-regime", "cross"],
+                 ["sweep", "--scenario", "cross", "--param", "theta",
+                  "--values", str(G), *out_dir]):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert "unknown scenario 'cross'" in err
     assert not (tmp_path / "out").exists()
@@ -205,32 +207,20 @@ def test_run_strict_regime_failure(capsys, tmp_path):
     assert "regime" in err
 
 
-def test_calibrate_subcommand(capsys):
-    code, out, _ = run_cli(capsys, "calibrate")
+def _report(out):
+    """The JSON report a ``run`` wrote, from its printed paths."""
+    return strict_json(pathlib.Path(
+        json.loads(out)["outputs"]["json"]).read_text())
+
+
+def test_calibrate_applies_grid_n_max(capsys, tmp_path):
+    # the pulse check of `run fig3b` averages over the overlap scenarios'
+    # fixed photon truncation, n = 0..N_MAX, and a smaller one scores
+    # differently
+    code, out, _ = run_cli(capsys, "run", "fig3b", "--grid-points", "16",
+                           "--out", str(tmp_path))
     assert code == 0
-    data = json.loads(out)
-    assert abs(data["pulse"]["phi_forward"] - 3.141592653589793) < 1e-3
-    assert data["frame"]["flagged"] is False
-
-
-@pytest.mark.parametrize("grid, message", [
-    ({"points": "abc"}, "grid points"),
-    ({"points": 1}, "grid points"),
-    ({"n_max": 1.5}, "unknown config key grid.'n_max'"),
-], ids=["points-abc", "points-1", "n_max-1.5"])
-def test_calibrate_rejects_bad_grid(capsys, tmp_path, grid, message):
-    cfg = write_config(tmp_path, {"grid": grid})
-    code, _, err = run_cli(capsys, "calibrate", "--config", cfg)
-    assert code == 2
-    assert message in err
-
-
-def test_calibrate_applies_grid_n_max(capsys):
-    # the pulse check averages over the overlap scenarios' fixed photon
-    # truncation, n = 0..N_MAX, and a smaller one scores differently
-    code, out, _ = run_cli(capsys, "calibrate")
-    assert code == 0
-    pulse = json.loads(out)["pulse"]
+    pulse = _report(out)["calibration"]["pulse"]
 
     def check(n_max):
         space = kc.build_space(n_max=n_max, n_atoms=1, levels=2)
@@ -239,22 +229,26 @@ def test_calibrate_applies_grid_n_max(capsys):
     assert pulse == check(experiments.N_MAX) != check(2)
 
 
-def test_calibrate_low_fidelity_exits_3(capsys, monkeypatch):
+def test_calibrate_low_fidelity_exits_3(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(pulses, "_beta_and_fidelity", lambda *_: (0.0, 0.9))
-    code, _, err = run_cli(capsys, "calibrate")
-    assert code == 3
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "run", "fig3b", "--grid-points", "16",
+                                "--out", str(out))
+    assert (code, stdout) == (3, "")
     assert "pulse-phase calibration failed" in err
+    assert not out.exists()
 
 
 def test_sweep_config_grid_is_applied(capsys, tmp_path):
-    cfg = write_config(tmp_path, {"grid": {"points": 16}})
-    code, out, _ = run_cli(capsys, "sweep", "--config", cfg,
-                           "--param", "theta", "--values", str(G),
+    # --grid-points reaches every point of a sweep
+    code, out, _ = run_cli(capsys, "sweep", "--grid-points", "16",
+                           "--param", "theta", "--values", f"{G},{2 * G}",
                            "--scenario", "fig3b", "--out", str(tmp_path))
     assert code == 0
-    [entry] = json.loads(out)
-    report = strict_json(pathlib.Path(entry["outputs"]["json"]).read_text())
-    assert report["config"]["grid_points"] == 16
+    for entry in json.loads(out):
+        report = strict_json(
+            pathlib.Path(entry["outputs"]["json"]).read_text())
+        assert report["config"]["grid_points"] == 16
 
 
 def test_sweep_subcommand(capsys, tmp_path):
@@ -269,22 +263,22 @@ def test_sweep_subcommand(capsys, tmp_path):
 
 
 def test_sweep_config_strict_checks_every_point_first(capsys, tmp_path):
-    cfg = write_config(tmp_path, {"strict": True})
     out = tmp_path / "out"
-    code, _, err = run_cli(capsys, "sweep", "--config", cfg, "--param",
+    code, _, err = run_cli(capsys, "sweep", "--strict", "--param",
                            "theta", "--values", f"{G},2e7,1e7",
                            "--scenario", "fig3b", "--out", str(out))
     assert code == 3
+    assert "regime check failed under --strict" in err
     assert "theta=20000000.0" in err and "theta=10000000.0" in err
     assert "theta=100000000.0" not in err
     assert not out.exists()
     # every point in the regime: the sweep runs as without strict
-    code, stdout, _ = run_cli(capsys, "sweep", "--config", cfg, "--param",
+    code, stdout, _ = run_cli(capsys, "sweep", "--strict", "--param",
                               "theta", "--values", str(G), "--scenario",
                               "regime_check", "--out", str(out))
     assert code == 0 and json.loads(stdout)[0]["ok"]
     # a point with invalid parameters is left to fail in the sweep
-    code, stdout, _ = run_cli(capsys, "sweep", "--config", cfg, "--param",
+    code, stdout, _ = run_cli(capsys, "sweep", "--strict", "--param",
                               "delta1", "--values", f"{10 * G},0",
                               "--scenario", "regime_check", "--out", str(out))
     assert code == 3
@@ -294,9 +288,12 @@ def test_sweep_config_strict_checks_every_point_first(capsys, tmp_path):
 
 
 def test_sweep_missing_param(capsys):
-    code, _, err = run_cli(capsys, "sweep", "--values", "1.0")
-    assert code == 2
-    assert "param" in err
+    for argv, missing in ((["--values", "1.0"], "--param"),
+                          (["--param", "theta"], "--values")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", *argv])
+        assert exc.value.code == 2
+        assert f"required: {missing}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("points", ["0", "1", "-5"])
@@ -305,18 +302,6 @@ def test_run_rejects_fewer_than_two_grid_points(capsys, tmp_path, points):
                            "--out", str(tmp_path))
     assert code == 2
     assert "grid points" in err
-
-
-@pytest.mark.parametrize("grid, message", [
-    ({"points": 0}, "grid points"),
-    ({"n_max": 0}, "unknown config key grid.'n_max'"),
-])
-def test_run_zero_grid_config_is_not_ignored(capsys, tmp_path, grid, message):
-    cfg = write_config(tmp_path, {"scenario": "fig3b", "grid": grid})
-    code, _, err = run_cli(capsys, "run", "--config", cfg,
-                           "--out", str(tmp_path / "out"))
-    assert code == 2
-    assert message in err
 
 
 def test_sweep_over_n_atoms_reports_only_that_n(capsys, tmp_path):
@@ -353,8 +338,6 @@ def test_sweep_resolves_g_relative_values_against_config_g(capsys,
 
 @pytest.mark.parametrize("cfg, flags, where", [
     ({}, ["--param", "theta", "--values", "2g"], "--values"),
-    ({"sweep": {"param": "theta", "values": ["2g"]}}, [],
-     "config key sweep.values"),
 ])
 def test_sweep_g_relative_value_without_g_names_its_source(
         capsys, tmp_path, cfg, flags, where):
@@ -414,8 +397,7 @@ def test_equal_cavity_and_raman_detunings_exit_2(capsys, tmp_path, command):
     # a consistent Raman pair (2 lam^2/delta2 = theta = g) with delta2 =
     # delta1: the separation ratio divides by |delta2 - delta1|
     cfg = write_config(tmp_path, {
-        "params": {"lam": 223606797.74997896, "delta2": 1e9},
-        "grid": {"points": 16}})
+        "params": {"lam": 223606797.74997896, "delta2": 1e9}})
     out = tmp_path / "out"
     code, stdout, err = run_cli(capsys, *command, "--config", cfg,
                                 *(["--out", str(out)] if command[0] == "run"
@@ -525,12 +507,13 @@ def test_derived_rates_that_overflow_or_vanish_exit_2(capsys, tmp_path,
     ["sweep", "--param", "theta", "--values", str(G), "--scenario", "fig3b"],
 ])
 def test_config_unknown_tier_exits_2(capsys, tmp_path, command):
-    # the sweep must refuse the config before it runs any point
-    cfg = write_config(tmp_path, {"mode": "bogus"})
+    # the sweep must refuse the config before it runs any point; the mode
+    # is the --mode flag, not a config key
+    cfg = write_config(tmp_path, {"mode": "ideal"})
     code, _, err = run_cli(capsys, *command, "--config", cfg,
                            "--out", str(tmp_path / "out"))
     assert code == 2
-    assert "'mode'" in err and "'bogus'" in err
+    assert "unknown config key 'mode'" in err
     # the scenarios run on the eliminated tier only; "tier" is no config key
     for tier in ("full", "eliminated"):
         cfg = write_config(tmp_path, {"tier": tier})
@@ -555,10 +538,10 @@ def test_run_full_tier_is_rejected_not_mislabelled(capsys, tmp_path, mode):
 
 
 def test_sweep_config_applies_overlap_keys(capsys, tmp_path):
-    cfg = write_config(tmp_path, {"grid": {"points": 16}, "mode": "ideal",
-                                  "frame_calibration": "n1_shared"})
-    code, out, _ = run_cli(capsys, "sweep", "--config", cfg,
-                           "--param", "theta", "--values", str(G),
+    # the flags that set a run's protocol reach a sweep's points
+    code, out, _ = run_cli(capsys, "sweep", "--grid-points", "16",
+                           "--mode", "ideal", "--frame-calibration",
+                           "n1_shared", "--param", "theta", "--values", str(G),
                            "--scenario", "fig3b", "--out", str(tmp_path))
     assert code == 0
     [entry] = json.loads(out)
@@ -569,12 +552,13 @@ def test_sweep_config_applies_overlap_keys(capsys, tmp_path):
 
 @pytest.mark.parametrize("jobs", ["abc", 2.5, True])
 def test_sweep_rejects_non_integral_jobs(capsys, tmp_path, jobs):
-    cfg = write_config(tmp_path, {"jobs": jobs})
-    code, _, err = run_cli(capsys, "sweep", "--config", cfg,
-                           "--param", "theta", "--values", str(G),
-                           "--scenario", "regime_check", "--out", str(tmp_path))
-    assert code == 2
-    assert "jobs" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--jobs", str(jobs), "--param", "theta",
+                  "--values", str(G), "--scenario", "regime_check",
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "argument --jobs: invalid int value" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _tree(root):
@@ -604,17 +588,13 @@ def test_sweep_jobs_2_matches_jobs_1(capsys, tmp_path, monkeypatch):
     assert entries[2]["outputs"] == entries[4]["outputs"]
 
 
-@pytest.mark.parametrize("flag, cfg", [
-    (["--jobs", "-5"], None), (["--jobs", "0"], None),
-    ([], {"jobs": 0}), ([], {"jobs": -2}),
-], ids=["flag-5", "flag0", "key0", "key-2"])
-def test_sweep_rejects_jobs_below_one(capsys, tmp_path, flag, cfg):
-    config = ["--config", write_config(tmp_path, cfg)] if cfg else []
+@pytest.mark.parametrize("jobs", ["-5", "0"], ids=["flag-5", "flag0"])
+def test_sweep_rejects_jobs_below_one(capsys, tmp_path, jobs):
     code, out, err = run_cli(capsys, "sweep", "--param", "theta",
                              "--values", str(G), "--scenario", "regime_check",
-                             "--out", str(tmp_path / "out"), *flag, *config)
+                             "--out", str(tmp_path / "out"), "--jobs", jobs)
     assert code == 2 and out == ""
-    assert ("--jobs" if flag else "config key jobs") in err
+    assert f"jobs must be an integer >= 1, got {jobs}" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -630,9 +610,9 @@ def test_strict_judges_the_parameters_the_scenario_runs(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "run", "fig3b", "--strict",
                          "--grid-points", "16", "--out", str(out))
     assert code == 0
-    cfg = write_config(tmp_path, {"strict": True, "params": {"n_atoms": 2}})
-    code, _, err = run_cli(capsys, "sweep", "--config", cfg, "--param",
-                           "delta1", "--values", f"{10 * G}",
+    cfg = write_config(tmp_path, {"params": {"n_atoms": 2}})
+    code, _, err = run_cli(capsys, "sweep", "--strict", "--config", cfg,
+                           "--param", "delta1", "--values", f"{10 * G}",
                            "--scenario", "fig3a", "--out", str(out / "sw"))
     assert code == 3
     assert "delta1=1000000000.0 at N=2: ['second_dispersive']" in err
@@ -640,30 +620,15 @@ def test_strict_judges_the_parameters_the_scenario_runs(capsys, tmp_path):
     assert not (out / "sw").exists()
 
 
-@pytest.mark.parametrize("grid", [{}, {"n_max": 2}], ids=["default", "n_max2"])
-def test_calibrate_pulse_matches_fig3b_report(capsys, tmp_path, grid):
-    # a grid key that neither subcommand knows fails both alike
-    cfg = write_config(tmp_path, {"grid": {"points": 16, **grid}})
-    calibrated = run_cli(capsys, "calibrate", "--config", cfg)
-    code, out, err = run_cli(capsys, "run", "fig3b", "--config", cfg,
-                             "--out", str(tmp_path / "out"))
-    if grid:
-        assert calibrated == (code, out, err) == (
-            2, "", "error: unknown config key grid.'n_max'\n")
-        return
-    assert calibrated[0] == code == 0
-    pulse = json.loads(calibrated[1])["pulse"]
-    report = strict_json(
-        pathlib.Path(json.loads(out)["outputs"]["json"]).read_text())
-    assert report["calibration"]["pulse"] == pulse
-
-
 def test_calibrate_fails_a_slow_pulse_on_the_n_max_4_floor(capsys, tmp_path):
     # the pulse guard's floor is 20 g sqrt(n_max) at the fixed n_max = 4
     cfg = write_config(tmp_path, {"params": {"g": G, "omega": "5g"}})
-    code, out, err = run_cli(capsys, "calibrate", "--config", cfg)
-    assert code == 3 and out == ""
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "run", "fig3b", "--config", cfg,
+                                "--out", str(out))
+    assert code == 3 and stdout == ""
     assert "pulse too slow: omega = 5e+08 < 4e+09" in err
+    assert not out.exists()
 
 
 def test_unknown_scheme_exits_2(capsys, tmp_path):
@@ -671,7 +636,7 @@ def test_unknown_scheme_exits_2(capsys, tmp_path):
     for scheme in ("self_kerr", "cross_polarization", "cross_bogus"):
         cfg = write_config(tmp_path, {"scheme": scheme})
         for command in (["run", "fig3b", "--out", str(tmp_path / "out")],
-                        ["check-regime"], ["calibrate"]):
+                        ["check-regime"]):
             code, out, err = run_cli(capsys, *command, "--config", cfg)
             assert code == 2 and out == ""
             assert "unknown config key 'scheme'" in err
@@ -686,8 +651,10 @@ def test_unknown_scheme_exits_2(capsys, tmp_path):
     (["run", "regime_check", "--mode", "physical"], "mode"),
     (["run", "fig3a", "--frame-calibration", "n1_shared"],
      "frame_calibration"),
+    (["sweep", "--scenario", "cross_polarization", "--mode", "ideal",
+      "--param", "theta", "--values", f"{G},{2 * G}"], "mode"),
 ], ids=["cross-mode", "cross-frame", "regime-grid", "regime-mode",
-        "fig3a-frame"])
+        "fig3a-frame", "sweep-cross-mode"])
 def test_run_flag_the_scenario_does_not_take_exits_2(capsys, tmp_path, argv,
                                                      option):
     out = tmp_path / "out"
@@ -695,28 +662,6 @@ def test_run_flag_the_scenario_does_not_take_exits_2(capsys, tmp_path, argv,
     assert code == 2 and stdout == ""
     assert f"takes no option '{option}'" in err
     assert not out.exists()
-
-
-def test_config_keys_apply_only_where_the_scenario_takes_them(capsys,
-                                                              tmp_path):
-    # one config serves every subcommand: fig3b's keys do not stop a
-    # cross-Kerr or regime run, and do reach fig3b; fig3a takes the mode
-    # and has one frame calibration
-    cfg = write_config(tmp_path, {"mode": "ideal",
-                                  "frame_calibration": "n1_shared",
-                                  "grid": {"points": 16}})
-    configs = {}
-    for scenario in ("cross_polarization", "regime_check", "fig3a", "fig3b"):
-        code, out, _ = run_cli(capsys, "run", scenario, "--config", cfg,
-                               "--out", str(tmp_path / scenario))
-        assert code == 0
-        configs[scenario] = strict_json(pathlib.Path(
-            json.loads(out)["outputs"]["json"]).read_text())["config"]
-        assert configs[scenario].get("grid_points") == (
-            None if scenario == "regime_check" else 16)
-    for scenario, frame in (("fig3a", "per_branch"), ("fig3b", "n1_shared")):
-        assert (configs[scenario]["mode"],
-                configs[scenario]["frame_calibration"]) == ("ideal", frame)
 
 
 def test_run_mode_flag_takes_every_protocol_mode(capsys, tmp_path):
@@ -770,8 +715,8 @@ def test_sweep_jobs_imports_no_process_pool(tmp_path):
 
 @pytest.mark.parametrize("argv, loads", [
     (["list-scenarios"], False), (["check-regime"], False),
-    (["calibrate"], False), (["run", "fig3b", "--grid-points", "16"], True)],
-    ids=["list-scenarios", "check-regime", "calibrate", "run"])
+    (["run", "fig3b", "--grid-points", "16"], True)],
+    ids=["list-scenarios", "check-regime", "run"])
 def test_only_a_command_that_writes_files_imports_hashlib(tmp_path, argv,
                                                          loads):
     # hashlib loads OpenSSL; only the file-name hash of written outputs
@@ -796,23 +741,65 @@ def test_only_a_command_that_writes_files_imports_hashlib(tmp_path, argv,
     "regime_check", "fig3b", "fig3a", "cross_polarization", "cross_toroidal"])
 def test_config_thresholds_reach_the_written_report(capsys, tmp_path,
                                                     scenario):
-    # the JSON regime block applies the thresholds check-regime applies
+    # the JSON regime block applies the thresholds check-regime applies;
+    # an overlap report keys it by atom count, as check-regime does
     thresholds = {"second_dispersive": 0.01, "default": 0.2}
-    cfg = write_config(tmp_path, {"thresholds": thresholds,
-                                  "grid": {"points": 16}})
-    code, out, _ = run_cli(capsys, "run", scenario, "--config", cfg,
+    cfg = write_config(tmp_path, {"thresholds": thresholds})
+    grid = [] if scenario == "regime_check" else ["--grid-points", "16"]
+    code, out, _ = run_cli(capsys, "run", scenario, "--config", cfg, *grid,
                            "--out", str(tmp_path / "run"))
     assert code == 0
-    report = strict_json(
-        pathlib.Path(json.loads(out)["outputs"]["json"]).read_text())
+    report = _report(out)
     assert report["config"]["thresholds"] == thresholds
-    ratios = report["regime"]["ratios"]
-    assert ratios["second_dispersive"]["threshold"] == 0.01
-    assert ratios["second_dispersive"]["status"] == "warn"
-    assert ratios["dispersive_cavity"]["threshold"] == 0.2
-    if scenario == "regime_check":
-        code, out, _ = run_cli(capsys, "check-regime", "--config", cfg)
-        assert code == 0 and report["regime"] == json.loads(out)
+    overlap = scenario in experiments.OVERLAP_SCENARIOS
+    for block in (report["regime"].values() if overlap
+                  else [report["regime"]]):
+        ratios = block["ratios"]
+        assert ratios["second_dispersive"]["threshold"] == 0.01
+        assert ratios["second_dispersive"]["status"] == "warn"
+        assert ratios["dispersive_cavity"]["threshold"] == 0.2
+    code, out, _ = run_cli(capsys, "check-regime", scenario, "--config", cfg)
+    shown = json.loads(out)
+    assert report["regime"] == (shown if overlap else shown["N=1"])
+
+
+def test_an_overlap_report_judges_every_atom_count(capsys, tmp_path):
+    # at delta1 = 8g, fig3a's dispersive_cavity ratio sqrt(N) g/delta1 is
+    # 0.125 (pass) at N = 1 and 0.177 (warn) at N = 2
+    cfg = write_config(tmp_path, {"params": {"g": G, "delta1": "8g"}})
+    code, out, _ = run_cli(capsys, "run", "fig3a", "--config", cfg,
+                           "--grid-points", "16", "--out", str(tmp_path))
+    assert code == 0
+    regime = _report(out)["regime"]
+    assert list(regime) == ["N=1", "N=2"]
+    assert [regime[key]["ratios"]["dispersive_cavity"]["status"]
+            for key in regime] == ["pass", "warn"]
+    code, out, _ = run_cli(capsys, "check-regime", "fig3a", "--config", cfg)
+    assert code == 0 and json.loads(out) == regime
+    code, _, err = run_cli(capsys, "run", "fig3a", "--strict", "--config",
+                           cfg, "--out", str(tmp_path))
+    assert code == 3 and "N=2: ['dispersive_cavity'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "fig3b"],
+    ["sweep", "--scenario", "fig3a", "--param", "theta", "--values",
+     "1e8,2e8", "--jobs", "1"],
+    ["sweep", "--scenario", "fig3a", "--param", "theta", "--values",
+     "1e8,2e8", "--jobs", "2"],
+], ids=["run", "sweep-jobs1", "sweep-jobs2"])
+def test_out_that_cannot_be_a_directory_exits_2_by_name(capsys, tmp_path,
+                                                        argv):
+    # checked once, before any scenario runs
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    for out in (blocker, blocker / "sub"):
+        code, stdout, err = run_cli(capsys, *argv, "--grid-points", "16",
+                                    "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert (f"error: --out {out}: {blocker} exists and is not a "
+                "directory\n") == err
+    assert blocker.read_text() == "kept"
 
 
 def test_config_thresholds_reach_every_sweep_point(capsys, tmp_path):
@@ -859,8 +846,7 @@ def test_bad_thresholds_exit_2_by_name(capsys, tmp_path, thresholds,
     cfg = write_config(tmp_path, {"thresholds": thresholds})
     out_dir = ["--out", str(tmp_path / "out")]
     for argv in (["check-regime"], ["run", "regime_check", *out_dir],
-                 ["sweep", "--param", "theta", "--values", "1e8", *out_dir],
-                 ["calibrate"]):
+                 ["sweep", "--param", "theta", "--values", "1e8", *out_dir]):
         code, out, err = run_cli(capsys, *argv, "--config", cfg)
         assert code == 2 and out == ""
         assert message in err
@@ -900,15 +886,6 @@ def test_config_params_are_the_settable_parameters():
 @pytest.mark.parametrize("cfg, message", [
     ({"params": [1, 2]}, "key params must be an object, got [1, 2]"),
     ({"params": "x"}, "key params must be an object, got 'x'"),
-    ({"grid": "ab"}, "key grid must be an object, got 'ab'"),
-    ({"grid": [1]}, "key grid must be an object, got [1]"),
-    ({"sweep": 5}, "key sweep must be an object, got 5"),
-    ({"output": "dir"}, "key output must be an object, got 'dir'"),
-    ({"output": {"dir": 5}}, "key output.dir must be a string, got 5"),
-    ({"scenario": ["fig3b"]}, "key scenario must be a string, got ['fig3b']"),
-    ({"sweep": {"param": ["theta"]}},
-     "key sweep.param must be a string, got ['theta']"),
-    ({"sweep": {"values": "12"}}, "key sweep.values must be an array, got '12'"),
 ])
 def test_malformed_config_block_exits_2_by_name(capsys, tmp_path,
                                                 monkeypatch, cfg, message):
@@ -920,20 +897,13 @@ def test_malformed_config_block_exits_2_by_name(capsys, tmp_path,
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
-@pytest.mark.parametrize("strict, expected", [
-    (True, 3), (False, 0), ("false", 2), ("true", 2), (None, 2)])
-def test_strict_must_be_a_json_boolean(capsys, tmp_path, strict, expected):
-    cfg = write_config(tmp_path, {"strict": strict,
-                                  "params": {"g": G, "theta": "0.01g"}})
-    code, _, err = run_cli(capsys, "check-regime", "--config", cfg)
-    assert code == expected
-    if expected == 2:
-        assert f"key strict must be a boolean, got {strict!r}" in err
-
-
 @pytest.mark.parametrize("cfg, message", [
-    ({"grid": {"points": True}}, "grid points: expected an integer, got True"),
-    ({"jobs": True}, "config key jobs: expected an integer, got True"),
+    # g scales the "10g" rates, so a g of True must not pass as 1
+    ({"params": {"g": True, "delta1": "10g"}},
+     "config key params.g: expected a rate, got True"),
+    ({"thresholds": {"default": True}},
+     "config key thresholds.default: expected a finite number >= 0, "
+     "got True"),
     ({"params": {"n_atoms": True}},
      "config key params.n_atoms: expected an integer, got True"),
     ({"params": {"theta": True}},
@@ -948,27 +918,37 @@ def test_a_json_boolean_is_not_a_number(capsys, tmp_path, cfg, message):
     assert not out.exists()
 
 
-SUBCOMMANDS = (["run", "regime_check"], ["check-regime"], ["calibrate"],
+SUBCOMMANDS = (["run", "regime_check"], ["check-regime"],
                ["sweep", "--param", "theta", "--values", str(G),
                 "--scenario", "regime_check"])
 
 
-@pytest.mark.parametrize("cfg, message", [
-    ({"grid": {"points": True}}, "grid points: expected an integer, got True"),
-    ({"jobs": 0}, "config key jobs: expected an integer >= 1, got 0"),
-    ({"grid": {"points": 1}, "scenario": "regime_check"},
-     "grid points must be an integer >= 2, got 1"),
-    ({"grid": {"n_max": -1}, "scenario": "cross_polarization"},
-     "unknown config key grid.'n_max'"),
-    ({"grid": {"n_max": 4}}, "unknown config key grid.'n_max'"),
-    ({"sweep": {"param": "bogus"}}, "unknown sweep parameter 'bogus'"),
-    ({"scenario": "fig9"}, "unknown scenario 'fig9'"),
+@pytest.mark.parametrize("cfg, key", [
+    ({"grid": {"points": True}}, "grid"),
+    ({"jobs": 0}, "jobs"),
+    ({"grid": {"points": 1}, "scenario": "regime_check"}, "grid"),
+    ({"grid": {"n_max": -1}, "scenario": "cross_polarization"}, "grid"),
+    ({"grid": {"n_max": 4}}, "grid"),
+    ({"sweep": {"param": "bogus"}}, "sweep"),
+    ({"scenario": "fig9"}, "scenario"),
+    ({"scenario": "fig3b"}, "scenario"),
+    ({"mode": "ideal"}, "mode"),
+    ({"frame_calibration": "n1_shared"}, "frame_calibration"),
+    ({"grid": {"points": 16}}, "grid"),
+    ({"sweep": {"param": "theta", "values": [G]}}, "sweep"),
+    ({"output": {"dir": "out"}}, "output"),
+    ({"jobs": 2}, "jobs"),
+    ({"strict": True}, "strict"),
 ], ids=["points-true", "jobs-0", "points-1", "n_max-neg", "n_max-4",
-        "param-bogus", "scenario-fig9"])
+        "param-bogus", "scenario-fig9", "scenario", "mode",
+        "frame_calibration", "grid.points", "sweep", "output.dir", "jobs",
+        "strict"])
 def test_every_subcommand_judges_a_config_the_same_way(capsys, tmp_path, cfg,
-                                                       message):
-    # each value is checked whether or not the subcommand reads it, so a
-    # config that one subcommand rejects is rejected by all of them
+                                                       key):
+    # a config holds params and thresholds only: every run setting is a
+    # flag, and each subcommand rejects a config that names one, whatever
+    # its value, by name and before it runs or writes anything
+    message = f"unknown config key {key!r}"
     config = write_config(tmp_path, cfg)
     out = tmp_path / "out"
     for argv in SUBCOMMANDS:
@@ -985,18 +965,19 @@ def test_one_mode_scenarios_reject_mode_b_parameters_by_name(
         capsys, tmp_path, field, value):
     message = f"fig3b runs one cavity mode and takes no mode-b parameter {field!r}"
     out = tmp_path / "out"
-    cfg = write_config(tmp_path, {"scenario": "fig3b",
-                                  "params": {field: value}})
-    for argv in (["run", "--config", cfg, "--out", str(out)],
-                 ["run", "--config", cfg, "--out", str(out), "--strict"],
-                 ["check-regime", "--config", cfg]):
+    cfg = write_config(tmp_path, {"params": {field: value}})
+    for argv in (["run", "fig3b", "--config", cfg, "--out", str(out)],
+                 ["run", "fig3b", "--config", cfg, "--out", str(out),
+                  "--strict"],
+                 ["check-regime", "fig3b", "--config", cfg]):
         code, stdout, err = run_cli(capsys, *argv)
         assert (code, stdout) == (2, ""), argv
         assert message in err, argv
     assert not out.exists()
     # in a sweep the point fails and is recorded
-    code, stdout, _ = run_cli(capsys, "sweep", "--config", cfg, "--param",
-                              "theta", "--values", str(G), "--out", str(out))
+    code, stdout, _ = run_cli(capsys, "sweep", "--scenario", "fig3b",
+                              "--config", cfg, "--param", "theta",
+                              "--values", str(G), "--out", str(out))
     assert code == 3
     [point] = json.loads(stdout)
     assert not point["ok"] and point["error"] == message
@@ -1045,3 +1026,26 @@ def test_a_mode_b_with_both_variants_exits_2(capsys, tmp_path, scenario):
     assert ("mode b needs exactly one of delta1_b (polarization) and "
             "mode_split (toroidal)") in err
     assert not out.exists()
+
+
+def _readme_blocks(lang):
+    """The bodies of README's fenced code blocks in ``lang``."""
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(),
+                      re.M | re.S)
+
+
+def test_readme_commands_and_configs_are_current():
+    # every `kerrcav` line of README's shell blocks parses, naming a known
+    # scenario, and every JSON block is a config resolve_config accepts, so
+    # the docs cannot name a removed subcommand, flag or config key
+    parser = cli.build_parser()
+    lines = [line.split("#")[0] for block in _readme_blocks("sh")
+             for line in block.splitlines() if line.startswith("kerrcav ")]
+    assert len(lines) >= 5
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert getattr(args, "scenario", None) in (None, *experiments.SCENARIOS)
+    configs = _readme_blocks("json")
+    assert configs
+    for block in configs:
+        cli.resolve_config(json.loads(block))

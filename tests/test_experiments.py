@@ -569,13 +569,20 @@ def test_calibrate_frame_bare_recovers_analytic_rate(fig3b_p1):
     assert abs(r_lin - 5e6) < 1e-3 * 5e6
 
 
-def test_calibrate_frame_is_the_shared_scenario_rate(fig3b_result, capsys):
-    assert cli.main(["calibrate"]) == 0
-    frame = json.loads(capsys.readouterr().out)["frame"]
+def test_calibrate_frame_is_the_shared_scenario_rate(fig3b_result, capsys,
+                                                   tmp_path):
+    # `kerrcav run fig3b` writes the shared n = 1 rate and the (1, 1)
+    # branch of the same run, unflagged
+    assert cli.main(["run", "fig3b", "--out", str(tmp_path)]) == 0
+    report = json.loads(pathlib.Path(
+        json.loads(capsys.readouterr().out)["outputs"]["json"]).read_text())
     b11 = fig3b_result.branch(1, 1)
-    assert frame == {"r_lin": fig3b_result.calibration["r_lin_shared"]["1"],
-                     "expected": b11.r_lin_expected,
-                     "objective": b11.max_abs_error, "flagged": False}
+    assert report["calibration"]["r_lin_shared"]["1"] == \
+        fig3b_result.calibration["r_lin_shared"]["1"]
+    assert "flags" not in report["calibration"]
+    [summary] = [b for b in report["branches"] if (b["N"], b["n"]) == (1, 1)]
+    assert (summary["r_lin_expected"], summary["max_abs_error"]) == (
+        b11.r_lin_expected, b11.max_abs_error)
 
 
 def test_calibrate_frame_doubles_with_n(fig3b_result):
@@ -1034,7 +1041,8 @@ def test_json_report_contents(fig3b_result):
     assert rep["config"]["scenario"] == "fig3b"
     assert rep["config"]["params"]["g"] == G
     assert "pulse" in rep["calibration"]
-    assert rep["regime"]["ratios"]["dispersive_cavity"]["value"] == 0.1
+    assert list(rep["regime"]) == ["N=1", "N=2"]
+    assert rep["regime"]["N=1"]["ratios"]["dispersive_cavity"]["value"] == 0.1
     assert len(rep["branches"]) == 4
     for entry in rep["branches"]:
         assert set(entry) >= {"N", "n", "r_lin", "max_abs_error",
