@@ -1,31 +1,25 @@
 """Truncated Fock (x) collective-atom Hilbert spaces and their operators.
 
-Two atomic representations share one interface:
-
-* ``product``   -- every atom gets its own tensor factor (dim levels**N),
-* ``symmetric`` -- only the permutation-symmetric sector is kept, enumerated
-  by occupation numbers per level (dim C(N + levels - 1, levels - 1)).
-
 Every Hamiltonian in this package is permutation symmetric, so dynamics
-started in a symmetric state never leaves that sector and both
-representations give identical observables.
+started in a symmetric state never leaves the symmetric (Dicke) sector.
+That sector is the only atomic space: it is enumerated by occupation
+numbers per level, (m_0, ..., m_{levels-1}) with sum N, and has dimension
+C(N + levels - 1, levels - 1).
 
 Basis ordering is frozen as part of the output contract: photon indices vary
-slowest (mode a slower than mode b), the atomic configuration fastest.  For
-the product representation atomic configurations are tuples (l_1, ..., l_N)
-in lexicographic order with the last atom fastest; for the symmetric
-representation occupations are ordered by decreasing m_0, then decreasing
-m_1.
+slowest (mode a slower than mode b), the atomic occupation fastest.
+Occupations are ordered by decreasing m_0, then decreasing m_1; for one atom
+this is the level order 0, 1, 2.
 """
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_integer
 
 DIMENSION_GUARD = 10**6
 
@@ -48,7 +42,6 @@ class Space:
     n_modes: int
     n_atoms: int
     levels: int
-    representation: str
     atomic_basis: tuple = field(repr=False)
     # read-only operators and states built on this space, by normalized key
     _built: dict = field(default_factory=dict, init=False, repr=False,
@@ -68,22 +61,16 @@ class Space:
 
 
 def _photon_tuple(space: Space, photons) -> tuple:
-    if np.isscalar(photons):
-        ns = (int(photons),)
-    else:
-        ns = tuple(int(n) for n in photons)
+    ns = (photons,) if np.isscalar(photons) else tuple(photons)
     if len(ns) != space.n_modes:
         raise ValidationError(
             f"expected {space.n_modes} photon number(s), got {len(ns)}"
         )
     for n in ns:
-        if not 0 <= n <= space.n_max:
+        require_integer(n, 0, "photon number")
+        if n > space.n_max:
             raise ValidationError(f"photon number {n} outside 0..{space.n_max}")
-    return ns
-
-
-def _product_basis(n_atoms: int, levels: int) -> tuple:
-    return tuple(itertools.product(range(levels), repeat=n_atoms))
+    return tuple(int(n) for n in ns)
 
 
 def _symmetric_basis(n_atoms: int, levels: int) -> tuple:
@@ -103,37 +90,30 @@ def build_space(
     n_atoms: int,
     levels: int = 2,
     n_modes: int = 1,
-    representation: str = "auto",
 ) -> Space:
     """Validate and construct a Space with its basis enumeration fixed.
 
-    ``representation="auto"`` picks product for N <= 3 and symmetric above,
-    where the collective enumeration pays off.
+    The dimension guard is checked before the basis is enumerated.
     """
-    if n_max < 0:
-        raise ValidationError(f"n_max must be >= 0, got {n_max}")
-    if n_modes not in (1, 2):
+    require_integer(n_max, 0, "n_max")
+    require_integer(n_modes, 1, "n_modes")
+    require_integer(n_atoms, 1, "n_atoms")
+    require_integer(levels, 2, "levels_per_atom")
+    n_max, n_modes, n_atoms, levels = map(int, (n_max, n_modes, n_atoms,
+                                                levels))
+    if n_modes > 2:
         raise ValidationError(f"n_modes must be 1 or 2, got {n_modes}")
-    if n_atoms < 1:
-        raise ValidationError(f"n_atoms must be >= 1, got {n_atoms}")
-    if levels not in (2, 3):
+    if levels > 3:
         raise ValidationError(f"levels_per_atom must be 2 or 3, got {levels}")
-    if representation == "auto":
-        representation = "product" if n_atoms <= 3 else "symmetric"
-    if representation not in ("product", "symmetric"):
-        raise ValidationError(f"unknown representation {representation!r}")
 
-    if representation == "product":
-        atomic = _product_basis(n_atoms, levels)
-    else:
-        atomic = _symmetric_basis(n_atoms, levels)
-    dim = (n_max + 1) ** n_modes * len(atomic)
+    dim = (n_max + 1) ** n_modes * math.comb(n_atoms + levels - 1, levels - 1)
     if dim > DIMENSION_GUARD:
         raise ValidationError(
             f"space dimension {dim} exceeds the guard {DIMENSION_GUARD}; "
-            "use the symmetric representation or a smaller truncation"
+            "use a smaller truncation or fewer atoms"
         )
-    return Space(n_max, n_modes, n_atoms, levels, representation, atomic)
+    return Space(n_max, n_modes, n_atoms, levels,
+                 _symmetric_basis(n_atoms, levels))
 
 
 def _memo(space: Space, key: tuple, build) -> np.ndarray:
@@ -149,7 +129,8 @@ def _memo(space: Space, key: tuple, build) -> np.ndarray:
 
 
 def _check_mode(space: Space, mode: int) -> None:
-    if not 0 <= mode < space.n_modes:
+    require_integer(mode, 0, "mode index")
+    if mode >= space.n_modes:
         raise ValidationError(f"mode index {mode} invalid for {space.n_modes} mode(s)")
 
 
@@ -183,27 +164,18 @@ def _atomic_collective_plain(space: Space, bra: int, ket: int) -> np.ndarray:
     """sum_k |bra_k><ket_k| on the atomic factor, for plain levels 0/1/2."""
     d = space.atomic_dim
     out = np.zeros((d, d), dtype=complex)
-    if space.representation == "product":
-        index = {conf: i for i, conf in enumerate(space.atomic_basis)}
-        for j, conf in enumerate(space.atomic_basis):
-            for k in range(space.n_atoms):
-                if conf[k] == ket:
-                    new = list(conf)
-                    new[k] = bra
-                    out[index[tuple(new)], j] += 1.0
-    else:
-        index = {occ: i for i, occ in enumerate(space.atomic_basis)}
-        for j, occ in enumerate(space.atomic_basis):
-            if bra == ket:
-                out[j, j] += occ[ket]
-                continue
-            if occ[ket] == 0:
-                continue
-            new = list(occ)
-            new[ket] -= 1
-            new[bra] += 1
-            i = index[tuple(new)]
-            out[i, j] += math.sqrt(occ[ket] * (occ[bra] + 1))
+    index = {occ: i for i, occ in enumerate(space.atomic_basis)}
+    for j, occ in enumerate(space.atomic_basis):
+        if bra == ket:
+            out[j, j] += occ[ket]
+            continue
+        if occ[ket] == 0:
+            continue
+        new = list(occ)
+        new[ket] -= 1
+        new[bra] += 1
+        i = index[tuple(new)]
+        out[i, j] += math.sqrt(occ[ket] * (occ[bra] + 1))
     return out
 
 
@@ -211,8 +183,8 @@ def collective(space: Space, bra, ket) -> np.ndarray:
     """Collective transition operator S_{bra,ket} = sum_k |bra_k><ket_k|.
 
     Levels may be 0, 1, 2 or the metastable superpositions '+', '-' with
-    |+-> = (|0> +- |1>)/sqrt(2); the latter require level 1 to exist.
-    Identity on all photon factors.  Read-only, built once per space.
+    |+-> = (|0> +- |1>)/sqrt(2).  Identity on all photon factors.
+    Read-only, built once per space.
     """
     bra, ket = _as_level(bra), _as_level(ket)
     return _memo(space, ("S", bra, ket),
@@ -220,11 +192,8 @@ def collective(space: Space, bra, ket) -> np.ndarray:
 
 
 def _build_collective(space: Space, bra: str, ket: str) -> np.ndarray:
-    for lv in (bra, ket):
-        if lv in _PM and space.levels < 2:
-            raise ValidationError("'+'/'-' levels need levels 0 and 1")
-        if lv == "2" and space.levels < 3:
-            raise ValidationError("level 2 requested on a two-level space")
+    if "2" in (bra, ket) and space.levels < 3:
+        raise ValidationError("level 2 requested on a two-level space")
 
     # expand +/- into 0/1 combinations: |+-> = (|0> +- |1>)/sqrt(2)
     def expand(lv):
@@ -247,84 +216,65 @@ def s3(space: Space) -> np.ndarray:
     return collective(space, "+", "+") - collective(space, "-", "-")
 
 
-def _atoms_key(space: Space, atoms) -> tuple:
+def _atoms_key(atoms) -> tuple:
     """("occ", occupation) or ("labels", per-atom levels): what ``atoms``
-    names, as a hashable key."""
-    if isinstance(atoms, (tuple, list)) and space.representation == "symmetric" \
-            and all(isinstance(x, (int, np.integer)) for x in atoms):
-        return "occ", tuple(int(x) for x in atoms)
+    names, as a hashable key.  A sequence of integers is an occupation."""
+    if isinstance(atoms, (tuple, list)) and all(
+            isinstance(m, numbers.Integral) for m in atoms):
+        for m in atoms:
+            require_integer(m, 0, "an occupation number")
+        return "occ", tuple(int(m) for m in atoms)
     return "labels", tuple(_as_level(c) for c in atoms)
 
 
 def _atomic_state(space: Space, key: tuple, atoms) -> np.ndarray:
-    """Atomic-factor state vector for ``key = _atoms_key(space, atoms)``."""
+    """Atomic-factor state vector for ``key = _atoms_key(atoms)``."""
     kind, values = key
-    if kind == "occ":
-        occ = values
-        if len(occ) != space.levels or sum(occ) != space.n_atoms or min(occ) < 0:
-            raise ValidationError(f"occupation {occ} invalid for this space")
-        v = np.zeros(space.atomic_dim, dtype=complex)
-        v[space.atomic_basis.index(occ)] = 1.0
-        return v
-
-    labels = values
-    if len(labels) != space.n_atoms:
-        raise ValidationError(
-            f"need {space.n_atoms} atomic labels, got {len(labels)}"
-        )
-    for lv in labels:
+    v = np.zeros(space.atomic_dim, dtype=complex)
+    if kind == "labels":
+        if len(values) != space.n_atoms:
+            raise ValidationError(
+                f"need {space.n_atoms} atomic labels, got {len(values)}")
+        if len(set(values)) != 1:
+            raise ValidationError(
+                "the atomic space only holds permutation-symmetric states; "
+                f"per-atom labels {atoms!r} are not uniform")
+        lv = values[0]
         if lv == "2" and space.levels < 3:
             raise ValidationError("level 2 requested on a two-level space")
-
-    def single(lv):
-        v = np.zeros(space.levels, dtype=complex)
         if lv in _PM:
-            v[0] = 1 / math.sqrt(2)
-            v[1] = 0.5**0.5 if lv == "+" else -(0.5**0.5)
-        else:
-            v[int(lv)] = 1.0
-        return v
+            # (c0|0> + c1|1>)^{(x) N} over occupations:
+            # sqrt(C(N, m1)) c0^m0 c1^m1.  With c0, c1 spelled as below the
+            # one-atom state is (c0, c1) bit for bit; the equal closed form
+            # sign^m1 sqrt(C(N, m1)) / 2^(N/2) rounds differently and moves
+            # one-atom outputs in their last bits.
+            c0 = 1 / math.sqrt(2)
+            c1 = 0.5**0.5 if lv == "+" else -(0.5**0.5)
+            for i, occ in enumerate(space.atomic_basis):
+                if occ[0] + occ[1] == space.n_atoms:
+                    v[i] = (math.sqrt(math.comb(space.n_atoms, occ[1]))
+                            * c0**occ[0] * c1**occ[1])
+            return v
+        values = [0] * space.levels
+        values[int(lv)] = space.n_atoms
 
-    if space.representation == "product":
-        out = np.array([1.0], dtype=complex)
-        for lv in labels:
-            out = np.kron(out, single(lv))
-        return out
-
-    # symmetric representation: all atoms must carry the same label
-    if len(set(labels)) != 1:
-        raise ValidationError(
-            "symmetric representation only holds permutation-symmetric "
-            f"product states; per-atom labels {atoms!r} are not uniform"
-        )
-    lv = labels[0]
-    v = np.zeros(space.atomic_dim, dtype=complex)
-    if lv not in _PM:
-        occ = [0] * space.levels
-        occ[int(lv)] = space.n_atoms
-        v[space.atomic_basis.index(tuple(occ))] = 1.0
-        return v
-    # (|0> +- |1>)^{(x) N} expanded over symmetric occupations
-    sign = 1.0 if lv == "+" else -1.0
-    n = space.n_atoms
-    for i, occ in enumerate(space.atomic_basis):
-        if space.levels == 3 and occ[2] != 0:
-            continue
-        m1 = occ[1]
-        v[i] = sign**m1 * math.sqrt(math.comb(n, m1)) / 2 ** (n / 2)
+    occ = tuple(values)
+    if len(occ) != space.levels or sum(occ) != space.n_atoms:
+        raise ValidationError(f"occupation {occ} invalid for this space")
+    v[space.atomic_basis.index(occ)] = 1.0
     return v
 
 
 def basis_state(space: Space, photons, atoms) -> np.ndarray:
     """Unit-norm basis (or +/- superposition) state vector.
 
-    ``photons``: int or per-mode sequence. ``atoms``: per-atom label string
-    like ``"0-+"`` (product), or in the symmetric representation either a
-    uniform label string or an occupation tuple like ``(1, 1, 0)``.
-    Read-only, built once per space.
+    ``photons``: int or per-mode sequence.  ``atoms``: a uniform level
+    string such as ``"--"`` (every atom in that level or superposition),
+    or an occupation per level such as ``(1, 1, 0)``; a sequence of
+    integers always means an occupation.  Read-only, built once per space.
     """
     ns = _photon_tuple(space, photons)
-    key = _atoms_key(space, atoms)
+    key = _atoms_key(atoms)
     return _memo(space, ("psi", ns, key),
                  lambda: _build_basis_state(space, ns, key, atoms))
 
@@ -338,4 +288,3 @@ def _build_basis_state(space: Space, ns: tuple, key: tuple, atoms):
     ph[idx] = 1.0
     v = np.kron(ph, at)
     return v / np.linalg.norm(v)
-

@@ -1,9 +1,13 @@
 """Reference implementations that only the tests use: criterion 7's
 midpoint integrator, the pulse sandwich at any first phase, the ideal pi/2
-pulse, and readers of an overlap series and of a basis position."""
+pulse, readers of an overlap series and of a basis position, and the
+Kronecker-product space of distinguishable atoms that the symmetric
+(occupation-number) space is checked against."""
 from __future__ import annotations
 
+import itertools
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -11,7 +15,8 @@ from kerrcav import numerics
 from kerrcav.errors import GuardError, ValidationError
 from kerrcav.evolve import SegmentPropagators
 from kerrcav.hilbert import Space, _photon_tuple, basis_state, collective
-from kerrcav.models import SchemeParams, _raman_pair, full_hamiltonian
+from kerrcav.models import (SchemeParams, _raman_pair, effective_hamiltonian,
+                            full_hamiltonian)
 from kerrcav.pulses import (VProtocol, _sandwich, check_pulse_guard,
                             default_forward_phase)
 
@@ -116,3 +121,67 @@ def index(space: Space, photons, atomic_index: int) -> int:
     for n in ns:
         ph = ph * (space.n_max + 1) + n
     return ph * space.atomic_dim + atomic_index
+
+
+# -- N distinguishable atoms as explicit Kronecker products -----------------
+# The product space (dim levels**N, first atom slowest) is built here from
+# one-atom vectors with numpy alone; the package keeps only its symmetric
+# sector, and W below maps that sector's occupation basis into it.
+
+def atom_vector(levels: int, level) -> np.ndarray:
+    """One atom in level 0/1/2, or in (|0> +- |1>)/sqrt(2) for '+'/'-'."""
+    v = np.zeros(levels, dtype=complex)
+    if level in ("+", "-"):
+        v[0], v[1] = 1, (1 if level == "+" else -1)
+        return v / np.sqrt(2)
+    v[int(level)] = 1
+    return v
+
+
+def product_collective(n_atoms: int, levels: int, bra, ket) -> np.ndarray:
+    """sum_k 1 (x) ... (x) |bra><ket|_k (x) ... (x) 1: S_{bra,ket} on N
+    distinguishable atoms."""
+    flip = np.outer(atom_vector(levels, bra), atom_vector(levels, ket).conj())
+    one = np.eye(levels)
+    return sum(reduce(np.kron, [flip if j == k else one
+                                for j in range(n_atoms)])
+               for k in range(n_atoms))
+
+
+def product_state(levels: int, labels) -> np.ndarray:
+    """|l_1> (x) ... (x) |l_N> for per-atom labels such as "+-" or "0-"."""
+    return reduce(np.kron, [atom_vector(levels, lv) for lv in labels])
+
+
+def occupation_isometry(space: Space) -> np.ndarray:
+    """W, (levels**N, atomic_dim): column j is the normalized sum of the
+    product configurations whose level counts are ``atomic_basis[j]``."""
+    column = {occ: j for j, occ in enumerate(space.atomic_basis)}
+    configs = list(itertools.product(range(space.levels),
+                                     repeat=space.n_atoms))
+    w = np.zeros((len(configs), space.atomic_dim))
+    for i, conf in enumerate(configs):
+        w[i, column[tuple(conf.count(lv) for lv in range(space.levels))]] = 1
+    return w / np.linalg.norm(w, axis=0)
+
+
+def h1int_representation_gap(space: Space, p: SchemeParams, times) -> float:
+    """Max |difference| over ``times`` of <1,-..-| exp(-i h1int t) |1,-..->
+    between the package's ``h1int`` on ``space`` (one mode, two levels) and
+    (g^2/2D1) n (S+- + S-+) + (theta/2) S3 built on the product space."""
+    n, one = np.diag(np.arange(space.n_max + 1.0)), np.eye(space.n_max + 1)
+    spm = product_collective(space.n_atoms, 2, "+", "-")
+    s3 = (product_collective(space.n_atoms, 2, "+", "+")
+          - product_collective(space.n_atoms, 2, "-", "-"))
+    minus = "-" * space.n_atoms
+    series = []
+    for h, psi in (
+            (effective_hamiltonian(space, p, "h1int"),
+             basis_state(space, 1, minus)),
+            (p.stark * np.kron(n, spm + spm.conj().T)
+             + (p.theta / 2) * np.kron(one, s3),
+             np.kron(one[1], product_state(2, minus)))):
+        eig = numerics.HermitianEigensystem(h)
+        series.append(np.array(
+            [psi.conj() @ (eig.propagator(t) @ psi) for t in times]))
+    return float(np.abs(series[0] - series[1]).max())

@@ -13,7 +13,8 @@ import kerrcav as kc
 from kerrcav import models, numerics, pulses
 from kerrcav import experiments as ex
 
-from oracles import (full_hamiltonian_func, index, max_abs_diff,
+from oracles import (full_hamiltonian_func, h1int_representation_gap, index,
+                     max_abs_diff, occupation_isometry, product_collective,
                      propagate_timedep)
 
 G = 1e8
@@ -96,16 +97,25 @@ def test_criterion_4_regime_arithmetic(fig3b_p1):
 def test_criterion_5_operator_algebra():
     su2_defect = 0.0
     adjoint_exact = True
+    restriction_defect = 0.0
     for n_atoms in (1, 2, 3, 4):
-        for rep in ("product", "symmetric"):
-            space = kc.build_space(n_max=1, n_atoms=n_atoms, levels=2,
-                                   representation=rep)
-            spm = kc.collective(space, "+", "-")
-            smp = kc.collective(space, "-", "+")
-            s3 = kc.s3(space)
+        # the symmetric space, and the Kronecker-product oracle of N
+        # distinguishable atoms that it must be the restriction of
+        space = kc.build_space(n_max=1, n_atoms=n_atoms, levels=2)
+        prod = {(b, k): np.kron(np.eye(2), product_collective(n_atoms, 2, b, k))
+                for b in "+-" for k in "+-"}
+        lift = np.kron(np.eye(2), occupation_isometry(space))
+        for spm, smp, s3 in (
+                (kc.collective(space, "+", "-"),
+                 kc.collective(space, "-", "+"), kc.s3(space)),
+                (prod["+", "-"], prod["-", "+"],
+                 prod["+", "+"] - prod["-", "-"])):
             su2_defect = max(su2_defect, max_abs_diff(
                 spm @ smp - smp @ spm, s3))
             adjoint_exact &= np.array_equal(spm.conj().T, smp)
+        for (b, k), s_prod in prod.items():
+            restriction_defect = max(restriction_defect, max_abs_diff(
+                kc.collective(space, b, k), lift.T @ s_prod @ lift))
     space = kc.build_space(n_max=5, n_atoms=1, levels=2)
     a = kc.annihilation(space)
     comm = a @ a.conj().T - a.conj().T @ a
@@ -116,24 +126,18 @@ def test_criterion_5_operator_algebra():
     p = ex.fig3b_params(1)
     times = np.linspace(0, 30 / G, 5)
     for n_atoms in (1, 2, 3):
-        pn = dataclasses.replace(p, n_atoms=n_atoms)
-        series = {}
-        for rep in ("product", "symmetric"):
-            space = kc.build_space(n_max=2, n_atoms=n_atoms, levels=2,
-                                   representation=rep)
-            h = models.effective_hamiltonian(space, pn, "h1int")
-            psi = kc.basis_state(space, 1, "-" * n_atoms)
-            eig = numerics.HermitianEigensystem(h)
-            series[rep] = np.array(
-                [psi.conj() @ (eig.propagator(t) @ psi) for t in times])
-        rep_dev = max(rep_dev, float(np.abs(
-            series["product"] - series["symmetric"]).max()))
+        space = kc.build_space(n_max=2, n_atoms=n_atoms, levels=2)
+        rep_dev = max(rep_dev, h1int_representation_gap(
+            space, dataclasses.replace(p, n_atoms=n_atoms), times))
     ok = (su2_defect <= 1e-12 and adjoint_exact
+          and restriction_defect <= 1e-12
           and trunc_defect <= 1e-12 and rep_dev <= 1e-8)
     report(5, ok,
            f"su(2) defect {su2_defect:.2e} (tol 1e-12); adjoint exact: "
-           f"{adjoint_exact}; [a,a^dag] sector defect {trunc_defect:.2e}; "
-           f"representation agreement {rep_dev:.2e} (tol 1e-8)")
+           f"{adjoint_exact}; symmetric = W^dag S_prod W to "
+           f"{restriction_defect:.2e} (tol 1e-12); [a,a^dag] sector defect "
+           f"{trunc_defect:.2e}; representation agreement {rep_dev:.2e} "
+           f"(tol 1e-8)")
 
 
 def test_criterion_6_hausdorff_residual_scaling():

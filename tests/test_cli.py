@@ -1049,3 +1049,18 @@ def test_readme_commands_and_configs_are_current():
     assert configs
     for block in configs:
         cli.resolve_config(json.loads(block))
+
+
+def test_every_capture_command_parses():
+    # tests/capture_outputs.py's byte-identity matrix names only current
+    # subcommands, scenarios and flags, and covers every subcommand that
+    # writes outputs
+    import capture_outputs
+
+    parser = cli.build_parser()
+    commands = set()
+    for case in capture_outputs.CASES:
+        args = parser.parse_args(capture_outputs.argv_for(case))
+        assert getattr(args, "scenario", None) in (None, *experiments.SCENARIOS)
+        commands.add(capture_outputs.CASES[case][0])
+    assert commands == {"run", "check-regime", "sweep"}

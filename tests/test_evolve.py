@@ -199,5 +199,6 @@ def test_sector_blocks_are_the_diagonal_blocks(fig3b_p1):
     space = kc.build_space(n_max=2, n_atoms=2, levels=2)
     h = models.tier_b_hamiltonian(space, fig3b_p1)
     blocks, g = evolve.sector_blocks(space, h, np.zeros(space.dim))
-    assert blocks.shape == (3, 4, 4) and g.shape == (3, 4)
+    # three photon sectors of the occupations (2, 0), (1, 1), (0, 2)
+    assert blocks.shape == (3, 3, 3) and g.shape == (3, 3)
     assert np.array_equal(numerics.block_diagonal(blocks), h)

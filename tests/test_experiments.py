@@ -287,12 +287,11 @@ def test_a_run_builds_each_ideal_rotation_once(monkeypatch):
        theta_sign=st.sampled_from((-1, 1)), speed=st.floats(1.0, 5.0),
        n_atoms=st.integers(1, 6), n_max=st.integers(0, 4),
        mode=st.sampled_from(kc.VProtocol.MODES),
-       representation=st.sampled_from(("product", "symmetric")),
        t_fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
        data=st.data())
 def test_lift_matches_dense_protocol(g, delta1, delta1_sign, theta,
                                      theta_sign, speed, n_atoms, n_max, mode,
-                                     representation, t_fracs, data):
+                                     t_fracs, data):
     # A_N = a_1^N and <S++> = N |<n,+|u_n|n,->|^2 from the amplitude table
     # against the dense N-atom protocol; the worst of 2000 random draws was
     # 9e-12.  The table's one-atom space keeps the pulse check's n_max >= 2.
@@ -304,8 +303,7 @@ def test_lift_matches_dense_protocol(g, delta1, delta1_sign, theta,
         g=g, delta1=delta1_sign * delta1 * g, theta=theta_sign * theta * g,
         omega=speed * floor, n_atoms=n_atoms)
     times = np.array(t_fracs) * 2 * math.pi / abs(p.kappa)
-    space = kc.build_space(n_max=n_max, n_atoms=n_atoms, levels=2,
-                           representation=representation)
+    space = kc.build_space(n_max=n_max, n_atoms=n_atoms, levels=2)
     psi0 = kc.basis_state(space, n, "-" * n_atoms)
     states = kc.VProtocol(space, p, mode=mode).states(times, psi0)
     spp = kc.collective(space, "+", "+")

@@ -2,29 +2,88 @@ import numpy as np
 import pytest
 
 import kerrcav as kc
-from kerrcav import hilbert, models, numerics
+from kerrcav import hilbert, models
 from kerrcav.errors import ValidationError
 
-from oracles import index, max_abs_diff
+from oracles import (h1int_representation_gap, index, max_abs_diff,
+                     occupation_isometry, product_collective, product_state)
 
 
 def test_space_dimensions():
-    assert kc.build_space(n_max=4, n_atoms=2, levels=3,
-                          representation="product").dim == 45
-    assert kc.build_space(n_max=4, n_atoms=2, levels=3,
-                          representation="symmetric").dim == 30
+    # (n_max + 1)^modes * C(N + levels - 1, levels - 1)
+    assert kc.build_space(n_max=4, n_atoms=2, levels=3).dim == 30
+    assert kc.build_space(n_max=4, n_atoms=2, levels=2).dim == 15
+    assert kc.build_space(n_max=1, n_atoms=3, levels=3, n_modes=2).dim == 40
     assert kc.build_space(n_max=0, n_atoms=1, levels=2).dim == 2
 
 
 def test_dimension_guard_reports_size():
-    with pytest.raises(ValidationError, match=r"\d+ exceeds"):
-        kc.build_space(n_max=100, n_atoms=12, levels=3,
-                       representation="product")
+    with pytest.raises(ValidationError, match=r"1127251 exceeds"):
+        kc.build_space(n_max=0, n_atoms=1500, levels=3)
 
 
-def test_auto_representation():
-    assert kc.build_space(n_max=1, n_atoms=3, levels=2).representation == "product"
-    assert kc.build_space(n_max=1, n_atoms=4, levels=2).representation == "symmetric"
+def test_dimension_guard_fires_before_the_basis_is_enumerated(monkeypatch):
+    def enumerate_nothing(n_atoms, levels):
+        raise AssertionError(f"enumerated {n_atoms} atoms, {levels} levels")
+
+    monkeypatch.setattr(hilbert, "_symmetric_basis", enumerate_nothing)
+    with pytest.raises(ValidationError, match="exceeds the guard"):
+        kc.build_space(n_max=0, n_atoms=15000, levels=3)
+    with pytest.raises(ValidationError, match="exceeds the guard"):
+        kc.build_space(n_max=10**6, n_atoms=1, levels=2)
+
+
+@pytest.mark.parametrize("kwargs, what", [
+    (dict(n_max=2.5, n_atoms=1), "n_max"),
+    (dict(n_max=True, n_atoms=1), "n_max"),
+    (dict(n_max=2, n_atoms=1.5), "n_atoms"),
+    (dict(n_max=2, n_atoms=True), "n_atoms"),
+    (dict(n_max=2, n_atoms=1, levels=2.0), "levels_per_atom"),
+    (dict(n_max=2, n_atoms=1, levels=False), "levels_per_atom"),
+    (dict(n_max=2, n_atoms=1, n_modes=1.0), "n_modes"),
+    (dict(n_max="2", n_atoms=1), "n_max"),
+])
+def test_build_space_rejects_non_integral_sizes_by_name(kwargs, what):
+    with pytest.raises(ValidationError, match=f"{what} must be an integer"):
+        kc.build_space(**kwargs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: kc.annihilation(s, 0.5),
+    lambda s: kc.number_op(s, 0.5),
+    lambda s: kc.annihilation(s, True),
+    lambda s: kc.basis_state(s, 1.5, "-"),
+    lambda s: kc.basis_state(s, (1.9,), "-"),
+    lambda s: kc.basis_state(s, "2", "-"),
+    lambda s: kc.basis_state(s, True, "-"),
+    lambda s: kc.basis_state(s, 0, (True, False)),
+], ids=["a-mode", "n-mode", "a-bool-mode", "n-float", "n-tuple-float",
+        "n-str", "n-bool", "occupation-bool"])
+def test_non_integral_indices_are_named_errors(call):
+    space = kc.build_space(n_max=2, n_atoms=1, levels=2)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call(space)
+    assert not space._built
+
+
+def test_numpy_integers_are_accepted():
+    space = kc.build_space(n_max=np.int64(2), n_atoms=np.int32(2),
+                           levels=np.int8(2), n_modes=np.uint8(1))
+    assert space == kc.build_space(n_max=2, n_atoms=2, levels=2)
+    assert type(space.n_max) is int and space.dim == 9
+    assert kc.number_op(space, np.int64(0)) is kc.number_op(space, 0)
+    assert kc.basis_state(space, np.int64(1), (np.int64(1), 1)) is \
+        kc.basis_state(space, 1, (1, 1))
+
+
+def test_an_integer_sequence_is_always_an_occupation():
+    space = kc.build_space(n_max=0, n_atoms=2, levels=2)
+    expected = np.zeros(space.dim)
+    expected[space.atomic_basis.index((1, 1))] = 1
+    for atoms in ((1, 1), [1, 1], (np.int64(1), 1)):
+        assert np.array_equal(kc.basis_state(space, 0, atoms), expected)
+    # the uniform label "11" is both atoms in level 1, occupation (0, 2)
+    assert kc.basis_state(space, 0, "11")[space.atomic_basis.index((0, 2))] == 1
 
 
 def test_annihilation_action():
@@ -61,10 +120,12 @@ def test_number_operator_diagonal():
 
 
 def test_collective_flip_on_two_atoms():
+    # S+- |--> = |+-> + |-+>, the symmetric state with one atom flipped
     space = kc.build_space(n_max=0, n_atoms=2, levels=2)
     spm = kc.collective(space, "+", "-")
     minus2 = kc.basis_state(space, 0, "--")
-    expected = (kc.basis_state(space, 0, "+-") + kc.basis_state(space, 0, "-+"))
+    w = occupation_isometry(space)
+    expected = w.T @ (product_state(2, "+-") + product_state(2, "-+"))
     assert max_abs_diff(spm @ minus2, expected) < 1e-14
 
 
@@ -75,15 +136,24 @@ def test_s3_single_atom():
     assert max_abs_diff(s3 @ minus, -minus) < 1e-14
 
 
+def _su2_triple(n_atoms, representation, levels):
+    """(S+-, S-+, S3) on the package's symmetric space or on the oracle's
+    Kronecker-product space of distinguishable atoms."""
+    if representation == "product":
+        spm, smp, spp, smm = (
+            product_collective(n_atoms, levels, bra, ket)
+            for bra, ket in (("+", "-"), ("-", "+"), ("+", "+"), ("-", "-")))
+        return spm, smp, spp - smm
+    space = kc.build_space(n_max=1, n_atoms=n_atoms, levels=levels)
+    return (kc.collective(space, "+", "-"), kc.collective(space, "-", "+"),
+            kc.s3(space))
+
+
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
 @pytest.mark.parametrize("representation", ["product", "symmetric"])
 @pytest.mark.parametrize("levels", [2, 3])
 def test_su2_commutators(n_atoms, representation, levels):
-    space = kc.build_space(n_max=1, n_atoms=n_atoms, levels=levels,
-                           representation=representation)
-    spm = kc.collective(space, "+", "-")
-    smp = kc.collective(space, "-", "+")
-    s3 = kc.s3(space)
+    spm, smp, s3 = _su2_triple(n_atoms, representation, levels)
     assert max_abs_diff(
         spm @ smp - smp @ spm, s3) < 1e-12
     # with S3 = sum(|+><+| - |-><-|) the raising constant is 2, not 1
@@ -92,8 +162,7 @@ def test_su2_commutators(n_atoms, representation, levels):
 
 
 def test_adjoint_exact():
-    space = kc.build_space(n_max=2, n_atoms=3, levels=2,
-                           representation="symmetric")
+    space = kc.build_space(n_max=2, n_atoms=3, levels=2)
     spm = kc.collective(space, "+", "-")
     smp = kc.collective(space, "-", "+")
     assert np.array_equal(spm.conj().T, smp)
@@ -116,26 +185,24 @@ def test_minus_state_single_atom():
 
 def test_minus_state_symmetric_two_atoms():
     # (|0> - |1>)^(x2)/2 over occupations (2,0), (1,1), (0,2)
-    space = kc.build_space(n_max=0, n_atoms=2, levels=2,
-                           representation="symmetric")
+    space = kc.build_space(n_max=0, n_atoms=2, levels=2)
     v = kc.basis_state(space, 0, "--")
     expected = np.array([0.5, -1 / np.sqrt(2), 0.5])
     assert max_abs_diff(v, expected) < 1e-14
 
 
 def test_symmetric_occupation_state():
-    space = kc.build_space(n_max=1, n_atoms=3, levels=2,
-                           representation="symmetric")
+    space = kc.build_space(n_max=1, n_atoms=3, levels=2)
     v = kc.basis_state(space, 1, (2, 1))
     i = index(space, 1, space.atomic_basis.index((2, 1)))
     assert v[i] == 1.0 and abs(np.linalg.norm(v) - 1) < 1e-15
 
 
 def test_symmetric_rejects_nonuniform_labels():
-    space = kc.build_space(n_max=0, n_atoms=2, levels=2,
-                           representation="symmetric")
-    with pytest.raises(ValidationError):
-        kc.basis_state(space, 0, "+-")
+    space = kc.build_space(n_max=0, n_atoms=3, levels=3)
+    for atoms in ("--+", "0-+", ["0", "-", "-"]):
+        with pytest.raises(ValidationError, match="not uniform"):
+            kc.basis_state(space, 0, atoms)
 
 
 def test_level_validation():
@@ -167,21 +234,44 @@ def test_two_mode_operators_commute():
 
 @pytest.mark.parametrize("n_atoms", [1, 2, 3])
 def test_representation_agreement(n_atoms):
-    # identical overlap dynamics in the product and symmetric representations
+    # identical overlap dynamics on the symmetric space and on the oracle's
+    # product space of distinguishable atoms
     g = 1e8
     p = kc.SchemeParams(g=g, delta1=10 * g, theta=g,
                         omega=100 * g, n_atoms=n_atoms)
     times = np.linspace(0, 40 / g, 7)
-    series = {}
-    for rep in ("product", "symmetric"):
-        space = kc.build_space(n_max=2, n_atoms=n_atoms, levels=2,
-                               representation=rep)
-        h = models.effective_hamiltonian(space, p, "h1int")
-        psi = kc.basis_state(space, 1, "-" * n_atoms)
-        eig = numerics.HermitianEigensystem(h)
-        series[rep] = np.array([
-            psi.conj() @ (eig.propagator(t) @ psi) for t in times])
-    assert np.abs(series["product"] - series["symmetric"]).max() < 1e-8
+    space = kc.build_space(n_max=2, n_atoms=n_atoms, levels=2)
+    assert h1int_representation_gap(space, p, times) < 1e-8
+
+
+LEVEL_NAMES = {2: ("0", "1", "+", "-"), 3: ("0", "1", "2", "+", "-")}
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+@pytest.mark.parametrize("levels", [2, 3])
+def test_symmetric_space_is_the_product_space_restricted(n_atoms, levels):
+    # collective = W^dag S_prod W and basis_state = W^dag psi_prod, with W
+    # the occupation basis inside the Kronecker product of N atoms
+    space = kc.build_space(n_max=1, n_atoms=n_atoms, levels=levels)
+    w = occupation_isometry(space)
+    assert max_abs_diff(w.T @ w, np.eye(space.atomic_dim)) < 1e-12
+    lift = np.kron(np.eye(space.photon_dim), w)
+    for bra in LEVEL_NAMES[levels]:
+        for ket in LEVEL_NAMES[levels]:
+            s_prod = product_collective(n_atoms, levels, bra, ket)
+            assert max_abs_diff(kc.collective(space, bra, ket),
+                                lift.T @ np.kron(np.eye(2), s_prod) @ lift
+                                ) < 1e-12, (bra, ket)
+        psi_prod = product_state(levels, bra * n_atoms)
+        # the uniform product state lies in the symmetric sector
+        assert max_abs_diff(w @ (w.T @ psi_prod), psi_prod) < 1e-12
+        for n in (0, 1):
+            expected = np.kron(np.eye(2)[n], w.T @ psi_prod)
+            assert max_abs_diff(kc.basis_state(space, n, bra * n_atoms),
+                                expected) < 1e-12, bra
+    for j, occ in enumerate(space.atomic_basis):
+        assert np.array_equal(kc.basis_state(space, 0, occ)[:space.atomic_dim],
+                              np.eye(space.atomic_dim)[j])
 
 
 
@@ -211,8 +301,8 @@ def _cached_builds(space):
 
 
 SPACE_ARGS = [dict(n_max=2, n_atoms=1, levels=2),
-              dict(n_max=1, n_atoms=2, levels=3, representation="product"),
-              dict(n_max=2, n_atoms=4, levels=3, representation="symmetric"),
+              dict(n_max=1, n_atoms=2, levels=3),
+              dict(n_max=2, n_atoms=4, levels=3),
               dict(n_max=1, n_atoms=1, levels=2, n_modes=2)]
 
 
@@ -240,14 +330,12 @@ def test_cached_operator_equals_a_fresh_build_on_an_equal_space(kwargs):
 
 
 def test_cache_keys_name_the_operator_not_the_spelling():
-    space = kc.build_space(n_max=2, n_atoms=2, levels=2,
-                           representation="product")
+    space = kc.build_space(n_max=2, n_atoms=2, levels=2)
     assert kc.collective(space, 0, 1) is kc.collective(space, "0", "1")
-    assert kc.basis_state(space, 1, "0-") is kc.basis_state(space, [1],
-                                                            ["0", "-"])
-    assert kc.basis_state(space, 1, "0-") is not kc.basis_state(space, 1, "-0")
-    sym = kc.build_space(n_max=1, n_atoms=2, levels=3,
-                         representation="symmetric")
+    assert kc.basis_state(space, 1, "--") is kc.basis_state(space, [1],
+                                                            ["-", "-"])
+    assert kc.basis_state(space, 1, "--") is not kc.basis_state(space, 1, "++")
+    sym = kc.build_space(n_max=1, n_atoms=2, levels=3)
     occ = kc.basis_state(sym, 0, (1, 1, 0))
     assert kc.basis_state(sym, 0, [1, 1, 0]) is occ
     assert not np.array_equal(kc.basis_state(sym, 0, "00"), occ)
@@ -269,8 +357,7 @@ def test_the_cache_is_freed_with_its_space():
     import gc
     import weakref
 
-    space = kc.build_space(n_max=3, n_atoms=6, levels=3,
-                           representation="symmetric")
+    space = kc.build_space(n_max=3, n_atoms=6, levels=3)
     refs = [weakref.ref(op) for op in _cached_builds(space).values()]
     assert all(r() is not None for r in refs)
     del space

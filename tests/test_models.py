@@ -118,8 +118,8 @@ def test_full_hamiltonian_matrix_element(fig3b_p1):
     p = kc.synthesize_raman(fig3b_p1)
     for t in (0.0, 1.3e-8, 4.1e-8):
         h = models.full_hamiltonian(space, p, t, raman=True)
-        i = index(space, 0, space.atomic_basis.index((2,)))
-        j = index(space, 1, space.atomic_basis.index((0,)))
+        i = index(space, 0, space.atomic_basis.index((0, 0, 1)))
+        j = index(space, 1, space.atomic_basis.index((1, 0, 0)))
         assert abs(h[i, j] - p.g * np.exp(-1j * p.delta1 * t)) < 1e-6
         assert numerics.hermiticity_defect(h) < 1e-12 * np.abs(h).max()
 
@@ -167,7 +167,7 @@ def test_static_frame_stark_sign_matches_eliminated_tier(fig3b_p1):
     space = kc.build_space(n_max=1, n_atoms=1, levels=3)
     hop, _ = models.static_frame_hamiltonian(space, fig3b_p1, raman=False)
     w, v = np.linalg.eigh(hop)
-    i = index(space, 1, space.atomic_basis.index((0,)))
+    i = index(space, 1, space.atomic_basis.index((1, 0, 0)))
     overlaps = np.abs(v[i, :]) ** 2
     shift = w[np.argmax(overlaps)]
     expected = fig3b_p1.g**2 / fig3b_p1.delta1
@@ -365,8 +365,8 @@ def test_cross_full_hermitian_and_couplings():
     h = models.full_hamiltonian(space, p, 2.0e-9, raman=True)
     assert numerics.hermiticity_defect(h) < 1e-12 * np.abs(h).max()
     # mode b couples 1 <-> 2: <(0,0), 2| H |(0,1), 1> = g_b e^{-i delta1_b t}
-    i = index(space, (0, 0), space.atomic_basis.index((2,)))
-    j = index(space, (0, 1), space.atomic_basis.index((1,)))
+    i = index(space, (0, 0), space.atomic_basis.index((0, 0, 1)))
+    j = index(space, (0, 1), space.atomic_basis.index((0, 1, 0)))
     assert abs(h[i, j] - p.g_b * np.exp(-1j * p.delta1_b * 2.0e-9)) < 1e-3
 
 

@@ -314,18 +314,16 @@ def _dense_seven_segment_oracle(space, p, t):
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(n_atoms=st.integers(1, 5),
-       representation=st.sampled_from(("product", "symmetric")),
        n=st.integers(0, 2), theta=st.floats(0.5, 4.0),
        theta_sign=st.sampled_from((-1, 1)), t_frac=st.floats(0.0, 1.0))
-def test_sector_states_match_dense_oracle(n_atoms, representation, n, theta,
-                                          theta_sign, t_frac):
+def test_sector_states_match_dense_oracle(n_atoms, n, theta, theta_sign,
+                                          t_frac):
     # V(t) evaluated in one photon-number block, or in the two blocks of a
     # superposition of n = 0 and 2, equals the dense product
     p = kc.SchemeParams(
         g=G, delta1=10 * G, theta=theta_sign * theta * G, omega=100 * G,
         n_atoms=n_atoms)
-    space = kc.build_space(n_max=2, n_atoms=n_atoms, levels=2,
-                           representation=representation)
+    space = kc.build_space(n_max=2, n_atoms=n_atoms, levels=2)
     minus = "-" * n_atoms
     mixed = (kc.basis_state(space, 0, minus)
              + kc.basis_state(space, 2, minus)) / math.sqrt(2)
@@ -336,23 +334,6 @@ def test_sector_states_match_dense_oracle(n_atoms, representation, n, theta,
         for k, t in enumerate(times):
             ref = _dense_seven_segment_oracle(space, p, t) @ psi0
             assert max_abs_diff(states[k], ref) < 1e-10
-
-
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(n_atoms=st.sampled_from((2, 3)), n=st.integers(0, 2),
-       theta=st.floats(0.5, 4.0), theta_sign=st.sampled_from((-1, 1)))
-def test_product_and_symmetric_protocols_agree(n_atoms, n, theta, theta_sign):
-    # the two representations give the protocol blocks of size 2^N and N+1
-    p = kc.SchemeParams(
-        g=G, delta1=10 * G, theta=theta_sign * theta * G, omega=100 * G,
-        n_atoms=n_atoms)
-    times = np.linspace(0, 2 * math.pi / abs(p.kappa), 17)
-    amps = {}
-    for rep in ("product", "symmetric"):
-        space = kc.build_space(n_max=2, n_atoms=n_atoms, levels=2,
-                               representation=rep)
-        amps[rep] = amplitude_series(kc.VProtocol(space, p), times, n)
-    assert np.abs(amps["product"] - amps["symmetric"]).max() < 1e-10
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
