@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 
@@ -35,21 +36,22 @@ KNOWN_KEYS = {"params", "thresholds"}
 
 
 def parse_rate(value, g: float | None, where: str) -> float:
-    """A rate: a number, or a string like '10g' scaled by the absolute g;
-    ``where`` names the input in error messages."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if not isinstance(value, str):
+    """A finite rate: a number, or a string like '10g' scaled by the
+    absolute g; ``where`` names the input in error messages."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ValidationError(f"{where}: expected a rate, got {value!r}")
-    txt, scale = value.strip(), 1.0
+    txt, scale = str(value).strip(), 1.0
     if txt.endswith("g"):
         if g is None:
             raise ValidationError(f"{where}: '{value}' needs an absolute g")
         txt, scale = txt[:-1] or "1", g
     try:
-        return float(txt) * scale
+        rate = float(txt) * scale
     except ValueError:
         raise ValidationError(f"{where}: cannot parse rate {value!r}")
+    if not math.isfinite(rate):
+        raise ValidationError(f"{where} must be finite, got {value!r}")
+    return rate
 
 
 def _as_int(value, where: str) -> int:
@@ -206,13 +208,13 @@ def cmd_sweep(args) -> int:
     # written to a directory keeps no result)
     summary = [{key: value for key, value in vars(pt).items()
                 if value is not None} for pt in points]
-    print(json.dumps(experiments._jsonable(summary), sort_keys=True, indent=2))
+    print(json.dumps(experiments._jsonable(summary), sort_keys=True, indent=2,
+                     allow_nan=False))
     return EXIT_OK if all(pt.ok for pt in points) else EXIT_GUARD
 
 
 def cmd_list_scenarios(_args) -> int:
-    for name in sorted(SCENARIOS):
-        print(name)
+    print("\n".join(sorted(SCENARIOS)))
     return EXIT_OK
 
 

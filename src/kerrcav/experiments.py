@@ -1,13 +1,18 @@
 """Benchmark scenarios, frame calibration and reproducible data emission.
 
-This module is the one that knows the scenarios: ``SCENARIOS`` maps each
-name to its runner, and a runner's parameters besides ``overrides`` and
-the regime ``thresholds`` are the options the scenario takes
-(``scenario_options``).  ``sweep`` and the command line reject by name an
-option a scenario does not take.  ``scenario_params`` is the one source of
-the parameter sets a scenario runs, overrides applied, for its runner,
-``--strict`` and ``check-regime``: a new non-overlap scenario adds its
-family there.  ``_echo`` builds every runner's config echo.
+This module is the one that knows the scenarios.  A scenario is a runner,
+its ``SCENARIOS`` entry, its parameter family in ``scenario_params`` (for
+an overlap scenario, its record) and a result that carries its ``config``
+echo (``_echo``), ``report()``, the dict its JSON report holds, and
+``columns()``, the CSV header and one block per (time grid, integer keys,
+float columns), or None for no CSV.  The writer (``csv_text``,
+``json_report``, ``write_outputs``) reads nothing else.  A runner's
+parameters besides ``overrides`` and the regime ``thresholds`` are the
+options the scenario takes (``scenario_options``), which ``sweep`` and the
+command line check by name; an option that is not a ``SchemeParams`` field
+is one of them, set by a flag and echoed in ``config`` beside ``params``.
+``scenario_params`` is the one source of the parameter sets a scenario
+runs, overrides applied, for its runner, ``--strict`` and ``check-regime``.
 
 The two overlap scenarios, ``FIG3A`` and ``FIG3B``, probe
 X = |<n,-|V(t)|-,n>| and Y = Re of the frame-removed amplitude against the
@@ -58,6 +63,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
+import itertools
 import json
 import math
 import os
@@ -325,19 +331,33 @@ class BranchResult:
 
 @dataclass
 class ScenarioResult:
-    name: str
     config: dict
     branches: list
     regime: dict                       # N=<N> -> RegimeReport
     calibration: dict
     diagnostics: dict
-    notes: tuple = ()
 
     def branch(self, n_atoms: int, n_photons: int) -> BranchResult:
         for b in self.branches:
             if b.n_atoms == n_atoms and b.n_photons == n_photons:
                 return b
         raise KeyError(f"no branch (N={n_atoms}, n={n_photons})")
+
+    def report(self) -> dict:
+        return {"config": self.config,
+                "regime": {key: r.to_dict() for key, r in self.regime.items()},
+                "calibration": self.calibration,
+                "diagnostics": self.diagnostics,
+                "branches": [b.summary() for b in self.branches],
+                "notes": []}
+
+    def columns(self):
+        """One block per branch, in (N, n) order."""
+        return (("t_seconds", "N", "n", "X", "Y", "reference", "abs_error"),
+                [(b.times, (b.n_atoms, b.n_photons),
+                  (b.x, b.y, b.reference, b.abs_error))
+                 for b in sorted(self.branches,
+                                 key=lambda b: (b.n_atoms, b.n_photons))])
 
 
 def fitted_frequency(times, z) -> float:
@@ -504,7 +524,7 @@ def _run_overlap_scenario(scenario: OverlapScenario,
                    n_max=N_MAX, frame_calibration=frame_calibration,
                    branches=[list(b) for b in branch_list])
     return ScenarioResult(
-        name=scenario.name, config=config, branches=branches,
+        config=config, branches=branches,
         regime=regime_reports(param_sets, thresholds),
         calibration=calibration_block, diagnostics=diagnostics,
     )
@@ -542,15 +562,30 @@ def run_fig3a(
 
 @dataclass
 class CrossKerrResult:
-    variant: str
     config: dict
     times: np.ndarray
-    amplitudes: dict
+    amplitudes: dict                  # (n_a, n_b) -> lifted amplitudes
     nu_hat: float
     nu_effective: float
     relative_error: float | None      # None when nu_effective = 0
     regime: RegimeReport
-    notes: tuple = ()
+
+    def report(self) -> dict:
+        return {"config": self.config, "regime": self.regime.to_dict(),
+                "nu_hat": self.nu_hat, "nu_effective": self.nu_effective,
+                "relative_error": self.relative_error,
+                "notes": ["nu_hat is minus the slope of N unwrap(arg(a11 a00 "
+                          "conj(a10 a01))) of the one-atom physical-protocol "
+                          "amplitudes; exp(-i H t) convention."]}
+
+    def columns(self):
+        """One block per occupation: Python's ``abs`` of each amplitude and
+        its wrapped ``np.angle`` (unwrapped, a Kerr-period grid would alias
+        it)."""
+        return (("t_seconds", "n_a", "n_b", "modulus", "phase"),
+                [(self.times, occ, ([abs(a) for a in amps.tolist()],
+                                    np.angle(amps)))
+                 for occ, amps in sorted(self.amplitudes.items())])
 
 
 def run_cross_kerr(
@@ -573,8 +608,6 @@ def run_cross_kerr(
     |nu_effective|, None when nu_effective = 0 (the g_b = 0 control).
     ``variant`` picks the scenario's parameters, which name mode b.
     """
-    if variant not in ("polarization", "toroidal"):
-        raise ValidationError(f"unknown cross-Kerr variant {variant!r}")
     require_integer(grid_points, 2, "grid points")
     regimes.check_thresholds(thresholds)
     [p] = scenario_params(f"cross_{variant}", overrides)
@@ -602,13 +635,10 @@ def run_cross_kerr(
     config = _echo(f"cross_{variant}", p, overrides, thresholds,
                    variant=variant, grid_points=grid_points, n_max=space.n_max)
     return CrossKerrResult(
-        variant=variant, config=config, times=t_grid,
+        config=config, times=t_grid,
         amplitudes={occ: a ** N for occ, a in one.items()},
         nu_hat=nu_hat, nu_effective=nu_eff, relative_error=rel,
         regime=regimes.check(p, thresholds),
-        notes=("nu_hat is minus the slope of N unwrap(arg(a11 a00 conj(a10 "
-               "a01))) of the one-atom physical-protocol amplitudes; "
-               "exp(-i H t) convention.",),
     )
 
 
@@ -630,6 +660,12 @@ class SweepPoint:
 class RegimeCheckResult:
     config: dict
     regime: RegimeReport
+
+    def report(self) -> dict:
+        return {"config": self.config, "regime": self.regime.to_dict()}
+
+    def columns(self):
+        return None                     # a report alone: no CSV
 
 
 def run_regime_check(overrides: dict | None = None,
@@ -830,94 +866,60 @@ def _repr_columns(columns) -> list:
             np.split(text, np.cumsum([len(c) for c in columns])[:-1])]
 
 
-def csv_text(result) -> str:
-    """CSV body for a scenario result (stable row order).
+def csv_text(result) -> str | None:
+    """The CSV of ``result.columns()``: its header, then for each block
+    (time grid, integer keys, float columns) one row per grid point, the
+    point's time, the block's keys and the columns' values at that point;
+    None for a result without columns.
 
     Every float is written as ``repr`` of the Python float.  The table
     (``_repr_columns``) formats each distinct 64-bit pattern of the
-    result's float columns once, and every cell holding that pattern
-    reuses the string; ``repr`` depends on the bit pattern alone, so each
-    cell gets the bytes its own ``repr`` would, and the table cannot change
-    the output.  Over half of fig3a's cells repeat (its n = 0 controls
-    hold a few values each), about a sixth of fig3b's.  The
-    ``t_seconds,N,`` prefixes of an overlap result are built once per time
-    grid and atom count and shared by every branch on that grid.  A
-    cross-Kerr modulus is Python's ``abs`` of each complex amplitude and
-    its phase the wrapped ``np.angle``: unwrapped per occupation, a
-    Kerr-period grid would alias it.  Each block of rows is joined on its
-    own, so its row strings are freed before the next block is built.
+    result's grids and float columns once, and every cell holding that
+    pattern reuses the string; ``repr`` depends on the bit pattern alone,
+    so each cell gets the bytes its own ``repr`` would, and the table
+    cannot change the output.  Over half of fig3a's cells repeat (its n = 0
+    controls hold a few values each), about a sixth of fig3b's.  A grid
+    shared by several blocks (the same array) is formatted once.  Each
+    block of rows is joined on its own, so its row strings are freed
+    before the next block is built.
     """
-    if isinstance(result, CrossKerrResult):
-        blocks = ["t_seconds,n_a,n_b,modulus,phase\n"]
-        occupations = sorted(result.amplitudes)
-        times, *cells = _repr_columns([result.times, *(
-            column for occ in occupations for column in (
-                [abs(a) for a in result.amplitudes[occ].tolist()],
-                np.angle(result.amplitudes[occ])))])
-        for k, (n_a, n_b) in enumerate(occupations):
-            blocks.append("".join([
-                f"{t},{n_a},{n_b},{mod},{ph}\n"
-                for t, mod, ph in zip(times, *cells[2 * k:2 * k + 2])]))
-        return "".join(blocks)
-    blocks = ["t_seconds,N,n,X,Y,reference,abs_error\n"]
-    branches = sorted(result.branches,
-                      key=lambda b: (b.n_atoms, b.n_photons))
-    grids = {(id(b.times), b.n_atoms): b.times for b in branches}
+    if (layout := result.columns()) is None:
+        return None
+    header, blocks = layout
+    grids = {id(times): times for times, _, _ in blocks}
     cells = _repr_columns([*grids.values(), *(
-        column for b in branches
-        for column in (b.x, b.y, b.reference, b.abs_error))])
-    prefixes = {key: [f"{t},{key[1]}," for t in times]
-                for key, times in zip(grids, cells)}
-    del cells[:len(grids)]
-    for k, b in enumerate(branches):
-        blocks.append("".join([
-            f"{pre}{b.n_photons},{x},{y},{ref},{err}\n"
-            for pre, x, y, ref, err in zip(
-                prefixes[id(b.times), b.n_atoms], *cells[4 * k:4 * k + 4])]))
-    return "".join(blocks)
+        column for _, _, columns in blocks for column in columns)])
+    stamps = dict(zip(grids, cells))
+    floats = iter(cells[len(grids):])
+    out = [",".join(header) + "\n"]
+    for times, keys, columns in blocks:
+        text = "\n".join(map(",".join, zip(
+            stamps[id(times)], *(itertools.repeat(str(k)) for k in keys),
+            *(next(floats) for _ in columns))))
+        out.append(text + "\n" if text else "")
+    return "".join(out)
 
 
 def json_report(result) -> dict:
-    """Deterministic JSON-serializable report for any scenario result."""
-    if isinstance(result, RegimeCheckResult):
-        return _jsonable({"config": result.config,
-                          "regime": result.regime.to_dict()})
-    if isinstance(result, CrossKerrResult):
-        return _jsonable({
-            "config": result.config,
-            "regime": result.regime.to_dict(),
-            "nu_hat": result.nu_hat,
-            "nu_effective": result.nu_effective,
-            "relative_error": result.relative_error,
-            "notes": list(result.notes),
-        })
-    return _jsonable({
-        "config": result.config,
-        "regime": {key: r.to_dict() for key, r in result.regime.items()},
-        "calibration": result.calibration,
-        "diagnostics": result.diagnostics,
-        "branches": [b.summary() for b in result.branches],
-        "notes": list(result.notes),
-    })
+    """The deterministic JSON-serializable form of ``result.report()``."""
+    return _jsonable(result.report())
 
 
 def write_outputs(result, outdir) -> dict:
-    """Write <scenario>_<config-hash>.{csv,json}; returns the paths.  The
-    JSON is strict: a NaN or infinity in a report is a ``ValueError``."""
+    """Write <scenario>_<config-hash>.json, and .csv when the result has
+    columns; returns the paths.  The JSON is strict: a NaN or infinity in a
+    report is a ``ValueError``."""
     import pathlib
 
-    outdir = pathlib.Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     cfg = result.config
-    stem = f"{cfg['scenario']}_{config_hash(cfg)}"
+    stem = pathlib.Path(outdir) / f"{cfg['scenario']}_{config_hash(cfg)}"
+    stem.parent.mkdir(parents=True, exist_ok=True)
+    texts = {"json": json.dumps(json_report(result), sort_keys=True, indent=2,
+                                allow_nan=False) + "\n",
+             "csv": csv_text(result)}
     paths = {}
-    report = json.dumps(json_report(result), sort_keys=True, indent=2,
-                        allow_nan=False) + "\n"
-    json_path = outdir / f"{stem}.json"
-    json_path.write_text(report)
-    paths["json"] = str(json_path)
-    if not isinstance(result, RegimeCheckResult):
-        csv_path = outdir / f"{stem}.csv"
-        csv_path.write_text(csv_text(result))
-        paths["csv"] = str(csv_path)
+    for kind, text in texts.items():
+        if text is not None:
+            paths[kind] = f"{stem}.{kind}"
+            pathlib.Path(paths[kind]).write_text(text)
     return paths

@@ -247,13 +247,16 @@ def _atomic_state(space: Space, key: tuple, atoms) -> np.ndarray:
             # sqrt(C(N, m1)) c0^m0 c1^m1.  With c0, c1 spelled as below the
             # one-atom state is (c0, c1) bit for bit; the equal closed form
             # sign^m1 sqrt(C(N, m1)) / 2^(N/2) rounds differently and moves
-            # one-atom outputs in their last bits.
-            c0 = 1 / math.sqrt(2)
-            c1 = 0.5**0.5 if lv == "+" else -(0.5**0.5)
-            for i, occ in enumerate(space.atomic_basis):
-                if occ[0] + occ[1] == space.n_atoms:
-                    v[i] = (math.sqrt(math.comb(space.n_atoms, occ[1]))
-                            * c0**occ[0] * c1**occ[1])
+            # one-atom outputs in their last bits.  Past N = 1000 it is taken
+            # in log space (C(N, N/2) overflows a float from N ~ 1030).
+            N, sign = space.n_atoms, (1 if lv == "+" else -1)
+            c0, c1 = 1 / math.sqrt(2), sign * 0.5**0.5
+            for i, (m0, m1, *_) in enumerate(space.atomic_basis):
+                if m0 + m1 == N:
+                    v[i] = (math.sqrt(math.comb(N, m1)) * c0**m0 * c1**m1
+                            if N <= 1000 else sign**m1 * math.exp(0.5 * (
+                                math.lgamma(N + 1) - math.lgamma(m0 + 1)
+                                - math.lgamma(m1 + 1) - N * math.log(2))))
             return v
         values = [0] * space.levels
         values[int(lv)] = space.n_atoms

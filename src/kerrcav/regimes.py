@@ -114,10 +114,6 @@ def check(p: SchemeParams, thresholds: dict | None = None) -> RegimeReport:
     check_thresholds(thresholds)
     th = {"default": DEFAULT_THRESHOLD, "separation": SEPARATION_THRESHOLD}
     th.update(thresholds or {})
-
-    def threshold(name):
-        return float(th.get(name, th["default"]))
-
     sqrt_n = math.sqrt(p.n_atoms)
     theta = abs(p.theta)
     modes = [(abs(g), detuning) for g, detuning, _, _ in mode_couplings(p)]
@@ -143,15 +139,11 @@ def check(p: SchemeParams, thresholds: dict | None = None) -> RegimeReport:
                                    / abs(p.delta2 - d) for g, d in modes)
         values["footnote_ratio"] = max((lam**3 / d2**2) / (g**2 / abs(d))
                                        for g, d in modes)
-    else:
-        values["dispersive_laser"] = None
-        values["separation"] = None
-        values["footnote_ratio"] = None
 
     ratios = {}
     for name in RATIO_NAMES:
-        v = values[name]
-        tol = threshold(name)
+        v = values.get(name)        # the laser ratios need (lam, delta2)
+        tol = float(th.get(name, th["default"]))
         if v is None:
             ratios[name] = RatioEntry(None, tol, "not_evaluated")
         else:
@@ -171,6 +163,6 @@ def check(p: SchemeParams, thresholds: dict | None = None) -> RegimeReport:
         "enhanced_simple_estimate is (sqrt(N) g/delta1) N^(1/4) g, "
         "a factor 2 larger -- both reported on purpose.",
     ]
-    if values["footnote_ratio"] is None:
+    if p.lam is None:
         notes.append("laser ratios not evaluated: no (lam, delta2) supplied.")
     return RegimeReport(ratios, strengths, tuple(notes))

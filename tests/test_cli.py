@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import kerrcav as kc
@@ -389,6 +390,110 @@ def test_run_rejects_a_non_finite_rate_by_name(capsys, tmp_path, scenario,
     assert f"{field} must be finite" in err
     assert stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("values", ["nan,inf", "2e8,1e301g", "3e8,-inf"])
+def test_sweep_rejects_a_non_finite_value_before_any_point(
+        capsys, tmp_path, monkeypatch, jobs, values):
+    # "1e301g" overflows only once scaled by g; no point may run, and no
+    # summary may print NaN or Infinity, which are not JSON
+    monkeypatch.setattr(cli, "sweep", None)     # calling it would fail
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(
+        capsys, "sweep", "--config", write_config(tmp_path, {
+            "params": {"g": G}}), "--scenario", "fig3b", "--param", "theta",
+        "--values", values, "--jobs", jobs, "--out", str(out))
+    assert code == 2
+    assert "--values must be finite, got '" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ['"1e301g"', "1e400", "-Infinity", "NaN"])
+def test_config_rejects_a_rate_that_is_not_finite_once_parsed(
+        capsys, tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text('{"params": {"g": 1e8, "theta": %s}}' % text)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "run", "regime_check", "--config",
+                                str(path), "--out", str(out))
+    assert code == 2
+    assert "config key params.theta must be finite" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+class ToyResult:
+    """A scenario result that knows its own report and CSV columns."""
+
+    def __init__(self, config, blocks):
+        self.config, self.blocks = config, blocks
+
+    def report(self):
+        return {"config": self.config, "blocks": len(self.blocks or ())}
+
+    def columns(self):
+        if self.blocks is None:
+            return None
+        return ("t", "k1", "k2", "a", "b"), self.blocks
+
+
+def toy_runner(with_columns):
+    """A scenario with one option, ``grid_points``: two blocks on one grid
+    (or none), with the awkward floats 0.1 + 0.2 and -0.0."""
+    def run_toy(overrides=None, grid_points=3, thresholds=None):
+        theta = (overrides or {}).get("theta", 1.0)
+        t = np.linspace(0.0, 1.0, grid_points)
+        blocks = [(t, (1, 2), (theta * t, np.cos(theta * t))),
+                  (t, (3, 0), (-t, np.full(grid_points, 0.1 + 0.2)))]
+        return ToyResult({"scenario": "toy", "grid_points": grid_points,
+                          "params": dict(overrides or {})},
+                         blocks if with_columns else None)
+    return run_toy
+
+
+def _toy_csv(result):
+    """The CSV a toy result should give, one ``repr`` per cell."""
+    rows = ["t,k1,k2,a,b"]
+    for times, keys, columns in result.blocks:
+        for i, t in enumerate(times):
+            rows.append(",".join([repr(float(t)), *map(str, keys),
+                                  *(repr(float(c[i])) for c in columns)]))
+    return "\n".join(rows) + "\n"
+
+
+def _check_toy_outputs(outputs, expected):
+    assert strict_json(pathlib.Path(outputs["json"]).read_text()) == \
+        expected.report()
+    if expected.blocks is None:
+        assert set(outputs) == {"json"}
+    else:
+        assert pathlib.Path(outputs["csv"]).read_text() == _toy_csv(expected)
+
+
+@pytest.mark.parametrize("with_columns", [True, False])
+def test_a_toy_scenario_needs_no_emission_code(capsys, tmp_path, monkeypatch,
+                                               with_columns):
+    run_toy = toy_runner(with_columns)
+    monkeypatch.setitem(experiments.SCENARIOS, "toy", run_toy)
+    code, out, _ = run_cli(capsys, "run", "toy", "--grid-points", "5",
+                           "--out", str(tmp_path / "run"))
+    assert code == 0
+    _check_toy_outputs(json.loads(out)["outputs"], run_toy({}, grid_points=5))
+    assert len(list((tmp_path / "run").iterdir())) == 1 + with_columns
+
+    code, out, _ = run_cli(capsys, "sweep", "--scenario", "toy", "--param",
+                           "theta", "--values", "0.5,2", "--jobs", "2",
+                           "--grid-points", "4", "--out", str(tmp_path / "sw"))
+    assert code == 0
+    for entry, theta in zip(json.loads(out), (0.5, 2.0)):
+        _check_toy_outputs(entry["outputs"],
+                           run_toy({"theta": theta}, grid_points=4))
+    # an option the toy does not take is still rejected by name
+    code, _, err = run_cli(capsys, "run", "toy", "--mode", "ideal",
+                           "--out", str(tmp_path / "bad"))
+    assert code == 2 and "takes no option 'mode'" in err
 
 
 @pytest.mark.parametrize("command", [

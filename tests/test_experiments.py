@@ -1005,7 +1005,8 @@ def test_csv_text_writes_every_bit_pattern_as_its_own_repr():
     # across branches
     branches = [branch(3, 1, long), branch(1, 0, two), branch(1, 2, two),
                 branch(3, 0, long), branch(2, 1, two)]
-    overlap = ex.ScenarioResult("synthetic", {}, branches, None, {}, {})
+    overlap = ex.ScenarioResult(config={}, branches=branches, regime=None,
+                                calibration={}, diagnostics={})
     assert ex.csv_text(overlap) == _per_element_csv(overlap)
 
     def amplitude(n):
@@ -1015,10 +1016,10 @@ def test_csv_text_writes_every_bit_pattern_as_its_own_repr():
 
     for times in (two, long):
         cross = ex.CrossKerrResult(
-            "synthetic", {}, times,
-            {occ: amplitude(len(times))
-             for occ in ((1, 1), (0, 1), (0, 0), (1, 0))},
-            0.0, 0.0, None, None)
+            config={}, times=times,
+            amplitudes={occ: amplitude(len(times))
+                        for occ in ((1, 1), (0, 1), (0, 0), (1, 0))},
+            nu_hat=0.0, nu_effective=0.0, relative_error=None, regime=None)
         assert ex.csv_text(cross) == _per_element_csv(cross)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,25 @@ def test_minus_state_single_atom():
     v = kc.basis_state(space, 0, "-")
     expected = np.array([1, -1]) / np.sqrt(2)
     assert max_abs_diff(v, expected) < 1e-15
+
+
+@pytest.mark.parametrize("label, sign", [("-", -1), ("+", 1)],
+                         ids=["minus", "plus"])
+def test_pm_state_past_the_float_range_of_the_binomial(label, sign):
+    # C(1100, 550) ~ 1e330 overflows a float; the amplitudes are
+    # sign^m1 sqrt(C(N, m1) / 2^N), taken here to 40 digits
+    from decimal import Decimal, localcontext
+
+    N = 1100
+    space = kc.build_space(n_max=0, n_atoms=N, levels=2)
+    v = kc.basis_state(space, 0, label * N)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        expected = [sign**m1 * float((Decimal(math.comb(N, m1))
+                                      / Decimal(2)**N).sqrt())
+                    for _, m1 in space.atomic_basis]
+    assert np.allclose(v, expected, rtol=1e-11, atol=0)
+    assert abs(np.linalg.norm(v) - 1) < 1e-12
 
 
 def test_minus_state_symmetric_two_atoms():
