@@ -75,7 +75,7 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}")
@@ -83,6 +83,10 @@ def load_config(path: str | None) -> dict:
         raise ValidationError(
             f"config {path}: invalid JSON at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, an integer past Python's digit limit,
+        # or nesting deeper than the parser's recursion limit
+        raise ValidationError(f"config {path}: invalid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ValidationError(f"config {path}: top level must be an object")
     return cfg

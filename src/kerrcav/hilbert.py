@@ -43,9 +43,6 @@ class Space:
     n_atoms: int
     levels: int
     atomic_basis: tuple = field(repr=False)
-    # read-only operators and states built on this space, by normalized key
-    _built: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     @property
     def photon_dim(self) -> int:
@@ -116,18 +113,6 @@ def build_space(
                  _symmetric_basis(n_atoms, levels))
 
 
-def _memo(space: Space, key: tuple, build) -> np.ndarray:
-    """``build()`` on the first call for ``key`` on ``space``, made
-    read-only; the same array on every later call.  ``key`` must name the
-    result completely, and a build that raises stores nothing."""
-    out = space._built.get(key)
-    if out is None:
-        out = build()
-        out.flags.writeable = False
-        space._built[key] = out
-    return out
-
-
 def _check_mode(space: Space, mode: int) -> None:
     require_integer(mode, 0, "mode index")
     if mode >= space.n_modes:
@@ -146,18 +131,17 @@ def _photon_only(space: Space, mat_1mode: np.ndarray, mode: int) -> np.ndarray:
 
 
 def annihilation(space: Space, mode: int = 0) -> np.ndarray:
-    """Truncated lowering operator for the given photon mode (read-only,
-    built once per space)."""
+    """Truncated lowering operator for the given photon mode."""
     _check_mode(space, mode)
-    return _memo(space, ("a", mode), lambda: _photon_only(space, np.diag(
-        np.sqrt(np.arange(1, space.n_max + 1)), 1).astype(complex), mode))
+    return _photon_only(space, np.diag(
+        np.sqrt(np.arange(1, space.n_max + 1)), 1).astype(complex), mode)
 
 
 def number_op(space: Space, mode: int = 0) -> np.ndarray:
-    """Photon number of the given mode (read-only, built once per space)."""
+    """Photon number of the given mode."""
     _check_mode(space, mode)
-    return _memo(space, ("n", mode), lambda: _photon_only(
-        space, np.diag(np.arange(space.n_max + 1)).astype(complex), mode))
+    return _photon_only(
+        space, np.diag(np.arange(space.n_max + 1)).astype(complex), mode)
 
 
 def _atomic_collective_plain(space: Space, bra: int, ket: int) -> np.ndarray:
@@ -184,14 +168,8 @@ def collective(space: Space, bra, ket) -> np.ndarray:
 
     Levels may be 0, 1, 2 or the metastable superpositions '+', '-' with
     |+-> = (|0> +- |1>)/sqrt(2).  Identity on all photon factors.
-    Read-only, built once per space.
     """
     bra, ket = _as_level(bra), _as_level(ket)
-    return _memo(space, ("S", bra, ket),
-                 lambda: _build_collective(space, bra, ket))
-
-
-def _build_collective(space: Space, bra: str, ket: str) -> np.ndarray:
     if "2" in (bra, ket) and space.levels < 3:
         raise ValidationError("level 2 requested on a two-level space")
 
@@ -216,22 +194,17 @@ def s3(space: Space) -> np.ndarray:
     return collective(space, "+", "+") - collective(space, "-", "-")
 
 
-def _atoms_key(atoms) -> tuple:
-    """("occ", occupation) or ("labels", per-atom levels): what ``atoms``
-    names, as a hashable key.  A sequence of integers is an occupation."""
+def _atomic_state(space: Space, atoms) -> np.ndarray:
+    """Atomic-factor state vector for ``atoms``: per-atom level labels, or
+    an occupation when it is a sequence of integers."""
+    v = np.zeros(space.atomic_dim, dtype=complex)
     if isinstance(atoms, (tuple, list)) and all(
             isinstance(m, numbers.Integral) for m in atoms):
         for m in atoms:
             require_integer(m, 0, "an occupation number")
-        return "occ", tuple(int(m) for m in atoms)
-    return "labels", tuple(_as_level(c) for c in atoms)
-
-
-def _atomic_state(space: Space, key: tuple, atoms) -> np.ndarray:
-    """Atomic-factor state vector for ``key = _atoms_key(atoms)``."""
-    kind, values = key
-    v = np.zeros(space.atomic_dim, dtype=complex)
-    if kind == "labels":
+        values = [int(m) for m in atoms]
+    else:
+        values = [_as_level(c) for c in atoms]
         if len(values) != space.n_atoms:
             raise ValidationError(
                 f"need {space.n_atoms} atomic labels, got {len(values)}")
@@ -274,16 +247,10 @@ def basis_state(space: Space, photons, atoms) -> np.ndarray:
     ``photons``: int or per-mode sequence.  ``atoms``: a uniform level
     string such as ``"--"`` (every atom in that level or superposition),
     or an occupation per level such as ``(1, 1, 0)``; a sequence of
-    integers always means an occupation.  Read-only, built once per space.
+    integers always means an occupation.
     """
     ns = _photon_tuple(space, photons)
-    key = _atoms_key(atoms)
-    return _memo(space, ("psi", ns, key),
-                 lambda: _build_basis_state(space, ns, key, atoms))
-
-
-def _build_basis_state(space: Space, ns: tuple, key: tuple, atoms):
-    at = _atomic_state(space, key, atoms)
+    at = _atomic_state(space, atoms)
     ph = np.zeros(space.photon_dim, dtype=complex)
     idx = 0
     for n in ns:

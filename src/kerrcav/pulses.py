@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hilbert, models, numerics
+from . import models, numerics
 from .errors import CalibrationError, GuardError, ValidationError
 from .evolve import SegmentPropagators, sector_blocks
 from .hilbert import Space
@@ -66,12 +66,9 @@ def default_forward_phase(p: SchemeParams) -> float:
 
 
 def _ideal_rotation(space: Space, p: SchemeParams) -> np.ndarray:
-    """The canonical rotation, exponentiated per photon-number block
-    (read-only, built once per space and parameter set)."""
-    def build():
-        gen, _ = sector_blocks(space, models.rotation_generator(space, p))
-        return numerics.expm_antihermitian(gen)
-    return hilbert._memo(space, ("U_ideal", p), build)
+    """The canonical rotation, exponentiated per photon-number block."""
+    gen, _ = sector_blocks(space, models.rotation_generator(space, p))
+    return numerics.expm_antihermitian(gen)
 
 
 def u_ideal(space: Space, p: SchemeParams) -> np.ndarray:

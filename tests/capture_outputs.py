@@ -7,9 +7,12 @@ Usage::
 runs each command of ``CASES`` in this process against the kerrcav source
 tree that holds this file (``../src``).  Every case gets ``OUTDIR/<case>/``
 holding the files the command wrote plus ``argv.txt``, ``stdout.txt``,
-``stderr.txt`` and ``exit_code.txt``.  Output paths are relative to OUTDIR,
-so captures of two trees compare with ``diff -r OUT_A OUT_B``: a refactor
-that keeps the outputs byte-identical leaves that diff empty.
+``stderr.txt`` and ``exit_code.txt``.  A command that raises instead of
+exiting is recorded, not fatal: its ``exit_code.txt`` reads ``exception``
+and ``stderr.txt`` ends with the exception's type and message.  Output
+paths are relative to OUTDIR, so captures of two trees compare with
+``diff -r OUT_A OUT_B``: a refactor that keeps the outputs byte-identical
+leaves that diff empty.
 """
 from __future__ import annotations
 
@@ -39,6 +42,17 @@ CASES = {
     "sweep_fig3a_jobs2": SWEEP + ["--jobs", "2"],
 }
 
+# case -> bytes of a config file that is not valid JSON, written to
+# <case>/config.json and passed to check-regime
+BAD_CONFIGS = {
+    "config_int_over_4300_digits":
+        b'{"params": {"theta": ' + b"1" * 5000 + b"}}",
+    "config_not_utf8": b'{"params": {"theta": "\xff"}}',
+    "config_nested_100000_deep": b"[" * 100_000 + b"]" * 100_000,
+}
+CASES.update({case: ["check-regime", "--config", f"{case}/config.json"]
+              for case in BAD_CONFIGS})
+
 
 def argv_for(case: str) -> list:
     argv = CASES[case]
@@ -53,12 +67,17 @@ def capture(outdir: pathlib.Path) -> None:
     for case in CASES:
         argv = argv_for(case)
         pathlib.Path(case).mkdir(exist_ok=True)
+        if case in BAD_CONFIGS:
+            pathlib.Path(case, "config.json").write_bytes(BAD_CONFIGS[case])
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:
                 code = exc.code
+            except Exception as exc:
+                code = "exception"
+                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         for name, text in (("argv", shlex.join(argv)), ("stdout", out.getvalue()),
                            ("stderr", err.getvalue()), ("exit_code", str(code))):
             pathlib.Path(case, f"{name}.txt").write_text(text + "\n")

@@ -15,6 +15,7 @@ from kerrcav import cli, experiments, pulses, regimes
 from kerrcav.errors import ValidationError
 from kerrcav.models import SchemeParams
 
+from capture_outputs import BAD_CONFIGS
 from conftest import strict_json
 
 G = 1e8
@@ -1000,6 +1001,24 @@ def test_malformed_config_block_exits_2_by_name(capsys, tmp_path,
     assert code == 2 and out == ""
     assert message in err
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize("text", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+@pytest.mark.parametrize("argv", [
+    ["run", "fig3b"], ["check-regime"],
+    ["sweep", "--scenario", "fig3a", "--param", "theta", "--values", str(G)],
+], ids=["run", "check-regime", "sweep"])
+def test_a_config_json_cannot_parse_exits_2_by_name(capsys, tmp_path, text,
+                                                     argv):
+    config = tmp_path / "config.json"
+    config.write_bytes(text)
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if argv[0] != "check-regime" else []
+    code, stdout, err = run_cli(capsys, *argv, "--config", str(config), *extra)
+    assert (code, stdout) == (2, "")
+    assert f"config {config}: invalid JSON" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cfg, message", [

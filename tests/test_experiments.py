@@ -267,20 +267,6 @@ def test_pulse_check_reuses_the_protocols_forward_sandwich(monkeypatch,
     assert fig3b_result.calibration["pulse"] == direct
 
 
-def test_a_run_builds_each_ideal_rotation_once(monkeypatch):
-    # the pulse check and fig3a's ideal oracle share the rotation of one
-    # (space, parameter set): fig3a's two atom counts need two, fig3b one
-    generator, calls = models.rotation_generator, []
-    monkeypatch.setattr(models, "rotation_generator",
-                        lambda space, p: calls.append(p)
-                        or generator(space, p))
-    ex.run_fig3a(grid_points=16)
-    assert len(calls) == 2
-    calls.clear()
-    ex.run_fig3b(grid_points=16)
-    assert len(calls) == 1
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(g=st.floats(1e7, 1e9), delta1=st.floats(5.0, 20.0),
        delta1_sign=st.sampled_from((-1, 1)), theta=st.floats(0.3, 2.0),
