@@ -263,12 +263,13 @@ def amplitude_table(space, runs, mode: str, ideal_oracle: bool):
     replace(p, n_atoms=1), in order; on a one-mode space the first physical
     one is pulse-checked at once (a two-mode space has no pulse check), and
     an ideal-mode oracle follows each when asked for.  An entry takes one
-    ``states`` call, on the sum of its |n,-> states: their sectors are
-    disjoint, so each n is bit for bit its own evaluation.  Entries that
-    share a protocol are not joined into one call, which would round some
-    states differently in the last bits.
+    ``states`` call, on the sum of its |n,-> states (built once per n):
+    their sectors are disjoint, so each n is bit for bit its own
+    evaluation.  Entries that share a protocol are not joined into one
+    call, which would round some states differently in the last bits.
     """
     protocols: dict = {}    # one-atom parameters -> (protocol, ideal oracle)
+    ket = functools.cache(lambda n: basis_state(space, n, "-"))
     pulse, table = None, []
     for p, times, ns in runs:
         one = replace(p, n_atoms=1)
@@ -280,7 +281,7 @@ def amplitude_table(space, runs, mode: str, ideal_oracle: bool):
                 protocol,
                 VProtocol(space, one, mode="ideal") if ideal_oracle else None)
         protocol, ideal = protocols[one]
-        psi0 = sum(basis_state(space, n, "-") for n in ns)
+        psi0 = sum(ket(n) for n in ns)
         table.append((
             protocol.elapsed(times), protocol.states(times, psi0),
             ideal.states(times, psi0) if ideal is not None else None,
@@ -458,6 +459,7 @@ def _run_overlap_scenario(scenario: OverlapScenario,
         runs.append((p, np.linspace(0.0, 2 * math.pi / abs(p.kappa),
                                     grid_points), ns))
     pulse, table = amplitude_table(space, runs, mode, scenario.ideal_oracle)
+    bra = functools.cache(lambda n, level: basis_state(space, n, level).conj())
     if pulse is not None:
         calibration_block["pulse"] = dataclasses.asdict(pulse)
 
@@ -467,8 +469,7 @@ def _run_overlap_scenario(scenario: OverlapScenario,
         theta_rate = N * p.theta / 2
         theta_phase = theta_rate * t_grid
         r0 = N * p.stark if mode == "physical" else 0.0
-        minus = {n: basis_state(space, n, "-").conj() for n in ns}
-        series = {n: (states @ minus[n]) ** N for n in ns}
+        series = {n: (states @ bra(n, "-")) ** N for n in ns}
         references = {n: np.cos(p.kappa * n**2 * t_grid) for n in ns}
 
         # shared rate from this N's n=1 series (or the smallest nonzero n),
@@ -496,7 +497,7 @@ def _run_overlap_scenario(scenario: OverlapScenario,
             err = np.abs(y - reference)
             freq = fitted_frequency(t_grid, z_shared) if n > 0 else 0.0
             x = np.abs(amps)
-            plus = states @ basis_state(space, n, "+").conj()
+            plus = states @ bra(n, "+")
             branch = BranchResult(
                 n_atoms=N, n_photons=n, times=t_grid, amplitudes=amps,
                 x=x, y=y, reference=reference, abs_error=err,
@@ -509,7 +510,7 @@ def _run_overlap_scenario(scenario: OverlapScenario,
             )
             calibration_block["r_lin"][f"N={N},n={n}"] = r_lin
             if ideal_states is not None:
-                branch.ideal_x = np.abs((ideal_states @ minus[n]) ** N)
+                branch.ideal_x = np.abs((ideal_states @ bra(n, "-")) ** N)
                 branch.ideal_deviation = float(
                     np.abs(branch.x - branch.ideal_x).max())
             branches.append(branch)

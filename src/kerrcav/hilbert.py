@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import numerics
 from .errors import ValidationError, require_integer
 
 DIMENSION_GUARD = 10**6
@@ -186,7 +187,7 @@ def collective(space: Space, bra, ket) -> np.ndarray:
     for b, cb in expand(bra):
         for k, ck in expand(ket):
             at += cb * np.conj(ck) * _atomic_collective_plain(space, b, k)
-    return np.kron(np.eye(space.photon_dim), at)
+    return numerics.block_diagonal(np.broadcast_to(at, (space.photon_dim, d, d)))
 
 
 def s3(space: Space) -> np.ndarray:
@@ -256,5 +257,5 @@ def basis_state(space: Space, photons, atoms) -> np.ndarray:
     for n in ns:
         idx = idx * (space.n_max + 1) + n
     ph[idx] = 1.0
-    v = np.kron(ph, at)
+    v = np.outer(ph, at).ravel()
     return v / np.linalg.norm(v)

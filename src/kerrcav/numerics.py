@@ -2,12 +2,14 @@
 
 All propagators are built from Hermitian eigendecompositions, which keeps
 them unitary to roundoff and lets one decomposition serve many evolution
-times.  Storage is dense.  Every routine here takes either one square matrix
-or a stack (S, d, d) of them, the diagonal blocks of a block-diagonal
-operator (one per photon-number sector); a stack is decomposed by one
-batched ``eigh``, so the cost is S d^3 instead of (S d)^3, and its defects
-are the maxima over its blocks.  ``block_diagonal`` assembles the dense
-matrix of a stack.
+times; exp(A) of an anti-Hermitian A is ``expm_hermitian(1j * A, 1.0)``,
+whose Hermiticity check on iA is the anti-Hermitian check on A.  Storage
+is dense.  Every routine here takes either one square matrix or a stack
+(S, d, d) of them, the diagonal blocks of a block-diagonal operator (one
+per photon-number sector); a stack is decomposed by one batched ``eigh``,
+so the cost is S d^3 instead of (S d)^3, and its defects are the maxima
+over its blocks.  ``block_diagonal`` assembles the dense matrix of a
+stack.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ import numpy as np
 from .errors import ValidationError
 
 HERMITICITY_TOL = 1e-12
-ANTIHERMITICITY_TOL = 1e-12
 
 
 def as_matrix(obj) -> np.ndarray:
@@ -48,29 +49,15 @@ def hermiticity_defect(h) -> float:
     return float(np.abs(m - dagger(m)).max())
 
 
-def _require_symmetry(m, defect: float, tol: float, kind: str, name: str):
-    """``m`` if ``defect`` is within ``tol`` of its largest entry."""
-    scale = float(np.abs(m).max())
-    if defect > tol * max(scale, 1.0):
-        raise ValidationError(
-            f"matrix is not {kind}: max entrywise defect {defect:.3e} "
-            f"exceeds {tol:.0e} * max|{name}| = {tol * scale:.3e}"
-        )
-    return m
-
-
 def require_hermitian(h) -> np.ndarray:
     """Validate H = H^dag within HERMITICITY_TOL of the largest entry."""
     m = as_matrix(h)
-    return _require_symmetry(m, hermiticity_defect(m), HERMITICITY_TOL,
-                             "Hermitian", "H")
-
-
-def require_antihermitian(a) -> np.ndarray:
-    """Validate A = -A^dag within ANTIHERMITICITY_TOL of the largest entry."""
-    m = as_matrix(a)
-    return _require_symmetry(m, float(np.abs(m + dagger(m)).max()),
-                             ANTIHERMITICITY_TOL, "anti-Hermitian", "A")
+    defect, scale = hermiticity_defect(m), float(np.abs(m).max())
+    if defect > HERMITICITY_TOL * max(scale, 1.0):
+        raise ValidationError(
+            f"matrix is not Hermitian: max entrywise defect {defect:.3e} exceeds "
+            f"{HERMITICITY_TOL:.0e} * max|H| = {HERMITICITY_TOL * scale:.3e}")
+    return m
 
 
 class HermitianEigensystem:
@@ -98,12 +85,6 @@ def expm_hermitian(h, t: float) -> np.ndarray:
     if not np.isfinite(t):
         raise ValidationError(f"evolution time must be finite, got {t}")
     return HermitianEigensystem(h).propagator(t)
-
-
-def expm_antihermitian(a) -> np.ndarray:
-    """exp(A) for anti-Hermitian A, via exp(A) = exp(-i (iA) * 1)."""
-    m = require_antihermitian(a)
-    return expm_hermitian(1j * m, 1.0)
 
 
 def unitarity_defect(u) -> float:

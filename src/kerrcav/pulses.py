@@ -68,7 +68,7 @@ def default_forward_phase(p: SchemeParams) -> float:
 def _ideal_rotation(space: Space, p: SchemeParams) -> np.ndarray:
     """The canonical rotation, exponentiated per photon-number block."""
     gen, _ = sector_blocks(space, models.rotation_generator(space, p))
-    return numerics.expm_antihermitian(gen)
+    return numerics.expm_hermitian(1j * gen, 1.0)
 
 
 def u_ideal(space: Space, p: SchemeParams) -> np.ndarray:
@@ -253,17 +253,15 @@ class VProtocol:
         return numerics.block_diagonal(self._blocks(t))
 
     def compose_diagnostics(self, t: float) -> dict:
-        """Per-segment unitarity defects at Kerr time t, and V(t)'s.
+        """Per-segment unitarity defects at Kerr time t, and V(t)'s over its blocks.
 
         The frame conjugation that moves a sandwich to its clock time leaves
-        its defects unchanged.  A reference mode has no segments, and its
-        total is taken on the dense V(t).
+        its defects unchanged.  A reference mode has no segments.
         """
-        if self.mode != "physical":
-            return {"segment_unitarity_defects": [], "total_unitarity_defect":
-                    numerics.unitarity_defect(self.matrix(t))}
-        pre, post = self._edge_defects
-        defects = pre + [numerics.unitarity_defect(self._eig.propagator(t))] + post
+        defects = []
+        if self.mode == "physical":
+            pre, post = self._edge_defects
+            defects = pre + [numerics.unitarity_defect(self._eig.propagator(t))] + post
         return {"segment_unitarity_defects": defects,
                 "total_unitarity_defect": numerics.unitarity_defect(self._blocks(t))}
 

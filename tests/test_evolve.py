@@ -171,13 +171,13 @@ def test_compose_diagnostics(fig3b_p1):
 
 
 @pytest.mark.parametrize("mode", ["ideal", "rotated_reference"])
-def test_a_reference_mode_reports_its_dense_defect(fig3b_p1, mode):
-    # no segments, and the total on the dense V(t) that the reports carry
+def test_a_reference_mode_reports_the_defect_of_its_blocks(fig3b_p1, mode):
+    # no segments, and the total over V(t)'s sector blocks, as in physical mode
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
     protocol = kc.VProtocol(space, fig3b_p1, mode=mode)
     diag = protocol.compose_diagnostics(31.0 / G)
     assert diag == {"segment_unitarity_defects": [], "total_unitarity_defect":
-                    numerics.unitarity_defect(protocol.matrix(31.0 / G))}
+                    numerics.unitarity_defect(protocol._blocks(31.0 / G))}
     assert diag["total_unitarity_defect"] < 1e-12
 
 

@@ -174,6 +174,32 @@ def test_rate_fit_exits_once_its_bracket_is_fixed(monkeypatch):
         faulthandler.cancel_dump_traceback_later()
 
 
+@pytest.mark.parametrize("name, value", [
+    ("RATE_BOUND_STRIDE", 8), ("RATE_BOUND_STRIDE", 64),
+    ("RATE_BATCH_LIVE", 16), ("RATE_BATCH_LIVE", 64),
+    ("RATE_BATCH_DEPTH", 1), ("RATE_BATCH_DEPTH", 4)])
+def test_rate_fit_does_not_depend_on_its_schedule(monkeypatch, name, value):
+    # the stride, the batching threshold and the batch depth only decide
+    # which points and probes are scored when: every deviation is bit-equal
+    # to its whole-grid value and every maximum is exact, so the fits of
+    # fig3b, fig3a, the scaling call and n1_shared return the same bits
+    best_rate, calls = ex._best_rate, []
+    monkeypatch.setattr(
+        ex, "_best_rate", lambda *a: calls.append(a) or best_rate(*a))
+    ex.run_fig3b()
+    ex.run_fig3a()
+    ex.run_fig3b(branches=((8, 1), (16, 1), (32, 1), (48, 1)))
+    ex.run_fig3b(frame_calibration="n1_shared")
+    assert len(calls) == 12
+
+    def bits(fits):
+        return [(r.hex(), dev.hex(), flagged) for r, dev, flagged in fits]
+
+    default = bits(best_rate(*args) for args in calls)
+    monkeypatch.setattr(ex, name, value)
+    assert bits(best_rate(*args) for args in calls) == default
+
+
 def _synthetic_fit(points, r0=-40.0, offset=0.03, noise=0.0, n=1, seed=7):
     """Fit inputs drawn like the hypothesis test's: a photon-linear phase at
     r0 (1 + offset), a Kerr phase and ``noise`` on modulus and phase."""
@@ -375,18 +401,21 @@ def test_atom_counts_sharing_a_protocol_take_one_states_call_per_grid(
             assert ideal is None
 
 
-@pytest.mark.parametrize("run, built, calls", [
-    (functools.partial(ex.run_fig3b, grid_points=16), {"physical": 1}, 2),
+@pytest.mark.parametrize("run, built, calls, kets", [
+    (functools.partial(ex.run_fig3b, grid_points=16), {"physical": 1}, 2, 6),
     (functools.partial(ex.run_fig3a, grid_points=16),
-     {"physical": 2, "ideal": 2}, 4),
+     {"physical": 2, "ideal": 2}, 4, 6),
     (functools.partial(ex.run_fig3b, grid_points=16,
                        branches=((8, 1), (16, 1), (32, 1), (48, 1))),
-     {"physical": 1}, 4),
+     {"physical": 1}, 4, 3),
 ], ids=["fig3b", "fig3a", "scaling"])
 def test_a_run_builds_each_protocol_once_and_one_states_call_per_count(
-        monkeypatch, run, built, calls):
-    seen, evaluated = {}, []
+        monkeypatch, run, built, calls, kets):
+    # and each one-atom ket |n,-> once (the table) and each bra <n,+-| once
+    # (the runner): they do not depend on N
+    seen, evaluated, labels = {}, [], []
     init, states = kc.VProtocol.__init__, kc.VProtocol.states
+    basis_state = ex.basis_state
 
     def counting_init(self, space, params, mode="physical"):
         seen[mode] = seen.get(mode, 0) + 1
@@ -398,9 +427,12 @@ def test_a_run_builds_each_protocol_once_and_one_states_call_per_count(
 
     monkeypatch.setattr(kc.VProtocol, "__init__", counting_init)
     monkeypatch.setattr(kc.VProtocol, "states", counting_states)
+    monkeypatch.setattr(ex, "basis_state", lambda space, n, atoms: labels.append(
+        (n, atoms)) or basis_state(space, n, atoms))
     run()
     assert seen == built
     assert evaluated == [16] * calls
+    assert len(labels) == kets
 
 
 @pytest.mark.parametrize("scenario", ["fig3a", "fig3b"])
