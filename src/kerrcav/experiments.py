@@ -248,11 +248,12 @@ def _best_rate(amps, times, elapsed, n, theta_rate, reference, r0):
 def amplitude_table(space, runs, mode: str, ideal_oracle: bool):
     """The one-atom amplitudes of a run: (pulse check or None, entries).
 
-    ``runs`` holds one (N-atom parameter set, time grid, photon numbers)
-    entry per atom count, and the table one entry for each: V(t)'s clock
-    T_elapsed, the one-atom states V(t) sum_n |n,->, the ideal-mode
-    oracle's (or None) and ``compose_diagnostics`` at the last Kerr time.
-    A photon number n is an occupation (n_a, n_b) on a two-mode space.
+    ``runs`` holds one (N-atom parameter set, time grid, kets) entry per
+    atom count, and the table one entry for each: V(t)'s clock T_elapsed,
+    the one-atom states V(t) sum_n |n,->, the ideal-mode oracle's (or
+    None) and ``compose_diagnostics`` at the last Kerr time.  The kets map
+    each photon number n (an occupation (n_a, n_b) on a two-mode space) to
+    its one-atom |n,->, which the runner builds once and projects on.
     In photon sector n every eliminated-tier generator is a sum of N copies
     of one single-atom 2x2 operator, so V_N(t) = u_n(t)^(x)N: with
     v_n(t) = u_n(t)|n,-> on one atom, the amplitude is A_N = a_1^N,
@@ -263,15 +264,14 @@ def amplitude_table(space, runs, mode: str, ideal_oracle: bool):
     replace(p, n_atoms=1), in order; on a one-mode space the first physical
     one is pulse-checked at once (a two-mode space has no pulse check), and
     an ideal-mode oracle follows each when asked for.  An entry takes one
-    ``states`` call, on the sum of its |n,-> states (built once per n):
-    their sectors are disjoint, so each n is bit for bit its own
-    evaluation.  Entries that share a protocol are not joined into one
-    call, which would round some states differently in the last bits.
+    ``states`` call, on the sum of its kets: their sectors are disjoint,
+    so each n is bit for bit its own evaluation.  Entries that share a
+    protocol are not joined into one call, which would round some states
+    differently in the last bits.
     """
     protocols: dict = {}    # one-atom parameters -> (protocol, ideal oracle)
-    ket = functools.cache(lambda n: basis_state(space, n, "-"))
     pulse, table = None, []
-    for p, times, ns in runs:
+    for p, times, kets in runs:
         one = replace(p, n_atoms=1)
         if one not in protocols:
             protocol = VProtocol(space, one, mode=mode)
@@ -281,7 +281,7 @@ def amplitude_table(space, runs, mode: str, ideal_oracle: bool):
                 protocol,
                 VProtocol(space, one, mode="ideal") if ideal_oracle else None)
         protocol, ideal = protocols[one]
-        psi0 = sum(ket(n) for n in ns)
+        psi0 = sum(kets.values())
         table.append((
             protocol.elapsed(times), protocol.states(times, psi0),
             ideal.states(times, psi0) if ideal is not None else None,
@@ -451,25 +451,27 @@ def _run_overlap_scenario(scenario: OverlapScenario,
 
     param_sets = scenario.param_sets(overrides)
     space = build_space(n_max=N_MAX, n_atoms=1, levels=2)
+    # the one-atom |n,+-> of every photon number, each built once
+    ket = functools.cache(lambda n, level: basis_state(space, n, level))
     runs = []
     for p in param_sets:
         ns = [n for (N, n) in branch_list if N == p.n_atoms]
         if scenario.controls and 0 not in ns:
             ns = [0] + ns
-        runs.append((p, np.linspace(0.0, 2 * math.pi / abs(p.kappa),
-                                    grid_points), ns))
+        grid = np.linspace(0.0, 2 * math.pi / abs(p.kappa), grid_points)
+        runs.append((p, grid, {n: ket(n, "-") for n in ns}))
     pulse, table = amplitude_table(space, runs, mode, scenario.ideal_oracle)
-    bra = functools.cache(lambda n, level: basis_state(space, n, level).conj())
     if pulse is not None:
         calibration_block["pulse"] = dataclasses.asdict(pulse)
 
-    for (p, t_grid, ns), (elapsed, states, ideal_states, segments) in zip(
+    for (p, t_grid, kets), (elapsed, states, ideal_states, segments) in zip(
             runs, table):
         N = p.n_atoms
         theta_rate = N * p.theta / 2
         theta_phase = theta_rate * t_grid
         r0 = N * p.stark if mode == "physical" else 0.0
-        series = {n: (states @ bra(n, "-")) ** N for n in ns}
+        ns = list(kets)
+        series = {n: (states @ kets[n].conj()) ** N for n in ns}
         references = {n: np.cos(p.kappa * n**2 * t_grid) for n in ns}
 
         # shared rate from this N's n=1 series (or the smallest nonzero n),
@@ -497,7 +499,7 @@ def _run_overlap_scenario(scenario: OverlapScenario,
             err = np.abs(y - reference)
             freq = fitted_frequency(t_grid, z_shared) if n > 0 else 0.0
             x = np.abs(amps)
-            plus = states @ bra(n, "+")
+            plus = states @ ket(n, "+").conj()
             branch = BranchResult(
                 n_atoms=N, n_photons=n, times=t_grid, amplitudes=amps,
                 x=x, y=y, reference=reference, abs_error=err,
@@ -510,7 +512,7 @@ def _run_overlap_scenario(scenario: OverlapScenario,
             )
             calibration_block["r_lin"][f"N={N},n={n}"] = r_lin
             if ideal_states is not None:
-                branch.ideal_x = np.abs((ideal_states @ bra(n, "-")) ** N)
+                branch.ideal_x = np.abs((ideal_states @ kets[n].conj()) ** N)
                 branch.ideal_deviation = float(
                     np.abs(branch.x - branch.ideal_x).max())
             branches.append(branch)
@@ -618,10 +620,10 @@ def run_cross_kerr(
                         models.mode_couplings(p)) / abs(p.theta)
     t_grid = np.linspace(0.0, 2 * math.pi / kappa_max, grid_points)
 
-    occupations = ((0, 0), (0, 1), (1, 0), (1, 1))
+    kets = {occ: basis_state(space, occ, "-")
+            for occ in ((0, 0), (0, 1), (1, 0), (1, 1))}
     _, [(_, states, _, _)] = amplitude_table(
-        space, [(p, t_grid, occupations)], "physical", ideal_oracle=False)
-    kets = {occ: basis_state(space, occ, "-") for occ in occupations}
+        space, [(p, t_grid, kets)], "physical", ideal_oracle=False)
     one = {occ: states @ ket.conj() for occ, ket in kets.items()}
 
     h_eff = models.effective_hamiltonian(space, p, "kerr")   # one atom

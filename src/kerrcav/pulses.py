@@ -71,11 +71,6 @@ def _ideal_rotation(space: Space, p: SchemeParams) -> np.ndarray:
     return numerics.expm_hermitian(1j * gen, 1.0)
 
 
-def u_ideal(space: Space, p: SchemeParams) -> np.ndarray:
-    """Exact exponential of the canonical rotation generator."""
-    return numerics.block_diagonal(_ideal_rotation(space, p))
-
-
 def _sandwich(props: SegmentPropagators, first_phase: float):
     """(stack, per-segment unitarity defects) of the realization from clock 0."""
     p = props.params
@@ -88,10 +83,9 @@ def _sandwich(props: SegmentPropagators, first_phase: float):
 
 
 def sector_traces(space: Space, d: np.ndarray) -> np.ndarray:
-    """Traces of a matrix's diagonal blocks, one per mode-a photon number
-    (mode a's photon index varies slowest)."""
-    s = space.n_max + 1
-    return np.einsum("iaia->i", np.reshape(d, (s, space.dim // s) * 2))
+    """Traces of D's blocks, one per mode-a photon number, for D a matrix or
+    a ``sector_blocks`` stack: mode a's photon index varies slowest."""
+    return np.einsum("...ii->...i", d).reshape(space.n_max + 1, -1).sum(1)
 
 
 def _beta_and_fidelity(space: Space, target: np.ndarray, u: np.ndarray):
@@ -99,9 +93,10 @@ def _beta_and_fidelity(space: Space, target: np.ndarray, u: np.ndarray):
 
     Writes U = e^{-i beta n} * target (x) small error; fits beta from the
     per-sector phases of D = target^dag U and returns
-    |sum_n tr_n(D) e^{i beta n}| / dim.
+    |sum_n tr_n(D) e^{i beta n}| / dim; target and U are both stacks or
+    both matrices.
     """
-    d = target.conj().T @ u
+    d = numerics.dagger(target) @ u
     tr = sector_traces(space, d)
     ns = np.arange(space.n_max + 1)
     w = np.abs(tr)
@@ -118,9 +113,9 @@ def calibrate_pulse_phase(protocol: VProtocol) -> PulseCalibration:
     Scores the forward sandwich of the protocol it is given, the
     realization a physical ``VProtocol`` composes at
     ``default_forward_phase``, against the ideal rotation modulo a
-    photon-diagonal phase e^{-i beta n}.  The protocol must be physical
-    and run one atom on n_max >= 2.  A fidelity below 0.95 is reported as
-    a failure.
+    photon-diagonal phase e^{-i beta n}, both as photon-number stacks.
+    The protocol must be physical and run one atom on n_max >= 2.  A
+    fidelity below 0.95 is reported as a failure.
     """
     space, p = protocol.space, protocol.params
     if protocol.mode != "physical":
@@ -133,7 +128,7 @@ def calibrate_pulse_phase(protocol: VProtocol) -> PulseCalibration:
         )
     phi_forward = default_forward_phase(p)
     beta, fidelity = _beta_and_fidelity(
-        space, u_ideal(space, p), numerics.block_diagonal(protocol.forward))
+        space, _ideal_rotation(space, p), protocol.forward)
     if fidelity < 0.95:
         raise CalibrationError(
             f"pulse-phase calibration failed: fidelity {fidelity:.4f} "
@@ -167,9 +162,9 @@ class VProtocol:
     two-level space, the full one on a three-level space.  Every factor is
     kept as a stack of photon-number blocks (``evolve.sector_blocks``; one
     block on a three-level space), and V(t) x is evaluated only in the
-    sectors where x is nonzero.  In physical mode
-    ``forward`` is the first sandwich as composed, before its frame factor
-    (what ``calibrate_pulse_phase`` scores).
+    sectors where x is nonzero; ``blocks(t)`` is V(t) as that stack.  In
+    physical mode ``forward`` is the first sandwich as composed, before its
+    frame factor (the stack ``calibrate_pulse_phase`` scores).
     """
 
     MODES = ("physical", "ideal", "rotated_reference")
@@ -242,15 +237,11 @@ class VProtocol:
         y *= np.exp(-1j * np.multiply.outer(g_off, clock))[..., None]
         return y
 
-    def _blocks(self, t: float) -> np.ndarray:
-        """V(t) as its stack of sector blocks."""
+    def blocks(self, t: float) -> np.ndarray:
+        """V(t) as its stack of sector blocks, its one operator view."""
         n_sectors, d = self._g[0].shape
         eye = np.broadcast_to(np.eye(d, dtype=complex), (n_sectors, d, d))
         return self._sectors([t], eye, np.arange(n_sectors))[:, :, 0]
-
-    def matrix(self, t: float) -> np.ndarray:
-        """V(t) as a dense matrix."""
-        return numerics.block_diagonal(self._blocks(t))
 
     def compose_diagnostics(self, t: float) -> dict:
         """Per-segment unitarity defects at Kerr time t, and V(t)'s over its blocks.
@@ -263,7 +254,7 @@ class VProtocol:
             pre, post = self._edge_defects
             defects = pre + [numerics.unitarity_defect(self._eig.propagator(t))] + post
         return {"segment_unitarity_defects": defects,
-                "total_unitarity_defect": numerics.unitarity_defect(self._blocks(t))}
+                "total_unitarity_defect": numerics.unitarity_defect(self.blocks(t))}
 
     def states(self, times, psi0: np.ndarray) -> np.ndarray:
         """V(t) psi0 for each t; shape (len(times), dim)."""

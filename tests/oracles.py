@@ -17,8 +17,8 @@ from kerrcav.evolve import SegmentPropagators
 from kerrcav.hilbert import Space, _photon_tuple, basis_state, collective
 from kerrcav.models import (SchemeParams, _raman_pair, effective_hamiltonian,
                             full_hamiltonian)
-from kerrcav.pulses import (VProtocol, _sandwich, check_pulse_guard,
-                            default_forward_phase)
+from kerrcav.pulses import (VProtocol, _ideal_rotation, _sandwich,
+                            check_pulse_guard, default_forward_phase)
 
 STEP_GUARD = 0.05  # max physical rate * dt must stay below this
 
@@ -105,6 +105,11 @@ def u_physical(
         first_phase = default_forward_phase(p)
     return numerics.block_diagonal(
         _sandwich(SegmentPropagators(space, p), first_phase)[0])
+
+
+def dense_ideal_rotation(space: Space, p: SchemeParams) -> np.ndarray:
+    """The ideal rotation as one dense matrix, assembled from its blocks."""
+    return numerics.block_diagonal(_ideal_rotation(space, p))
 
 
 def amplitude_series(protocol: VProtocol, times, n_photons: int) -> np.ndarray:

@@ -10,11 +10,12 @@ import time
 import numpy as np
 
 import kerrcav as kc
-from kerrcav import models, numerics, pulses
+from kerrcav import models, numerics
 from kerrcav import experiments as ex
 
-from oracles import (full_hamiltonian_func, h1int_representation_gap, index,
-                     max_abs_diff, occupation_isometry, product_collective,
+from oracles import (dense_ideal_rotation, full_hamiltonian_func,
+                     h1int_representation_gap, index, max_abs_diff,
+                     occupation_isometry, product_collective,
                      propagate_timedep)
 
 G = 1e8
@@ -149,7 +150,7 @@ def test_criterion_6_hausdorff_residual_scaling():
         g = math.sqrt(2 * delta1 * r * theta)
         p = kc.SchemeParams(g=g, delta1=delta1, theta=theta,
                             omega=1e12)
-        u = pulses.u_ideal(space, p)
+        u = dense_ideal_rotation(space, p)
         h = models.effective_hamiltonian(space, p, "h1int")
         hrot = models.effective_hamiltonian(space, p, "hrot")
         resid.append(np.abs(u.conj().T @ h @ u - hrot).max())
@@ -175,8 +176,10 @@ def test_criterion_7_integrator_cross_oracle(fig3b_p1):
     proto_a = kc.VProtocol(space, p, mode="physical")
     defect = 0.0
     for t in (0.0, 31.0 / G, 503.0 / G, 2511.0 / G):
-        defect = max(defect, numerics.unitarity_defect(proto_b.matrix(t)))
-        defect = max(defect, numerics.unitarity_defect(proto_a.matrix(t)))
+        defect = max(defect, numerics.unitarity_defect(
+            numerics.block_diagonal(proto_b.blocks(t))))
+        defect = max(defect, numerics.unitarity_defect(
+            numerics.block_diagonal(proto_a.blocks(t))))
     ok = diff <= 1e-6 and defect <= 1e-8
     report(7, ok, f"static-frame vs midpoint max-entry diff = {diff:.2e} "
                   f"(tol 1e-6); composed V(t) unitarity defect = "

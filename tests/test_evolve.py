@@ -177,7 +177,7 @@ def test_a_reference_mode_reports_the_defect_of_its_blocks(fig3b_p1, mode):
     protocol = kc.VProtocol(space, fig3b_p1, mode=mode)
     diag = protocol.compose_diagnostics(31.0 / G)
     assert diag == {"segment_unitarity_defects": [], "total_unitarity_defect":
-                    numerics.unitarity_defect(protocol._blocks(31.0 / G))}
+                    numerics.unitarity_defect(protocol.blocks(31.0 / G))}
     assert diag["total_unitarity_defect"] < 1e-12
 
 

@@ -320,9 +320,10 @@ def test_lift_matches_dense_protocol(g, delta1, delta1_sign, theta,
     states = kc.VProtocol(space, p, mode=mode).states(times, psi0)
     spp = kc.collective(space, "+", "+")
     plus = np.einsum("ij,ij->i", states.conj(), states @ spp.T).real
-    _, [(_, one, _, _)] = ex.amplitude_table(one_space, [(p, times, [n])],
-                                             mode, False)
-    a_1 = one @ kc.basis_state(one_space, n, "-").conj()
+    minus = kc.basis_state(one_space, n, "-")
+    _, [(_, one, _, _)] = ex.amplitude_table(
+        one_space, [(p, times, {n: minus})], mode, False)
+    a_1 = one @ minus.conj()
     plus_1 = one @ kc.basis_state(one_space, n, "+").conj()
     assert np.abs(a_1 ** n_atoms - states @ psi0.conj()).max() < 1e-10
     assert np.abs(n_atoms * np.abs(plus_1) ** 2 - plus).max() < 1e-10
@@ -350,7 +351,8 @@ def test_batched_lift_equals_the_per_n_evaluation_bit_for_bit(
                             mode=mode)
     times = np.array(t_fracs) * 2 * math.pi / abs(p.kappa)
     _, [(elapsed, batched, _, _)] = ex.amplitude_table(
-        space, [(p, times, ns)], mode, False)
+        space, [(p, times, {n: kc.basis_state(space, n, "-") for n in ns})],
+        mode, False)
     assert np.array_equal(elapsed, protocol.elapsed(times))
     for n in ns:
         # each branch's own evaluation, which the one call replaces
@@ -387,12 +389,13 @@ def test_atom_counts_sharing_a_protocol_take_one_states_call_per_grid(
                                 unique=True), label=f"ns (N={N})")
         pN = dataclasses.replace(p, n_atoms=N)
         runs.append((pN, np.linspace(0.0, span * 2 * math.pi / abs(pN.kappa),
-                                     points), ns))
+                                     points),
+                     {n: kc.basis_state(space, n, "-") for n in ns}))
     _, table = ex.amplitude_table(space, runs, mode, ideal_oracle)
     protocol = kc.VProtocol(space, p, mode=mode)
     oracle = kc.VProtocol(space, p, mode="ideal")
-    for (_, times, ns), (elapsed, states, ideal, _) in zip(runs, table):
-        psi0 = sum(kc.basis_state(space, n, "-") for n in ns)
+    for (_, times, kets), (elapsed, states, ideal, _) in zip(runs, table):
+        psi0 = sum(kets.values())
         assert np.array_equal(states, protocol.states(times, psi0))
         assert np.array_equal(elapsed, protocol.elapsed(times))
         if ideal_oracle:
@@ -402,17 +405,19 @@ def test_atom_counts_sharing_a_protocol_take_one_states_call_per_grid(
 
 
 @pytest.mark.parametrize("run, built, calls, kets", [
-    (functools.partial(ex.run_fig3b, grid_points=16), {"physical": 1}, 2, 6),
+    (functools.partial(ex.run_fig3b, grid_points=16), {"physical": 1}, 2, 4),
     (functools.partial(ex.run_fig3a, grid_points=16),
-     {"physical": 2, "ideal": 2}, 4, 6),
+     {"physical": 2, "ideal": 2}, 4, 4),
     (functools.partial(ex.run_fig3b, grid_points=16,
                        branches=((8, 1), (16, 1), (32, 1), (48, 1))),
-     {"physical": 1}, 4, 3),
-], ids=["fig3b", "fig3a", "scaling"])
+     {"physical": 1}, 4, 2),
+    (functools.partial(ex.run_cross_kerr, "polarization", grid_points=16),
+     {"physical": 1}, 1, 4),
+], ids=["fig3b", "fig3a", "scaling", "cross_polarization"])
 def test_a_run_builds_each_protocol_once_and_one_states_call_per_count(
         monkeypatch, run, built, calls, kets):
-    # and each one-atom ket |n,-> once (the table) and each bra <n,+-| once
-    # (the runner): they do not depend on N
+    # and each one-atom |n,+-> once, in the runner, which passes the |n,->
+    # to the table and projects on the same kets: they do not depend on N
     seen, evaluated, labels = {}, [], []
     init, states = kc.VProtocol.__init__, kc.VProtocol.states
     basis_state = ex.basis_state

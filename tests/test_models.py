@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kerrcav as kc
-from kerrcav import models, numerics, pulses
+from kerrcav import models, numerics
 from kerrcav import experiments as ex
 from kerrcav.errors import ValidationError
 
-from oracles import (amplitude_series, full_hamiltonian_func, index,
-                     max_abs_diff, propagate_timedep)
+from oracles import (amplitude_series, dense_ideal_rotation,
+                     full_hamiltonian_func, index, max_abs_diff,
+                     propagate_timedep)
 
 G = 1e8
 
@@ -242,7 +243,7 @@ def test_hausdorff_residual_scaling():
         g = math.sqrt(2 * delta1 * r * theta)
         p = kc.SchemeParams(g=g, delta1=delta1, theta=theta,
                             omega=1e12)
-        u = pulses.u_ideal(space, p)
+        u = dense_ideal_rotation(space, p)
         h = models.effective_hamiltonian(space, p, "h1int")
         hrot = models.effective_hamiltonian(space, p, "hrot")
         resid.append(np.abs(u.conj().T @ h @ u - hrot).max())
@@ -253,7 +254,7 @@ def test_hausdorff_residual_scaling():
 def test_rotation_cancels_linear_flip_term(fig3b_p1):
     # the defining property of the canonical rotation
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
-    u = pulses.u_ideal(space, fig3b_p1)
+    u = dense_ideal_rotation(space, fig3b_p1)
     h = models.effective_hamiltonian(space, fig3b_p1, "h1int")
     hr = u.conj().T @ h @ u
     plus1 = kc.basis_state(space, 1, "+")

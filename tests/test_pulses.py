@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kerrcav as kc
+from kerrcav import experiments as ex
 from kerrcav import models, numerics, pulses
 from kerrcav.errors import CalibrationError, GuardError, ValidationError
 from kerrcav.evolve import SegmentPropagators
 
-from oracles import amplitude_series, ideal_pulse, max_abs_diff, u_physical
+from oracles import (amplitude_series, dense_ideal_rotation, ideal_pulse,
+                     max_abs_diff, u_physical)
 
 G = 1e8
 
@@ -57,7 +59,7 @@ def test_pulse_guard(fig3b_p1):
 def test_u_ideal_rotation_elements(fig3b_p1):
     # angle per photon is mu/2; the orientation cancels the linear flip term
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
-    u = pulses.u_ideal(space, fig3b_p1)
+    u = dense_ideal_rotation(space, fig3b_p1)
     half = fig3b_p1.mu / 2
     minus1 = kc.basis_state(space, 1, "-")
     plus1 = kc.basis_state(space, 1, "+")
@@ -73,13 +75,13 @@ def test_u_ideal_small_angle_limit(fig3b_p1):
     p = dataclasses.replace(fig3b_p1, theta=1e6 * G)
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
     assert max_abs_diff(
-        pulses.u_ideal(space, p), np.eye(space.dim)) < 1e-5
+        dense_ideal_rotation(space, p), np.eye(space.dim)) < 1e-5
 
 
 def test_u_physical_fidelity_to_ideal(fig3b_p1):
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
     u_phys = u_physical(space, fig3b_p1)
-    u_id = pulses.u_ideal(space, fig3b_p1)
+    u_id = dense_ideal_rotation(space, fig3b_p1)
     assert numerics.unitarity_defect(u_phys) < 1e-8
     beta, _ = pulses._beta_and_fidelity(space, u_id, u_phys)
     d = u_id.conj().T @ u_phys
@@ -87,6 +89,52 @@ def test_u_physical_fidelity_to_ideal(fig3b_p1):
     for n in range(3):
         sector_fid = abs(traces[n] * np.exp(1j * beta * n)) / space.atomic_dim
         assert sector_fid >= 0.99
+
+
+@pytest.mark.parametrize("n_max, n_modes, n_atoms, levels", [
+    (2, 1, 1, 2), (4, 1, 1, 2), (2, 2, 1, 2), (2, 1, 2, 3),
+], ids=["two_level_n_max_2", "two_level_n_max_4", "two_mode", "three_level"])
+def test_sector_traces_of_a_stack_equal_those_of_its_matrix(
+        rng, n_max, n_modes, n_atoms, levels):
+    # the stack's diagonal is the matrix's, in basis order
+    space = kc.build_space(n_max=n_max, n_atoms=n_atoms, levels=levels,
+                           n_modes=n_modes)
+    sectors = space.photon_dim if levels == 2 else 1
+    d = space.dim // sectors
+    stack = (rng.standard_normal((sectors, d, d))
+             + 1j * rng.standard_normal((sectors, d, d)))
+    dense = numerics.block_diagonal(stack)
+    traces = pulses.sector_traces(space, stack)
+    assert np.array_equal(traces, pulses.sector_traces(space, dense))
+    k = space.dim // (n_max + 1)          # one mode-a photon number's block
+    assert max_abs_diff(traces, [np.trace(dense[i:i + k, i:i + k])
+                                 for i in range(0, space.dim, k)]) < 1e-12
+
+
+@pytest.mark.parametrize("theta", [-2e7, 5e7, 1e8, 1.6369e8, 3.1e8, 4e8])
+@pytest.mark.parametrize("family", ["fig3a", "fig3b", "raman"])
+def test_the_stack_pulse_check_matches_dense_scoring(family, theta):
+    # beta and the fidelity from the stacks, against the same score of the
+    # assembled dense matrices; the full tier at theta = -2e7 is below the
+    # 0.95 floor, and the check reports the fidelity it scored
+    p = dataclasses.replace(
+        ex.fig3a_params(1) if family == "fig3a" else ex.fig3b_params(1),
+        theta=theta)
+    levels = 2
+    if family == "raman":
+        p, levels = kc.synthesize_raman(p), 3
+    space = kc.build_space(n_max=2, n_atoms=1, levels=levels)
+    protocol = kc.VProtocol(space, p)
+    beta, fidelity = pulses._beta_and_fidelity(
+        space, dense_ideal_rotation(space, p),
+        numerics.block_diagonal(protocol.forward))
+    if fidelity < 0.95:
+        with pytest.raises(CalibrationError, match=f"{fidelity:.4f}"):
+            kc.calibrate_pulse_phase(protocol)
+        return
+    cal = kc.calibrate_pulse_phase(protocol)
+    assert abs(cal.beta - beta) <= 1e-15
+    assert abs(cal.fidelity - fidelity) <= 1e-15
 
 
 def test_u_physical_zero_window_limit():
@@ -139,7 +187,7 @@ def test_closed_form_phase_maximizes_fidelity(tier, theta, theta_sign,
     if tier == "full":
         p, levels = kc.synthesize_raman(p), 3
     space = kc.build_space(n_max=2, n_atoms=1, levels=levels)
-    target = pulses.u_ideal(space, p)
+    target = dense_ideal_rotation(space, p)
     u0 = u_physical(space, p, first_phase=0.0)
     gen = np.diag(kc.collective(space, 0, 0)).real
     if levels == 3:
@@ -178,7 +226,8 @@ def test_inverse_realization_conjugacy(fig3b_p1, pulse_calibration):
 
 def test_v_at_zero_is_identity(fig3b_p1):
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
-    v = kc.VProtocol(space, fig3b_p1, mode="ideal").matrix(0.0)
+    v = numerics.block_diagonal(
+        kc.VProtocol(space, fig3b_p1, mode="ideal").blocks(0.0))
     assert max_abs_diff(v, np.eye(space.dim)) < 1e-12
 
 
@@ -195,7 +244,8 @@ def test_v_unitarity(fig3b_p1):
     space = kc.build_space(n_max=3, n_atoms=1, levels=2)
     proto = kc.VProtocol(space, fig3b_p1, mode="physical")
     for t in (0.0, 13.0 / G, 997.0 / G):
-        assert numerics.unitarity_defect(proto.matrix(t)) < 1e-8
+        assert numerics.unitarity_defect(
+            numerics.block_diagonal(proto.blocks(t))) < 1e-8
 
 
 def test_v_kerr_phase_n2(fig3b_p1):
@@ -272,7 +322,8 @@ def test_v_closed_form_matches_seven_segment_schedule(fig3b_p1, tier, n_atoms):
             ref = numerics.block_diagonal(
                 props.propagator(raman, phase, clock, dt)) @ ref
             clock += dt
-        assert max_abs_diff(proto.matrix(t), ref) < 1e-10
+        assert max_abs_diff(numerics.block_diagonal(proto.blocks(t)),
+                            ref) < 1e-10
         assert max_abs_diff(states[k], ref @ psi0) < 1e-10
 
 
