@@ -13,7 +13,7 @@ from .hilbert import (Space, annihilation, basis_state, build_space,
                       collective, number_op, s3)
 from .models import SchemeParams, synthesize_raman
 from .pulses import PulseCalibration, VProtocol, calibrate_pulse_phase
-from .regimes import RegimeReport, check, enhanced_strength
+from .regimes import check, enhanced_strength
 from .experiments import (run_cross_kerr, run_fig3a, run_fig3b, sweep,
                           write_outputs)
 
@@ -26,7 +26,7 @@ __all__ = [
     "collective", "number_op", "s3",
     "SchemeParams", "synthesize_raman",
     "PulseCalibration", "VProtocol", "calibrate_pulse_phase",
-    "RegimeReport", "check", "enhanced_strength",
+    "check", "enhanced_strength",
     "run_cross_kerr", "run_fig3a", "run_fig3b", "sweep", "write_outputs",
     "__version__",
 ]

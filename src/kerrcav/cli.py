@@ -153,9 +153,9 @@ def _check_strict(scenario: str, cfg: dict, points: list) -> None:
                                      cfg["thresholds"])
         except KerrcavError:
             continue
-        warns = [(key, [name for name, r in rep.ratios.items()
-                        if r.status == "warn"]) for key, rep in reports.items()]
-        text = ", ".join(f"{key}: {names}" for key, names in warns if names)
+        warns = {key: regimes.warned(rep) for key, rep in reports.items()}
+        text = ", ".join(f"{key}: {names}" for key, names in warns.items()
+                         if names)
         if text:
             bad.append(label + text)
     if bad:
@@ -185,11 +185,9 @@ def cmd_check_regime(args) -> int:
     reports = regime_reports(
         scenario_params(args.scenario or "regime_check", cfg["params"]),
         cfg["thresholds"])
-    shown = ({key: r.to_dict() for key, r in reports.items()} if args.scenario
-             else next(iter(reports.values())).to_dict())
+    shown = reports if args.scenario else next(iter(reports.values()))
     print(json.dumps(experiments._jsonable(shown), sort_keys=True, indent=2))
-    if args.strict and any(r.worst_status != "pass"
-                           for r in reports.values()):
+    if args.strict and any(map(regimes.warned, reports.values())):
         return EXIT_GUARD
     return EXIT_OK
 

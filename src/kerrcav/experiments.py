@@ -12,7 +12,8 @@ options the scenario takes (``scenario_options``), which ``sweep`` and the
 command line check by name; an option that is not a ``SchemeParams`` field
 is one of them, set by a flag and echoed in ``config`` beside ``params``.
 ``scenario_params`` is the one source of the parameter sets a scenario
-runs, overrides applied, for its runner, ``--strict`` and ``check-regime``.
+runs, overrides applied, for its runner, ``--strict`` and ``check-regime``;
+a runner judges its sets (``regimes.check``) before it builds a protocol.
 
 The two overlap scenarios, ``FIG3A`` and ``FIG3B``, probe
 X = |<n,-|V(t)|-,n>| and Y = Re of the frame-removed amplitude against the
@@ -81,7 +82,6 @@ from .errors import (KerrcavError, ValidationError, WorkerError,
 from .hilbert import basis_state, build_space
 from .models import SchemeParams
 from .pulses import VProtocol, calibrate_pulse_phase
-from .regimes import RegimeReport
 
 DEFAULT_GRID_POINTS = 512
 N_MAX = 4                   # overlap photon truncation: the pulse check's range
@@ -312,7 +312,6 @@ class BranchResult:
     max_x: float
     max_plus_population: float
     basis_label: str
-    ideal_x: np.ndarray | None = None
     ideal_deviation: float | None = None
 
     def summary(self) -> dict:
@@ -334,7 +333,7 @@ class BranchResult:
 class ScenarioResult:
     config: dict
     branches: list
-    regime: dict                       # N=<N> -> RegimeReport
+    regime: dict                       # N=<N> -> regimes.check report
     calibration: dict
     diagnostics: dict
 
@@ -346,7 +345,7 @@ class ScenarioResult:
 
     def report(self) -> dict:
         return {"config": self.config,
-                "regime": {key: r.to_dict() for key, r in self.regime.items()},
+                "regime": self.regime,
                 "calibration": self.calibration,
                 "diagnostics": self.diagnostics,
                 "branches": [b.summary() for b in self.branches],
@@ -442,14 +441,14 @@ def _run_overlap_scenario(scenario: OverlapScenario,
         raise ValidationError(
             f"unknown frame_calibration {frame_calibration!r}")
     require_integer(grid_points, 2, "grid points")
-    regimes.check_thresholds(thresholds)
     branch_list = scenario.select_branches(overrides)
+    param_sets = scenario.param_sets(overrides)
+    regime = regime_reports(param_sets, thresholds)   # before any protocol
     branches: list[BranchResult] = []
     calibration_block: dict = {"frame_calibration": frame_calibration,
                                "r_lin": {}, "r_lin_shared": {}}
     diagnostics: dict = {"unitarity_defect": 0.0}
 
-    param_sets = scenario.param_sets(overrides)
     space = build_space(n_max=N_MAX, n_atoms=1, levels=2)
     # the one-atom |n,+-> of every photon number, each built once
     ket = functools.cache(lambda n, level: basis_state(space, n, level))
@@ -512,9 +511,8 @@ def _run_overlap_scenario(scenario: OverlapScenario,
             )
             calibration_block["r_lin"][f"N={N},n={n}"] = r_lin
             if ideal_states is not None:
-                branch.ideal_x = np.abs((ideal_states @ kets[n].conj()) ** N)
-                branch.ideal_deviation = float(
-                    np.abs(branch.x - branch.ideal_x).max())
+                ideal_x = np.abs((ideal_states @ kets[n].conj()) ** N)
+                branch.ideal_deviation = float(np.abs(x - ideal_x).max())
             branches.append(branch)
 
         if mode == "physical":
@@ -527,8 +525,7 @@ def _run_overlap_scenario(scenario: OverlapScenario,
                    n_max=N_MAX, frame_calibration=frame_calibration,
                    branches=[list(b) for b in branch_list])
     return ScenarioResult(
-        config=config, branches=branches,
-        regime=regime_reports(param_sets, thresholds),
+        config=config, branches=branches, regime=regime,
         calibration=calibration_block, diagnostics=diagnostics,
     )
 
@@ -571,10 +568,10 @@ class CrossKerrResult:
     nu_hat: float
     nu_effective: float
     relative_error: float | None      # None when nu_effective = 0
-    regime: RegimeReport
+    regime: dict                      # regimes.check report
 
     def report(self) -> dict:
-        return {"config": self.config, "regime": self.regime.to_dict(),
+        return {"config": self.config, "regime": self.regime,
                 "nu_hat": self.nu_hat, "nu_effective": self.nu_effective,
                 "relative_error": self.relative_error,
                 "notes": ["nu_hat is minus the slope of N unwrap(arg(a11 a00 "
@@ -612,8 +609,8 @@ def run_cross_kerr(
     ``variant`` picks the scenario's parameters, which name mode b.
     """
     require_integer(grid_points, 2, "grid points")
-    regimes.check_thresholds(thresholds)
     [p] = scenario_params(f"cross_{variant}", overrides)
+    regime = regimes.check(p, thresholds)           # before any protocol
     N = p.n_atoms
     space = build_space(n_max=1, n_atoms=1, levels=2, n_modes=2)
     kappa_max = N * max((g**2 / (2 * d))**2 for g, d, _, _ in
@@ -641,7 +638,7 @@ def run_cross_kerr(
         config=config, times=t_grid,
         amplitudes={occ: a ** N for occ, a in one.items()},
         nu_hat=nu_hat, nu_effective=nu_eff, relative_error=rel,
-        regime=regimes.check(p, thresholds),
+        regime=regime,
     )
 
 
@@ -662,10 +659,10 @@ class SweepPoint:
 @dataclass
 class RegimeCheckResult:
     config: dict
-    regime: RegimeReport
+    regime: dict                      # regimes.check report
 
     def report(self) -> dict:
-        return {"config": self.config, "regime": self.regime.to_dict()}
+        return {"config": self.config, "regime": self.regime}
 
     def columns(self):
         return None                     # a report alone: no CSV

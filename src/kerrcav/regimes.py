@@ -6,13 +6,13 @@ than one" conditions, 0.1 for the spectral-separation one, both
 configurable).  A ratio that involves the cavity is taken at the worst of
 the modes ``models.mode_couplings`` names.  Ratios that need the Raman pair
 when it is absent are marked ``not_evaluated`` rather than failed: the
-eliminated-tier scenarios never use them.
+eliminated-tier scenarios never use them.  A report (``check``) is a plain
+dict, the one a JSON report holds; ``warned`` reads the ratios that warn.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 
 from .errors import ValidationError
 from .models import SchemeParams, mode_couplings
@@ -23,56 +23,15 @@ RATIO_NAMES = ("dispersive_cavity", "dispersive_laser", "separation",
                "second_dispersive", "rot_condition", "footnote_ratio")
 
 
-@dataclass(frozen=True)
-class RatioEntry:
-    value: float | None
-    threshold: float
-    status: str  # "pass" | "warn" | "not_evaluated"
+def enhanced_strength(p: SchemeParams) -> dict:
+    """The atom-number-boosted nonlinearity at theta chosen so
+    (g^2/2 delta1)/theta = N^{-1/4}, keyed as in a report's ``strengths``.
 
-
-@dataclass(frozen=True)
-class EnhancedStrength:
-    """Atom-number-boosted nonlinearity at the optimizing theta choice.
-
-    ``strength`` is the literal N (g^2/2 D1)^2 / theta_choice =
-    N^{3/4} g^2/(2 D1); ``simple_estimate`` is the order-of-magnitude form
-    (sqrt(N) g / D1) N^{1/4} g, which carries an extra factor 2.  Both are
-    reported so the bookkeeping difference stays visible.  The N^{3/4}
-    holds at fixed D1 (see ``enhanced_strength``).
-    """
-
-    theta_choice: float
-    strength: float
-    simple_estimate: float
-
-
-@dataclass(frozen=True)
-class RegimeReport:
-    ratios: dict
-    strengths: dict
-    notes: tuple = field(default_factory=tuple)
-
-    @property
-    def worst_status(self) -> str:
-        statuses = [r.status for r in self.ratios.values()]
-        return "warn" if "warn" in statuses else "pass"
-
-    def to_dict(self) -> dict:
-        return {
-            "ratios": {
-                name: {"value": r.value, "threshold": r.threshold,
-                       "status": r.status}
-                for name, r in self.ratios.items()
-            },
-            "strengths": dict(self.strengths),
-            "notes": list(self.notes),
-        }
-
-
-def enhanced_strength(p: SchemeParams) -> EnhancedStrength:
-    """Strength at theta chosen so (g^2/2 delta1)/theta = N^{-1/4}.
-
-    Its N^{3/4} g^2/(2 delta1) holds at fixed delta1.  On a family with
+    ``enhanced_exact`` is the literal N (g^2/2 D1)^2 / theta_choice =
+    N^{3/4} g^2/(2 D1); ``enhanced_simple_estimate`` is the
+    order-of-magnitude form (sqrt(N) g / D1) N^{1/4} g, which carries an
+    extra factor 2.  Both are reported so the bookkeeping difference stays
+    visible.  The N^{3/4} holds at fixed delta1.  On a family with
     delta1 = 10 sqrt(N) g the single-atom Stark rate x = g^2/(2 delta1)
     falls as N^{-1/2}: the N^{3/4} is then in units of x, and the absolute
     frequency grows as N^{1/4}.
@@ -80,9 +39,16 @@ def enhanced_strength(p: SchemeParams) -> EnhancedStrength:
     n = p.n_atoms
     x = p.stark
     theta_choice = n**0.25 * x
-    strength = n * x**2 / theta_choice          # = N^{3/4} g^2 / (2 delta1)
-    estimate = (math.sqrt(n) * p.g / p.delta1) * n**0.25 * p.g
-    return EnhancedStrength(theta_choice, strength, estimate)
+    return {"theta_choice": theta_choice,
+            "enhanced_exact": n * x**2 / theta_choice,   # N^{3/4} g^2/(2 D1)
+            "enhanced_simple_estimate":
+                (math.sqrt(n) * p.g / p.delta1) * n**0.25 * p.g}
+
+
+def warned(report: dict) -> list:
+    """The names of the ratios that warn in a ``check`` report."""
+    return [name for name, r in report["ratios"].items()
+            if r["status"] == "warn"]
 
 
 def check_thresholds(thresholds, where: str = "thresholds") -> None:
@@ -107,10 +73,18 @@ def check_thresholds(thresholds, where: str = "thresholds") -> None:
                 f"got {value!r}")
 
 
-def check(p: SchemeParams, thresholds: dict | None = None) -> RegimeReport:
+def check(p: SchemeParams, thresholds: dict | None = None) -> dict:
     """Evaluate every validity ratio and strength for a parameter set,
     under the default thresholds updated by ``thresholds``; a cavity ratio
-    is the largest over the set's modes."""
+    is the largest over the set's modes.
+
+    The report is the plain dict a JSON report holds: ``ratios`` maps each
+    of ``RATIO_NAMES`` to its ``value`` (None when not evaluated),
+    ``threshold`` and ``status``; ``strengths`` holds kappa, the rotated
+    strength and ``enhanced_strength``'s three entries; ``notes`` is a list
+    of strings.  A Raman detuning equal to a cavity detuning is a
+    ``ValidationError``.
+    """
     check_thresholds(thresholds)
     th = {"default": DEFAULT_THRESHOLD, "separation": SEPARATION_THRESHOLD}
     th.update(thresholds or {})
@@ -144,20 +118,14 @@ def check(p: SchemeParams, thresholds: dict | None = None) -> RegimeReport:
     for name in RATIO_NAMES:
         v = values.get(name)        # the laser ratios need (lam, delta2)
         tol = float(th.get(name, th["default"]))
-        if v is None:
-            ratios[name] = RatioEntry(None, tol, "not_evaluated")
-        else:
-            ratios[name] = RatioEntry(float(v), tol,
-                                      "pass" if v <= tol else "warn")
+        status = ("not_evaluated" if v is None
+                  else "pass" if v <= tol else "warn")
+        ratios[name] = {"value": None if v is None else float(v),
+                        "threshold": tol, "status": status}
 
-    enh = enhanced_strength(p)
-    strengths = {
-        "kappa": p.kappa,
-        "rot_strength": p.n_atoms * p.stark**2 / p.theta,
-        "theta_choice": enh.theta_choice,
-        "enhanced_exact": enh.strength,
-        "enhanced_simple_estimate": enh.simple_estimate,
-    }
+    strengths = {"kappa": p.kappa,
+                 "rot_strength": p.n_atoms * p.stark**2 / p.theta,
+                 **enhanced_strength(p)}
     notes = [
         "enhanced_exact is N (g^2/2 delta1)^2 / theta_choice; "
         "enhanced_simple_estimate is (sqrt(N) g/delta1) N^(1/4) g, "
@@ -165,4 +133,4 @@ def check(p: SchemeParams, thresholds: dict | None = None) -> RegimeReport:
     ]
     if p.lam is None:
         notes.append("laser ratios not evaluated: no (lam, delta2) supplied.")
-    return RegimeReport(ratios, strengths, tuple(notes))
+    return {"ratios": ratios, "strengths": strengths, "notes": notes}

@@ -37,9 +37,14 @@ CASES = {
     "cross_polarization": ["run", "cross_polarization"],
     "cross_toroidal": ["run", "cross_toroidal"],
     "regime_check": ["run", "regime_check"],
+    "check_regime": ["check-regime"],
     "check_regime_fig3a": ["check-regime", "fig3a"],
+    "check_regime_fig3a_strict": ["check-regime", "fig3a", "--strict"],
+    "fig3a_strict": ["run", "fig3a", "--strict"],
     "sweep_fig3a_jobs1": SWEEP + ["--jobs", "1"],
     "sweep_fig3a_jobs2": SWEEP + ["--jobs", "2"],
+    "sweep_fig3a_strict": ["sweep", "--scenario", "fig3a", "--param", "theta",
+                           "--values", "2e7,4e8", "--strict", "--jobs", "1"],
 }
 
 # case -> bytes of a config file that is not valid JSON, written to

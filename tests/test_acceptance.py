@@ -71,7 +71,7 @@ def test_criterion_3_kerr_frequency_law(fig3b_result):
 
 def test_criterion_4_regime_arithmetic(fig3b_p1):
     rep = kc.check(fig3b_p1)
-    r = {k: rep.ratios[k].value for k in
+    r = {k: rep["ratios"][k]["value"] for k in
          ("dispersive_cavity", "second_dispersive", "rot_condition")}
     exact = (abs(r["dispersive_cavity"] - 0.1) <= 1e-12
              and abs(r["second_dispersive"] - 0.05) <= 1e-12
@@ -81,18 +81,18 @@ def test_criterion_4_regime_arithmetic(fig3b_p1):
         g=G, delta1=math.sqrt(n) * G / 0.1, theta=G, n_atoms=n)
     enh = kc.enhanced_strength(p_enh)
     rep_enh = kc.check(p_enh)
-    both_present = ("enhanced_exact" in rep_enh.strengths
-                    and "enhanced_simple_estimate" in rep_enh.strengths)
-    enh_ok = (abs(enh.strength - 0.5 * G) <= 1e-12 * G
-              and abs(enh.simple_estimate - 1.0 * G) <= 1e-12 * G
+    both_present = ("enhanced_exact" in rep_enh["strengths"]
+                    and "enhanced_simple_estimate" in rep_enh["strengths"])
+    enh_ok = (abs(enh["enhanced_exact"] - 0.5 * G) <= 1e-12 * G
+              and abs(enh["enhanced_simple_estimate"] - 1.0 * G) <= 1e-12 * G
               and both_present)
     ok = exact and enh_ok
     report(4, ok,
            f"ratios = ({r['dispersive_cavity']:.6g}, "
            f"{r['second_dispersive']:.6g}, {r['rot_condition']:.6g}) "
            f"vs (0.1, 0.05, 1.25e-4) tol 1e-12; enhanced strength "
-           f"exact {enh.strength / G:.6g} g / simple estimate "
-           f"{enh.simple_estimate / G:.6g} g, both in report: {both_present}")
+           f"exact {enh['enhanced_exact'] / G:.6g} g / simple estimate "
+           f"{enh['enhanced_simple_estimate'] / G:.6g} g, both in report: {both_present}")
 
 
 def test_criterion_5_operator_algebra():
@@ -201,7 +201,7 @@ def test_criterion_8_cross_kerr(cross_result):
 
 
 def test_criterion_9_leakage_bound(fig3b_result, fig3b_p1):
-    rot = kc.check(fig3b_p1).ratios["rot_condition"].value
+    rot = kc.check(fig3b_p1)["ratios"]["rot_condition"]["value"]
     pops = {(b.n_atoms, b.n_photons): b.max_plus_population
             for b in fig3b_result.branches}
     ok = rot <= 0.1 and all(v <= 0.05 for v in pops.values())

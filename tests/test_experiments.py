@@ -440,6 +440,22 @@ def test_a_run_builds_each_protocol_once_and_one_states_call_per_count(
     assert len(labels) == kets
 
 
+@pytest.mark.parametrize("run", [
+    ex.run_fig3b, ex.run_fig3a,
+    functools.partial(ex.run_cross_kerr, "polarization"),
+], ids=["fig3b", "fig3a", "cross_polarization"])
+def test_an_invalid_raman_pair_fails_before_any_protocol_is_built(
+        monkeypatch, run):
+    # delta2 = delta1 = 1e9 (fig3a's N = 1 set and both others): the regime
+    # check names it before a protocol is built
+    built, init = [], kc.VProtocol.__init__
+    monkeypatch.setattr(kc.VProtocol, "__init__", lambda self, *a, **k:
+                        built.append(1) or init(self, *a, **k))
+    with pytest.raises(ValidationError, match="delta2 = delta1"):
+        run({"lam": math.sqrt(1e8 * 1e9 / 2), "delta2": 1e9})
+    assert built == []
+
+
 @pytest.mark.parametrize("scenario", ["fig3a", "fig3b"])
 def test_two_runs_in_one_process_write_the_same_bytes(scenario, tmp_path,
                                                       fig3a_result,
@@ -791,7 +807,7 @@ def test_sweep_parallel_matches_serial():
     parallel = ex.sweep("theta", [G, 2 * G], "regime_check", jobs=2)
     for a, b in zip(serial, parallel):
         assert a.value == b.value and a.ok == b.ok
-        assert a.result.regime.to_dict() == b.result.regime.to_dict()
+        assert a.result.regime == b.result.regime
 
 
 def test_sweep_processes_match_serial_on_fig3a(tmp_path):
@@ -833,8 +849,8 @@ def test_sweep_caps_workers(monkeypatch, jobs, n_values, cpus, size):
     values = [G * (1 + k) for k in range(n_values)]
     points = ex.sweep("theta", values, "regime_check", jobs=jobs)
     assert [pt.value for pt in points] == values and all(pt.ok for pt in points)
-    assert [pt.result.regime.to_dict() for pt in points] == [
-        ex.run_regime_check({"theta": v}).regime.to_dict() for v in values]
+    assert [pt.result.regime for pt in points] == [
+        ex.run_regime_check({"theta": v}).regime for v in values]
     assert len(forks) == (size or 0)
     _no_child_left()
 

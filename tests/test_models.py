@@ -315,7 +315,7 @@ def test_full_vs_eliminated_overlap_agreement():
     report = kc.check(p, {"default": 0.06, "separation": 0.08})
     for name in ("dispersive_cavity", "dispersive_laser", "separation",
                  "second_dispersive", "rot_condition"):
-        assert report.ratios[name].status == "pass"
+        assert report["ratios"][name]["status"] == "pass"
     space_a = kc.build_space(n_max=3, n_atoms=1, levels=3)
     space_b = kc.build_space(n_max=3, n_atoms=1, levels=2)
     proto_a = kc.VProtocol(space_a, p, mode="physical")
