@@ -12,7 +12,7 @@ from .errors import (CalibrationError, GuardError, KerrcavError,
 from .hilbert import (Space, annihilation, basis_state, build_space,
                       collective, number_op, s3)
 from .models import SchemeParams, synthesize_raman
-from .pulses import PulseCalibration, VProtocol, calibrate_pulse_phase
+from .pulses import VProtocol, calibrate_pulse_phase
 from .regimes import check, enhanced_strength
 from .experiments import (run_cross_kerr, run_fig3a, run_fig3b, sweep,
                           write_outputs)
@@ -25,7 +25,7 @@ __all__ = [
     "Space", "annihilation", "basis_state", "build_space",
     "collective", "number_op", "s3",
     "SchemeParams", "synthesize_raman",
-    "PulseCalibration", "VProtocol", "calibrate_pulse_phase",
+    "VProtocol", "calibrate_pulse_phase",
     "check", "enhanced_strength",
     "run_cross_kerr", "run_fig3a", "run_fig3b", "sweep", "write_outputs",
     "__version__",

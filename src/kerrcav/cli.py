@@ -206,13 +206,9 @@ def cmd_sweep(args) -> int:
     points = sweep(args.param, values, args.scenario, jobs=args.jobs,
                    overrides=cfg["params"], outdir=args.out,
                    thresholds=cfg["thresholds"], **kw)
-    # each point's fields that are set: its outputs, or its error (a point
-    # written to a directory keeps no result)
-    summary = [{key: value for key, value in vars(pt).items()
-                if value is not None} for pt in points]
-    print(json.dumps(experiments._jsonable(summary), sort_keys=True, indent=2,
+    print(json.dumps(experiments._jsonable(points), sort_keys=True, indent=2,
                      allow_nan=False))
-    return EXIT_OK if all(pt.ok for pt in points) else EXIT_GUARD
+    return EXIT_OK if all(pt["ok"] for pt in points) else EXIT_GUARD
 
 
 def cmd_list_scenarios(_args) -> int:

@@ -50,10 +50,13 @@ rate so the n^2 scaling law is measured in one common frame, and a branch
 at that rate takes Y from the same frame-removed series; the report keeps
 each N's shared rate as ``r_lin_shared``.
 
-A sweep runs a scenario once per parameter value.  With ``jobs > 1`` each
-of k processes forked from this one takes every k-th point and, with an
-output directory, also writes those points' CSV/JSON, so computation and
-emission both run in parallel and only file paths or error text come back.
+What a run writes is plain data: a report's ``calibration.pulse`` is the
+dict ``calibrate_pulse_phase`` returns, and a sweep point is a dict
+(``_run_point``).  A sweep runs a scenario once per parameter value.  With
+``jobs > 1`` each of k processes forked from this one takes every k-th
+point and, with an output directory, also writes those points' CSV/JSON,
+so computation and emission both run in parallel and only file paths or
+error text come back.
 
 Everything here is deterministic: fixed grids, fixed iteration counts, no
 timestamps in emitted files; identical configs give byte-identical output,
@@ -289,6 +292,13 @@ def amplitude_table(space, runs, mode: str, ideal_oracle: bool):
     return pulse, table
 
 
+def _project(states, ket):
+    """<ket|state> for each row of ``states``, summed elementwise: a BLAS
+    matrix-vector product would split these short rows across its threads,
+    and a cold thread pool can stall it for milliseconds."""
+    return np.einsum("tj,j->t", states, ket.conj())
+
+
 # ---------------------------------------------------------------------------
 # scenario results
 # ---------------------------------------------------------------------------
@@ -461,7 +471,7 @@ def _run_overlap_scenario(scenario: OverlapScenario,
         runs.append((p, grid, {n: ket(n, "-") for n in ns}))
     pulse, table = amplitude_table(space, runs, mode, scenario.ideal_oracle)
     if pulse is not None:
-        calibration_block["pulse"] = dataclasses.asdict(pulse)
+        calibration_block["pulse"] = pulse
 
     for (p, t_grid, kets), (elapsed, states, ideal_states, segments) in zip(
             runs, table):
@@ -470,7 +480,7 @@ def _run_overlap_scenario(scenario: OverlapScenario,
         theta_phase = theta_rate * t_grid
         r0 = N * p.stark if mode == "physical" else 0.0
         ns = list(kets)
-        series = {n: (states @ kets[n].conj()) ** N for n in ns}
+        series = {n: _project(states, kets[n]) ** N for n in ns}
         references = {n: np.cos(p.kappa * n**2 * t_grid) for n in ns}
 
         # shared rate from this N's n=1 series (or the smallest nonzero n),
@@ -498,7 +508,7 @@ def _run_overlap_scenario(scenario: OverlapScenario,
             err = np.abs(y - reference)
             freq = fitted_frequency(t_grid, z_shared) if n > 0 else 0.0
             x = np.abs(amps)
-            plus = states @ ket(n, "+").conj()
+            plus = _project(states, ket(n, "+"))
             branch = BranchResult(
                 n_atoms=N, n_photons=n, times=t_grid, amplitudes=amps,
                 x=x, y=y, reference=reference, abs_error=err,
@@ -511,7 +521,7 @@ def _run_overlap_scenario(scenario: OverlapScenario,
             )
             calibration_block["r_lin"][f"N={N},n={n}"] = r_lin
             if ideal_states is not None:
-                ideal_x = np.abs((ideal_states @ kets[n].conj()) ** N)
+                ideal_x = np.abs(_project(ideal_states, kets[n]) ** N)
                 branch.ideal_deviation = float(np.abs(x - ideal_x).max())
             branches.append(branch)
 
@@ -621,7 +631,7 @@ def run_cross_kerr(
             for occ in ((0, 0), (0, 1), (1, 0), (1, 1))}
     _, [(_, states, _, _)] = amplitude_table(
         space, [(p, t_grid, kets)], "physical", ideal_oracle=False)
-    one = {occ: states @ ket.conj() for occ, ket in kets.items()}
+    one = {occ: _project(states, ket) for occ, ket in kets.items()}
 
     h_eff = models.effective_hamiltonian(space, p, "kerr")   # one atom
     energy = {occ: (ket.conj() @ (h_eff @ ket)).real
@@ -645,16 +655,6 @@ def run_cross_kerr(
 # ---------------------------------------------------------------------------
 # sweeps and the scenario registry
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SweepPoint:
-    param: str
-    value: float
-    ok: bool
-    result: object = None
-    error: str | None = None
-    outputs: dict | None = None         # written paths, for a sweep to a dir
-
 
 @dataclass
 class RegimeCheckResult:
@@ -729,20 +729,19 @@ def check_options(scenario: str, kw) -> None:
 
 
 def _run_point(param: str, value, scenario: str, overrides, kw: dict,
-               outdir) -> SweepPoint:
-    """One sweep point, in this process or in a worker.
-
-    With ``outdir`` the point's files are written here and only their paths
-    are kept; a failure keeps only its error text.
-    """
+               outdir) -> dict:
+    """One sweep point, in this process or in a worker: the dict of
+    ``param``, ``value``, ``ok`` and one of ``error`` (the failure's text),
+    ``result`` or, with ``outdir``, ``outputs`` (the paths of the files
+    written here, keeping no result)."""
+    point = {"param": param, "value": value}
     try:
         result = SCENARIOS[scenario]({**(overrides or {}), param: value}, **kw)
     except KerrcavError as exc:
-        return SweepPoint(param, value, False, error=str(exc))
+        return {**point, "ok": False, "error": str(exc)}
     if outdir is None:
-        return SweepPoint(param, value, True, result)
-    return SweepPoint(param, value, True,
-                      outputs=write_outputs(result, outdir))
+        return {**point, "ok": True, "result": result}
+    return {**point, "ok": True, "outputs": write_outputs(result, outdir)}
 
 
 def _usable_cpus() -> int:
@@ -797,14 +796,14 @@ def sweep(param: str, values, scenario: str, jobs: int = 1, overrides=None,
           outdir=None, thresholds=None, **kw) -> list:
     """Run a scenario once per parameter value; failures are recorded.
 
-    With ``outdir`` every point writes its CSV/JSON where it is computed
-    and its ``SweepPoint`` carries the paths (``outputs``) instead of the
-    result.  ``jobs > 1`` deals the points out in turn to
-    ``min(jobs, len(values), usable CPUs)`` processes forked from this one
-    (POSIX only); without ``outdir`` their results come back pickled.  A
-    worker's exception is re-raised here and a dead worker raises
-    ``WorkerError``, after every worker has been killed and reaped.  A
-    keyword in ``kw`` that the scenario does not take is a
+    Each point is a dict (``_run_point``).  With ``outdir`` every point
+    writes its CSV/JSON where it is computed and carries the paths
+    (``outputs``) instead of the result.  ``jobs > 1`` deals the points
+    out in turn to ``min(jobs, len(values), usable CPUs)`` processes forked
+    from this one (POSIX only); without ``outdir`` their results come back
+    pickled.  A worker's exception is re-raised here and a dead worker
+    raises ``WorkerError``, after every worker has been killed and reaped.
+    A keyword in ``kw`` that the scenario does not take is a
     ``ValidationError`` before any point runs; every point's regime report
     applies ``thresholds``.
     """
@@ -853,50 +852,38 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _repr_columns(columns) -> list:
-    """``repr`` of every float of ``columns`` (1-d float arrays), one list
-    of strings per column.  Each distinct 64-bit pattern is formatted once
-    and its string shared by every cell that holds it; keying on the bits,
-    not on float equality, keeps -0.0 apart from 0.0."""
-    flat = np.concatenate([np.asarray(c, dtype=np.float64) for c in columns])
-    bits, cell = np.unique(flat.view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(np.float64).tolist())),
-                    dtype=object)[cell]
-    return [part.tolist() for part in
-            np.split(text, np.cumsum([len(c) for c in columns])[:-1])]
-
-
 def csv_text(result) -> str | None:
     """The CSV of ``result.columns()``: its header, then for each block
     (time grid, integer keys, float columns) one row per grid point, the
     point's time, the block's keys and the columns' values at that point;
     None for a result without columns.
 
-    Every float is written as ``repr`` of the Python float.  The table
-    (``_repr_columns``) formats each distinct 64-bit pattern of the
-    result's grids and float columns once, and every cell holding that
-    pattern reuses the string; ``repr`` depends on the bit pattern alone,
-    so each cell gets the bytes its own ``repr`` would, and the table
-    cannot change the output.  Over half of fig3a's cells repeat (its n = 0
-    controls hold a few values each), about a sixth of fig3b's.  A grid
-    shared by several blocks (the same array) is formatted once.  Each
-    block of rows is joined on its own, so its row strings are freed
-    before the next block is built.
+    Every float is written as ``repr`` of the Python float.  One table,
+    over every block's time grid and float columns, formats each distinct
+    64-bit pattern once, and every cell holding that pattern reuses the
+    string; keying on the bits, not on float equality, keeps -0.0 apart
+    from 0.0, and ``repr`` depends on the bit pattern alone, so each cell
+    gets the bytes its own ``repr`` would and the table cannot change the
+    output.  Over half of fig3a's cells repeat (its n = 0 controls hold a
+    few values each), about a sixth of fig3b's.  Each block of rows is
+    joined on its own, so its row strings are freed before the next block
+    is built.
     """
     if (layout := result.columns()) is None:
         return None
     header, blocks = layout
-    grids = {id(times): times for times, _, _ in blocks}
-    cells = _repr_columns([*grids.values(), *(
-        column for _, _, columns in blocks for column in columns)])
-    stamps = dict(zip(grids, cells))
-    floats = iter(cells[len(grids):])
+    columns = [c for times, _, floats in blocks for c in (times, *floats)]
+    flat = np.concatenate([np.asarray(c, dtype=np.float64) for c in columns])
+    bits, cell = np.unique(flat.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())),
+                    dtype=object)[cell]
+    cells = iter(np.split(text, np.cumsum([len(c) for c in columns])[:-1]))
     out = [",".join(header) + "\n"]
-    for times, keys, columns in blocks:
-        text = "\n".join(map(",".join, zip(
-            stamps[id(times)], *(itertools.repeat(str(k)) for k in keys),
-            *(next(floats) for _ in columns))))
-        out.append(text + "\n" if text else "")
+    for _, keys, floats in blocks:
+        rows = "\n".join(map(",".join, zip(
+            next(cells).tolist(), *(itertools.repeat(str(k)) for k in keys),
+            *(next(cells).tolist() for _ in floats))))
+        out.append(rows + "\n" if rows else "")
     return "".join(out)
 
 

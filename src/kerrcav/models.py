@@ -39,6 +39,7 @@ All three statements are verified numerically in the test suite.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field, replace
 from functools import reduce
@@ -65,10 +66,11 @@ class SchemeParams:
     A set is validated and derived when it is built, ``dataclasses.replace``
     included: theta = 2 lam^2 / delta2 when only the Raman pair is given,
     and ``mu`` = g^2/(D1 theta) and ``kappa`` = N g^4 / (4 D1^2 theta) are
-    computed, never passed.  An invalid set, or one whose mu or kappa
-    overflows or vanishes in floating point, is a ``ValidationError``.  A
-    derived theta is stored, so a replacement Raman pair passes
-    ``theta=None`` to derive it again.
+    computed, never passed.  A rate that is set must be a real number, not
+    a bool.  An invalid set, or one whose mu or kappa overflows or vanishes
+    in floating point, is a ``ValidationError``.  A derived theta is
+    stored, so a replacement Raman pair passes ``theta=None`` to derive it
+    again.
     """
 
     g: float
@@ -87,6 +89,13 @@ class SchemeParams:
     kappa: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("g", "delta1", "theta", "lam", "delta2", "omega", "g_b",
+                     "delta1_b", "mode_split"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or
+                                      not isinstance(value, numbers.Real)):
+                raise ValidationError(
+                    f"{name} must be a real number, got {value!r}")
         if not np.isfinite(self.g) or self.g == 0:
             raise ValidationError(f"g must be finite and nonzero, got {self.g}")
         if not np.isfinite(self.delta1) or self.delta1 == 0:

@@ -26,7 +26,6 @@ a segment's pulse is its phase (None: no pulse).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,16 +37,6 @@ from .models import SchemeParams
 
 M_PULSE_PHASE = math.pi
 PULSE_SPEED_FACTOR = 20.0  # omega must beat both g sqrt(n_max) and theta by this
-
-
-@dataclass(frozen=True)
-class PulseCalibration:
-    """Calibrated pulse phases and the photon-diagonal by-product phase."""
-
-    phi_forward: float
-    phi_inverse: float
-    beta: float          # radians per photon across one realization window
-    fidelity: float
 
 
 def check_pulse_guard(space: Space, p: SchemeParams):
@@ -107,7 +96,7 @@ def _beta_and_fidelity(space: Space, target: np.ndarray, u: np.ndarray):
     return beta, float(fidelity)
 
 
-def calibrate_pulse_phase(protocol: VProtocol) -> PulseCalibration:
+def calibrate_pulse_phase(protocol: VProtocol) -> dict:
     """Closed-form forward pulse phase, checked against the ideal rotation.
 
     Scores the forward sandwich of the protocol it is given, the
@@ -116,6 +105,11 @@ def calibrate_pulse_phase(protocol: VProtocol) -> PulseCalibration:
     photon-diagonal phase e^{-i beta n}, both as photon-number stacks.
     The protocol must be physical and run one atom on n_max >= 2.  A
     fidelity below 0.95 is reported as a failure.
+
+    Returns the dict a report's ``calibration.pulse`` holds, of Python
+    floats: the forward and inverse pulse phases ``phi_forward`` and
+    ``phi_inverse``, the by-product phase ``beta`` (radians per photon
+    across one realization window) and the ``fidelity``.
     """
     space, p = protocol.space, protocol.params
     if protocol.mode != "physical":
@@ -135,7 +129,8 @@ def calibrate_pulse_phase(protocol: VProtocol) -> PulseCalibration:
             f"(< 0.95) at phi = {phi_forward:.4f}"
         )
     phi_inverse = (phi_forward + math.pi) % (2 * math.pi)
-    return PulseCalibration(phi_forward, phi_inverse, beta, fidelity)
+    return {"phi_forward": phi_forward, "phi_inverse": phi_inverse,
+            "beta": beta, "fidelity": fidelity}
 
 
 class VProtocol:

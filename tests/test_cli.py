@@ -226,8 +226,8 @@ def test_calibrate_applies_grid_n_max(capsys, tmp_path):
 
     def check(n_max):
         space = kc.build_space(n_max=n_max, n_atoms=1, levels=2)
-        return dataclasses.asdict(kc.calibrate_pulse_phase(
-            kc.VProtocol(space, experiments.fig3b_params())))
+        return kc.calibrate_pulse_phase(
+            kc.VProtocol(space, experiments.fig3b_params()))
     assert pulse == check(experiments.N_MAX) != check(2)
 
 

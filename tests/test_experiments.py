@@ -17,6 +17,8 @@ import kerrcav as kc
 from kerrcav import cli, experiments as ex, models, numerics, pulses
 from kerrcav.errors import KerrcavError, ValidationError, WorkerError
 
+from test_golden import ATOL, GOLDEN
+
 G = 1e8
 
 
@@ -287,8 +289,7 @@ def test_pulse_check_reuses_the_protocols_forward_sandwich(monkeypatch,
     result = ex.run_fig3b(grid_points=16)
     assert phases == [math.pi, 2 * math.pi]
     space = kc.build_space(n_max=ex.N_MAX, n_atoms=1, levels=2)
-    direct = dataclasses.asdict(
-        kc.calibrate_pulse_phase(kc.VProtocol(space, ex.fig3b_params())))
+    direct = kc.calibrate_pulse_phase(kc.VProtocol(space, ex.fig3b_params()))
     assert result.calibration["pulse"] == direct
     assert fig3b_result.calibration["pulse"] == direct
 
@@ -683,8 +684,8 @@ def test_cross_kerr_nmax_guard():
 def test_sweep_theta_halves_kappa_and_frequency():
     points = ex.sweep("theta", [G, 2 * G], "fig3b",
                       grid_points=96, branches=((1, 1),))
-    assert all(pt.ok for pt in points)
-    f = [pt.result.branch(1, 1).freq_fit for pt in points]
+    assert all(pt["ok"] for pt in points)
+    f = [pt["result"].branch(1, 1).freq_fit for pt in points]
     assert f[0] / f[1] == pytest.approx(2.0, rel=0.05)
 
 
@@ -692,10 +693,28 @@ def test_sweep_empty_values():
     assert ex.sweep("theta", [], "fig3b") == []
 
 
+def test_a_pulse_check_and_a_sweep_point_are_plain_dicts(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    space = kc.build_space(n_max=ex.N_MAX, n_atoms=1, levels=2)
+    for name, params in (("fig3b", ex.fig3b_params), ("fig3a", ex.fig3a_params)):
+        pulse = kc.calibrate_pulse_phase(kc.VProtocol(space, params(1)))
+        want = golden[name]["calibration"]["pulse"]
+        assert sorted(pulse) == sorted(want) == [
+            "beta", "fidelity", "phi_forward", "phi_inverse"]
+        for key, value in pulse.items():
+            assert type(value) is float and abs(value - want[key]) <= ATOL
+    ok, failed = ex.sweep("delta1", [10 * G, 0.0], "regime_check")
+    [written] = ex.sweep("delta1", [10 * G], "regime_check", outdir=tmp_path)
+    for point, ok_, key in ((ok, True, "result"), (failed, False, "error"),
+                            (written, True, "outputs")):
+        assert point == {"param": "delta1", "value": point["value"],
+                         "ok": ok_, key: point[key]}
+
+
 def test_sweep_records_failures():
     points = ex.sweep("delta1", [10 * G, 0.0], "regime_check")
-    assert points[0].ok
-    assert not points[1].ok and "delta1" in points[1].error
+    assert points[0]["ok"]
+    assert not points[1]["ok"] and "delta1" in points[1]["error"]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -732,7 +751,7 @@ def test_scenario_options_read_through_functools_wraps(monkeypatch):
         "grid_points", "mode", "frame_calibration", "branches"}
     [point] = ex.sweep("theta", [G], "fig3b", grid_points=16,
                        branches=((1, 1),))
-    assert point.ok
+    assert point["ok"]
     with pytest.raises(ValidationError, match="takes no option 'tier'"):
         ex.sweep("theta", [G], "fig3b", tier="full")
 
@@ -787,9 +806,9 @@ def test_sweep_over_n_atoms_matches_direct_run(fig3b_result):
     points = ex.sweep("n_atoms", [1, 2], "fig3b",
                       grid_points=512, branches=((1, 1), (2, 1)))
     for pt, n in zip(points, (1, 2)):
-        assert pt.ok
+        assert pt["ok"]
         direct = fig3b_result.branch(n, 1)
-        swept = pt.result.branch(n, 1)
+        swept = pt["result"].branch(n, 1)
         assert swept.max_abs_error == pytest.approx(direct.max_abs_error,
                                                     abs=1e-12)
 
@@ -806,8 +825,8 @@ def test_sweep_parallel_matches_serial():
     serial = ex.sweep("theta", [G, 2 * G], "regime_check")
     parallel = ex.sweep("theta", [G, 2 * G], "regime_check", jobs=2)
     for a, b in zip(serial, parallel):
-        assert a.value == b.value and a.ok == b.ok
-        assert a.result.regime == b.result.regime
+        assert a["value"] == b["value"] and a["ok"] == b["ok"]
+        assert a["result"].regime == b["result"].regime
 
 
 def test_sweep_processes_match_serial_on_fig3a(tmp_path):
@@ -817,11 +836,11 @@ def test_sweep_processes_match_serial_on_fig3a(tmp_path):
     parallel = ex.sweep("theta", values, "fig3a", jobs=2, **kw)
     written = ex.sweep("theta", values, "fig3a", jobs=2, outdir=tmp_path, **kw)
     for a, b, w in zip(serial, parallel, written):
-        assert a.ok and b.ok and w.ok and w.result is None
-        assert ex.csv_text(a.result) == ex.csv_text(b.result)
-        assert ex.json_report(a.result) == ex.json_report(b.result)
-        expected = ex.write_outputs(a.result, tmp_path / "serial")
-        for kind, path in w.outputs.items():
+        assert a["ok"] and b["ok"] and w["ok"] and "result" not in w
+        assert ex.csv_text(a["result"]) == ex.csv_text(b["result"])
+        assert ex.json_report(a["result"]) == ex.json_report(b["result"])
+        expected = ex.write_outputs(a["result"], tmp_path / "serial")
+        for kind, path in w["outputs"].items():
             assert pathlib.Path(path).read_bytes() == \
                 pathlib.Path(expected[kind]).read_bytes()
 
@@ -848,8 +867,8 @@ def test_sweep_caps_workers(monkeypatch, jobs, n_values, cpus, size):
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)))
     values = [G * (1 + k) for k in range(n_values)]
     points = ex.sweep("theta", values, "regime_check", jobs=jobs)
-    assert [pt.value for pt in points] == values and all(pt.ok for pt in points)
-    assert [pt.result.regime for pt in points] == [
+    assert [pt["value"] for pt in points] == values and all(pt["ok"] for pt in points)
+    assert [pt["result"].regime for pt in points] == [
         ex.run_regime_check({"theta": v}).regime for v in values]
     assert len(forks) == (size or 0)
     _no_child_left()
@@ -859,7 +878,7 @@ def test_sweep_without_fork_is_a_validation_error(monkeypatch):
     monkeypatch.delattr(os, "fork")
     with pytest.raises(ValidationError, match="needs os.fork"):
         ex.sweep("theta", [G, 2 * G], "regime_check", jobs=2)
-    assert ex.sweep("theta", [G], "regime_check", jobs=1)[0].ok
+    assert ex.sweep("theta", [G], "regime_check", jobs=1)[0]["ok"]
 
 
 def test_sweep_flushes_before_forking(monkeypatch, tmp_path):
@@ -874,7 +893,7 @@ def test_sweep_flushes_before_forking(monkeypatch, tmp_path):
         monkeypatch.setattr(sys, "stdout", stdout)
         stdout.write("pending;")
         points = ex.sweep("theta", [G, 2 * G], "regime_check", jobs=2)
-    assert all(pt.ok for pt in points)
+    assert all(pt["ok"] for pt in points)
     out = (tmp_path / "stdout.txt").read_text()
     assert out.count("pending;") == 1 and out.count("worker") == 2
 
@@ -949,8 +968,8 @@ def test_a_new_overlap_record_runs_with_the_standard_options(monkeypatch):
     [point] = ex.sweep("theta", [2 * G], record.name, grid_points=16)
     expected = ex.run_fig3b({"theta": 2 * G}, grid_points=16,
                             branches=((1, 1),))
-    assert point.result.config == {**expected.config, "scenario": "fig3b_n1"}
-    assert ex.csv_text(point.result) == ex.csv_text(expected)
+    assert point["result"].config == {**expected.config, "scenario": "fig3b_n1"}
+    assert ex.csv_text(point["result"]) == ex.csv_text(expected)
 
 
 def test_unknown_override_rejected():

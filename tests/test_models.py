@@ -50,6 +50,20 @@ def test_zero_rates_rejected():
         kc.SchemeParams(g=G, delta1=1e9)
 
 
+@pytest.mark.parametrize("value", [1e8 + 0j, "1e8", True])
+@pytest.mark.parametrize("name", ["g", "delta1", "theta", "lam", "delta2",
+                                  "omega", "g_b", "delta1_b", "mode_split"])
+def test_a_rate_that_is_not_a_real_number_is_rejected_by_name(name, value):
+    with pytest.raises(ValidationError, match=f"^{name} must be a real number"):
+        kc.SchemeParams(**{"g": G, "delta1": 10 * G, "theta": G, name: value})
+
+
+def test_a_complex_sweep_value_is_a_failed_point():
+    [point] = ex.sweep("theta", [1e8 + 0j], "fig3b")
+    assert point["ok"] is False
+    assert point["error"].startswith("theta must be a real number")
+
+
 RATE = st.builds(lambda m, sign: sign * m, st.floats(1e6, 1e10),
                  st.sampled_from((-1.0, 1.0)))
 ATOMS = st.integers(1, 10**6)

@@ -133,8 +133,8 @@ def test_the_stack_pulse_check_matches_dense_scoring(family, theta):
             kc.calibrate_pulse_phase(protocol)
         return
     cal = kc.calibrate_pulse_phase(protocol)
-    assert abs(cal.beta - beta) <= 1e-15
-    assert abs(cal.fidelity - fidelity) <= 1e-15
+    assert abs(cal["beta"] - beta) <= 1e-15
+    assert abs(cal["fidelity"] - fidelity) <= 1e-15
 
 
 def test_u_physical_zero_window_limit():
@@ -148,10 +148,10 @@ def test_u_physical_zero_window_limit():
 
 def test_calibration_finds_pi_and_is_idempotent(pulse_calibration, fig3b_p1):
     cal = pulse_calibration
-    assert cal.phi_forward == math.pi
-    assert cal.fidelity > 0.999
+    assert cal["phi_forward"] == math.pi
+    assert cal["fidelity"] > 0.999
     # beta = mu N / 2 plus the small pulse-window linear phase
-    assert abs(cal.beta - fig3b_p1.mu / 2) < 0.1 * fig3b_p1.mu / 2
+    assert abs(cal["beta"] - fig3b_p1.mu / 2) < 0.1 * fig3b_p1.mu / 2
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
     again = kc.calibrate_pulse_phase(kc.VProtocol(space, fig3b_p1))
     assert again == cal
@@ -217,10 +217,10 @@ def test_inverse_realization_conjugacy(fig3b_p1, pulse_calibration):
     # photon-diagonal phase e^{-2 i beta n}
     space = kc.build_space(n_max=2, n_atoms=1, levels=2)
     cal = pulse_calibration
-    u_f = u_physical(space, fig3b_p1, first_phase=cal.phi_forward)
-    u_i = u_physical(space, fig3b_p1, first_phase=cal.phi_inverse)
+    u_f = u_physical(space, fig3b_p1, first_phase=cal["phi_forward"])
+    u_i = u_physical(space, fig3b_p1, first_phase=cal["phi_inverse"])
     ns = np.diag(kc.number_op(space)).real
-    phase = np.exp(-2j * cal.beta * ns)
+    phase = np.exp(-2j * cal["beta"] * ns)
     assert max_abs_diff(u_i, phase[:, None] * u_f.conj().T) < 1e-2
 
 
